@@ -131,11 +131,9 @@ class AmbientGeometry:
     def r_of_lambda(self, lam):
         raise NotImplementedError
 
-    def lam_phi2_of_r(self, r):
-        """The radial invariant Lambda * phi^2 (constant on leaves)."""
-        raise NotImplementedError
-
     def d_lam_phi2_dr(self, r):
+        """Radial derivative of the invariant Lambda * phi^2 (constant on
+        leaves)."""
         raise NotImplementedError
 
 
@@ -174,10 +172,6 @@ class Euclidean(AmbientGeometry):
     def r_of_lambda(self, lam):
         lam = np.asarray(lam, dtype=float)
         return np.sqrt(lam)
-
-    def lam_phi2_of_r(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.ones_like(r)
 
     def d_lam_phi2_dr(self, r):
         r = np.asarray(r, dtype=float)
@@ -234,10 +228,6 @@ class PaperExample(AmbientGeometry):
         lam = np.asarray(lam, dtype=float)
         s = np.sqrt(lam)
         return 8.0 * s / (1.0 + np.sqrt(1.0 + 16.0 * lam))
-
-    def lam_phi2_of_r(self, r):
-        r = np.asarray(r, dtype=float)
-        return (4.0 + r * r) / (4.0 - r * r)
 
     def d_lam_phi2_dr(self, r):
         r = np.asarray(r, dtype=float)
@@ -301,11 +291,6 @@ class PoincareBall(AmbientGeometry):
         s = np.sqrt(lam)
         root = np.sqrt(np.maximum(0.0, 1.0 - lam / self.radius**2))
         return s / (1.0 + root)
-
-    def lam_phi2_of_r(self, r):
-        r = np.asarray(r, dtype=float)
-        s = r * r / self.radius**2
-        return (1.0 - s) / (1.0 + s)
 
     def d_lam_phi2_dr(self, r):
         r = np.asarray(r, dtype=float)

@@ -163,7 +163,6 @@ class Schedule:
     """Rotation decay schedule Xi(t/t0)."""
 
     t0: float = 1.0
-    margin: float = 0.1
 
     def __post_init__(self):
         if self.t0 <= 0.0:

@@ -89,12 +89,12 @@ def make_ctrl(cfg):
 
 
 def make_schedule(cfg, geom, pair, lam_lo, lam_hi):
-    margin = cfg["schedule.margin"]
     t0 = cfg["schedule.t0"]
     if t0 == "auto":
-        t0 = ckv.estimate_T0(geom, pair, lam_lo, lam_hi, margin=margin,
+        t0 = ckv.estimate_T0(geom, pair, lam_lo, lam_hi,
+                             margin=cfg["schedule.margin"],
                              seed=cfg["sampling.seed"])
-    return ckv.Schedule(t0=t0, margin=margin)
+    return ckv.Schedule(t0=t0)
 
 
 def cmd_run(cfg, out, force, quiet):

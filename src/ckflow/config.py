@@ -2,37 +2,49 @@
 
 A run file is plain text, one `key = value` per line, `#` comments, blank
 lines ignored.  Values are numbers, bare strings, or `[a, b, c]` lists of
-numbers.  Every key is validated against the registry below before any
-computation starts; unknown or duplicate keys are rejected so committed
-run files stay reproducible.
+numbers.  Every key is validated against the registry below (kind, finite
+numbers, range) before any computation starts; unknown or duplicate keys
+are rejected so committed run files stay reproducible.
 """
+
+import math
 
 from .errors import ConfigError
 
-# key -> (kind, default, choices-or-None); kind in
-# {choice, float, int, vec3, auto_float}
+# ranges: (test on the parsed value, what the message says it must be)
+_POSITIVE = (lambda v: v > 0.0, "> 0")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+
+# key -> (kind, default, choices-or-None, range-or-None); kind in
+# {choice, float, int, vec3, auto_float}.  Numbers must also be finite.
 REGISTRY = {
     "geometry": ("choice", "euclidean",
-                 ("euclidean", "paper_example", "poincare_ball")),
-    "poincare_ball.radius": ("float", 1.0, None),
-    "rotation.axis": ("vec3", (1.0, 0.0, 0.0), None),
-    "rotation.omega": ("float", 0.0, None),
-    "schedule.t0": ("auto_float", "auto", None),
-    "schedule.margin": ("float", 0.1, None),
-    "seed.kind": ("choice", "sphere", ("sphere", "ellipsoid", "twisted")),
-    "seed.radius": ("float", 1.0, None),
-    "seed.semiaxes": ("vec3", (1.3, 1.0, 1.0), None),
-    "seed.twist": ("float", 0.0, None),
-    "seed.level": ("int", 4, None),
-    "flow.backend": ("choice", "lagrangian", ("lagrangian", "leaf_graph")),
-    "flow.cfl": ("float", 0.25, None),
-    "flow.t_end": ("float", 20.0, None),
-    "flow.speed_tol": ("float", 1e-2, None),
-    "flow.leaf_tol": ("float", 1e-2, None),
-    "flow.smooth_every": ("int", 10, None),
-    "flow.max_steps": ("int", 500000, None),
-    "output.frame_every": ("int", 0, None),
-    "sampling.seed": ("int", 0, None),
+                 ("euclidean", "paper_example", "poincare_ball"), None),
+    "poincare_ball.radius": ("float", 1.0, None, _POSITIVE),
+    "rotation.axis": ("vec3", (1.0, 0.0, 0.0), None,
+                      (lambda v: any(v), "a nonzero vector")),
+    "rotation.omega": ("float", 0.0, None, None),
+    "schedule.t0": ("auto_float", "auto", None, _POSITIVE),
+    "schedule.margin": ("float", 0.1, None,
+                        (lambda v: 0.0 < v < 1.0, "in (0, 1)")),
+    "seed.kind": ("choice", "sphere", ("sphere", "ellipsoid", "twisted"),
+                  None),
+    "seed.radius": ("float", 1.0, None, _POSITIVE),
+    "seed.semiaxes": ("vec3", (1.3, 1.0, 1.0), None,
+                      (lambda v: min(v) > 0.0, "three positive numbers")),
+    "seed.twist": ("float", 0.0, None, None),
+    "seed.level": ("int", 4, None, _NON_NEGATIVE),
+    "flow.backend": ("choice", "lagrangian", ("lagrangian", "leaf_graph"),
+                     None),
+    "flow.cfl": ("float", 0.25, None,
+                 (lambda v: 0.0 < v <= 0.5, "in (0, 0.5]")),
+    "flow.t_end": ("float", 20.0, None, _POSITIVE),
+    "flow.speed_tol": ("float", 1e-2, None, None),
+    "flow.leaf_tol": ("float", 1e-2, None, None),
+    "flow.smooth_every": ("int", 10, None, None),
+    "flow.max_steps": ("int", 500000, None, None),
+    "output.frame_every": ("int", 0, None, None),
+    "sampling.seed": ("int", 0, None, _NON_NEGATIVE),
 }
 
 
@@ -65,7 +77,20 @@ def _parse_value(text, where):
 
 
 def _check(key, value, where):
-    kind, _, choices = REGISTRY[key]
+    value = _check_kind(key, value, where)
+    if isinstance(value, str):  # a choice, or schedule.t0 = auto
+        return value
+    numbers = value if isinstance(value, tuple) else (value,)
+    if not all(math.isfinite(v) for v in numbers):
+        raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
+    bound = REGISTRY[key][3]
+    if bound is not None and not bound[0](value):
+        raise ConfigError(f"{where}: {key} must be {bound[1]}, got {value!r}")
+    return value
+
+
+def _check_kind(key, value, where):
+    kind, _, choices, _ = REGISTRY[key]
     if kind == "choice":
         if not isinstance(value, str) or value not in choices:
             raise ConfigError(

@@ -173,19 +173,51 @@ def leaf_area(geom, r):
     return float(out[0]) if np.isscalar(r) else out
 
 
+_GL_RADIAL_X, _GL_RADIAL_W = np.polynomial.legendre.leggauss(16)
+
+
+def _shell_volume(geom, a, b):
+    """Curved volume of the shell a <= |x| <= b: a 16-node Gauss-Legendre
+    rule on the radial density rho(s) = s^2 * integral exp(3 f(s w)) dw."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    vals = _sphere_quad(geom, mid + half * _GL_RADIAL_X, 3.0)
+    return float(np.sum(vals * _GL_RADIAL_W) * half)
+
+
+class _BallVolumeTable:
+    """Curved ball volume V(r) for 0 <= r <= r_hi from one radial sweep.
+
+    The radial density is integrated once, panel by panel, over n_panels
+    equal panels of [0, r_hi]; the cumulative sums give V at the panel
+    edges, and V(r) between edges adds one partial-panel rule.
+    """
+
+    def __init__(self, geom, r_hi, n_panels=64):
+        self.geom = geom
+        self.edges = np.linspace(0.0, r_hi, n_panels + 1)
+        shells = [_shell_volume(geom, a, b)
+                  for a, b in zip(self.edges[:-1], self.edges[1:])]
+        self.cumulative = np.concatenate([[0.0], np.cumsum(shells)])
+
+    def panel(self, r):
+        """Index k of the panel [edges[k], edges[k+1]] that holds r."""
+        k = int(np.searchsorted(self.edges, r, side="right")) - 1
+        return min(max(k, 0), self.edges.size - 2)
+
+    def volume(self, r, k=None):
+        """V(r), integrating from the lower edge of panel k (default: r's)."""
+        if k is None:
+            k = self.panel(r)
+        return float(self.cumulative[k]
+                     + _shell_volume(self.geom, self.edges[k], r))
+
+
 def ball_volume(geom, r, n_panels=64):
     """Curved volume of the coordinate ball of radius r (origin included)."""
     scalar = np.isscalar(r)
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty(r.size)
-    x, w = np.polynomial.legendre.leggauss(16)
-    for k, rk in enumerate(r):
-        edges = np.linspace(0.0, rk, n_panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * np.diff(edges)
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).reshape(-1)
-        vals = _sphere_quad(geom, nodes, 3.0)
-        out[k] = float(np.sum(vals.reshape(n_panels, -1) * w[None, :] * half[:, None]))
+    table = _BallVolumeTable(geom, float(r.max()), n_panels)
+    out = np.array([table.volume(rk) for rk in r])
     return float(out[0]) if scalar else out
 
 
@@ -218,17 +250,30 @@ def leaf_profile(geom, r_lo, r_hi, n=128):
 
 
 def leaf_radius_for_volume(geom, target, r_lo, r_hi):
-    """Radius of the coordinate ball enclosing the given curved volume."""
-    def fn(r):
-        return ball_volume(geom, float(r)) - target
+    """Radius of the coordinate ball enclosing the given curved volume.
 
-    flo, fhi = fn(r_lo), fn(r_hi)
+    One radial sweep tabulates the ball volume at the panel edges of
+    [0, r_hi] (`_BallVolumeTable`); the cumulative sums bracket the root in
+    one panel, and brentq refines it there with a partial-panel rule per
+    iteration.
+    """
+    table = _BallVolumeTable(geom, r_hi)
+    flo = table.volume(r_lo) - target
+    fhi = float(table.cumulative[-1]) - target
     if flo * fhi > 0.0:
         raise ValueError(
             f"volume {target:.6g} not bracketed on [{r_lo}, {r_hi}] "
             f"(endpoint values {flo:.3g}, {fhi:.3g})"
         )
-    return float(brentq(fn, r_lo, r_hi, xtol=1e-12, rtol=1e-13))
+    # first panel whose outer edge encloses the target volume
+    k = max(table.panel(r_lo),
+            int(np.searchsorted(table.cumulative, target)) - 1)
+
+    def fn(r):
+        return table.volume(float(r), k) - target
+
+    a, b = max(float(table.edges[k]), r_lo), float(table.edges[k + 1])
+    return float(brentq(fn, a, b, xtol=1e-12, rtol=1e-13))
 
 
 @dataclass
@@ -257,7 +302,10 @@ def isoperimetric_check(geom, mesh_initial, mesh_final, converged, tol=5e-3):
     """Leaf-of-equal-volume comparison against the seed surface.
 
     The flow preserves volume and shrinks area toward the leaf enclosing the
-    same volume, so A(leaf) <= A(seed) up to discretization tolerance.
+    same volume, so A(leaf) <= A(seed) up to discretization tolerance.  The
+    leaf radius comes from `leaf_radius_for_volume`: one tabulated sweep of
+    the radial volume density over [0, r_hi], then a root search inside a
+    single panel.
     """
     a0 = surface_area(mesh_initial, geom)
     v0 = enclosed_volume(mesh_initial, geom)

@@ -5,6 +5,14 @@ two-stage Runge-Kutta step under a parabolic CFL bound.  Steps that would
 increase the curved area are retried with half the step; tangential
 smoothing runs on a fixed cadence, is rescaled back to the pre-smoothing
 volume, and is skipped whenever it would break area monotonicity.
+
+Each snapshot's geometry is computed once per step.  The loop-top
+`mesh_geometry` bundle is Heun's first stage (it depends on neither the
+step size nor the retry), so a step costs one more `mesh_geometry` call,
+for the predictor.  The curved area of the accepted mesh (candidate or
+smoothed) is carried to the next loop top.  The leaf-graph backend shares
+the loop-top chart fields the same way between its CFL bound and the
+first stage of its step.
 """
 
 from dataclasses import dataclass, field
@@ -76,11 +84,13 @@ def cfl_dt(mesh, vg, cfl):
     return cfl * h_min * h_min / max(1.0, float(weight))
 
 
-def step_lagrangian(mesh, geom, pair, schedule, t, dt):
-    """One explicit two-stage (Heun) step from time t; returns the new mesh."""
-    vg1 = surface.mesh_geometry(mesh, geom, pair, schedule.xi_at(t),
-                                with_curvatures=False)
-    v1 = chart_velocity(vg1)
+def step_lagrangian(mesh, geom, pair, schedule, t, dt, vg):
+    """One explicit two-stage (Heun) step from time t; returns the new mesh.
+
+    `vg` is the mesh's geometry bundle at time t, the first stage; it does
+    not depend on dt, so the loop top's bundle serves every retry.
+    """
+    v1 = chart_velocity(vg)
     mid = mesh.with_vertices(mesh.vertices + dt * v1)
     geom.require_in_domain(mid.vertices, what="predictor vertex")
     vg2 = surface.mesh_geometry(mid, geom, pair, schedule.xi_at(t + dt),
@@ -136,7 +146,7 @@ def run(geom, pair, mesh0, schedule, ctrl=None, frame_every=0, frame_cb=None):
         if frame_cb is not None:
             frame_cb(k, tt, mm)
 
-    area_prev = None
+    area = None  # the accepted step's area, carried to the next loop top
     try:
         while True:
             xi_now = schedule.xi_at(t)
@@ -147,7 +157,8 @@ def run(geom, pair, mesh0, schedule, ctrl=None, frame_every=0, frame_cb=None):
                     f"support function reached {float(np.min(vg.u)):.3e} "
                     f"at t={t:.6g} (step {step})"
                 )
-            area = surface.surface_area(mesh, geom)
+            if area is None:
+                area = surface.surface_area(mesh, geom)
             volume = surface.enclosed_volume(mesh, geom)
             lam = vg.lam
             if band is None:
@@ -193,13 +204,14 @@ def run(geom, pair, mesh0, schedule, ctrl=None, frame_every=0, frame_cb=None):
             area_prev = area
             accepted = None
             for _ in range(ctrl.max_retries):
-                cand = step_lagrangian(mesh, geom, pair, schedule, t, dt)
+                cand = step_lagrangian(mesh, geom, pair, schedule, t, dt, vg)
                 # the continuum flow conserves enclosed volume (first
                 # Minkowski identity), but the discrete identity only holds
                 # to quadrature order; project back before judging the area
                 # trend, else the drift masquerades as area growth.
                 cand = _rescale_to_volume(cand, geom, vol0)
-                if surface.surface_area(cand, geom) <= area_prev * (1.0 + ctrl.area_slack):
+                area = surface.surface_area(cand, geom)
+                if area <= area_prev * (1.0 + ctrl.area_slack):
                     accepted = cand
                     break
                 dt *= 0.5
@@ -215,8 +227,9 @@ def run(geom, pair, mesh0, schedule, ctrl=None, frame_every=0, frame_cb=None):
             if ctrl.smooth_every > 0 and step % ctrl.smooth_every == 0:
                 sm = surface.tangential_smooth(mesh, ctrl.smooth_strength)
                 sm = _rescale_to_volume(sm, geom, vol0)
-                if surface.surface_area(sm, geom) <= area_prev * (1.0 + ctrl.area_slack):
-                    mesh = sm
+                sm_area = surface.surface_area(sm, geom)
+                if sm_area <= area_prev * (1.0 + ctrl.area_slack):
+                    mesh, area = sm, sm_area
                 q = surface.quality(mesh)
                 if q.degenerate():
                     raise MeshDegenerate(
@@ -333,45 +346,27 @@ def graph_state_from_mesh(mesh, geom, t=0.0):
     return GraphState(leaf=leaf, lam=ckv.lam(geom, mesh.vertices), t=t)
 
 
-def mass_matrix(leaf):
-    """Consistent P1 mass matrix of the leaf mesh (scipy CSR).
-
-    Row sums equal the barycentric dual areas sum_f area_f / 3.
-    """
-    from scipy import sparse
-
-    _, fa = surface.face_normals_areas(leaf.vertices, leaf.faces)
-    F = leaf.faces
-    ii, jj, vv = [], [], []
-    for a in range(3):
-        for b in range(3):
-            ii.append(F[:, a])
-            jj.append(F[:, b])
-            vv.append(fa * ((2.0 if a == b else 1.0) / 12.0))
-    m = sparse.coo_matrix(
-        (np.concatenate(vv), (np.concatenate(ii), np.concatenate(jj))),
-        shape=(leaf.n_vertices, leaf.n_vertices),
-    )
-    return m.tocsr()
-
-
 def _dual_areas(leaf):
     _, fa = surface.face_normals_areas(leaf.vertices, leaf.faces)
     return np.bincount(leaf.faces.reshape(-1), weights=np.repeat(fa / 3.0, 3),
                        minlength=leaf.n_vertices)
 
 
-def _graph_chart_fields(geom, pair, state, xi_now):
+def _graph_chart_fields(geom, pair, state, xi_now, emb=None, vg=None):
     """Per-vertex chart quantities of a graph state.
 
     Returns (emb, vg, g, h, pv, w, u) with pv the P1 leaf gradient of lam,
     w the graph area factor and u the scheduled support function computed
     from the chart identities u_perp = |X_perp|_g / W, u_top = -sqrt(H_coef)
-    X_top(lam) / W.
+    X_top(lam) / W.  `emb` and `vg` are the state's embedded mesh and its
+    geometry bundle at xi_now, when the caller already has them.
     """
     leaf = state.leaf
-    emb = state.embedded(geom)
-    vg = surface.mesh_geometry(emb, geom, pair, xi_now, with_curvatures=False)
+    if emb is None:
+        emb = state.embedded(geom)
+    if vg is None:
+        vg = surface.mesh_geometry(emb, geom, pair, xi_now,
+                                   with_curvatures=False)
     g, h = leaf_coefficients(geom, leaf.vertices, state.lam)
     pv = surface.vertex_gradients(leaf, state.lam)
     w = np.sqrt(1.0 + (h / g) * np.einsum("ij,ij->i", pv, pv))
@@ -382,14 +377,18 @@ def _graph_chart_fields(geom, pair, state, xi_now):
     return emb, vg, g, h, pv, w, u
 
 
-def _graph_rate(geom, pair, state, xi_now, c1):
+def _graph_rate(geom, pair, state, xi_now, c1, fields=None):
     """Fixed-chart rate d lam/dt = W^2 (u div(A)/(G W) + B).
 
     The W^2 factor converts the material evolution law to the vertical
     chart derivative (graph points move vertically, flow points normally).
+    `fields` is the state's `_graph_chart_fields` tuple, when the caller
+    already has it.
     """
     leaf = state.leaf
-    emb, vg, g, h, pv, w, u = _graph_chart_fields(geom, pair, state, xi_now)
+    if fields is None:
+        fields = _graph_chart_fields(geom, pair, state, xi_now)
+    emb, vg, g, h, pv, w, u = fields
     grad_mag = np.linalg.norm(pv, axis=1)
     if np.max(grad_mag) > c1:
         raise GradientBoundExceeded(
@@ -419,17 +418,24 @@ def _graph_rate(geom, pair, state, xi_now, c1):
     return w * u * div / g + w * w * b
 
 
-def graph_cfl_dt(geom, pair, state, xi_now, cfl):
-    """Parabolic bound for the graph update: cfl h^2 / max(1, max u W / G)."""
+def graph_cfl_dt(state, fields, cfl):
+    """Parabolic bound for the graph update: cfl h^2 / max(1, max u W / G).
+
+    `fields` is the state's `_graph_chart_fields` tuple.
+    """
     h_min = state.leaf.min_edge()
-    _, _, g, _, _, w, u = _graph_chart_fields(geom, pair, state, xi_now)
+    _, _, g, _, _, w, u = fields
     kappa = np.max(np.abs(u) * w / g)
     return cfl * h_min * h_min / max(1.0, float(kappa))
 
 
-def step_graph(geom, pair, state, schedule, dt, c1):
-    """One Heun step of the leaf-graph evolution."""
-    k1 = _graph_rate(geom, pair, state, schedule.xi_at(state.t), c1)
+def step_graph(geom, pair, state, schedule, dt, c1, fields):
+    """One Heun step of the leaf-graph evolution.
+
+    `fields` is the state's `_graph_chart_fields` tuple at its own time, the
+    first stage; it does not depend on dt, so it serves every retry.
+    """
+    k1 = _graph_rate(geom, pair, state, schedule.xi_at(state.t), c1, fields)
     mid = GraphState(leaf=state.leaf, lam=state.lam + dt * k1, t=state.t + dt)
     k2 = _graph_rate(geom, pair, mid, schedule.xi_at(mid.t), c1)
     return GraphState(leaf=state.leaf, lam=state.lam + 0.5 * dt * (k1 + k2),
@@ -451,6 +457,7 @@ def run_graph(geom, pair, state0, schedule, ctrl=None, c1=None,
     step = 0
     dt_arrived = 0.0
     frames = []
+    area = None  # the accepted step's area, carried to the next loop top
 
     def emit_frame(k, tt, mm):
         frames.append((k, tt, mm.copy()))
@@ -468,7 +475,8 @@ def run_graph(geom, pair, state0, schedule, ctrl=None, c1=None,
                     f"support function reached {float(np.min(vg.u)):.3e} "
                     f"at t={state.t:.6g} (graph step {step})"
                 )
-            area = surface.surface_area(emb, geom)
+            if area is None:
+                area = surface.surface_area(emb, geom)
             volume = surface.enclosed_volume(emb, geom)
             lam = state.lam
             if band is None:
@@ -509,14 +517,15 @@ def run_graph(geom, pair, state0, schedule, ctrl=None, c1=None,
                     raise err
                 break
 
-            dt = min(graph_cfl_dt(geom, pair, state, xi_now, ctrl.cfl),
+            fields = _graph_chart_fields(geom, pair, state, xi_now, emb, vg)
+            dt = min(graph_cfl_dt(state, fields, ctrl.cfl),
                      ctrl.t_end - state.t)
             area_prev = area
             accepted = None
             for _ in range(ctrl.max_retries):
-                cand = step_graph(geom, pair, state, schedule, dt, c1)
-                cand_area = surface.surface_area(cand.embedded(geom), geom)
-                if cand_area <= area_prev * (1.0 + ctrl.area_slack):
+                cand = step_graph(geom, pair, state, schedule, dt, c1, fields)
+                area = surface.surface_area(cand.embedded(geom), geom)
+                if area <= area_prev * (1.0 + ctrl.area_slack):
                     accepted = cand
                     break
                 dt *= 0.5
@@ -545,10 +554,6 @@ def run_graph(geom, pair, state0, schedule, ctrl=None, c1=None,
 # --------------------------------------------------------------------------
 # evolution-equation residuals on graph snapshots
 # --------------------------------------------------------------------------
-
-
-def _surface_grad(emb, values):
-    return surface.vertex_gradients(emb, values)
 
 
 def _phi_hessian(geom, pts):
@@ -591,7 +596,7 @@ def evolution_residuals(geom, pair, state, schedule, delta=None):
     areas_g = vg.area_g
 
     _, _, g_coef, h_coef, _, w, _ = _graph_chart_fields(geom, pair, state,
-                                                        xim)
+                                                        xim, emb, vg)
     speed = N_SURF * vg.phi - um * hm
     rate = speed * w / np.sqrt(h_coef)
     if delta is None:

@@ -9,7 +9,11 @@ from the flat ones through the conformal factor:
 Flat mean curvature comes from the cotangent Laplacian over mixed Voronoi
 cells; flat principal curvatures from per-vertex quadric fits over the
 two-ring.  Connectivity is fixed over a flow, so the adjacency tables are
-built once and shared between snapshots.
+built once and shared between snapshots.  Within one snapshot the face
+kernels run once: `mesh_geometry` (and `tangential_smooth`) compute the
+face normals, face areas and corner cotangents a single time and hand them
+to `vertex_normals`, `mixed_voronoi_areas` and `cotan_laplacian_apply`,
+which fall back to computing them only when called on their own.
 """
 
 from dataclasses import dataclass
@@ -288,9 +292,15 @@ def face_normals_areas(verts, faces):
     return cr / nrm[:, None], 0.5 * nrm
 
 
-def vertex_normals(mesh):
-    """Area-weighted average of incident face normals, unit length."""
-    fn, fa = face_normals_areas(mesh.vertices, mesh.faces)
+def vertex_normals(mesh, normals_areas=None):
+    """Area-weighted average of incident face normals, unit length.
+
+    `normals_areas` is this mesh's `face_normals_areas` pair, when the
+    caller already has it.
+    """
+    if normals_areas is None:
+        normals_areas = face_normals_areas(mesh.vertices, mesh.faces)
+    fn, fa = normals_areas
     w = fn * fa[:, None]
     out = np.zeros((mesh.n_vertices, 3))
     for k in range(3):
@@ -317,11 +327,17 @@ def _face_cotans(verts, faces):
     return cot
 
 
-def mixed_voronoi_areas(verts, faces):
-    """Per-vertex mixed Voronoi cell areas (obtuse-safe)."""
+def mixed_voronoi_areas(verts, faces, cot=None, fa=None):
+    """Per-vertex mixed Voronoi cell areas (obtuse-safe).
+
+    `cot` and `fa` are the mesh's corner cotangents and face areas, when the
+    caller already has them.
+    """
     p = verts[faces]
-    cot = _face_cotans(verts, faces)
-    _, fa = face_normals_areas(verts, faces)
+    if cot is None:
+        cot = _face_cotans(verts, faces)
+    if fa is None:
+        _, fa = face_normals_areas(verts, faces)
     V = int(faces.max()) + 1
     contrib = np.empty((faces.shape[0], 3))
     obtuse_any = np.any(cot < 0.0, axis=1)
@@ -345,15 +361,19 @@ def mixed_voronoi_areas(verts, faces):
     return areas
 
 
-def cotan_laplacian_apply(mesh, values, areas=None):
+def cotan_laplacian_apply(mesh, values, areas=None, cot=None):
     """Pointwise Laplace-Beltrami of per-vertex values (flat induced metric).
 
     (Lap v)_i = (1 / (2 A_i)) sum_j (cot a_ij + cot b_ij) (v_j - v_i)
+
+    `areas` (mixed Voronoi) and `cot` (corner cotangents) are computed here
+    unless the caller passes this mesh's values.
     """
     verts, faces = mesh.vertices, mesh.faces
+    if cot is None:
+        cot = _face_cotans(verts, faces)
     if areas is None:
-        areas = mixed_voronoi_areas(verts, faces)
-    cot = _face_cotans(verts, faces)
+        areas = mixed_voronoi_areas(verts, faces, cot)
     vals = np.asarray(values, dtype=float)
     flat = vals.reshape(vals.shape[0], -1)
     acc = np.zeros_like(flat)
@@ -669,15 +689,22 @@ class VertexGeometry:
 
 
 def mesh_geometry(mesh, geom, pair, xi_now=1.0, with_curvatures=True):
-    """Assemble the per-vertex geometry bundle for the current snapshot."""
+    """Assemble the per-vertex geometry bundle for the current snapshot.
+
+    The face kernels run once: face normals and areas and the corner
+    cotangents feed the vertex normals, the mixed Voronoi areas and the
+    cotan Laplacian.
+    """
     from . import ckv
 
     verts = mesh.vertices
     f_v = geom.f(verts)
     ef = np.exp(f_v)
-    nu = vertex_normals(mesh)
-    areas = mixed_voronoi_areas(verts, mesh.faces)
-    lap_x = cotan_laplacian_apply(mesh, verts, areas)
+    fn, fa = face_normals_areas(verts, mesh.faces)
+    cot = _face_cotans(verts, mesh.faces)
+    nu = vertex_normals(mesh, (fn, fa))
+    areas = mixed_voronoi_areas(verts, mesh.faces, cot, fa)
+    lap_x = cotan_laplacian_apply(mesh, verts, areas, cot)
     H_flat = -np.einsum("ij,ij->i", lap_x, nu)
     nu_f = np.einsum("ij,ij->i", nu, geom.grad_f(verts))
     H = (H_flat + 2.0 * nu_f) / ef
@@ -812,13 +839,14 @@ def tangential_smooth(mesh, strength=0.5):
     """
     verts = mesh.vertices
     topo = mesh.topology
-    areas = mixed_voronoi_areas(verts, mesh.faces)
+    fn, fa = face_normals_areas(verts, mesh.faces)
+    areas = mixed_voronoi_areas(verts, mesh.faces, fa=fa)
     nbr, cnt = topo.one_ring, topo.one_ring_count
     mask = (np.arange(nbr.shape[1])[None, :] < cnt[:, None]).astype(float)
     w = areas[nbr] * mask
     centroid = np.einsum("vk,vkj->vj", w, verts[nbr]) / np.sum(w, axis=1)[:, None]
 
-    normals = vertex_normals(mesh)
+    normals = vertex_normals(mesh, (fn, fa))
     frames, co = quadric_fit(mesh, normals)
     delta = centroid - verts
     delta_t = delta - normals * np.einsum("ij,ij->i", delta, normals)[:, None]

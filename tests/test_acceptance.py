@@ -30,6 +30,7 @@ def test_c01_leaf_stationarity(euclid, pair):
            " tol 1e-2)", worst <= 1e-2)
 
 
+@pytest.mark.slow
 def test_c02_volume_conserved_area_monotone(euclid_headline):
     trace = euclid_headline.trace
     vol = trace.column("volume")
@@ -41,6 +42,7 @@ def test_c02_volume_conserved_area_monotone(euclid_headline):
            drift <= 5e-3 and monotone)
 
 
+@pytest.mark.slow
 def test_c03_convergence_to_equal_volume_sphere(euclid_headline):
     res = euclid_headline
     ld = float(res.trace.column("leaf_distance")[-1])
@@ -52,6 +54,7 @@ def test_c03_convergence_to_equal_volume_sphere(euclid_headline):
            res.converged and ld <= 1e-2 and rel <= 1e-2)
 
 
+@pytest.mark.slow
 def test_c04_leaf_band_maximum_principle(euclid_l2_run, euclid_headline,
                                          paper_run, twisted_run,
                                          cross_backend):
@@ -133,6 +136,7 @@ def test_c06_evolution_equation_residuals(euclid, paper, pair):
            worst_lam <= 5e-2 and worst_u <= 1e-1 and worst_h <= 1e-1)
 
 
+@pytest.mark.slow
 def test_c07_schedule_necessity(euclid, pair, twisted_run):
     seed_ok = twisted_run["min_uperp"] < 0.0 < twisted_run["min_u"]
     res = twisted_run["res"]
@@ -152,6 +156,7 @@ def test_c07_schedule_necessity(euclid, pair, twisted_run):
     )
 
 
+@pytest.mark.slow
 def test_c08_curved_example(paper, pair, paper_run):
     lam_lo = float(ckv.lam(paper, np.array([[0.3, 0.0, 0.0]]))[0])
     lam_hi = float(ckv.lam(paper, np.array([[1.8, 0.0, 0.0]]))[0])
@@ -199,6 +204,7 @@ def test_c09_graph_flux_ellipticity(paper, pair):
     )
 
 
+@pytest.mark.slow
 def test_c10_cross_backend_agreement(euclid, cross_backend):
     lag, gra = cross_backend["lag"], cross_backend["gra"]
     t_match = abs(lag.t - gra.t) <= 1e-12

@@ -175,6 +175,25 @@ def test_unknown_key_exits_config(tmp_path, capsys):
     assert "STATUS=config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "flow.cfl = 0.9",
+    "seed.level = -1",
+    "poincare_ball.radius = 0",
+    "seed.semiaxes = [1, 0, 1]",
+    "rotation.axis = [0, 0, 0]",
+    "flow.t_end = nan",
+])
+def test_out_of_range_value_exits_config(tmp_path, capsys, monkeypatch, line):
+    def no_computation(cfg):
+        raise AssertionError("computation started before the config check")
+
+    monkeypatch.setattr(cli, "make_geometry", no_computation)
+    cfg = write_cfg(tmp_path, line + "\n")
+    code = run_cli(["run", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 64
+    assert "STATUS=config" in capsys.readouterr().err
+
+
 def test_missing_config_exits_config(tmp_path, capsys):
     code = run_cli(["run", "--config", str(tmp_path / "nope.cfg"),
                     "--out", str(tmp_path)])

@@ -49,6 +49,11 @@ def test_values_comments_and_lists():
     ("schedule.t0 = soon", "'auto' or a number"),
     ("flow.cfl =", "empty value"),
     ("flow.cfl", "expected 'key = value'"),
+    ("flow.t_end = inf", "must be finite"),
+    ("seed.semiaxes = [1, nan, 1]", "must be finite"),
+    ("schedule.margin = 1", r"must be in \(0, 1\)"),
+    ("schedule.t0 = 0", "must be > 0"),
+    ("sampling.seed = -1", "must be >= 0"),
 ])
 def test_rejects_malformed_lines(line, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -108,6 +108,19 @@ def test_leaf_radius_for_volume_flat(euclid):
         diagnostics.leaf_radius_for_volume(euclid, target, 0.1, 0.2)
 
 
+def test_ball_volume_and_leaf_radius_curved_closed_form(paper):
+    # with exp(f) = 1/|x - c|^2, |c| = 2, the shell density integrates in
+    # closed form: the integral of exp(3f) over |x| = s is
+    # 4 pi s^2 (4 + s^2) / (4 - s^2)^4, the s-derivative of V below
+    def exact(r):
+        return 4.0 * np.pi * r**3 / (3.0 * (4.0 - r * r) ** 3)
+
+    for r, tol in ((0.5, 1e-14), (1.0, 1e-14), (1.5, 1e-11)):
+        assert abs(diagnostics.ball_volume(paper, r) / exact(r) - 1.0) < tol
+    r1 = diagnostics.leaf_radius_for_volume(paper, exact(1.1), 0.3, 1.8)
+    assert abs(r1 - 1.1) < 1e-10
+
+
 def test_profile_csv_round_trip(euclid, tmp_path):
     prof = diagnostics.leaf_profile(euclid, 0.5, 1.0, n=8)
     path = tmp_path / "profile.csv"

@@ -66,6 +66,53 @@ def test_heun_step_conserves_volume_after_projection(euclid, pair):
     assert np.max(np.abs(vol / vol[0] - 1.0)) < 1e-10
 
 
+def test_step_reuses_loop_top_geometry_bit_identically(paper, pair_e3):
+    mesh = surface.ellipsoid_seed((1.08, 1.0, 0.93), 2)
+    sched = ckv.Schedule(t0=0.5)
+    t, dt = 0.1, 1e-3
+    # the loop top's bundle (with curvatures) against a fresh first stage
+    loop_top = surface.mesh_geometry(mesh, paper, pair_e3, sched.xi_at(t),
+                                     with_curvatures=True)
+    stage1 = surface.mesh_geometry(mesh, paper, pair_e3, sched.xi_at(t),
+                                   with_curvatures=False)
+    reused = flow.step_lagrangian(mesh, paper, pair_e3, sched, t, dt, loop_top)
+    fresh = flow.step_lagrangian(mesh, paper, pair_e3, sched, t, dt, stage1)
+    assert np.array_equal(reused.vertices, fresh.vertices)
+
+
+def _count_mesh_geometry(monkeypatch):
+    calls = []
+    original = surface.mesh_geometry
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(surface, "mesh_geometry", counted)
+    return calls
+
+
+def test_run_computes_geometry_twice_per_step(euclid, pair, monkeypatch):
+    # loop top (also Heun's first stage) + predictor per step, plus the
+    # final loop top; the run includes two smoothing passes
+    calls = _count_mesh_geometry(monkeypatch)
+    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
+    res = flow.run(euclid, pair, seed, ckv.Schedule(t0=1.0),
+                   flow.StepControl(t_end=0.3))
+    assert res.steps >= 20
+    assert len(calls) == 2 * res.steps + 1
+
+
+def test_run_graph_computes_geometry_twice_per_step(euclid, pair, monkeypatch):
+    calls = _count_mesh_geometry(monkeypatch)
+    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
+    state0 = flow.graph_state_from_mesh(seed, euclid)
+    res = flow.run_graph(euclid, pair, state0, ckv.Schedule(t0=1.0),
+                         flow.StepControl(t_end=0.1))
+    assert res.steps >= 5
+    assert len(calls) == 2 * res.steps + 1
+
+
 # --------------------------------------------------------------------------
 # the Lagrangian driver
 # --------------------------------------------------------------------------

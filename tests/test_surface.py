@@ -120,6 +120,22 @@ def test_trace_consistency_two_estimators(euclid, paper, pair):
         assert np.all(np.abs(vg.k1 + vg.k2 - vg.H) <= 0.05 * (1.0 + np.abs(vg.H)))
 
 
+def test_mesh_geometry_matches_standalone_kernels(paper, pair):
+    # jittered, so some faces are obtuse and the mixed-area branch runs
+    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 3)
+    rng = np.random.default_rng(1)
+    mesh = mesh.with_vertices(
+        mesh.vertices * (1.0 + 0.02 * rng.standard_normal((mesh.n_vertices, 1)))
+    )
+    vg = surface.mesh_geometry(mesh, paper, pair)
+    nu = surface.vertex_normals(mesh)
+    areas = surface.mixed_voronoi_areas(mesh.vertices, mesh.faces)
+    lap_x = surface.cotan_laplacian_apply(mesh, mesh.vertices)
+    assert np.array_equal(vg.nu_flat, nu)
+    assert np.array_equal(vg.area_flat, areas)
+    assert np.array_equal(vg.H_flat, -np.einsum("ij,ij->i", lap_x, nu))
+
+
 def test_orientation_flip_negates_support(euclid, pair):
     mesh = surface.ellipsoid_seed((1.5, 1.0, 0.8), 2)
     flipped = surface.TriSurface(mesh.vertices, mesh.faces[:, ::-1].copy())
