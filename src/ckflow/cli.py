@@ -1,8 +1,9 @@
 """Command line entry point: run / verify / profile / seed.
 
 Exit codes: 0 ok, 1 assumption failure, 2 flow error (starshape lost, mesh
-degenerate, domain exit), 3 non-convergence, 64 bad config.  Every exit
-path prints `STATUS=<ok|assumptions|flow|nonconv|config>` to stderr.
+degenerate, domain exit, graph gradient bound exceeded, any other package
+error), 3 non-convergence, 64 bad config.  Every exit path prints
+`STATUS=<ok|assumptions|flow|nonconv|config>` to stderr.
 """
 
 import argparse
@@ -14,8 +15,10 @@ import numpy as np
 from . import ambient, ckv, diagnostics, flow, surface
 from .config import load_config
 from .errors import (
+    CkflowError,
     ConfigError,
     DomainExit,
+    GradientBoundExceeded,
     MeshDegenerate,
     NonConvergence,
     ProfileNotMonotone,
@@ -127,7 +130,8 @@ def cmd_run(cfg, out, force, quiet):
             state0 = flow.graph_state_from_mesh(mesh, geom)
             res = flow.run_graph(geom, pair, state0, schedule, ctrl,
                                  frame_every=frame_every, frame_cb=frame_cb)
-    except (StarshapeLost, MeshDegenerate, DomainExit) as err:
+    except (StarshapeLost, MeshDegenerate, DomainExit,
+            GradientBoundExceeded) as err:
         trace = getattr(err, "trace", None)
         if trace is not None and len(trace):
             trace.write_csv(os.path.join(out, "trace.csv"))
@@ -239,6 +243,9 @@ def main(argv=None):
         return _status("nonconv")
     except ProfileNotMonotone as err:
         print(f"profile error: {err}", file=sys.stderr)
+        return _status("flow")
+    except CkflowError as err:
+        print(f"flow error: {err}", file=sys.stderr)
         return _status("flow")
 
 

@@ -10,9 +10,13 @@ Each snapshot's geometry is computed once per step.  The loop-top
 `mesh_geometry` bundle is Heun's first stage (it depends on neither the
 step size nor the retry), so a step costs one more `mesh_geometry` call,
 for the predictor.  The curved area of the accepted mesh (candidate or
-smoothed) is carried to the next loop top.  The leaf-graph backend shares
-the loop-top chart fields the same way between its CFL bound and the
-first stage of its step.
+smoothed) is carried to the next loop top, and so is its curved volume,
+which the volume projection has just evaluated.  The leaf-graph backend
+shares the loop-top chart fields the same way between its CFL bound and the
+first stage of its step.  Its leaf never moves, so everything that depends
+on the leaf alone (`LeafData`: the P1 gradient basis, the dual areas, the
+shortest edge and the rotation field at the leaf's directions) is built
+once per graph run.
 """
 
 from dataclasses import dataclass, field
@@ -102,23 +106,29 @@ def step_lagrangian(mesh, geom, pair, schedule, t, dt, vg):
 
 
 def _rescale_to_volume(mesh, geom, target, tol=1e-12):
-    """Scale about the origin until the curved volume matches `target`."""
-    def err_at(s):
-        vol = surface.enclosed_volume(mesh.with_vertices(s * mesh.vertices), geom)
-        return vol / target - 1.0
+    """Scale about the origin until the curved volume matches `target`.
 
-    s0, e0 = 1.0, err_at(1.0)
+    Returns the scaled mesh and its curved volume.
+    """
+    def scaled(s):
+        out = mesh.with_vertices(s * mesh.vertices)
+        return out, surface.enclosed_volume(out, geom)
+
+    s0 = 1.0
+    out, vol = scaled(s0)
+    e0 = vol / target - 1.0
     if abs(e0) < tol:
-        return mesh
+        return out, vol
     # cubic scaling holds only at leading order in curved geometry, where a
     # fixed-exponent iteration can stall; the secant update does not care.
     s1 = (1.0 + e0) ** (-1.0 / 3.0)
     for _ in range(20):
-        e1 = err_at(s1)
+        out, vol = scaled(s1)
+        e1 = vol / target - 1.0
         if abs(e1) < tol or e1 == e0:
-            break
+            return out, vol
         s0, s1, e0 = s1, s1 - e1 * (s1 - s0) / (e1 - e0), e1
-    return mesh.with_vertices(s1 * mesh.vertices)
+    return scaled(s1)
 
 
 def run(geom, pair, mesh0, schedule, ctrl=None, frame_every=0, frame_cb=None):
@@ -146,7 +156,8 @@ def run(geom, pair, mesh0, schedule, ctrl=None, frame_every=0, frame_cb=None):
         if frame_cb is not None:
             frame_cb(k, tt, mm)
 
-    area = None  # the accepted step's area, carried to the next loop top
+    # the accepted step's area and volume, carried to the next loop top
+    area, volume = None, vol0
     try:
         while True:
             xi_now = schedule.xi_at(t)
@@ -159,7 +170,6 @@ def run(geom, pair, mesh0, schedule, ctrl=None, frame_every=0, frame_cb=None):
                 )
             if area is None:
                 area = surface.surface_area(mesh, geom)
-            volume = surface.enclosed_volume(mesh, geom)
             lam = vg.lam
             if band is None:
                 rng = float(lam.max() - lam.min())
@@ -209,7 +219,7 @@ def run(geom, pair, mesh0, schedule, ctrl=None, frame_every=0, frame_cb=None):
                 # Minkowski identity), but the discrete identity only holds
                 # to quadrature order; project back before judging the area
                 # trend, else the drift masquerades as area growth.
-                cand = _rescale_to_volume(cand, geom, vol0)
+                cand, volume = _rescale_to_volume(cand, geom, vol0)
                 area = surface.surface_area(cand, geom)
                 if area <= area_prev * (1.0 + ctrl.area_slack):
                     accepted = cand
@@ -226,10 +236,10 @@ def run(geom, pair, mesh0, schedule, ctrl=None, frame_every=0, frame_cb=None):
 
             if ctrl.smooth_every > 0 and step % ctrl.smooth_every == 0:
                 sm = surface.tangential_smooth(mesh, ctrl.smooth_strength)
-                sm = _rescale_to_volume(sm, geom, vol0)
+                sm, sm_volume = _rescale_to_volume(sm, geom, vol0)
                 sm_area = surface.surface_area(sm, geom)
                 if sm_area <= area_prev * (1.0 + ctrl.area_slack):
-                    mesh, area = sm, sm_area
+                    mesh, area, volume = sm, sm_area, sm_volume
                 q = surface.quality(mesh)
                 if q.degenerate():
                     raise MeshDegenerate(
@@ -346,20 +356,36 @@ def graph_state_from_mesh(mesh, geom, t=0.0):
     return GraphState(leaf=leaf, lam=ckv.lam(geom, mesh.vertices), t=t)
 
 
-def _dual_areas(leaf):
-    _, fa = surface.face_normals_areas(leaf.vertices, leaf.faces)
-    return np.bincount(leaf.faces.reshape(-1), weights=np.repeat(fa / 3.0, 3),
-                       minlength=leaf.n_vertices)
+@dataclass
+class LeafData:
+    """What depends on a graph run's fixed leaf alone; built once per run."""
+
+    basis: surface.GradientBasis  # the leaf's P1 gradient basis
+    dual_areas: np.ndarray        # barycentric dual cell areas
+    min_edge: float               # shortest leaf edge, for the CFL bound
+    rotation: np.ndarray          # the rotation field at the leaf's vertices
+
+    @classmethod
+    def build(cls, leaf, pair):
+        basis = surface.gradient_basis(leaf)
+        dual_areas = np.bincount(leaf.faces.reshape(-1),
+                                 weights=np.repeat(basis.area / 3.0, 3),
+                                 minlength=leaf.n_vertices)
+        return cls(basis=basis, dual_areas=dual_areas,
+                   min_edge=leaf.min_edge(),
+                   rotation=pair.rotation(leaf.vertices))
 
 
-def _graph_chart_fields(geom, pair, state, xi_now, emb=None, vg=None):
+def _graph_chart_fields(geom, pair, state, xi_now, leaf_data, emb=None,
+                        vg=None):
     """Per-vertex chart quantities of a graph state.
 
     Returns (emb, vg, g, h, pv, w, u) with pv the P1 leaf gradient of lam,
     w the graph area factor and u the scheduled support function computed
     from the chart identities u_perp = |X_perp|_g / W, u_top = -sqrt(H_coef)
-    X_top(lam) / W.  `emb` and `vg` are the state's embedded mesh and its
-    geometry bundle at xi_now, when the caller already has them.
+    X_top(lam) / W.  `leaf_data` is the state leaf's `LeafData`; `emb` and
+    `vg` are the state's embedded mesh and its geometry bundle at xi_now,
+    when the caller already has them.
     """
     leaf = state.leaf
     if emb is None:
@@ -368,26 +394,25 @@ def _graph_chart_fields(geom, pair, state, xi_now, emb=None, vg=None):
         vg = surface.mesh_geometry(emb, geom, pair, xi_now,
                                    with_curvatures=False)
     g, h = leaf_coefficients(geom, leaf.vertices, state.lam)
-    pv = surface.vertex_gradients(leaf, state.lam)
+    pv = surface.vertex_gradients(leaf, state.lam, leaf_data.basis)
     w = np.sqrt(1.0 + (h / g) * np.einsum("ij,ij->i", pv, pv))
     u_perp = vg.dilation_norm / w
-    rot = pair.rotation(leaf.vertices)
-    u_top = -np.sqrt(h) * np.einsum("ij,ij->i", rot, pv) / w
+    u_top = -np.sqrt(h) * np.einsum("ij,ij->i", leaf_data.rotation, pv) / w
     u = u_perp + xi_now * u_top
     return emb, vg, g, h, pv, w, u
 
 
-def _graph_rate(geom, pair, state, xi_now, c1, fields=None):
+def _graph_rate(geom, pair, state, xi_now, c1, leaf_data, fields=None):
     """Fixed-chart rate d lam/dt = W^2 (u div(A)/(G W) + B).
 
     The W^2 factor converts the material evolution law to the vertical
     chart derivative (graph points move vertically, flow points normally).
-    `fields` is the state's `_graph_chart_fields` tuple, when the caller
-    already has it.
+    `leaf_data` is the state leaf's `LeafData`; `fields` is the state's
+    `_graph_chart_fields` tuple, when the caller already has it.
     """
     leaf = state.leaf
     if fields is None:
-        fields = _graph_chart_fields(geom, pair, state, xi_now)
+        fields = _graph_chart_fields(geom, pair, state, xi_now, leaf_data)
     emb, vg, g, h, pv, w, u = fields
     grad_mag = np.linalg.norm(pv, axis=1)
     if np.max(grad_mag) > c1:
@@ -400,44 +425,45 @@ def _graph_rate(geom, pair, state, xi_now, c1, fields=None):
         )
         raise err
 
-    fn, fa = surface.face_normals_areas(leaf.vertices, leaf.faces)
-    pf = surface.face_gradients(leaf, state.lam)
+    basis = leaf_data.basis
+    pf = surface.face_gradients(leaf, state.lam, basis)
     gf = np.mean(g[leaf.faces], axis=1)
     hf = np.mean(h[leaf.faces], axis=1)
     af = graph_flux(pf, gf, hf)
     # div A over barycentric dual cells: -(1/Omega_i) sum_f area_f A.grad chi_i
     div = np.zeros(leaf.n_vertices)
-    p = leaf.vertices[leaf.faces]
     for c in range(3):
-        e = p[:, (c + 2) % 3] - p[:, (c + 1) % 3]
-        contrib = -0.5 * np.einsum("ij,ij->i", af, np.cross(fn, e))
+        contrib = -0.5 * np.einsum("ij,ij->i", af, basis.corner_cross[c])
         div += np.bincount(leaf.faces[:, c], weights=contrib,
                            minlength=leaf.n_vertices)
-    div /= _dual_areas(leaf)
+    div /= leaf_data.dual_areas
     b = diagnostics.label_evolution_source(geom, pair, emb, vg)
     return w * u * div / g + w * w * b
 
 
-def graph_cfl_dt(state, fields, cfl):
+def graph_cfl_dt(leaf_data, fields, cfl):
     """Parabolic bound for the graph update: cfl h^2 / max(1, max u W / G).
 
-    `fields` is the state's `_graph_chart_fields` tuple.
+    `leaf_data` is the state leaf's `LeafData` and `fields` the state's
+    `_graph_chart_fields` tuple.
     """
-    h_min = state.leaf.min_edge()
+    h_min = leaf_data.min_edge
     _, _, g, _, _, w, u = fields
     kappa = np.max(np.abs(u) * w / g)
     return cfl * h_min * h_min / max(1.0, float(kappa))
 
 
-def step_graph(geom, pair, state, schedule, dt, c1, fields):
+def step_graph(geom, pair, state, schedule, dt, c1, leaf_data, fields):
     """One Heun step of the leaf-graph evolution.
 
-    `fields` is the state's `_graph_chart_fields` tuple at its own time, the
-    first stage; it does not depend on dt, so it serves every retry.
+    `leaf_data` is the state leaf's `LeafData`.  `fields` is the state's
+    `_graph_chart_fields` tuple at its own time, the first stage; it does
+    not depend on dt, so it serves every retry.
     """
-    k1 = _graph_rate(geom, pair, state, schedule.xi_at(state.t), c1, fields)
+    k1 = _graph_rate(geom, pair, state, schedule.xi_at(state.t), c1,
+                     leaf_data, fields)
     mid = GraphState(leaf=state.leaf, lam=state.lam + dt * k1, t=state.t + dt)
-    k2 = _graph_rate(geom, pair, mid, schedule.xi_at(mid.t), c1)
+    k2 = _graph_rate(geom, pair, mid, schedule.xi_at(mid.t), c1, leaf_data)
     return GraphState(leaf=state.leaf, lam=state.lam + 0.5 * dt * (k1 + k2),
                       t=state.t + dt)
 
@@ -449,8 +475,9 @@ def run_graph(geom, pair, state0, schedule, ctrl=None, c1=None,
     trace = diagnostics.FlowTrace()
     state = GraphState(leaf=state0.leaf, lam=np.array(state0.lam, dtype=float),
                        t=state0.t)
+    leaf_data = LeafData.build(state.leaf, pair)
     if c1 is None:
-        pv = surface.vertex_gradients(state.leaf, state.lam)
+        pv = surface.vertex_gradients(state.leaf, state.lam, leaf_data.basis)
         c1 = max(1.0, 2.0 * float(np.linalg.norm(pv, axis=1).max()))
     band = None
     band_ok = True
@@ -517,13 +544,15 @@ def run_graph(geom, pair, state0, schedule, ctrl=None, c1=None,
                     raise err
                 break
 
-            fields = _graph_chart_fields(geom, pair, state, xi_now, emb, vg)
-            dt = min(graph_cfl_dt(state, fields, ctrl.cfl),
+            fields = _graph_chart_fields(geom, pair, state, xi_now, leaf_data,
+                                         emb, vg)
+            dt = min(graph_cfl_dt(leaf_data, fields, ctrl.cfl),
                      ctrl.t_end - state.t)
             area_prev = area
             accepted = None
             for _ in range(ctrl.max_retries):
-                cand = step_graph(geom, pair, state, schedule, dt, c1, fields)
+                cand = step_graph(geom, pair, state, schedule, dt, c1,
+                                  leaf_data, fields)
                 area = surface.surface_area(cand.embedded(geom), geom)
                 if area <= area_prev * (1.0 + ctrl.area_slack):
                     accepted = cand
@@ -595,8 +624,9 @@ def evolution_residuals(geom, pair, state, schedule, delta=None):
     pts = emb.vertices
     areas_g = vg.area_g
 
-    _, _, g_coef, h_coef, _, w, _ = _graph_chart_fields(geom, pair, state,
-                                                        xim, emb, vg)
+    leaf_data = LeafData.build(state.leaf, pair)
+    _, _, g_coef, h_coef, _, w, _ = _graph_chart_fields(
+        geom, pair, state, xim, leaf_data, emb, vg)
     speed = N_SURF * vg.phi - um * hm
     rate = speed * w / np.sqrt(h_coef)
     if delta is None:

@@ -13,7 +13,8 @@ built once and shared between snapshots.  Within one snapshot the face
 kernels run once: `mesh_geometry` (and `tangential_smooth`) compute the
 face normals, face areas and corner cotangents a single time and hand them
 to `vertex_normals`, `mixed_voronoi_areas` and `cotan_laplacian_apply`,
-which fall back to computing them only when called on their own.
+which fall back to computing them only when called on their own.  The P1
+gradient kernels take a mesh's `GradientBasis` the same way.
 """
 
 from dataclasses import dataclass
@@ -390,38 +391,69 @@ def cotan_laplacian_apply(mesh, values, areas=None, cot=None):
     return acc.reshape(vals.shape)
 
 
-def face_gradients(mesh, values):
+@dataclass
+class GradientBasis:
+    """Vertex-position data of the P1 gradient on one mesh.
+
+    A mesh whose vertices stay put (the leaf of a graph run) builds it once
+    and hands it to `face_gradients` and `vertex_gradients`.
+    """
+
+    corner_cross: np.ndarray   # (3, F, 3): n x e_c, e_c opposite corner c
+    area: np.ndarray           # (F,) flat face areas
+    double_area: np.ndarray    # (F,) 2 * area
+    vertex_weight: np.ndarray  # (V,) summed areas of the faces at each vertex
+
+
+def gradient_basis(mesh):
+    """The mesh's `GradientBasis`."""
+    verts, faces = mesh.vertices, mesh.faces
+    fn, fa = face_normals_areas(verts, faces)
+    p = verts[faces]
+    corner_cross = np.stack([
+        np.cross(fn, p[:, (c + 2) % 3] - p[:, (c + 1) % 3]) for c in range(3)
+    ])
+    vertex_weight = np.bincount(faces.reshape(-1), weights=np.repeat(fa, 3),
+                                minlength=mesh.n_vertices)
+    return GradientBasis(corner_cross=corner_cross, area=fa,
+                         double_area=2.0 * fa, vertex_weight=vertex_weight)
+
+
+def face_gradients(mesh, values, basis=None):
     """Piecewise-linear gradient of per-vertex values, one 3-vector per face.
 
     grad chi_c = (n x e_c) / (2 area) with e_c the edge opposite corner c,
-    so the gradient lies in the face plane.
+    so the gradient lies in the face plane.  `basis` is this mesh's
+    `GradientBasis`, when the caller already has it.
     """
-    verts, faces = mesh.vertices, mesh.faces
-    fn, fa = face_normals_areas(verts, faces)
+    if basis is None:
+        basis = gradient_basis(mesh)
+    faces = mesh.faces
     vals = np.asarray(values, dtype=float)
-    p = verts[faces]
     grad = np.zeros((faces.shape[0], 3))
     for c in range(3):
-        e = p[:, (c + 2) % 3] - p[:, (c + 1) % 3]
-        grad += vals[faces[:, c], None] * np.cross(fn, e)
-    return grad / (2.0 * fa)[:, None]
+        grad += vals[faces[:, c], None] * basis.corner_cross[c]
+    return grad / basis.double_area[:, None]
 
 
-def vertex_gradients(mesh, values):
-    """Face gradients averaged to vertices with flat-area weights."""
-    _, fa = face_normals_areas(mesh.vertices, mesh.faces)
-    grad = face_gradients(mesh, values)
+def vertex_gradients(mesh, values, basis=None):
+    """Face gradients averaged to vertices with flat-area weights.
+
+    `basis` is this mesh's `GradientBasis`, when the caller already has it.
+    """
+    if basis is None:
+        basis = gradient_basis(mesh)
+    fa = basis.area
+    grad = face_gradients(mesh, values, basis)
     V = mesh.n_vertices
     out = np.zeros((V, 3))
-    wsum = np.bincount(mesh.faces.reshape(-1), weights=np.repeat(fa, 3),
-                       minlength=V)
     for k in range(3):
         out[:, k] = np.bincount(
             mesh.faces.reshape(-1),
             weights=np.repeat(grad[:, k] * fa, 3),
             minlength=V,
         )
-    return out / wsum[:, None]
+    return out / basis.vertex_weight[:, None]
 
 
 def quadric_fit(mesh, normals=None):

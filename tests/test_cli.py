@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from ckflow import cli
+from ckflow import cli, flow
 from ckflow.diagnostics import TRACE_COLUMNS
+from ckflow.errors import EllipticityLost, GradientBoundExceeded
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -81,6 +82,42 @@ def test_run_graph_backend(tmp_path, capsys):
     code = run_cli(["run", "--config", cfg, "--out", str(out), "--quiet"])
     assert code == 0
     assert "STATUS=ok" in capsys.readouterr().err
+
+
+GRAPH_ELLIPSOID = ("seed.kind = ellipsoid\nseed.semiaxes = [1.3, 1, 1]\n"
+                   "seed.level = 2\nflow.backend = leaf_graph\n")
+
+
+def _raise_from_graph_rate(monkeypatch, error):
+    def failing(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(flow, "_graph_rate", failing)
+
+
+def test_run_graph_gradient_bound_exits_flow(tmp_path, capsys, monkeypatch):
+    _raise_from_graph_rate(monkeypatch, GradientBoundExceeded)
+    cfg = write_cfg(tmp_path, GRAPH_ELLIPSOID)
+    out = tmp_path / "out"
+    code = run_cli(["run", "--config", cfg, "--out", str(out), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "STATUS=flow" in captured.err
+    # the partial trace holds the loop-top row written before the first step
+    lines = (out / "trace.csv").read_text().strip().split("\n")
+    assert lines[0] == ",".join(TRACE_COLUMNS)
+    assert len(lines) == 2
+
+
+def test_run_any_package_error_exits_flow(tmp_path, capsys, monkeypatch):
+    _raise_from_graph_rate(monkeypatch, EllipticityLost)
+    cfg = write_cfg(tmp_path, GRAPH_ELLIPSOID)
+    code = run_cli(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                    "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "STATUS=flow" in captured.err
+    assert "injected" in captured.err
 
 
 def test_run_twisted_without_rotation_fails_starshape(tmp_path, capsys):

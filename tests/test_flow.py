@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ckflow import ckv, flow, surface
+from ckflow import ckv, diagnostics, flow, surface
 from ckflow.errors import (
     MeshDegenerate,
     NonConvergence,
@@ -80,22 +80,22 @@ def test_step_reuses_loop_top_geometry_bit_identically(paper, pair_e3):
     assert np.array_equal(reused.vertices, fresh.vertices)
 
 
-def _count_mesh_geometry(monkeypatch):
+def _count_surface_calls(monkeypatch, name):
     calls = []
-    original = surface.mesh_geometry
+    original = getattr(surface, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(surface, "mesh_geometry", counted)
+    monkeypatch.setattr(surface, name, counted)
     return calls
 
 
 def test_run_computes_geometry_twice_per_step(euclid, pair, monkeypatch):
     # loop top (also Heun's first stage) + predictor per step, plus the
     # final loop top; the run includes two smoothing passes
-    calls = _count_mesh_geometry(monkeypatch)
+    calls = _count_surface_calls(monkeypatch, "mesh_geometry")
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     res = flow.run(euclid, pair, seed, ckv.Schedule(t0=1.0),
                    flow.StepControl(t_end=0.3))
@@ -104,13 +104,105 @@ def test_run_computes_geometry_twice_per_step(euclid, pair, monkeypatch):
 
 
 def test_run_graph_computes_geometry_twice_per_step(euclid, pair, monkeypatch):
-    calls = _count_mesh_geometry(monkeypatch)
+    calls = _count_surface_calls(monkeypatch, "mesh_geometry")
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     state0 = flow.graph_state_from_mesh(seed, euclid)
     res = flow.run_graph(euclid, pair, state0, ckv.Schedule(t0=1.0),
                          flow.StepControl(t_end=0.1))
     assert res.steps >= 5
     assert len(calls) == 2 * res.steps + 1
+
+
+def test_run_graph_builds_leaf_geometry_once(euclid, pair, monkeypatch):
+    # per step: the loop top's and the predictor's mesh_geometry and the
+    # candidate's area; plus 3 per run: the leaf data, the first loop top's
+    # area and the final loop top's mesh_geometry
+    calls = _count_surface_calls(monkeypatch, "face_normals_areas")
+    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
+    state0 = flow.graph_state_from_mesh(seed, euclid)
+    res = flow.run_graph(euclid, pair, state0, ckv.Schedule(t0=1.0),
+                         flow.StepControl(t_end=0.1))
+    assert res.steps >= 5
+    assert len(calls) == 3 * res.steps + 3
+
+
+def test_trace_volume_is_the_frame_volume(paper, pair):
+    # the loop top reuses the volume projection's last evaluation
+    seed = surface.ellipsoid_seed((1.08, 1.0, 0.93), 2)
+    res = flow.run(paper, pair, seed, ckv.Schedule(t0=1.0),
+                   flow.StepControl(t_end=0.1), frame_every=1)
+    assert res.steps >= 10  # one smoothing pass at least
+    volume = res.trace.column("volume")
+    assert len(res.frames) == len(volume) + 1  # the final frame repeats
+    for (k, _, mesh), vol in zip(res.frames, volume):
+        assert vol == surface.enclosed_volume(mesh, paper), k
+
+
+# --------------------------------------------------------------------------
+# leaf-graph rate against the standalone kernels
+# --------------------------------------------------------------------------
+
+
+def _jittered_graph_state(geom):
+    leaf = surface.icosphere(2)
+    rng = np.random.default_rng(5)
+    dirs = leaf.vertices + 0.06 * rng.normal(size=leaf.vertices.shape)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    r = 1.0 + 0.08 * dirs[:, 2] ** 2 - 0.05 * dirs[:, 0] * dirs[:, 1]
+    return flow.graph_state_from_mesh(leaf.with_vertices(r[:, None] * dirs),
+                                      geom)
+
+
+def _reference_rate(geom, pair, state, xi_now):
+    """The graph rate from the standalone kernels, nothing precomputed."""
+    leaf, lam = state.leaf, state.lam
+    emb = state.embedded(geom)
+    vg = surface.mesh_geometry(emb, geom, pair, xi_now, with_curvatures=False)
+    g, h = flow.leaf_coefficients(geom, leaf.vertices, lam)
+    pv = surface.vertex_gradients(leaf, lam)
+    w = np.sqrt(1.0 + (h / g) * np.einsum("ij,ij->i", pv, pv))
+    u_top = -np.sqrt(h) * np.einsum("ij,ij->i", pair.rotation(leaf.vertices),
+                                    pv) / w
+    u = vg.dilation_norm / w + xi_now * u_top
+    fn, fa = surface.face_normals_areas(leaf.vertices, leaf.faces)
+    af = flow.graph_flux(surface.face_gradients(leaf, lam),
+                         np.mean(g[leaf.faces], axis=1),
+                         np.mean(h[leaf.faces], axis=1))
+    div = np.zeros(leaf.n_vertices)
+    p = leaf.vertices[leaf.faces]
+    for c in range(3):
+        e = p[:, (c + 2) % 3] - p[:, (c + 1) % 3]
+        contrib = -0.5 * np.einsum("ij,ij->i", af, np.cross(fn, e))
+        div += np.bincount(leaf.faces[:, c], weights=contrib,
+                           minlength=leaf.n_vertices)
+    div /= np.bincount(leaf.faces.reshape(-1), weights=np.repeat(fa / 3.0, 3),
+                       minlength=leaf.n_vertices)
+    b = diagnostics.label_evolution_source(geom, pair, emb, vg)
+    return w * u * div / g + w * w * b
+
+
+@pytest.mark.parametrize("geom_name, axis", [("euclid", (0.0, 0.0, 1.0)),
+                                             ("paper", (1.0, 0.0, 0.0))])
+def test_graph_rate_with_leaf_data_matches_standalone_kernels(
+        request, geom_name, axis):
+    geom = request.getfixturevalue(geom_name)
+    pair = ckv.KillingPair(omega=0.5, axis=axis)
+    sched = ckv.Schedule(t0=0.5)
+    state = _jittered_graph_state(geom)
+    state.t = 0.1
+    leaf_data = flow.LeafData.build(state.leaf, pair)
+    xi_now = sched.xi_at(state.t)
+    c1, dt = 10.0, 1e-4
+
+    k1 = flow._graph_rate(geom, pair, state, xi_now, c1, leaf_data)
+    assert np.array_equal(k1, _reference_rate(geom, pair, state, xi_now))
+
+    fields = flow._graph_chart_fields(geom, pair, state, xi_now, leaf_data)
+    new = flow.step_graph(geom, pair, state, sched, dt, c1, leaf_data, fields)
+    mid = flow.GraphState(leaf=state.leaf, lam=state.lam + dt * k1,
+                          t=state.t + dt)
+    k2 = _reference_rate(geom, pair, mid, sched.xi_at(mid.t))
+    assert np.array_equal(new.lam, state.lam + 0.5 * dt * (k1 + k2))
 
 
 # --------------------------------------------------------------------------
