@@ -17,10 +17,6 @@ from .config import load_config
 from .errors import (
     CkflowError,
     ConfigError,
-    DomainExit,
-    GradientBoundExceeded,
-    MeshDegenerate,
-    NonConvergence,
     ProfileNotMonotone,
     ScheduleInfeasible,
     SeedInfeasible,
@@ -130,8 +126,7 @@ def cmd_run(cfg, out, force, quiet):
             state0 = flow.graph_state_from_mesh(mesh, geom)
             res = flow.run_graph(geom, pair, state0, schedule, ctrl,
                                  frame_every=frame_every, frame_cb=frame_cb)
-    except (StarshapeLost, MeshDegenerate, DomainExit,
-            GradientBoundExceeded) as err:
+    except CkflowError as err:
         trace = getattr(err, "trace", None)
         if trace is not None and len(trace):
             trace.write_csv(os.path.join(out, "trace.csv"))
@@ -235,12 +230,6 @@ def main(argv=None):
     except (SeedInfeasible, StarshapeLost) as err:
         print(f"starshape violation: {err}", file=sys.stderr)
         return _status("flow")
-    except (MeshDegenerate, DomainExit) as err:
-        print(f"flow error: {err}", file=sys.stderr)
-        return _status("flow")
-    except NonConvergence as err:
-        print(f"non-convergence: {err}", file=sys.stderr)
-        return _status("nonconv")
     except ProfileNotMonotone as err:
         print(f"profile error: {err}", file=sys.stderr)
         return _status("flow")

@@ -29,10 +29,6 @@ class StarshapeLost(CkflowError):
     """Support function u dropped to zero or below during the flow."""
 
 
-class NonConvergence(CkflowError):
-    """Flow reached t_end without meeting the leaf convergence test."""
-
-
 class EllipticityLost(CkflowError):
     """Flux Jacobian eigenvalue bounds degenerated on the working shell."""
 

@@ -1,22 +1,25 @@
-"""Lagrangian front tracking for the leaf-seeking flow.
+"""Time integration of the flow: one time-loop driver over two steppers.
 
-Vertices move along chart velocities  (n phi - u H) exp(-f) nu_flat  with a
-two-stage Runge-Kutta step under a parabolic CFL bound.  Steps that would
-increase the curved area are retried with half the step; tangential
-smoothing runs on a fixed cadence, is rescaled back to the pre-smoothing
-volume, and is skipped whenever it would break area monotonicity.
+The Lagrangian front (`run`) moves mesh vertices along the chart velocities
+(n phi - u H) exp(-f) nu_flat; the leaf graph (`run_graph`) evolves the leaf
+label lam over a fixed leaf as a scalar PDE.  Both run in `_drive`: two-stage
+(Heun) steps under a parabolic CFL bound, retried with half the step while
+the curved area would increase.  The driver owns the loop-top geometry and
+star-shape check, the label band, the trace row, frames, convergence and
+error tagging; a stepper (`_FrontStepper`, `_GraphStepper`) holds one
+backend's state, bounds dt, proposes a finite candidate and commits it.  The
+front projects each candidate back onto the initial curved volume and
+smooths tangentially on a fixed cadence, skipping a pass that would break
+area monotonicity.
 
 Each snapshot's geometry is computed once per step.  The loop-top
 `mesh_geometry` bundle is Heun's first stage (it depends on neither the
 step size nor the retry), so a step costs one more `mesh_geometry` call,
-for the predictor.  The curved area of the accepted mesh (candidate or
-smoothed) is carried to the next loop top, and so is its curved volume,
-which the volume projection has just evaluated.  The leaf-graph backend
-shares the loop-top chart fields the same way between its CFL bound and the
-first stage of its step.  Its leaf never moves, so everything that depends
-on the leaf alone (`LeafData`: the P1 gradient basis, the dual areas, the
-shortest edge and the rotation field at the leaf's directions) is built
-once per graph run.
+for the predictor.  The accepted mesh's curved area is carried to the next
+loop top, and so is the front's curved volume, which the volume projection
+has just evaluated.  The graph stepper shares the loop-top chart fields
+between its CFL bound and its first stage, and builds what depends on the
+fixed leaf alone (`LeafData`) once per run.
 """
 
 from dataclasses import dataclass, field
@@ -24,10 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ckv, diagnostics, surface
-from .errors import (EllipticityLost, GradientBoundExceeded, MeshDegenerate,
-                     NonConvergence, StarshapeLost)
+from .errors import (CkflowError, EllipticityLost, GradientBoundExceeded,
+                     MeshDegenerate, StarshapeLost)
 
 N_SURF = 2
+BAND_SLACK = 1e-3       # relative padding of the initial leaf-label band
+SMOOTH_STRENGTH = 0.5   # tangential smoothing step of the front
+MAX_RETRIES = 8         # step halvings before the area guard gives up
 
 
 @dataclass
@@ -39,12 +45,8 @@ class StepControl:
     speed_tol: float = 1e-2
     leaf_tol: float = 1e-2
     smooth_every: int = 10
-    smooth_strength: float = 0.5
-    band_slack: float = 1e-3
     area_slack: float = 1e-8
     max_steps: int = 500000
-    max_retries: int = 8
-    raise_nonconvergence: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 0.5:
@@ -131,49 +133,52 @@ def _rescale_to_volume(mesh, geom, target, tol=1e-12):
     return scaled(s1)
 
 
-def run(geom, pair, mesh0, schedule, ctrl=None, frame_every=0, frame_cb=None):
-    """Integrate the flow from the seed until convergence or t_end.
+def _require_finite(vertices, stepper, step):
+    if not np.all(np.isfinite(vertices)):
+        raise MeshDegenerate(f"{stepper.label}step {step} from "
+                             f"t={stepper.t:.6g} gave a non-finite vertex")
 
+
+def _drive(stepper, schedule, ctrl, frame_every, frame_cb):
+    """The time loop of both backends; returns a RunResult.
+
+    The stepper has `geom`, `pair`, `label` (its name in messages), `t`,
+    `mesh` (embedded, at t), `mesh_initial`, `observe(vg)` -> (leaf labels,
+    curved volume), `max_dt(vg, xi_now)`, `propose(vg, dt, step)` -> the
+    candidate's mesh and `accept(dt, step, area, area_prev)` -> its area.
     Convergence: leaf spread (max-min)/mean of the label <= leaf_tol and
-    max |speed| <= speed_tol * max H.  Raises StarshapeLost / MeshDegenerate
-    / DomainExit on hard failures (with the partial trace attached); returns
-    a RunResult with converged=False when t_end is reached, unless
-    ctrl.raise_nonconvergence is set.
+    max |speed| <= speed_tol * max H; t_end or max_steps return
+    converged=False.  A package error raised in the loop carries the
+    partial trace as `err.trace`.
     """
-    ctrl = ctrl or StepControl()
+    geom, pair = stepper.geom, stepper.pair
     trace = diagnostics.FlowTrace()
-    mesh = mesh0.copy()
-    vol0 = surface.enclosed_volume(mesh, geom)
-    t = 0.0
-    step = 0
-    dt_arrived = 0.0
-    band = None
-    band_ok = True
     frames = []
+    step, dt_arrived, band, band_ok = 0, 0.0, None, True
+    area = None  # the accepted step's area, carried to the next loop top
 
-    def emit_frame(k, tt, mm):
-        frames.append((k, tt, mm.copy()))
+    def emit_frame():
+        frames.append((step, stepper.t, stepper.mesh.copy()))
         if frame_cb is not None:
-            frame_cb(k, tt, mm)
+            frame_cb(step, stepper.t, stepper.mesh)
 
-    # the accepted step's area and volume, carried to the next loop top
-    area, volume = None, vol0
     try:
         while True:
+            t, mesh = stepper.t, stepper.mesh
             xi_now = schedule.xi_at(t)
             vg = surface.mesh_geometry(mesh, geom, pair, xi_now,
                                        with_curvatures=True)
             if np.min(vg.u) <= 0.0:
                 raise StarshapeLost(
                     f"support function reached {float(np.min(vg.u)):.3e} "
-                    f"at t={t:.6g} (step {step})"
+                    f"at t={t:.6g} ({stepper.label}step {step})"
                 )
             if area is None:
                 area = surface.surface_area(mesh, geom)
-            lam = vg.lam
+            lam, volume = stepper.observe(vg)
             if band is None:
                 rng = float(lam.max() - lam.min())
-                pad = ctrl.band_slack * max(rng, 1e-300)
+                pad = BAND_SLACK * max(rng, 1e-300)
                 band = (float(lam.min()) - pad, float(lam.max()) + pad)
             if lam.min() < band[0] or lam.max() > band[1]:
                 band_ok = False
@@ -190,7 +195,7 @@ def run(geom, pair, mesh0, schedule, ctrl=None, frame_every=0, frame_cb=None):
                 leaf_distance=ld, dt=dt_arrived,
             )
             if frame_every > 0 and step % frame_every == 0:
-                emit_frame(step, t, mesh)
+                emit_frame()
 
             converged = (
                 ld <= ctrl.leaf_tol
@@ -201,63 +206,96 @@ def run(geom, pair, mesh0, schedule, ctrl=None, frame_every=0, frame_cb=None):
                 break
             if t >= ctrl.t_end or step >= ctrl.max_steps:
                 reason = "t_end" if t >= ctrl.t_end else "max_steps"
-                if ctrl.raise_nonconvergence:
-                    err = NonConvergence(
-                        f"no convergence by t={t:.6g} after {step} steps "
-                        f"(leaf distance {ld:.3e})"
-                    )
-                    err.trace = trace
-                    raise err
                 break
 
-            dt = min(cfl_dt(mesh, vg, ctrl.cfl), ctrl.t_end - t)
+            dt = min(stepper.max_dt(vg, xi_now), ctrl.t_end - t)
             area_prev = area
-            accepted = None
-            for _ in range(ctrl.max_retries):
-                cand = step_lagrangian(mesh, geom, pair, schedule, t, dt, vg)
-                # the continuum flow conserves enclosed volume (first
-                # Minkowski identity), but the discrete identity only holds
-                # to quadrature order; project back before judging the area
-                # trend, else the drift masquerades as area growth.
-                cand, volume = _rescale_to_volume(cand, geom, vol0)
+            for _ in range(MAX_RETRIES):
+                cand = stepper.propose(vg, dt, step)
                 area = surface.surface_area(cand, geom)
                 if area <= area_prev * (1.0 + ctrl.area_slack):
-                    accepted = cand
                     break
                 dt *= 0.5
-            if accepted is None:
+            else:
                 raise MeshDegenerate(
-                    f"area kept increasing at t={t:.6g} even at dt={dt:.3e}"
+                    f"{stepper.label}area kept increasing at t={t:.6g} "
+                    f"even at dt={dt:.3e}"
                 )
-            mesh = accepted
-            t += dt
-            dt_arrived = dt
             step += 1
-
-            if ctrl.smooth_every > 0 and step % ctrl.smooth_every == 0:
-                sm = surface.tangential_smooth(mesh, ctrl.smooth_strength)
-                sm, sm_volume = _rescale_to_volume(sm, geom, vol0)
-                sm_area = surface.surface_area(sm, geom)
-                if sm_area <= area_prev * (1.0 + ctrl.area_slack):
-                    mesh, area, volume = sm, sm_area, sm_volume
-                q = surface.quality(mesh)
-                if q.degenerate():
-                    raise MeshDegenerate(
-                        f"mesh quality collapsed at t={t:.6g}: "
-                        f"min angle {q.min_angle_deg:.2f} deg, "
-                        f"edge ratio {q.max_edge_ratio:.1f}"
-                    )
-    except (StarshapeLost, MeshDegenerate) as err:
+            dt_arrived = dt
+            area = stepper.accept(dt, step, area, area_prev)
+    except CkflowError as err:
         err.trace = trace
         raise
 
     if frame_every > 0:
-        emit_frame(step, t, mesh)
+        emit_frame()
     return RunResult(
-        mesh=mesh, mesh_initial=mesh0, trace=trace,
-        converged=(reason == "converged"), reason=reason, t=t, steps=step,
-        band_ok=band_ok, lam_band=band, schedule=schedule, frames=frames,
+        mesh=stepper.mesh, mesh_initial=stepper.mesh_initial, trace=trace,
+        converged=(reason == "converged"), reason=reason, t=stepper.t,
+        steps=step, band_ok=band_ok, lam_band=band, schedule=schedule,
+        frames=frames,
     )
+
+
+class _FrontStepper:
+    """The Lagrangian front: the mesh vertices move."""
+
+    label = ""
+
+    def __init__(self, geom, pair, mesh0, schedule, ctrl):
+        self.geom, self.pair = geom, pair
+        self.schedule, self.ctrl = schedule, ctrl
+        self.mesh_initial = mesh0
+        self.mesh = mesh0.copy()
+        self.t = 0.0
+        self.vol0 = surface.enclosed_volume(self.mesh, geom)
+        self.volume = self.vol0  # the mesh's, as the projection evaluated it
+        self._cand = None  # the last proposal: (mesh, curved volume)
+
+    def observe(self, vg):
+        return vg.lam, self.volume
+
+    def max_dt(self, vg, xi_now):
+        return cfl_dt(self.mesh, vg, self.ctrl.cfl)
+
+    def propose(self, vg, dt, step):
+        cand = step_lagrangian(self.mesh, self.geom, self.pair,
+                               self.schedule, self.t, dt, vg)
+        _require_finite(cand.vertices, self, step)
+        # the continuum flow conserves enclosed volume (first Minkowski
+        # identity), but the discrete identity only holds to quadrature
+        # order; project back before judging the area trend, else the
+        # drift masquerades as area growth.
+        self._cand = _rescale_to_volume(cand, self.geom, self.vol0)
+        return self._cand[0]
+
+    def accept(self, dt, step, area, area_prev):
+        """Commit the candidate, then smooth on the cadence; guard quality."""
+        self.mesh, self.volume = self._cand
+        self.t += dt
+        ctrl = self.ctrl
+        if ctrl.smooth_every > 0 and step % ctrl.smooth_every == 0:
+            sm = surface.tangential_smooth(self.mesh, SMOOTH_STRENGTH)
+            sm, sm_volume = _rescale_to_volume(sm, self.geom, self.vol0)
+            sm_area = surface.surface_area(sm, self.geom)
+            if sm_area <= area_prev * (1.0 + ctrl.area_slack):
+                self.mesh, self.volume, area = sm, sm_volume, sm_area
+            q = surface.quality(self.mesh)
+            if q.degenerate():
+                raise MeshDegenerate(
+                    f"mesh quality collapsed at t={self.t:.6g}: "
+                    f"min angle {q.min_angle_deg:.2f} deg, "
+                    f"edge ratio {q.max_edge_ratio:.1f}"
+                )
+        return area
+
+
+def run(geom, pair, mesh0, schedule, ctrl=None, frame_every=0, frame_cb=None):
+    """Integrate the Lagrangian front from the seed; see `_drive`."""
+    ctrl = ctrl or StepControl()
+    stepper = _FrontStepper(geom, pair, mesh0, schedule, ctrl)
+    return _drive(stepper, schedule, ctrl, frame_every, frame_cb)
 
 
 # --------------------------------------------------------------------------
@@ -468,116 +506,60 @@ def step_graph(geom, pair, state, schedule, dt, c1, leaf_data, fields):
                       t=state.t + dt)
 
 
+class _GraphStepper:
+    """The leaf graph: the label lam evolves over the fixed leaf."""
+
+    label = "graph "
+
+    def __init__(self, geom, pair, state0, schedule, ctrl, c1):
+        self.geom, self.pair = geom, pair
+        self.schedule, self.ctrl = schedule, ctrl
+        state = GraphState(leaf=state0.leaf,
+                           lam=np.array(state0.lam, dtype=float), t=state0.t)
+        self.leaf_data = LeafData.build(state.leaf, pair)
+        if c1 is None:
+            pv = surface.vertex_gradients(state.leaf, state.lam,
+                                          self.leaf_data.basis)
+            c1 = max(1.0, 2.0 * float(np.linalg.norm(pv, axis=1).max()))
+        self.c1 = c1
+        self.mesh_initial = state0.embedded(geom)
+        self.state, self.mesh = state, state.embedded(geom)
+        self.fields = None  # the loop-top `_graph_chart_fields` tuple
+        self._cand = None  # the last proposal: (state, embedded mesh)
+
+    @property
+    def t(self):
+        return self.state.t
+
+    def observe(self, vg):
+        return self.state.lam, surface.enclosed_volume(self.mesh, self.geom)
+
+    def max_dt(self, vg, xi_now):
+        # the loop-top chart fields are also the first stage of the step
+        self.fields = _graph_chart_fields(self.geom, self.pair, self.state,
+                                          xi_now, self.leaf_data, self.mesh,
+                                          vg)
+        return graph_cfl_dt(self.leaf_data, self.fields, self.ctrl.cfl)
+
+    def propose(self, vg, dt, step):
+        cand = step_graph(self.geom, self.pair, self.state, self.schedule, dt,
+                          self.c1, self.leaf_data, self.fields)
+        emb = cand.embedded(self.geom)
+        _require_finite(emb.vertices, self, step)
+        self._cand = (cand, emb)
+        return emb
+
+    def accept(self, dt, step, area, area_prev):
+        self.state, self.mesh = self._cand
+        return area
+
+
 def run_graph(geom, pair, state0, schedule, ctrl=None, c1=None,
               frame_every=0, frame_cb=None):
-    """Integrate the leaf-graph backend; mirrors run() semantics."""
+    """Integrate the leaf-graph backend; see `_drive`."""
     ctrl = ctrl or StepControl()
-    trace = diagnostics.FlowTrace()
-    state = GraphState(leaf=state0.leaf, lam=np.array(state0.lam, dtype=float),
-                       t=state0.t)
-    leaf_data = LeafData.build(state.leaf, pair)
-    if c1 is None:
-        pv = surface.vertex_gradients(state.leaf, state.lam, leaf_data.basis)
-        c1 = max(1.0, 2.0 * float(np.linalg.norm(pv, axis=1).max()))
-    band = None
-    band_ok = True
-    step = 0
-    dt_arrived = 0.0
-    frames = []
-    area = None  # the accepted step's area, carried to the next loop top
-
-    def emit_frame(k, tt, mm):
-        frames.append((k, tt, mm.copy()))
-        if frame_cb is not None:
-            frame_cb(k, tt, mm)
-
-    try:
-        while True:
-            xi_now = schedule.xi_at(state.t)
-            emb = state.embedded(geom)
-            vg = surface.mesh_geometry(emb, geom, pair, xi_now,
-                                       with_curvatures=True)
-            if np.min(vg.u) <= 0.0:
-                raise StarshapeLost(
-                    f"support function reached {float(np.min(vg.u)):.3e} "
-                    f"at t={state.t:.6g} (graph step {step})"
-                )
-            if area is None:
-                area = surface.surface_area(emb, geom)
-            volume = surface.enclosed_volume(emb, geom)
-            lam = state.lam
-            if band is None:
-                rng = float(lam.max() - lam.min())
-                pad = ctrl.band_slack * max(rng, 1e-300)
-                band = (float(lam.min()) - pad, float(lam.max()) + pad)
-            if lam.min() < band[0] or lam.max() > band[1]:
-                band_ok = False
-            speed = flow_speed(vg)
-            ld = diagnostics.leaf_distance(lam)
-            trace.add(
-                step=step, time=state.t, xi=xi_now, area=area, volume=volume,
-                lambda_min=float(lam.min()), lambda_max=float(lam.max()),
-                u_min=float(vg.u.min()), uperp_min=float(vg.u_perp.min()),
-                H_min=float(vg.H.min()), H_max=float(vg.H.max()),
-                mink1=diagnostics.minkowski1_residual(vg),
-                mink2=diagnostics.minkowski2_residual(emb, geom, vg),
-                umbilicity=diagnostics.umbilicity_deficit(vg),
-                leaf_distance=ld, dt=dt_arrived,
-            )
-            if frame_every > 0 and step % frame_every == 0:
-                emit_frame(step, state.t, emb)
-            converged = (
-                ld <= ctrl.leaf_tol
-                and float(np.max(np.abs(speed))) <= ctrl.speed_tol * float(np.max(vg.H))
-            )
-            if converged:
-                reason = "converged"
-                break
-            if state.t >= ctrl.t_end or step >= ctrl.max_steps:
-                reason = "t_end" if state.t >= ctrl.t_end else "max_steps"
-                if ctrl.raise_nonconvergence:
-                    err = NonConvergence(
-                        f"graph run missed tolerances by t={state.t:.6g} "
-                        f"(leaf distance {ld:.3e})"
-                    )
-                    err.trace = trace
-                    raise err
-                break
-
-            fields = _graph_chart_fields(geom, pair, state, xi_now, leaf_data,
-                                         emb, vg)
-            dt = min(graph_cfl_dt(leaf_data, fields, ctrl.cfl),
-                     ctrl.t_end - state.t)
-            area_prev = area
-            accepted = None
-            for _ in range(ctrl.max_retries):
-                cand = step_graph(geom, pair, state, schedule, dt, c1,
-                                  leaf_data, fields)
-                area = surface.surface_area(cand.embedded(geom), geom)
-                if area <= area_prev * (1.0 + ctrl.area_slack):
-                    accepted = cand
-                    break
-                dt *= 0.5
-            if accepted is None:
-                raise MeshDegenerate(
-                    f"graph area kept increasing at t={state.t:.6g}"
-                )
-            state = accepted
-            dt_arrived = dt
-            step += 1
-    except (StarshapeLost, MeshDegenerate, GradientBoundExceeded) as err:
-        err.trace = trace
-        raise
-
-    emb = state.embedded(geom)
-    if frame_every > 0:
-        emit_frame(step, state.t, emb)
-    return RunResult(
-        mesh=emb, mesh_initial=state0.embedded(geom), trace=trace,
-        converged=(reason == "converged"), reason=reason, t=state.t,
-        steps=step, band_ok=band_ok, lam_band=band, schedule=schedule,
-        frames=frames,
-    )
+    stepper = _GraphStepper(geom, pair, state0, schedule, ctrl, c1)
+    return _drive(stepper, schedule, ctrl, frame_every, frame_cb)
 
 
 # --------------------------------------------------------------------------

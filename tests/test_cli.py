@@ -5,7 +5,7 @@ import pytest
 
 from ckflow import cli, flow
 from ckflow.diagnostics import TRACE_COLUMNS
-from ckflow.errors import EllipticityLost, GradientBoundExceeded
+from ckflow.errors import DomainExit, EllipticityLost, GradientBoundExceeded
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -39,9 +39,10 @@ def test_run_flat_sphere_is_instant(tmp_path, capsys):
     assert "converged = true" in verdict
 
 
-def test_run_is_deterministic(tmp_path):
+@pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
+def test_run_is_deterministic(tmp_path, backend):
     text = ("seed.kind = ellipsoid\nseed.semiaxes = [1.3, 1, 1]\n"
-            "seed.level = 2\nflow.t_end = 0.05\n")
+            f"seed.level = 2\nflow.t_end = 0.05\nflow.backend = {backend}\n")
     cfg = write_cfg(tmp_path, text)
     outs = []
     for name in ("a", "b"):
@@ -84,20 +85,27 @@ def test_run_graph_backend(tmp_path, capsys):
     assert "STATUS=ok" in capsys.readouterr().err
 
 
-GRAPH_ELLIPSOID = ("seed.kind = ellipsoid\nseed.semiaxes = [1.3, 1, 1]\n"
-                   "seed.level = 2\nflow.backend = leaf_graph\n")
+ELLIPSOID = ("seed.kind = ellipsoid\nseed.semiaxes = [1.3, 1, 1]\n"
+             "seed.level = 2\n")
+GRAPH_ELLIPSOID = ELLIPSOID + "flow.backend = leaf_graph\n"
 
 
-def _raise_from_graph_rate(monkeypatch, error):
+def _raise_from(monkeypatch, name, error):
     def failing(*args, **kwargs):
         raise error("injected")
 
-    monkeypatch.setattr(flow, "_graph_rate", failing)
+    monkeypatch.setattr(flow, name, failing)
 
 
-def test_run_graph_gradient_bound_exits_flow(tmp_path, capsys, monkeypatch):
-    _raise_from_graph_rate(monkeypatch, GradientBoundExceeded)
-    cfg = write_cfg(tmp_path, GRAPH_ELLIPSOID)
+@pytest.mark.parametrize("backend, name, error", [
+    ("leaf_graph", "_graph_rate", GradientBoundExceeded),
+    ("leaf_graph", "step_graph", DomainExit),
+    ("lagrangian", "step_lagrangian", DomainExit),
+])
+def test_run_flow_error_writes_partial_trace(tmp_path, capsys, monkeypatch,
+                                             backend, name, error):
+    _raise_from(monkeypatch, name, error)
+    cfg = write_cfg(tmp_path, ELLIPSOID + f"flow.backend = {backend}\n")
     out = tmp_path / "out"
     code = run_cli(["run", "--config", cfg, "--out", str(out), "--quiet"])
     captured = capsys.readouterr()
@@ -110,7 +118,7 @@ def test_run_graph_gradient_bound_exits_flow(tmp_path, capsys, monkeypatch):
 
 
 def test_run_any_package_error_exits_flow(tmp_path, capsys, monkeypatch):
-    _raise_from_graph_rate(monkeypatch, EllipticityLost)
+    _raise_from(monkeypatch, "_graph_rate", EllipticityLost)
     cfg = write_cfg(tmp_path, GRAPH_ELLIPSOID)
     code = run_cli(["run", "--config", cfg, "--out", str(tmp_path / "out"),
                     "--quiet"])

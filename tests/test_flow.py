@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from ckflow import ckv, diagnostics, flow, surface
-from ckflow.errors import (
-    MeshDegenerate,
-    NonConvergence,
-    StarshapeLost,
-)
+from ckflow.errors import MeshDegenerate, StarshapeLost
 
 
 # --------------------------------------------------------------------------
@@ -126,16 +122,58 @@ def test_run_graph_builds_leaf_geometry_once(euclid, pair, monkeypatch):
     assert len(calls) == 3 * res.steps + 3
 
 
-def test_trace_volume_is_the_frame_volume(paper, pair):
-    # the loop top reuses the volume projection's last evaluation
+def _run_backend(backend, geom, pair, seed, ctrl, **kwargs):
+    sched = ckv.Schedule(t0=1.0)
+    if backend == "lagrangian":
+        return flow.run(geom, pair, seed, sched, ctrl, **kwargs)
+    state0 = flow.graph_state_from_mesh(seed, geom)
+    return flow.run_graph(geom, pair, state0, sched, ctrl, **kwargs)
+
+
+# the graph backend fails on the curved L2 seed (a known defect), so it
+# runs flat
+@pytest.mark.parametrize("backend, geom_name", [("lagrangian", "paper"),
+                                                ("leaf_graph", "euclid")])
+def test_trace_volume_is_the_frame_volume(request, pair, backend, geom_name):
+    # the front's loop top reuses the volume projection's last evaluation;
+    # the graph's evaluates its embedded mesh, which is the frame
+    geom = request.getfixturevalue(geom_name)
     seed = surface.ellipsoid_seed((1.08, 1.0, 0.93), 2)
-    res = flow.run(paper, pair, seed, ckv.Schedule(t0=1.0),
-                   flow.StepControl(t_end=0.1), frame_every=1)
-    assert res.steps >= 10  # one smoothing pass at least
+    res = _run_backend(backend, geom, pair, seed,
+                       flow.StepControl(t_end=0.1), frame_every=1)
+    # the front smooths every 10 steps
+    assert res.steps >= (10 if backend == "lagrangian" else 5)
     volume = res.trace.column("volume")
     assert len(res.frames) == len(volume) + 1  # the final frame repeats
     for (k, _, mesh), vol in zip(res.frames, volume):
-        assert vol == surface.enclosed_volume(mesh, paper), k
+        assert vol == surface.enclosed_volume(mesh, geom), k
+
+
+@pytest.mark.parametrize("backend, step_fn", [
+    ("lagrangian", "step_lagrangian"),
+    ("leaf_graph", "step_graph"),
+])
+def test_non_finite_candidate_fails_with_step_and_time(euclid, pair,
+                                                       monkeypatch, backend,
+                                                       step_fn):
+    original = getattr(flow, step_fn)
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 3:  # the first candidate of step 2
+            values = out.vertices if backend == "lagrangian" else out.lam
+            values[0] = np.nan
+        return out
+
+    monkeypatch.setattr(flow, step_fn, poisoned)
+    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
+    with pytest.raises(MeshDegenerate) as exc:
+        _run_backend(backend, euclid, pair, seed, flow.StepControl(t_end=0.1))
+    assert "step 2 from t=" in str(exc.value)
+    assert "non-finite" in str(exc.value)
+    assert len(exc.value.trace) == 3
 
 
 # --------------------------------------------------------------------------
@@ -237,14 +275,6 @@ def test_run_stops_at_t_end_without_convergence(euclid, pair):
                    flow.StepControl(t_end=0.02))
     assert not res.converged and res.reason == "t_end"
     assert res.t >= 0.02
-
-
-def test_run_raises_nonconvergence_on_request(euclid, pair):
-    seed = surface.ellipsoid_seed((1.5, 1.0, 1.0), 2)
-    ctrl = flow.StepControl(t_end=0.02, raise_nonconvergence=True)
-    with pytest.raises(NonConvergence) as exc:
-        flow.run(euclid, pair, seed, ckv.Schedule(t0=1.0), ctrl)
-    assert len(exc.value.trace) > 0
 
 
 def test_run_detects_starshape_loss(euclid, pair, pair_e3):
