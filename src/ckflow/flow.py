@@ -90,19 +90,24 @@ def cfl_dt(mesh, vg, cfl):
     return cfl * h_min * h_min / max(1.0, float(weight))
 
 
-def step_lagrangian(mesh, geom, pair, schedule, t, dt, vg):
+def step_lagrangian(mesh, geom, pair, schedule, t, dt, vg, step):
     """One explicit two-stage (Heun) step from time t; returns the new mesh.
 
     `vg` is the mesh's geometry bundle at time t, the first stage; it does
-    not depend on dt, so the loop top's bundle serves every retry.
+    not depend on dt, so the loop top's bundle serves every retry.  A
+    predictor or result that is not finite raises MeshDegenerate naming
+    `step` and t before the chart-domain check would read it as a domain
+    exit.
     """
     v1 = chart_velocity(vg)
     mid = mesh.with_vertices(mesh.vertices + dt * v1)
+    _require_finite(mid.vertices, "", step, t, "predictor vertex")
     geom.require_in_domain(mid.vertices, what="predictor vertex")
     vg2 = surface.mesh_geometry(mid, geom, pair, schedule.xi_at(t + dt),
                                 with_curvatures=False)
     v2 = chart_velocity(vg2)
     new = mesh.with_vertices(mesh.vertices + 0.5 * dt * (v1 + v2))
+    _require_finite(new.vertices, "", step, t)
     geom.require_in_domain(new.vertices, what="vertex")
     return new
 
@@ -133,10 +138,10 @@ def _rescale_to_volume(mesh, geom, target, tol=1e-12):
     return scaled(s1)
 
 
-def _require_finite(vertices, stepper, step):
+def _require_finite(vertices, label, step, t, what="vertex"):
     if not np.all(np.isfinite(vertices)):
-        raise MeshDegenerate(f"{stepper.label}step {step} from "
-                             f"t={stepper.t:.6g} gave a non-finite vertex")
+        raise MeshDegenerate(f"{label}step {step} from t={t:.6g} gave a "
+                             f"non-finite {what}")
 
 
 def _drive(stepper, schedule, ctrl, frame_every, frame_cb):
@@ -261,8 +266,8 @@ class _FrontStepper:
 
     def propose(self, vg, dt, step):
         cand = step_lagrangian(self.mesh, self.geom, self.pair,
-                               self.schedule, self.t, dt, vg)
-        _require_finite(cand.vertices, self, step)
+                               self.schedule, self.t, dt, vg, step)
+        _require_finite(cand.vertices, self.label, step, self.t)
         # the continuum flow conserves enclosed volume (first Minkowski
         # identity), but the discrete identity only holds to quadrature
         # order; project back before judging the area trend, else the
@@ -545,7 +550,7 @@ class _GraphStepper:
         cand = step_graph(self.geom, self.pair, self.state, self.schedule, dt,
                           self.c1, self.leaf_data, self.fields)
         emb = cand.embedded(self.geom)
-        _require_finite(emb.vertices, self, step)
+        _require_finite(emb.vertices, self.label, step, self.t)
         self._cand = (cand, emb)
         return emb
 

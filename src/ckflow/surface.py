@@ -8,8 +8,12 @@ from the flat ones through the conformal factor:
 
 Flat mean curvature comes from the cotangent Laplacian over mixed Voronoi
 cells; flat principal curvatures from per-vertex quadric fits over the
-two-ring.  Connectivity is fixed over a flow, so the adjacency tables are
-built once and shared between snapshots.  Within one snapshot the face
+two-ring.  One local-fit kernel, `_local_fit`, serves the quadric (loop-top
+curvatures and smoothing) and the degree-six jet over the four-ring: it
+gathers each padded neighbour table once, projects it onto the local frames
+and solves all the normal equations as stacked matrix products.
+Connectivity is fixed over a flow, so the adjacency tables are built once
+and shared between snapshots.  Within one snapshot the face
 kernels run once: `mesh_geometry` (and `tangential_smooth`) compute the
 face normals, face areas and corner cotangents a single time and hand them
 to `vertex_normals`, `mixed_voronoi_areas` and `cotan_laplacian_apply`,
@@ -129,7 +133,7 @@ def _padded_rows(csr):
     for i in range(csr.shape[0]):
         row = csr.indices[csr.indptr[i]:csr.indptr[i + 1]]
         out[i, : row.size] = row
-        out[i, row.size:] = i  # pad with self; masked out by counts
+        out[i, row.size:] = i  # pad with self: a zero offset in local fits
     return out, counts
 
 
@@ -456,45 +460,62 @@ def vertex_gradients(mesh, values, basis=None):
     return out / basis.vertex_weight[:, None]
 
 
-def quadric_fit(mesh, normals=None):
-    """Per-vertex quadric over the two-ring in the local normal frame.
+def _local_fit(verts, normals, nbr, cnt, design):
+    """Batched least-squares height fits over padded neighbour tables.
 
-    Fits z = a x^2 + b xy + c y^2 + d x + e y and returns (frames, coeffs)
-    with frames (V,3,3) rows (e1, e2, normal) and coeffs (V,5).
+    Each vertex's neighbour offsets are taken into its local frame, rows
+    (e1, e2, normal) with e1 seeded by the axis least aligned with the
+    normal, and divided by their RMS length `scale`.  In these coordinates
+    z = design(x, y) @ coeffs is fitted through the normal equations
+    G = C^T C, rhs = C^T z (one stacked matmul each, 1e-12 ridge) and
+    `np.linalg.solve`.  Padded slots repeat the vertex itself, so their
+    offsets are exactly zero; a design whose columns all vanish there needs
+    no mask, any other must zero those rows itself.
+
+    Returns frames (V,3,3), scale (V,) and the scaled coefficients (V,m).
     """
-    verts = mesh.vertices
-    topo = mesh.topology
-    if normals is None:
-        normals = vertex_normals(mesh)
-    V = verts.shape[0]
-    # tangent frame: seed with the axis least aligned with the normal
     seed = np.eye(3)[np.argmin(np.abs(normals), axis=1)]
     e1 = seed - normals * np.einsum("ij,ij->i", seed, normals)[:, None]
     e1 /= np.linalg.norm(e1, axis=1)[:, None]
     e2 = np.cross(normals, e1)
+    axes = np.stack([e1, e2, normals], axis=2)  # frame vectors as columns
 
-    nbr = topo.two_ring
-    cnt = topo.two_ring_count
-    mask = np.arange(nbr.shape[1])[None, :] < cnt[:, None]
-    d = verts[nbr] - verts[:, None, :]  # (V, K, 3)
-    lx = np.einsum("vkj,vj->vk", d, e1)
-    ly = np.einsum("vkj,vj->vk", d, e2)
-    lz = np.einsum("vkj,vj->vk", d, normals)
+    local = np.take(verts, nbr, axis=0)
+    local -= verts[:, None, :]
+    local = local @ axes  # (V, K, 3): x, y, z per neighbour
     # condition the normal equations on the local length scale
-    scale = np.sqrt(np.sum((lx * lx + ly * ly + lz * lz) * mask, axis=1)
+    scale = np.sqrt(np.einsum("vkj,vkj->v", local, local)
                     / np.maximum(cnt, 1))
     scale = np.maximum(scale, 1e-300)
-    lx, ly, lz = lx / scale[:, None], ly / scale[:, None], lz / scale[:, None]
+    local /= scale[:, None, None]
 
-    cols = np.stack([lx * lx, lx * ly, ly * ly, lx, ly], axis=-1)  # (V,K,5)
-    w = mask.astype(float)
-    G = np.einsum("vka,vkb,vk->vab", cols, cols, w)
-    rhs = np.einsum("vka,vk,vk->va", cols, lz, w)
-    G += 1e-12 * np.eye(5)
-    coeffs = np.linalg.solve(G, rhs[..., None])[..., 0]
+    cols = design(local[..., 0], local[..., 1])  # (V, K, m)
+    cols_t = cols.transpose(0, 2, 1)
+    G = cols_t @ cols
+    G += 1e-12 * np.eye(cols.shape[-1])
+    coeffs = np.linalg.solve(G, cols_t @ local[..., 2:])[..., 0]
+    return axes.transpose(0, 2, 1), scale, coeffs
+
+
+def _quadric_columns(x, y):
+    return np.stack([x * x, x * y, y * y, x, y], axis=-1)
+
+
+def quadric_fit(mesh, normals=None):
+    """Per-vertex quadric over the two-ring in the local normal frame.
+
+    Fits z = a x^2 + b xy + c y^2 + d x + e y with `_local_fit` and returns
+    (frames, coeffs) with frames (V,3,3) rows (e1, e2, normal) and coeffs
+    (V,5).  Every column vanishes at the origin, so the two-ring's padded
+    slots drop out without a mask.
+    """
+    if normals is None:
+        normals = vertex_normals(mesh)
+    topo = mesh.topology
+    frames, scale, coeffs = _local_fit(mesh.vertices, normals, topo.two_ring,
+                                       topo.two_ring_count, _quadric_columns)
     # undo the scaling: quadratic terms pick up 1/scale, linear ones none
     coeffs[:, :3] /= scale[:, None]
-    frames = np.stack([e1, e2, normals], axis=1)
     return frames, coeffs
 
 
@@ -553,31 +574,18 @@ def jet_fields(mesh, geom, pair, xi_now, normals=None):
     error survives.
     """
     verts = mesh.vertices
-    topo = mesh.topology
     if normals is None:
         normals = vertex_normals(mesh)
-    seed = np.eye(3)[np.argmin(np.abs(normals), axis=1)]
-    e1 = seed - normals * np.einsum("ij,ij->i", seed, normals)[:, None]
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    e2 = np.cross(normals, e1)
+    nbr, cnt = mesh.topology.ring(4)
+    real = (np.arange(nbr.shape[1])[None, :] < cnt[:, None])[..., None]
 
-    nbr, cnt = topo.ring(4)
-    mask = np.arange(nbr.shape[1])[None, :] < cnt[:, None]
-    d = verts[nbr] - verts[:, None, :]
-    lx = np.einsum("vkj,vj->vk", d, e1)
-    ly = np.einsum("vkj,vj->vk", d, e2)
-    lz = np.einsum("vkj,vj->vk", d, normals)
-    scale = np.sqrt(np.sum((lx * lx + ly * ly + lz * lz) * mask, axis=1)
-                    / np.maximum(cnt, 1))
-    scale = np.maximum(scale, 1e-300)
-    lx, ly, lz = lx / scale[:, None], ly / scale[:, None], lz / scale[:, None]
+    def jet_columns(x, y):
+        # the constant column is 1 at the padded slots too: zero those rows
+        cols = x[..., None] ** _JET_EXPS[:, 0] * y[..., None] ** _JET_EXPS[:, 1]
+        return cols * real
 
-    cols = lx[..., None] ** _JET_EXPS[:, 0] * ly[..., None] ** _JET_EXPS[:, 1]
-    w = mask.astype(float)
-    G = np.einsum("vka,vkb,vk->vab", cols, cols, w)
-    G += 1e-12 * np.eye(_JET_EXPS.shape[0])
-    rhs = np.einsum("vka,vk,vk->va", cols, lz, w)
-    co = np.linalg.solve(G, rhs[..., None])[..., 0]  # scaled height jet
+    frames, scale, co = _local_fit(verts, normals, nbr, cnt, jet_columns)
+    e1, e2 = frames[:, 0], frames[:, 1]  # co is the scaled height jet
 
     # 3x3 patch grid in scaled coordinates; physical derivative = /scale^k
     delta = 1e-3
@@ -672,7 +680,7 @@ def principal_curvatures_flat(mesh, normals=None):
 
     Outward-positive convention: a round sphere of radius r gives +1/r.
     """
-    frames, co = quadric_fit(mesh, normals)
+    _, co = quadric_fit(mesh, normals)
     a, b, c, d, e = (co[:, k] for k in range(5))
     gsq = d * d + e * e
     denom = np.sqrt(1.0 + gsq)
@@ -690,7 +698,7 @@ def principal_curvatures_flat(mesh, normals=None):
     # height grows opposite to the outward normal on a convex patch
     k1 = -(tr - disc) / 2.0
     k2 = -(tr + disc) / 2.0
-    return k1, k2, frames, co
+    return k1, k2
 
 
 # --------------------------------------------------------------------------
@@ -742,7 +750,7 @@ def mesh_geometry(mesh, geom, pair, xi_now=1.0, with_curvatures=True):
     H = (H_flat + 2.0 * nu_f) / ef
 
     if with_curvatures:
-        k1f, k2f, _, _ = principal_curvatures_flat(mesh, nu)
+        k1f, k2f = principal_curvatures_flat(mesh, nu)
         k1 = (k1f + nu_f) / ef
         k2 = (k2f + nu_f) / ef
     else:

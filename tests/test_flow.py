@@ -71,8 +71,9 @@ def test_step_reuses_loop_top_geometry_bit_identically(paper, pair_e3):
                                      with_curvatures=True)
     stage1 = surface.mesh_geometry(mesh, paper, pair_e3, sched.xi_at(t),
                                    with_curvatures=False)
-    reused = flow.step_lagrangian(mesh, paper, pair_e3, sched, t, dt, loop_top)
-    fresh = flow.step_lagrangian(mesh, paper, pair_e3, sched, t, dt, stage1)
+    reused = flow.step_lagrangian(mesh, paper, pair_e3, sched, t, dt, loop_top,
+                                  0)
+    fresh = flow.step_lagrangian(mesh, paper, pair_e3, sched, t, dt, stage1, 0)
     assert np.array_equal(reused.vertices, fresh.vertices)
 
 
@@ -149,31 +150,40 @@ def test_trace_volume_is_the_frame_volume(request, pair, backend, geom_name):
         assert vol == surface.enclosed_volume(mesh, geom), k
 
 
-@pytest.mark.parametrize("backend, step_fn", [
-    ("lagrangian", "step_lagrangian"),
-    ("leaf_graph", "step_graph"),
+@pytest.mark.parametrize("backend, fn_name, call, step", [
+    pytest.param("lagrangian", "step_lagrangian", 3, 2,
+                 id="lagrangian-step_lagrangian"),
+    pytest.param("leaf_graph", "step_graph", 3, 2, id="leaf_graph-step_graph"),
+    # a velocity born inside the step meets the chart-domain checks of the
+    # predictor (step 1's first stage) or the result (step 0's second)
+    pytest.param("lagrangian", "chart_velocity", 3, 1,
+                 id="lagrangian-chart_velocity-predictor"),
+    pytest.param("lagrangian", "chart_velocity", 2, 0,
+                 id="lagrangian-chart_velocity-result"),
 ])
 def test_non_finite_candidate_fails_with_step_and_time(euclid, pair,
                                                        monkeypatch, backend,
-                                                       step_fn):
-    original = getattr(flow, step_fn)
+                                                       fn_name, call, step):
+    original = getattr(flow, fn_name)
     calls = []
 
     def poisoned(*args, **kwargs):
         out = original(*args, **kwargs)
         calls.append(1)
-        if len(calls) == 3:  # the first candidate of step 2
-            values = out.vertices if backend == "lagrangian" else out.lam
+        if len(calls) == call:
+            values = {"step_lagrangian": lambda: out.vertices,
+                      "step_graph": lambda: out.lam,
+                      "chart_velocity": lambda: out}[fn_name]()
             values[0] = np.nan
         return out
 
-    monkeypatch.setattr(flow, step_fn, poisoned)
+    monkeypatch.setattr(flow, fn_name, poisoned)
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     with pytest.raises(MeshDegenerate) as exc:
         _run_backend(backend, euclid, pair, seed, flow.StepControl(t_end=0.1))
-    assert "step 2 from t=" in str(exc.value)
+    assert f"step {step} from t=" in str(exc.value)
     assert "non-finite" in str(exc.value)
-    assert len(exc.value.trace) == 3
+    assert len(exc.value.trace) == step + 1
 
 
 # --------------------------------------------------------------------------

@@ -146,6 +146,132 @@ def test_orientation_flip_negates_support(euclid, pair):
 
 
 # --------------------------------------------------------------------------
+# quadric fit
+# --------------------------------------------------------------------------
+
+
+def einsum_quadric_fit(mesh, normals):
+    """The quadric fit as a masked 3-operand einsum, kept as a reference."""
+    verts = mesh.vertices
+    topo = mesh.topology
+    seed = np.eye(3)[np.argmin(np.abs(normals), axis=1)]
+    e1 = seed - normals * np.einsum("ij,ij->i", seed, normals)[:, None]
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    e2 = np.cross(normals, e1)
+    nbr, cnt = topo.two_ring, topo.two_ring_count
+    mask = np.arange(nbr.shape[1])[None, :] < cnt[:, None]
+    d = verts[nbr] - verts[:, None, :]
+    lx = np.einsum("vkj,vj->vk", d, e1)
+    ly = np.einsum("vkj,vj->vk", d, e2)
+    lz = np.einsum("vkj,vj->vk", d, normals)
+    scale = np.sqrt(np.sum((lx * lx + ly * ly + lz * lz) * mask, axis=1)
+                    / np.maximum(cnt, 1))
+    scale = np.maximum(scale, 1e-300)
+    lx, ly, lz = lx / scale[:, None], ly / scale[:, None], lz / scale[:, None]
+    cols = np.stack([lx * lx, lx * ly, ly * ly, lx, ly], axis=-1)
+    w = mask.astype(float)
+    G = np.einsum("vka,vkb,vk->vab", cols, cols, w)
+    rhs = np.einsum("vka,vk,vk->va", cols, lz, w)
+    G += 1e-12 * np.eye(5)
+    coeffs = np.linalg.solve(G, rhs[..., None])[..., 0]
+    coeffs[:, :3] /= scale[:, None]
+    return np.stack([e1, e2, normals], axis=1), coeffs
+
+
+def test_quadric_fit_recovers_a_quadric_patch():
+    # the cap z > 0.3 of an icosphere lifted onto z = 1 + q(x, y); vertical
+    # normals make the local frame the coordinate axes
+    a, b, c, d, e = 0.3, -0.2, 0.5, 0.1, -0.15
+    mesh = surface.icosphere(3)
+    x, y, z = mesh.vertices.T
+    cap = z > 0.3
+    lifted = np.where(cap, 1.0 + a * x * x + b * x * y + c * y * y + d * x
+                      + e * y, z)
+    mesh = mesh.with_vertices(np.column_stack([x, y, lifted]))
+    normals = np.tile([0.0, 0.0, 1.0], (mesh.n_vertices, 1))
+    frames, co = surface.quadric_fit(mesh, normals)
+    inner = cap & np.all(cap[mesh.topology.two_ring], axis=1)
+    assert np.count_nonzero(inner) >= 50
+    assert np.array_equal(frames[inner], np.tile(np.eye(3), (inner.sum(), 1, 1)))
+    # about a vertex (x0, y0) the same quadric has shifted linear terms
+    x0, y0 = x[inner], y[inner]
+    expected = np.column_stack([
+        np.full_like(x0, a), np.full_like(x0, b), np.full_like(x0, c),
+        d + 2.0 * a * x0 + b * y0, e + b * x0 + 2.0 * c * y0,
+    ])
+    assert np.max(np.abs(co[inner] - expected)) <= 1e-10
+
+
+def test_quadric_fit_sphere_principal_curvatures():
+    # a two-ring quadric is second-order accurate: 2.3% off at L3
+    r = 0.7
+    k1, k2 = surface.principal_curvatures_flat(surface.sphere_seed(r, 3))
+    assert np.max(np.abs(k1 * r - 1.0)) <= 3e-2
+    assert np.max(np.abs(k2 * r - 1.0)) <= 3e-2
+    assert np.all(k1 >= k2)
+
+
+def lstsq_over_real_neighbours(mesh, nbr, cnt, i, frame, exps, scale=1.0):
+    """Height-fit coefficients at vertex i from its unpadded neighbours."""
+    real = nbr[i, :cnt[i]]
+    assert real.size < nbr.shape[1]  # the table row is padded
+    x, y, z = frame @ (mesh.vertices[real] - mesh.vertices[i]).T / scale
+    cols = x[:, None] ** exps[:, 0] * y[:, None] ** exps[:, 1]
+    return np.linalg.lstsq(cols, z, rcond=None)[0]
+
+
+def test_quadric_fit_ignores_padded_two_ring_slots():
+    # the icosahedron's 12 vertices keep valence 5, so their two-rings are
+    # shorter than the table and padded with the vertex itself
+    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 3)
+    topo = mesh.topology
+    frames, co = surface.quadric_fit(mesh)
+    valence = np.bincount(topo.faces.reshape(-1), minlength=mesh.n_vertices)
+    exps = np.array([(2, 0), (1, 1), (0, 2), (1, 0), (0, 1)])
+    for i in np.flatnonzero(valence == 5):
+        ref = lstsq_over_real_neighbours(mesh, topo.two_ring,
+                                         topo.two_ring_count, i, frames[i],
+                                         exps)
+        assert np.max(np.abs(co[i] - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_jet_fit_ignores_padded_ring_slots(euclid, pair, monkeypatch):
+    # the jet's constant column is 1 at a padded slot, so jet_fields must
+    # zero those rows itself
+    fits = []
+    local_fit = surface._local_fit
+
+    def spy(*args):
+        fits.append(local_fit(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(surface, "_local_fit", spy)
+    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 3)
+    surface.jet_fields(mesh, euclid, pair, 1.0)
+    (frames, scale, co), = fits
+    nbr, cnt = mesh.topology.ring(4)
+    for i in np.flatnonzero(cnt < nbr.shape[1])[::20]:
+        ref = lstsq_over_real_neighbours(mesh, nbr, cnt, i, frames[i],
+                                         surface._JET_EXPS, scale[i])
+        assert np.max(np.abs(co[i] - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_quadric_fit_matches_einsum_reference():
+    # jittered, so some faces are obtuse and the frames are irregular
+    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 3)
+    rng = np.random.default_rng(1)
+    mesh = mesh.with_vertices(
+        mesh.vertices * (1.0 + 0.02 * rng.standard_normal((mesh.n_vertices, 1)))
+    )
+    normals = surface.vertex_normals(mesh)
+    frames, co = surface.quadric_fit(mesh, normals)
+    frames_ref, co_ref = einsum_quadric_fit(mesh, normals)
+    assert np.array_equal(frames, frames_ref)
+    err = np.max(np.abs(co - co_ref), axis=0)
+    assert np.all(err <= 1e-12 * np.max(np.abs(co_ref), axis=0))
+
+
+# --------------------------------------------------------------------------
 # quadrature
 # --------------------------------------------------------------------------
 
