@@ -41,10 +41,6 @@ class AmbientGeometry:
     def hess_f(self, p):
         raise NotImplementedError
 
-    def conf(self, p):
-        """exp(f), the length scale factor."""
-        return np.exp(self.f(p))
-
     # --- chart domain ------------------------------------------------------
 
     def outer_distance(self, p):

@@ -11,10 +11,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import ckv
+from .ckv import N_SURF
 from .errors import ProfileNotMonotone
 from .surface import cotan_laplacian_apply, enclosed_volume, surface_area
-
-N_SURF = 2
 
 TRACE_COLUMNS = (
     "step", "time", "xi", "area", "volume", "lambda_min", "lambda_max",

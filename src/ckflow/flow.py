@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ckv, diagnostics, surface
+from .ckv import N_SURF
 from .errors import (CkflowError, EllipticityLost, GradientBoundExceeded,
                      MeshDegenerate, StarshapeLost)
 
-N_SURF = 2
 BAND_SLACK = 1e-3       # relative padding of the initial leaf-label band
 SMOOTH_STRENGTH = 0.5   # tangential smoothing step of the front
 MAX_RETRIES = 8         # step halvings before the area guard gives up
@@ -411,9 +411,7 @@ class LeafData:
     @classmethod
     def build(cls, leaf, pair):
         basis = surface.gradient_basis(leaf)
-        dual_areas = np.bincount(leaf.faces.reshape(-1),
-                                 weights=np.repeat(basis.area / 3.0, 3),
-                                 minlength=leaf.n_vertices)
+        dual_areas = leaf.topology.scatter @ np.repeat(basis.area / 3.0, 3)
         return cls(basis=basis, dual_areas=dual_areas,
                    min_edge=leaf.min_edge(),
                    rotation=pair.rotation(leaf.vertices))

@@ -12,13 +12,17 @@ two-ring.  One local-fit kernel, `_local_fit`, serves the quadric (loop-top
 curvatures and smoothing) and the degree-six jet over the four-ring: it
 gathers each padded neighbour table once, projects it onto the local frames
 and solves all the normal equations as stacked matrix products.
-Connectivity is fixed over a flow, so the adjacency tables are built once
-and shared between snapshots.  Within one snapshot the face
-kernels run once: `mesh_geometry` (and `tangential_smooth`) compute the
-face normals, face areas and corner cotangents a single time and hand them
-to `vertex_normals`, `mixed_voronoi_areas` and `cotan_laplacian_apply`,
-which fall back to computing them only when called on their own.  The P1
-gradient kernels take a mesh's `GradientBasis` the same way.
+Connectivity is fixed over a flow and lives on one `Topology`, shared
+between snapshots: its corner-to-vertex `scatter` matrix carries every
+face-to-vertex sum (vertex normals, mixed areas, gradient weights), the
+cotan Laplacian is one weighted half-edge difference through that same
+matrix, and its padded neighbour tables (`ring`) are built on first use.
+Within one snapshot the face kernels run once: `mesh_geometry` (and
+`tangential_smooth`) compute the face normals, face areas and corner
+cotangents a single time and hand them to `vertex_normals`,
+`mixed_voronoi_areas` and `cotan_laplacian_apply`, which fall back to
+computing them only when called on their own.  The P1 gradient kernels
+take a mesh's `GradientBasis` the same way.
 """
 
 from dataclasses import dataclass
@@ -42,9 +46,16 @@ _TET_BARY = np.full((4, 4), _TET_B) + (_TET_A - _TET_B) * np.eye(4)
 
 
 class Topology:
-    """Half-edge adjacency for a closed oriented triangle mesh.
+    """Half-edge connectivity of a closed oriented triangle mesh.
 
-    Half-edge k = 3*face + corner runs from faces[f, c] to faces[f, (c+1)%3].
+    Half-edge k = 3*face + corner runs from faces[f, c] to faces[f, (c+1)%3]
+    and faces corner (c+2)%3; `he_twin` pairs it with its reverse.  Corner k
+    sits at vertex faces[f, c], the half-edge's tail.  `scatter` is the
+    (V, 3F) CSR matrix of that corner-to-vertex map, with its columns in
+    corner order: `scatter @ x` sums per-corner (or per-half-edge) values onto
+    vertices in ascending corner order, and every face-to-vertex accumulation
+    goes through it.  The padded neighbour tables of `ring` are built on
+    first use, once per depth.
     """
 
     def __init__(self, faces):
@@ -57,13 +68,10 @@ class Topology:
         self.n_vertices = V
         self.n_faces = F
 
-        c0 = faces[:, [0, 1, 2]].reshape(-1)
+        c0 = faces.reshape(-1)
         c1 = faces[:, [1, 2, 0]].reshape(-1)
         self.he_tail = c0
         self.he_head = c1
-        self.he_face = np.repeat(np.arange(F), 3)
-        idx = np.arange(3 * F)
-        self.he_next = (idx // 3) * 3 + (idx % 3 + 1) % 3
 
         # twin pairing: every directed edge must appear exactly once, and its
         # reverse exactly once (closed, consistently oriented)
@@ -85,56 +93,37 @@ class Topology:
         if euler != 2:
             raise MeshDegenerate(f"expected sphere topology, Euler number {euler}")
 
-        # one-ring adjacency (padded) and vertex degrees
-        adj = sp.csr_matrix(
-            (np.ones(3 * F), (c0, c1)), shape=(V, V), dtype=np.int8
+        self.scatter = sp.csr_array(
+            (np.ones(3 * F), (c0, np.arange(3 * F))), shape=(V, 3 * F)
         )
-        adj = ((adj + adj.T) > 0).astype(np.int8)
-        self._adj = adj
-        self.one_ring, self.one_ring_count = _padded_rows(adj)
-        # two-ring: neighbors of neighbors, self excluded, one-ring included
-        two = ((adj + adj @ adj) > 0).tolil()
-        two.setdiag(0)
-        self.two_ring, self.two_ring_count = _padded_rows(two.tocsr())
         self._rings = {}
 
     def ring(self, depth):
-        """Padded neighbor table within `depth` edges, self excluded.
+        """Padded neighbour table within `depth` edges, self excluded.
 
-        Returns (indices, counts) like the one/two-ring tables.
+        Returns (indices, counts): row i lists the counts[i] vertices within
+        `depth` edges of i in ascending order, then repeats i itself (a zero
+        offset in the local fits).
         """
         if depth not in self._rings:
-            adj = self._adj
-            acc = adj.copy()
-            power = adj.copy()
+            V = self.n_vertices
+            # the half-edges hold both directions of every edge
+            step = sp.csr_array(
+                (np.ones(self.he_tail.size, dtype=np.int64),
+                 (self.he_tail, self.he_head)), shape=(V, V)
+            ) + sp.eye_array(V, dtype=np.int64, format="csr")
+            reach = step
             for _ in range(depth - 1):
-                power = power @ adj
-                acc = acc + power
-            acc = (acc > 0).tolil()
-            acc.setdiag(0)
-            self._rings[depth] = _padded_rows(acc.tocsr())
+                reach = reach @ step
+            reach.setdiag(0)
+            reach.eliminate_zeros()
+            reach.sort_indices()
+            counts = np.diff(reach.indptr)
+            table = np.repeat(np.arange(V), counts.max()).reshape(V, -1)
+            rows = np.repeat(np.arange(V), counts)
+            table[rows, np.arange(rows.size) - reach.indptr[rows]] = reach.indices
+            self._rings[depth] = table, counts
         return self._rings[depth]
-
-    def vertex_area_matrix(self):
-        """CSR scatter matrix: per-face values to incident vertices."""
-        F = self.n_faces
-        rows = self.faces.reshape(-1)
-        cols = np.repeat(np.arange(F), 3)
-        return sp.csr_matrix(
-            (np.ones(3 * F), (rows, cols)), shape=(self.n_vertices, F)
-        )
-
-
-def _padded_rows(csr):
-    csr = csr.tocsr()
-    counts = np.diff(csr.indptr)
-    kmax = int(counts.max())
-    out = np.zeros((csr.shape[0], kmax), dtype=np.int64)
-    for i in range(csr.shape[0]):
-        row = csr.indices[csr.indptr[i]:csr.indptr[i + 1]]
-        out[i, : row.size] = row
-        out[i, row.size:] = i  # pad with self: a zero offset in local fits
-    return out, counts
 
 
 @dataclass
@@ -306,14 +295,7 @@ def vertex_normals(mesh, normals_areas=None):
     if normals_areas is None:
         normals_areas = face_normals_areas(mesh.vertices, mesh.faces)
     fn, fa = normals_areas
-    w = fn * fa[:, None]
-    out = np.zeros((mesh.n_vertices, 3))
-    for k in range(3):
-        out[:, k] = np.bincount(
-            mesh.faces.reshape(-1),
-            weights=np.repeat(w[:, k], 3),
-            minlength=mesh.n_vertices,
-        )
+    out = mesh.topology.scatter @ np.repeat(fn * fa[:, None], 3, axis=0)
     nrm = np.linalg.norm(out, axis=1)
     if np.any(nrm <= 0.0):
         raise MeshDegenerate("vanishing vertex normal")
@@ -332,18 +314,18 @@ def _face_cotans(verts, faces):
     return cot
 
 
-def mixed_voronoi_areas(verts, faces, cot=None, fa=None):
+def mixed_voronoi_areas(mesh, cot=None, fa=None):
     """Per-vertex mixed Voronoi cell areas (obtuse-safe).
 
     `cot` and `fa` are the mesh's corner cotangents and face areas, when the
     caller already has them.
     """
+    verts, faces = mesh.vertices, mesh.faces
     p = verts[faces]
     if cot is None:
         cot = _face_cotans(verts, faces)
     if fa is None:
         _, fa = face_normals_areas(verts, faces)
-    V = int(faces.max()) + 1
     contrib = np.empty((faces.shape[0], 3))
     obtuse_any = np.any(cot < 0.0, axis=1)
     for c in range(3):
@@ -358,9 +340,7 @@ def mixed_voronoi_areas(verts, faces, cot=None, fa=None):
             np.where(obtuse_here, fa / 2.0, fa / 4.0),
             vor,
         )
-    areas = np.bincount(
-        faces.reshape(-1), weights=contrib.reshape(-1), minlength=V
-    )
+    areas = mesh.topology.scatter @ contrib.reshape(-1)
     if np.any(areas <= 0.0):
         raise MeshDegenerate("non-positive mixed Voronoi area")
     return areas
@@ -371,26 +351,22 @@ def cotan_laplacian_apply(mesh, values, areas=None, cot=None):
 
     (Lap v)_i = (1 / (2 A_i)) sum_j (cot a_ij + cot b_ij) (v_j - v_i)
 
-    `areas` (mixed Voronoi) and `cot` (corner cotangents) are computed here
-    unless the caller passes this mesh's values.
+    One product over the half-edges: half-edge k (tail i, head j) carries
+    the cotangent of the corner it faces, plus its twin's, as its weight, and
+    `scatter` sums the weighted differences onto the tails.  `areas` (mixed
+    Voronoi) and `cot` (corner cotangents) are computed here unless the
+    caller passes this mesh's values.
     """
-    verts, faces = mesh.vertices, mesh.faces
+    topo = mesh.topology
     if cot is None:
-        cot = _face_cotans(verts, faces)
+        cot = _face_cotans(mesh.vertices, mesh.faces)
     if areas is None:
-        areas = mixed_voronoi_areas(verts, faces, cot)
+        areas = mixed_voronoi_areas(mesh, cot)
     vals = np.asarray(values, dtype=float)
     flat = vals.reshape(vals.shape[0], -1)
-    acc = np.zeros_like(flat)
-    V = verts.shape[0]
-    for c in range(3):
-        i = faces[:, (c + 1) % 3]
-        j = faces[:, (c + 2) % 3]
-        w = cot[:, c]
-        diff_ij = flat[j] - flat[i]
-        for k in range(flat.shape[1]):
-            acc[:, k] += np.bincount(i, weights=w * diff_ij[:, k], minlength=V)
-            acc[:, k] -= np.bincount(j, weights=w * diff_ij[:, k], minlength=V)
+    he_cot = cot[:, [2, 0, 1]].reshape(-1)
+    w = he_cot + he_cot[topo.he_twin]
+    acc = topo.scatter @ (w[:, None] * (flat[topo.he_head] - flat[topo.he_tail]))
     acc /= (2.0 * areas)[:, None]
     return acc.reshape(vals.shape)
 
@@ -417,8 +393,7 @@ def gradient_basis(mesh):
     corner_cross = np.stack([
         np.cross(fn, p[:, (c + 2) % 3] - p[:, (c + 1) % 3]) for c in range(3)
     ])
-    vertex_weight = np.bincount(faces.reshape(-1), weights=np.repeat(fa, 3),
-                                minlength=mesh.n_vertices)
+    vertex_weight = mesh.topology.scatter @ np.repeat(fa, 3)
     return GradientBasis(corner_cross=corner_cross, area=fa,
                          double_area=2.0 * fa, vertex_weight=vertex_weight)
 
@@ -447,16 +422,8 @@ def vertex_gradients(mesh, values, basis=None):
     """
     if basis is None:
         basis = gradient_basis(mesh)
-    fa = basis.area
-    grad = face_gradients(mesh, values, basis)
-    V = mesh.n_vertices
-    out = np.zeros((V, 3))
-    for k in range(3):
-        out[:, k] = np.bincount(
-            mesh.faces.reshape(-1),
-            weights=np.repeat(grad[:, k] * fa, 3),
-            minlength=V,
-        )
+    grad = face_gradients(mesh, values, basis) * basis.area[:, None]
+    out = mesh.topology.scatter @ np.repeat(grad, 3, axis=0)
     return out / basis.vertex_weight[:, None]
 
 
@@ -511,9 +478,8 @@ def quadric_fit(mesh, normals=None):
     """
     if normals is None:
         normals = vertex_normals(mesh)
-    topo = mesh.topology
-    frames, scale, coeffs = _local_fit(mesh.vertices, normals, topo.two_ring,
-                                       topo.two_ring_count, _quadric_columns)
+    frames, scale, coeffs = _local_fit(mesh.vertices, normals,
+                                       *mesh.topology.ring(2), _quadric_columns)
     # undo the scaling: quadratic terms pick up 1/scale, linear ones none
     coeffs[:, :3] /= scale[:, None]
     return frames, coeffs
@@ -743,7 +709,7 @@ def mesh_geometry(mesh, geom, pair, xi_now=1.0, with_curvatures=True):
     fn, fa = face_normals_areas(verts, mesh.faces)
     cot = _face_cotans(verts, mesh.faces)
     nu = vertex_normals(mesh, (fn, fa))
-    areas = mixed_voronoi_areas(verts, mesh.faces, cot, fa)
+    areas = mixed_voronoi_areas(mesh, cot, fa)
     lap_x = cotan_laplacian_apply(mesh, verts, areas, cot)
     H_flat = -np.einsum("ij,ij->i", lap_x, nu)
     nu_f = np.einsum("ij,ij->i", nu, geom.grad_f(verts))
@@ -878,10 +844,9 @@ def tangential_smooth(mesh, strength=0.5):
     then re-project onto the local quadric so the shape is kept to 2nd order.
     """
     verts = mesh.vertices
-    topo = mesh.topology
     fn, fa = face_normals_areas(verts, mesh.faces)
-    areas = mixed_voronoi_areas(verts, mesh.faces, fa=fa)
-    nbr, cnt = topo.one_ring, topo.one_ring_count
+    areas = mixed_voronoi_areas(mesh, fa=fa)
+    nbr, cnt = mesh.topology.ring(1)
     mask = (np.arange(nbr.shape[1])[None, :] < cnt[:, None]).astype(float)
     w = areas[nbr] * mask
     centroid = np.einsum("vk,vkj->vj", w, verts[nbr]) / np.sum(w, axis=1)[:, None]

@@ -53,6 +53,36 @@ def test_topology_rejects_open_mesh():
         surface.Topology(np.array([[0, 1, 2]]))
 
 
+def test_ring_tables_match_breadth_first_search():
+    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 2)
+    topo = mesh.topology
+    nbrs = [set() for _ in range(mesh.n_vertices)]
+    for i, j in zip(topo.he_tail, topo.he_head):
+        nbrs[i].add(j)
+    for depth in (1, 2, 4):
+        table, counts = topo.ring(depth)
+        for i in range(mesh.n_vertices):
+            seen, front = {i}, {i}
+            for _ in range(depth):
+                front = set().union(*(nbrs[v] for v in front)) - seen
+                seen |= front
+            expected = sorted(seen - {i})
+            assert counts[i] == len(expected)
+            assert list(table[i, :counts[i]]) == expected
+            assert np.all(table[i, counts[i]:] == i)
+        assert counts.max() == table.shape[1]
+
+
+def test_scatter_matches_bincount():
+    mesh = surface.icosphere(3)
+    faces = mesh.faces
+    w = np.random.default_rng(3).standard_normal(mesh.n_faces)
+    assert np.array_equal(
+        mesh.topology.scatter @ np.repeat(w, 3),
+        np.bincount(faces.reshape(-1), np.repeat(w, 3)),
+    )
+
+
 def test_twisted_seed_identity_at_zero_twist(euclid, pair_e3):
     base = surface.ellipsoid_seed((1.6, 0.7, 0.7), 2)
     mesh, _, _ = surface.twisted_seed(euclid, pair_e3, (1.6, 0.7, 0.7), 0.0, 2)
@@ -129,11 +159,47 @@ def test_mesh_geometry_matches_standalone_kernels(paper, pair):
     )
     vg = surface.mesh_geometry(mesh, paper, pair)
     nu = surface.vertex_normals(mesh)
-    areas = surface.mixed_voronoi_areas(mesh.vertices, mesh.faces)
+    areas = surface.mixed_voronoi_areas(mesh)
     lap_x = surface.cotan_laplacian_apply(mesh, mesh.vertices)
     assert np.array_equal(vg.nu_flat, nu)
     assert np.array_equal(vg.area_flat, areas)
     assert np.array_equal(vg.H_flat, -np.einsum("ij,ij->i", lap_x, nu))
+
+
+def bincount_cotan_laplacian(mesh, values):
+    """The cotan Laplacian as per-corner bincount loops, kept as a reference."""
+    verts, faces = mesh.vertices, mesh.faces
+    cot = surface._face_cotans(verts, faces)
+    areas = surface.mixed_voronoi_areas(mesh, cot)
+    vals = np.asarray(values, dtype=float)
+    flat = vals.reshape(vals.shape[0], -1)
+    acc = np.zeros_like(flat)
+    V = verts.shape[0]
+    for c in range(3):
+        i = faces[:, (c + 1) % 3]
+        j = faces[:, (c + 2) % 3]
+        w = cot[:, c]
+        diff_ij = flat[j] - flat[i]
+        for k in range(flat.shape[1]):
+            acc[:, k] += np.bincount(i, weights=w * diff_ij[:, k], minlength=V)
+            acc[:, k] -= np.bincount(j, weights=w * diff_ij[:, k], minlength=V)
+    acc /= (2.0 * areas)[:, None]
+    return acc.reshape(vals.shape)
+
+
+def test_cotan_laplacian_matches_bincount_reference():
+    # jittered, so some faces are obtuse and the mixed-area branch runs
+    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 3)
+    rng = np.random.default_rng(1)
+    mesh = mesh.with_vertices(
+        mesh.vertices * (1.0 + 0.02 * rng.standard_normal((mesh.n_vertices, 1)))
+    )
+    assert np.any(surface._face_cotans(mesh.vertices, mesh.faces) < 0.0)
+    for values in (mesh.vertices, rng.standard_normal(mesh.n_vertices)):
+        lap = surface.cotan_laplacian_apply(mesh, values)
+        ref = bincount_cotan_laplacian(mesh, values)
+        assert lap.shape == ref.shape
+        assert np.max(np.abs(lap - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_orientation_flip_negates_support(euclid, pair):
@@ -158,7 +224,7 @@ def einsum_quadric_fit(mesh, normals):
     e1 = seed - normals * np.einsum("ij,ij->i", seed, normals)[:, None]
     e1 /= np.linalg.norm(e1, axis=1)[:, None]
     e2 = np.cross(normals, e1)
-    nbr, cnt = topo.two_ring, topo.two_ring_count
+    nbr, cnt = topo.ring(2)
     mask = np.arange(nbr.shape[1])[None, :] < cnt[:, None]
     d = verts[nbr] - verts[:, None, :]
     lx = np.einsum("vkj,vj->vk", d, e1)
@@ -190,7 +256,7 @@ def test_quadric_fit_recovers_a_quadric_patch():
     mesh = mesh.with_vertices(np.column_stack([x, y, lifted]))
     normals = np.tile([0.0, 0.0, 1.0], (mesh.n_vertices, 1))
     frames, co = surface.quadric_fit(mesh, normals)
-    inner = cap & np.all(cap[mesh.topology.two_ring], axis=1)
+    inner = cap & np.all(cap[mesh.topology.ring(2)[0]], axis=1)
     assert np.count_nonzero(inner) >= 50
     assert np.array_equal(frames[inner], np.tile(np.eye(3), (inner.sum(), 1, 1)))
     # about a vertex (x0, y0) the same quadric has shifted linear terms
@@ -229,8 +295,7 @@ def test_quadric_fit_ignores_padded_two_ring_slots():
     valence = np.bincount(topo.faces.reshape(-1), minlength=mesh.n_vertices)
     exps = np.array([(2, 0), (1, 1), (0, 2), (1, 0), (0, 1)])
     for i in np.flatnonzero(valence == 5):
-        ref = lstsq_over_real_neighbours(mesh, topo.two_ring,
-                                         topo.two_ring_count, i, frames[i],
+        ref = lstsq_over_real_neighbours(mesh, *topo.ring(2), i, frames[i],
                                          exps)
         assert np.max(np.abs(co[i] - ref)) <= 1e-10 * np.max(np.abs(ref))
 
