@@ -4,6 +4,10 @@ The metric is g = exp(2 f) * delta on an open star-shaped chart domain.
 Each geometry supplies f with analytic first and second derivatives, a
 domain distance, and the radial profiles of the leaf label lambda (leaves
 of the built-in geometries are coordinate spheres about the origin).
+
+Points are any (..., 3) array, a single (3,) point included; every method
+returns its per-point values over the leading axes.  Finite differences go
+through one operator, `fd_jacobian`, which differences whole point arrays.
 """
 
 import numpy as np
@@ -16,13 +20,6 @@ SURF_DIM = 2
 # finite differencing: relative step and absolute floor, second order central
 FD_REL_STEP = 1e-4
 FD_MIN_STEP = 1e-6
-
-
-def _pts(p):
-    """Normalize to an (N,3) float array, remember if input was a single point."""
-    a = np.asarray(p, dtype=float)
-    single = a.ndim == 1
-    return np.atleast_2d(a), single
 
 
 class AmbientGeometry:
@@ -49,10 +46,8 @@ class AmbientGeometry:
 
     def boundary_distance(self, p):
         """Distance to the full boundary; the origin is always excluded."""
-        a, single = _pts(p)
-        r = np.linalg.norm(a, axis=-1)
-        d = np.minimum(r, self.outer_distance(a))
-        return d[0] if single else d
+        p = np.asarray(p, dtype=float)
+        return np.minimum(np.linalg.norm(p, axis=-1), self.outer_distance(p))
 
     def fd_step(self, p):
         """Central difference step, scaled to the local boundary distance."""
@@ -74,47 +69,35 @@ class AmbientGeometry:
 
     def metric_at(self, p):
         """g_ij = exp(2 f) delta_ij."""
-        a, single = _pts(p)
-        self.require_in_domain(a, what="metric point")
-        e2f = np.exp(2.0 * self.f(a))
-        g = e2f[..., None, None] * np.eye(3)
-        return g[0] if single else g
-
-    def inverse_metric_at(self, p):
-        a, single = _pts(p)
-        e2f = np.exp(-2.0 * self.f(a))
-        g = e2f[..., None, None] * np.eye(3)
-        return g[0] if single else g
+        self.require_in_domain(p, what="metric point")
+        return np.exp(2.0 * self.f(p))[..., None, None] * np.eye(3)
 
     def christoffels_at(self, p):
         """Gamma^k_ij for a conformal metric, from the analytic gradient of f.
 
         Gamma^k_ij = delta^k_i d_j f + delta^k_j d_i f - delta_ij d_k f
         """
-        a, single = _pts(p)
-        df = self.grad_f(a)
-        n = a.shape[0]
+        df = self.grad_f(p)
         eye = np.eye(3)
-        gam = np.zeros((n, 3, 3, 3))
-        # index order: [point, k, i, j]
-        gam += eye[None, :, :, None] * df[:, None, None, :]
-        gam += eye[None, :, None, :] * df[:, None, :, None]
-        gam -= eye[None, None, :, :] * df[:, :, None, None]
-        return gam[0] if single else gam
+        gam = np.zeros(df.shape[:-1] + (3, 3, 3))
+        # index order: [..., k, i, j]
+        gam += eye[:, :, None] * df[..., None, None, :]
+        gam += eye[:, None, :] * df[..., None, :, None]
+        gam -= eye[None, :, :] * df[..., :, None, None]
+        return gam
 
     def ricci_at(self, p):
         """Ricci tensor of exp(2f) delta in dimension 3 (chart components).
 
         Ric = -(Hess f - df x df) - (Lap f + |grad f|^2) delta, all flat ops.
         """
-        a, single = _pts(p)
-        df = self.grad_f(a)
-        hf = self.hess_f(a)
+        df = self.grad_f(p)
+        hf = self.hess_f(p)
         lap = np.trace(hf, axis1=-2, axis2=-1)
         gf2 = np.sum(df * df, axis=-1)
         ric = -(hf - df[..., :, None] * df[..., None, :])
         ric -= (lap + gf2)[..., None, None] * np.eye(3)
-        return ric[0] if single else ric
+        return ric
 
     # --- leaf profiles (lambda on coordinate spheres) -----------------------
 
@@ -139,23 +122,16 @@ class Euclidean(AmbientGeometry):
     name = "euclidean"
 
     def f(self, p):
-        a, single = _pts(p)
-        z = np.zeros(a.shape[0])
-        return z[0] if single else z
+        return np.zeros(np.shape(p)[:-1])
 
     def grad_f(self, p):
-        a, single = _pts(p)
-        z = np.zeros_like(a)
-        return z[0] if single else z
+        return np.zeros(np.shape(p))
 
     def hess_f(self, p):
-        a, single = _pts(p)
-        z = np.zeros((a.shape[0], 3, 3))
-        return z[0] if single else z
+        return np.zeros(np.shape(p) + (3,))
 
     def outer_distance(self, p):
-        a, _ = _pts(p)
-        return np.full(a.shape[0], np.inf)
+        return np.full(np.shape(p)[:-1], np.inf)
 
     def lambda_of_r(self, r):
         r = np.asarray(r, dtype=float)
@@ -184,32 +160,26 @@ class PaperExample(AmbientGeometry):
     name = "paper_example"
     _c = np.array([2.0, 0.0, 0.0])
 
-    def _q(self, a):
-        d = a - self._c
-        return np.sum(d * d, axis=-1)
+    def _dq(self, p):
+        """Offset from the pole (2, 0, 0) and its squared length."""
+        d = np.asarray(p, dtype=float) - self._c
+        return d, np.sum(d * d, axis=-1)
 
     def f(self, p):
-        a, single = _pts(p)
-        v = -np.log(self._q(a))
-        return v[0] if single else v
+        return -np.log(self._dq(p)[1])
 
     def grad_f(self, p):
-        a, single = _pts(p)
-        d = a - self._c
-        v = -2.0 * d / self._q(a)[..., None]
-        return v[0] if single else v
+        d, q = self._dq(p)
+        return -2.0 * d / q[..., None]
 
     def hess_f(self, p):
-        a, single = _pts(p)
-        d = a - self._c
-        q = self._q(a)
+        d, q = self._dq(p)
         h = (-2.0 / q)[..., None, None] * np.eye(3)
         h += (4.0 / (q * q))[..., None, None] * d[..., :, None] * d[..., None, :]
-        return h[0] if single else h
+        return h
 
     def outer_distance(self, p):
-        a, _ = _pts(p)
-        return 2.0 - np.linalg.norm(a, axis=-1)
+        return 2.0 - np.linalg.norm(np.asarray(p, dtype=float), axis=-1)
 
     def lambda_of_r(self, r):
         r = np.asarray(r, dtype=float)
@@ -243,34 +213,30 @@ class PoincareBall(AmbientGeometry):
             raise ValueError("poincare_ball radius must be positive")
         self.radius = float(radius)
 
-    def _s(self, a):
-        return np.sum(a * a, axis=-1) / self.radius**2
+    def _ps(self, p):
+        """The point as floats and its squared radius over R^2."""
+        p = np.asarray(p, dtype=float)
+        return p, np.sum(p * p, axis=-1) / self.radius**2
 
     def f(self, p):
-        a, single = _pts(p)
-        v = np.log(2.0) - np.log1p(-self._s(a))
-        return v[0] if single else v
+        return np.log(2.0) - np.log1p(-self._ps(p)[1])
 
     def grad_f(self, p):
-        a, single = _pts(p)
-        s = self._s(a)
-        v = (2.0 / self.radius**2) * a / (1.0 - s)[..., None]
-        return v[0] if single else v
+        p, s = self._ps(p)
+        return (2.0 / self.radius**2) * p / (1.0 - s)[..., None]
 
     def hess_f(self, p):
-        a, single = _pts(p)
+        p, s = self._ps(p)
         R2 = self.radius**2
-        s = self._s(a)
         one = 1.0 - s
         h = (2.0 / (R2 * one))[..., None, None] * np.eye(3)
         h += (4.0 / (R2 * R2 * one * one))[..., None, None] * (
-            a[..., :, None] * a[..., None, :]
+            p[..., :, None] * p[..., None, :]
         )
-        return h[0] if single else h
+        return h
 
     def outer_distance(self, p):
-        a, _ = _pts(p)
-        return self.radius - np.linalg.norm(a, axis=-1)
+        return self.radius - np.linalg.norm(np.asarray(p, dtype=float), axis=-1)
 
     def lambda_of_r(self, r):
         r = np.asarray(r, dtype=float)
@@ -311,84 +277,49 @@ def make_geometry(name, **kwargs):
 
 
 # --------------------------------------------------------------------------
-# Finite-difference operators.  These are the slow reference path used by the
-# verifier and the tests; the flow itself only touches the analytic methods.
+# Finite differences.  These are the reference path of the verifier, the
+# tests and the phi Hessian; the flow itself only touches the analytic
+# methods.
 # --------------------------------------------------------------------------
 
 
-def _check_fd_room(geom, p, h):
+def fd_jacobian(geom, func, p):
+    """Central differences of `func` at every point of a (..., 3) array.
+
+    `func` maps points (..., 3) to values (..., *V); the result is
+    (..., *V, 3) with the derivative index last, d func / d p_k from the
+    stencil p +- h e_k and the per-point step h = `geom.fd_step`.  A point
+    within two steps of the boundary raises DomainExit.
+    """
+    p = np.asarray(p, dtype=float)
+    h = geom.fd_step(p)
     d = geom.boundary_distance(p)
     if np.any(d < 2.0 * h):
         raise DomainExit(
             f"finite differencing too close to the {geom.name} boundary "
             f"(distance {float(np.min(d)):.3e}, step {float(np.max(h)):.3e})"
         )
-
-
-def fd_grad_scalar(geom, func, p):
-    """Central-difference gradient of a scalar field at a single point."""
-    p = np.asarray(p, dtype=float)
-    h = float(geom.fd_step(p))
-    _check_fd_room(geom, p, h)
-    g = np.zeros(3)
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = h
-        g[k] = (func(p + e) - func(p - e)) / (2.0 * h)
-    return g
-
-def fd_hess_scalar(geom, func, p):
-    """Central-difference flat Hessian of a scalar field at a single point."""
-    p = np.asarray(p, dtype=float)
-    h = float(geom.fd_step(p))
-    _check_fd_room(geom, p, h)
-    hess = np.zeros((3, 3))
-    f0 = func(p)
-    for k in range(3):
-        ek = np.zeros(3)
-        ek[k] = h
-        hess[k, k] = (func(p + ek) - 2.0 * f0 + func(p - ek)) / (h * h)
-        for l in range(k + 1, 3):
-            el = np.zeros(3)
-            el[l] = h
-            v = (
-                func(p + ek + el)
-                - func(p + ek - el)
-                - func(p - ek + el)
-                + func(p - ek - el)
-            ) / (4.0 * h * h)
-            hess[k, l] = hess[l, k] = v
-    return hess
-
-
-def fd_metric_grad(geom, p):
-    """d_k g_ij by central differences; returns array indexed [k,i,j]."""
-    p = np.asarray(p, dtype=float)
-    h = float(geom.fd_step(p))
-    _check_fd_room(geom, p, h)
-    out = np.zeros((3, 3, 3))
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = h
-        out[k] = (geom.metric_at(p + e) - geom.metric_at(p - e)) / (2.0 * h)
-    return out
+    offset = h[..., None, None] * np.eye(3)  # row k is h e_k
+    centre = p[..., None, :]
+    # axes (..., +-, k, *V) -> (+-, ..., *V, k)
+    lead = p.ndim - 1
+    vals = np.moveaxis(func(np.stack([centre + offset, centre - offset], -3)),
+                       (lead, lead + 1), (0, -1))
+    two_h = np.reshape(2.0 * h, np.shape(h) + (1,) * (vals.ndim - 1 - lead))
+    return (vals[0] - vals[1]) / two_h
 
 
 def christoffels_fd(geom, p):
-    """Gamma^k_ij from finite differences of the metric (reference path)."""
-    p = np.asarray(p, dtype=float)
-    dg = fd_metric_grad(geom, p)
-    ginv = geom.inverse_metric_at(p)
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
-    gam = np.zeros((3, 3, 3))
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                s = 0.0
-                for l in range(3):
-                    s += ginv[k, l] * (dg[i, l, j] + dg[j, l, i] - dg[l, i, j])
-                gam[k, i, j] = 0.5 * s
-    return gam
+    """Gamma^k_ij from finite differences of the metric (reference path).
+
+    Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij), where the
+    conformal inverse metric is g^{kl} = exp(-2 f) delta^{kl}.
+    """
+    dg = fd_jacobian(geom, geom.metric_at, p)  # [..., i, j, k] = d_k g_ij
+    ginv = np.exp(-2.0 * geom.f(p))[..., None, None, None]
+    # [..., k, i, j]: d_i g_kj + d_j g_ki - d_k g_ij
+    return 0.5 * (ginv * (np.swapaxes(dg, -1, -2) + dg
+                          - np.moveaxis(dg, -1, -3)))
 
 
 def ricci_fd(geom, p):
@@ -397,51 +328,36 @@ def ricci_fd(geom, p):
     R^k_{i k j} with R^r_{s m n} = d_m Gamma^r_ns - d_n Gamma^r_ms
                                    + Gamma^r_ml Gamma^l_ns - Gamma^r_nl Gamma^l_ms
     """
-    p = np.asarray(p, dtype=float)
-    h = float(geom.fd_step(p))
-    _check_fd_room(geom, p, h)
-    dgam = np.zeros((3, 3, 3, 3))  # [m, k, i, j] = d_m Gamma^k_ij
-    for m in range(3):
-        e = np.zeros(3)
-        e[m] = h
-        dgam[m] = (geom.christoffels_at(p + e) - geom.christoffels_at(p - e)) / (2.0 * h)
+    dgam = fd_jacobian(geom, geom.christoffels_at, p)  # [..., k, i, j, m]
     gam = geom.christoffels_at(p)
-    ric = np.zeros((3, 3))
-    for s in range(3):
-        for n in range(3):
-            v = 0.0
-            for m in range(3):
-                v += dgam[m, m, n, s] - dgam[n, m, m, s]
-                for l in range(3):
-                    v += gam[m, m, l] * gam[l, n, s] - gam[m, n, l] * gam[l, m, s]
-            ric[s, n] = v
-    return ric
+    return (np.einsum("...mnsm->...sn", dgam)
+            - np.einsum("...mmsn->...sn", dgam)
+            + np.einsum("...mml,...lns->...sn", gam, gam)
+            - np.einsum("...mnl,...lms->...sn", gam, gam))
 
 
-def hessian_scalar(geom, func, p):
-    """Covariant Hessian (nabla^2 func)_ij = d^2 func - Gamma^k_ij d_k func.
+def covariant_hessian(geom, grad, p):
+    """Covariant Hessian d_i d_j u - Gamma^k_ij d_k u of a scalar u.
 
-    Derivatives of func by central differences, Christoffels analytic.
+    `grad` is u's flat gradient; its Jacobian is taken by central
+    differences and symmetrised, the Christoffels are analytic.
     """
     p = np.asarray(p, dtype=float)
-    grad = fd_grad_scalar(geom, func, p)
-    hess = fd_hess_scalar(geom, func, p)
-    gam = geom.christoffels_at(p)
-    return hess - np.einsum("kij,k->ij", gam, grad)
+    jac = fd_jacobian(geom, grad, p)
+    jac = 0.5 * (jac + np.swapaxes(jac, -1, -2))
+    return jac - np.einsum("...kij,...k->...ij", geom.christoffels_at(p), grad(p))
 
 
-def lie_derivative_metric(geom, field, field_jac, p):
+def lie_derivative_metric(geom, field, jac, p):
     """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k.
 
-    The metric derivative is FD; the field Jacobian is supplied analytically
-    (the dilation and rotation generators are linear in the chart).
+    The metric derivative is FD; `jac[k, i] = d_i X^k` is the constant chart
+    Jacobian of the linear field X (the dilation and rotation generators).
     """
     p = np.asarray(p, dtype=float)
-    X = np.asarray(field(p), dtype=float)
-    J = np.asarray(field_jac(p), dtype=float)  # J[k, i] = d_i X^k
-    dg = fd_metric_grad(geom, p)
     g = geom.metric_at(p)
-    lie = np.einsum("k,kij->ij", X, dg)
-    lie += np.einsum("kj,ki->ij", g, J)
-    lie += np.einsum("ik,kj->ij", g, J)
+    lie = np.einsum("...k,...ijk->...ij", field(p),
+                    fd_jacobian(geom, geom.metric_at, p))
+    lie += np.einsum("...kj,ki->...ij", g, jac)
+    lie += np.einsum("...ik,kj->...ij", g, jac)
     return lie

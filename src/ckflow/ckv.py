@@ -41,29 +41,23 @@ class KillingPair:
     def axis_vec(self):
         return np.asarray(self.axis)
 
-    def dilation(self, p):
-        return np.asarray(p, dtype=float)
-
     def rotation(self, p):
         p = np.asarray(p, dtype=float)
         return self.omega * np.cross(np.broadcast_to(self.axis_vec, p.shape), p)
 
     def full(self, p, xi_now=1.0):
-        return self.dilation(p) + xi_now * self.rotation(p)
+        return np.asarray(p, dtype=float) + xi_now * self.rotation(p)
 
-    # chart Jacobians (both generators are linear)
-    def dilation_jac(self, p=None):
-        return np.eye(3)
-
-    def rotation_jac(self, p=None):
+    # chart Jacobians J[k, i] = d_i X^k (both generators are linear)
+    def rotation_jac(self):
         a = self.axis_vec
         hat = np.array(
             [[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]]
         )
         return self.omega * hat
 
-    def full_jac(self, p=None, xi_now=1.0):
-        return self.dilation_jac() + xi_now * self.rotation_jac()
+    def full_jac(self, xi_now=1.0):
+        return np.eye(3) + xi_now * self.rotation_jac()
 
 
 # --------------------------------------------------------------------------
@@ -277,9 +271,18 @@ class AssumptionReport:
         return "\n".join(lines)
 
 
-def _worst(points, values, take_max=True):
-    k = int(np.argmax(values) if take_max else np.argmin(values))
-    return tuple(np.asarray(points[k], dtype=float))
+def _positive_item(index, name, points, values):
+    """Strict positivity of the smallest value over `points`."""
+    k = int(np.argmin(values))
+    return AssumptionItem(index, name, float(values[k]), 0.0,
+                          bool(values[k] > 0.0), tuple(points[k]))
+
+
+def _residual_item(index, name, points, res, tol):
+    """The largest residual over `points` (the first one on ties)."""
+    k = int(np.argmax(res))
+    return AssumptionItem(index, name, float(res[k]), tol,
+                          bool(res[k] <= tol), tuple(points[k]))
 
 
 def verify_assumptions(geom, pair, lam_lo, lam_hi, tol=1e-5,
@@ -297,52 +300,35 @@ def verify_assumptions(geom, pair, lam_lo, lam_hi, tol=1e-5,
     (ix)   D/|D| minimizes the Ricci quadratic form
     (x)    R/|R| minimizes it too, with equal value
 
-    Residual conditions are relative with threshold `tol`; positivity
-    conditions require strict positivity of the sampled minimum.
+    Every item is one batched evaluation over the shell samples; the FD
+    items (i), (v), (vii) and (viii) take `ambient.fd_jacobian` over an
+    evenly thinned subset of about 160 of them.  Each item reports its
+    worst sample.  Residual conditions are relative with threshold `tol`;
+    positivity conditions require strict positivity of the sampled minimum.
     """
     radii, pts = shell_spheres(geom, lam_lo, lam_hi, n_spheres, n_per_sphere, seed)
     flat = pts.reshape(-1, 3)
+    sub = flat[:: max(1, flat.shape[0] // 160)]
     items = []
 
     # (i) conformality of the full field at Xi = 1
-    def x_full(q):
-        return pair.full(q, 1.0)
-
-    def x_full_jac(q):
-        return pair.full_jac(q, 1.0)
-
-    # FD Lie derivative on a thinned subset (it is O(points * 18) evaluations)
-    sub = flat[:: max(1, flat.shape[0] // 160)]
-    worst_i = 0.0
-    worst_i_pt = tuple(sub[0])
-    for q in sub:
-        lie = ambient.lie_derivative_metric(geom, x_full, x_full_jac, q)
-        target = 2.0 * phi(geom, q) * geom.metric_at(q)
-        scale = max(1.0, float(np.max(np.abs(target))))
-        res = float(np.max(np.abs(lie - target))) / scale
-        if res > worst_i:
-            worst_i, worst_i_pt = res, tuple(q)
-    items.append(AssumptionItem("i", "full_field_conformal", worst_i, tol,
-                                worst_i <= tol, worst_i_pt))
+    lie = ambient.lie_derivative_metric(geom, pair.full, pair.full_jac(1.0), sub)
+    target = 2.0 * phi(geom, sub)[:, None, None] * geom.metric_at(sub)
+    scale = np.maximum(1.0, np.max(np.abs(target), axis=(1, 2)))
+    res = np.max(np.abs(lie - target), axis=(1, 2)) / scale
+    items.append(_residual_item("i", "full_field_conformal", sub, res, tol))
 
     # (ii) positivity of phi and |D|_g
-    ph = phi(geom, flat)
-    items.append(AssumptionItem("ii", "conformal_factor_positive",
-                                float(np.min(ph)), 0.0,
-                                bool(np.min(ph) > 0.0), _worst(flat, ph, False)))
-    dn = dilation_norm_g(geom, flat)
-    items.append(AssumptionItem("ii", "dilation_nonvanishing",
-                                float(np.min(dn)), 0.0,
-                                bool(np.min(dn) > 0.0), _worst(flat, dn, False)))
+    items.append(_positive_item("ii", "conformal_factor_positive", flat,
+                                phi(geom, flat)))
+    items.append(_positive_item("ii", "dilation_nonvanishing", flat,
+                                dilation_norm_g(geom, flat)))
 
     # (iii) leaf support: u = g(X, outward g-unit sphere normal) > 0
     rr = np.linalg.norm(flat, axis=-1)
     x_hat = flat / rr[:, None]
     u_leaf = np.exp(geom.f(flat)) * np.sum(pair.full(flat, 1.0) * x_hat, axis=-1)
-    items.append(AssumptionItem("iii", "leaf_support_positive",
-                                float(np.min(u_leaf)), 0.0,
-                                bool(np.min(u_leaf) > 0.0),
-                                _worst(flat, u_leaf, False)))
+    items.append(_positive_item("iii", "leaf_support_positive", flat, u_leaf))
 
     # (iv) leaf-constancy of lam, sphere by sphere
     lam_vals = lam(geom, flat).reshape(pts.shape[0], pts.shape[1])
@@ -353,80 +339,45 @@ def verify_assumptions(geom, pair, lam_lo, lam_hi, tol=1e-5,
                                 bool(spread[k] <= tol), (float(radii[k]), 0.0, 0.0)))
 
     # (v) Lam > 0 and the label gradient is 2 Lam D^flat
-    lam_co = Lam(geom, flat)
-    items.append(AssumptionItem("v", "label_coefficient_positive",
-                                float(np.min(lam_co)), 0.0,
-                                bool(np.min(lam_co) > 0.0),
-                                _worst(flat, lam_co, False)))
-    worst_v = 0.0
-    worst_v_pt = tuple(sub[0])
-    for q in sub:
-        fd = ambient.fd_grad_scalar(geom, lambda x: lam(geom, x), q)
-        target = 2.0 * Lam(geom, q) * np.exp(2.0 * geom.f(q)) * q
-        scale = max(float(np.linalg.norm(target)), 1e-12)
-        res = float(np.linalg.norm(fd - target)) / scale
-        if res > worst_v:
-            worst_v, worst_v_pt = res, tuple(q)
-    items.append(AssumptionItem("v", "label_gradient_radial", worst_v, tol,
-                                worst_v <= tol, worst_v_pt))
+    items.append(_positive_item("v", "label_coefficient_positive", flat,
+                                Lam(geom, flat)))
+    fd = ambient.fd_jacobian(geom, lambda q: lam(geom, q), sub)
+    target = (2.0 * Lam(geom, sub) * np.exp(2.0 * geom.f(sub)))[:, None] * sub
+    scale = np.maximum(np.linalg.norm(target, axis=-1), 1e-12)
+    res = np.linalg.norm(fd - target, axis=-1) / scale
+    items.append(_residual_item("v", "label_gradient_radial", sub, res, tol))
 
     # (vi) schedule gap positivity
-    gap = schedule_gap(geom, pair, flat)
-    items.append(AssumptionItem("vi", "schedule_gap_positive",
-                                float(np.min(gap)), 0.0,
-                                bool(np.min(gap) > 0.0), _worst(flat, gap, False)))
+    items.append(_positive_item("vi", "schedule_gap_positive", flat,
+                                schedule_gap(geom, pair, flat)))
 
-    # (vii) rotation is Killing
-    worst_vii = 0.0
-    worst_vii_pt = tuple(sub[0])
-    if pair.omega != 0.0:
-        for q in sub:
-            lie = ambient.lie_derivative_metric(
-                geom, pair.rotation, pair.rotation_jac, q)
-            scale = float(np.max(np.abs(geom.metric_at(q)))) * (1.0 + abs(pair.omega))
-            res = float(np.max(np.abs(lie))) / scale
-            if res > worst_vii:
-                worst_vii, worst_vii_pt = res, tuple(q)
-    items.append(AssumptionItem("vii", "rotation_killing", worst_vii, tol,
-                                worst_vii <= tol, worst_vii_pt))
+    # (vii) rotation is Killing (exactly zero without a rotation)
+    lie = ambient.lie_derivative_metric(geom, pair.rotation, pair.rotation_jac(),
+                                        sub)
+    scale = np.max(np.abs(geom.metric_at(sub)), axis=(1, 2)) * (1.0 + abs(pair.omega))
+    res = np.max(np.abs(lie), axis=(1, 2)) / scale
+    items.append(_residual_item("vii", "rotation_killing", sub, res, tol))
 
     # (viii) integrability of the distribution orthogonal to the rotation:
     # the flat 1-form w_i = exp(2f) R_i must satisfy w . curl w = 0
-    worst_viii = 0.0
-    worst_viii_pt = tuple(sub[0])
-    if pair.omega != 0.0:
-        def w_field(q):
-            return np.exp(2.0 * geom.f(q)) * pair.rotation(q)
+    def w_field(q):
+        return np.exp(2.0 * geom.f(q))[..., None] * pair.rotation(q)
 
-        for q in sub:
-            h = float(geom.fd_step(q))
-            jac = np.zeros((3, 3))  # jac[i, j] = d_j w_i
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = h
-                jac[:, j] = (w_field(q + e) - w_field(q - e)) / (2.0 * h)
-            curl = np.array([jac[2, 1] - jac[1, 2],
-                             jac[0, 2] - jac[2, 0],
-                             jac[1, 0] - jac[0, 1]])
-            w = w_field(q)
-            denom = max(np.linalg.norm(w) * np.linalg.norm(curl), 1e-12)
-            res = abs(float(np.dot(w, curl))) / denom
-            if res > worst_viii:
-                worst_viii, worst_viii_pt = res, tuple(q)
-    items.append(AssumptionItem("viii", "rotation_orthogonal_integrable",
-                                worst_viii, tol, worst_viii <= tol, worst_viii_pt))
+    jac = ambient.fd_jacobian(geom, w_field, sub)  # jac[n, i, j] = d_j w_i
+    curl = np.stack([jac[:, 2, 1] - jac[:, 1, 2],
+                     jac[:, 0, 2] - jac[:, 2, 0],
+                     jac[:, 1, 0] - jac[:, 0, 1]], axis=-1)
+    w = w_field(sub)
+    denom = np.maximum(np.linalg.norm(w, axis=-1) * np.linalg.norm(curl, axis=-1),
+                       1e-12)
+    res = np.abs(np.sum(w * curl, axis=-1)) / denom
+    items.append(_residual_item("viii", "rotation_orthogonal_integrable", sub,
+                                res, tol))
 
     # (ix)/(x) least-Ricci directions.  Work with exp(-2f) Ric, whose
     # eigenvalues are those of the g-shape of the Ricci form.
-    worst_ix = -np.inf
-    worst_ix_pt = tuple(flat[0])
-    worst_x = -np.inf
-    worst_x_pt = tuple(flat[0])
-    worst_eq = 0.0
-    worst_eq_pt = tuple(flat[0])
     e2f = np.exp(2.0 * geom.f(flat))
-    ric = geom.ricci_at(flat)
-    shaped = ric / e2f[:, None, None]
+    shaped = geom.ricci_at(flat) / e2f[:, None, None]
     eigs = np.linalg.eigvalsh(shaped)
     mu_min = eigs[:, 0]
     scale = np.maximum(1.0, np.max(np.abs(eigs), axis=1))
@@ -436,27 +387,22 @@ def verify_assumptions(geom, pair, lam_lo, lam_hi, tol=1e-5,
         return np.einsum("ni,nij,nj->n", vn, shaped, vn)
 
     q_dil = _quad(flat)
-    v_ix = (q_dil - mu_min) / scale
-    k = int(np.argmax(v_ix))
-    worst_ix, worst_ix_pt = float(v_ix[k]), tuple(flat[k])
-    items.append(AssumptionItem("ix", "dilation_least_ricci", worst_ix, tol,
-                                worst_ix <= tol, worst_ix_pt))
+    items.append(_residual_item("ix", "dilation_least_ricci", flat,
+                                (q_dil - mu_min) / scale, tol))
 
     if pair.omega != 0.0:
         rot = pair.rotation(flat)
         good = np.linalg.norm(rot, axis=-1) > 1e-12
         q_rot = _quad(rot[good])
         v_x = (q_rot - mu_min[good]) / scale[good]
-        k = int(np.argmax(v_x))
-        worst_x, worst_x_pt = float(v_x[k]), tuple(flat[good][k])
         v_eq = np.abs(q_rot - q_dil[good]) / scale[good]
-        k = int(np.argmax(v_eq))
-        worst_eq, worst_eq_pt = float(v_eq[k]), tuple(flat[good][k])
+        items.append(_residual_item("x", "rotation_least_ricci", flat[good],
+                                    v_x, tol))
+        items.append(_residual_item("x", "ricci_values_equal", flat[good],
+                                    v_eq, tol))
     else:
-        worst_x = 0.0
-    items.append(AssumptionItem("x", "rotation_least_ricci", worst_x, tol,
-                                worst_x <= tol, worst_x_pt))
-    items.append(AssumptionItem("x", "ricci_values_equal", worst_eq, tol,
-                                worst_eq <= tol, worst_eq_pt))
+        for name in ("rotation_least_ricci", "ricci_values_equal"):
+            items.append(AssumptionItem("x", name, 0.0, tol, True,
+                                        tuple(flat[0])))
 
     return AssumptionReport(items)

@@ -17,6 +17,7 @@ from .config import load_config
 from .errors import (
     CkflowError,
     ConfigError,
+    DomainExit,
     ProfileNotMonotone,
     ScheduleInfeasible,
     SeedInfeasible,
@@ -61,18 +62,24 @@ def shell_bounds(cfg, geom):
     """Leaf-label band covering the seed with padding for flow excursions.
 
     The twist preserves radii, so the untwisted base surface gives the
-    correct band for every seed kind.
+    correct band for every seed kind.  A base vertex outside the chart
+    domain, or a band left empty by the clip below the outer boundary,
+    raises DomainExit.
     """
     kind, level = cfg["seed.kind"], min(cfg["seed.level"], 3)
     if kind == "sphere":
         base = surface.sphere_seed(cfg["seed.radius"], level)
     else:
         base = surface.ellipsoid_seed(cfg["seed.semiaxes"], level)
+    geom.require_in_domain(base.vertices, what="seed vertex")
     lam_v = ckv.lam(geom, base.vertices)
     lo, hi = 0.75 * float(np.min(lam_v)), 1.3 * float(np.max(lam_v))
-    r_out = float(geom.outer_distance(np.zeros((1, 3)))[0])
+    r_out = float(geom.outer_distance(np.zeros(3)))
     if np.isfinite(r_out):
         hi = min(hi, float(ckv.lam(geom, np.array([0.98 * r_out, 0.0, 0.0]))))
+    if not 0.0 < lo < hi:
+        raise DomainExit(f"the seed's leaf-label band [{lo:.6g}, {hi:.6g}] "
+                         f"is empty in the {geom.name} chart")
     return lo, hi
 
 

@@ -20,7 +20,9 @@ _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 REGISTRY = {
     "geometry": ("choice", "euclidean",
                  ("euclidean", "paper_example", "poincare_ball"), None),
-    "poincare_ball.radius": ("float", 1.0, None, _POSITIVE),
+    "poincare_ball.radius": ("float", 1.0, None,
+                             (lambda v: v > 0.0 and v * v > 0.0,
+                              "> 0 with a square that does not underflow")),
     "rotation.axis": ("vec3", (1.0, 0.0, 0.0), None,
                       (lambda v: any(v), "a nonzero vector")),
     "rotation.omega": ("float", 0.0, None, None),

@@ -159,9 +159,7 @@ def _sphere_quad(geom, r, power):
     dirs[..., 2] = x[:, None]
     r = np.atleast_1d(np.asarray(r, dtype=float))
     pts = r[:, None, None, None] * dirs[None]
-    vals = np.exp(power * geom.f(pts.reshape(-1, 3))).reshape(
-        r.size, _GL_NODES, _AZ_NODES
-    )
+    vals = np.exp(power * geom.f(pts))
     out = r * r * np.einsum("rga,g->r", vals, wx) * waz
     return out
 
@@ -312,7 +310,7 @@ def isoperimetric_check(geom, mesh_initial, mesh_final, converged, tol=5e-3):
     v1 = enclosed_volume(mesh_final, geom)
     rmax = float(np.max(np.linalg.norm(mesh_initial.vertices, axis=1)))
     rmin = float(np.min(np.linalg.norm(mesh_initial.vertices, axis=1)))
-    r_out = float(geom.outer_distance(np.zeros((1, 3)))[0])  # outer chart radius
+    r_out = float(geom.outer_distance(np.zeros(3)))  # outer chart radius
     r_hi = 2.0 * rmax if not np.isfinite(r_out) else min(2.0 * rmax, 0.995 * r_out)
     r_leaf = leaf_radius_for_volume(geom, v0, 0.2 * rmin, r_hi)
     a_leaf = leaf_area(geom, r_leaf)

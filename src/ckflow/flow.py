@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ckv, diagnostics, surface
+from . import ambient, ckv, diagnostics, surface
 from .ckv import N_SURF
 from .errors import (CkflowError, EllipticityLost, GradientBoundExceeded,
                      MeshDegenerate, StarshapeLost)
@@ -571,21 +571,9 @@ def run_graph(geom, pair, state0, schedule, ctrl=None, c1=None,
 
 
 def _phi_hessian(geom, pts):
-    """Batched covariant Hessian of phi: FD of the analytic gradient
-    minus the Christoffel contraction."""
-    pts = np.asarray(pts, dtype=float)
-    h = geom.fd_step(pts)
-    grad = ckv.grad_phi(geom, pts)
-    jac = np.empty((pts.shape[0], 3, 3))
-    for i in range(3):
-        dp = np.zeros(3)
-        dp[i] = 1.0
-        gp = ckv.grad_phi(geom, pts + h[:, None] * dp)
-        gm = ckv.grad_phi(geom, pts - h[:, None] * dp)
-        jac[:, i, :] = (gp - gm) / (2.0 * h)[:, None]
-    jac = 0.5 * (jac + np.swapaxes(jac, 1, 2))
-    gam = geom.christoffels_at(pts)
-    return jac - np.einsum("nkij,nk->nij", gam, grad)
+    """Covariant Hessian of phi: FD of its analytic gradient minus the
+    Christoffel contraction."""
+    return ambient.covariant_hessian(geom, lambda q: ckv.grad_phi(geom, q), pts)
 
 
 def evolution_residuals(geom, pair, state, schedule, delta=None):

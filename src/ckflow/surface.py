@@ -584,11 +584,9 @@ def jet_fields(mesh, geom, pair, xi_now, normals=None):
         + (1.0 + h1p**2) * h22p
     ) / wp**3
 
-    flat = pts.reshape(-1, 3)
-    fv = geom.f(flat).reshape(pts.shape[:2])
-    gfv = geom.grad_f(flat).reshape(pts.shape)
-    nu_f = np.einsum("vkj,vkj->vk", nu_p, gfv)
-    xfull = pair.full(flat, xi_now).reshape(pts.shape)
+    fv = geom.f(pts)
+    nu_f = np.einsum("vkj,vkj->vk", nu_p, geom.grad_f(pts))
+    xfull = pair.full(pts, xi_now)
     upatch = np.exp(fv) * np.einsum("vkj,vkj->vk", xfull, nu_p)
     hpatch_g = (hbar + 2.0 * nu_f) / np.exp(fv)
 

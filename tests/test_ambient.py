@@ -52,8 +52,59 @@ def test_grad_f_matches_fd(paper, poincare):
     rng = np.random.default_rng(5)
     for geom in (paper, poincare):
         for p in _interior_points(geom, rng, n=10):
-            fd = ambient.fd_grad_scalar(geom, geom.f, p)
+            fd = ambient.fd_jacobian(geom, geom.f, p)
             assert np.allclose(geom.grad_f(p[None])[0], fd, atol=1e-6)
+
+
+# per-point value shape of each geometry method
+POINT_SHAPES = {"f": (), "grad_f": (3,), "hess_f": (3, 3), "metric_at": (3, 3),
+                "christoffels_at": (3, 3, 3), "ricci_at": (3, 3),
+                "outer_distance": (), "boundary_distance": ()}
+
+
+@pytest.mark.parametrize("method, tail", POINT_SHAPES.items())
+def test_methods_broadcast_over_leading_axes(euclid, paper, poincare, method,
+                                             tail):
+    # one point convention: (3,), (N, 3) and (N, K, 3) give the same values
+    rng = np.random.default_rng(17)
+    for geom in (euclid, paper, poincare):
+        grid = _interior_points(geom, rng, n=6).reshape(2, 3, 3)
+        fn = getattr(geom, method)
+        whole, rows, single = fn(grid), fn(grid[0]), fn(grid[0, 0])
+        assert np.shape(whole) == (2, 3) + tail
+        assert np.shape(rows) == (3,) + tail
+        assert np.shape(single) == tail
+        assert np.array_equal(whole[0], rows)
+        assert np.array_equal(rows[0], single)
+
+
+def test_fd_jacobian_is_pointwise(paper, poincare):
+    # a batched stencil equals stacking per-point calls, for scalar, vector
+    # and matrix fields, with the derivative index last
+    rng = np.random.default_rng(19)
+    for geom in (paper, poincare):
+        grid = _interior_points(geom, rng, n=6).reshape(2, 3, 3)
+        for func, tail in ((geom.f, (3,)), (geom.grad_f, (3, 3)),
+                           (geom.metric_at, (3, 3, 3))):
+            whole = ambient.fd_jacobian(geom, func, grid)
+            rows = ambient.fd_jacobian(geom, func, grid[1])
+            each = np.array([[ambient.fd_jacobian(geom, func, p) for p in row]
+                             for row in grid])
+            assert whole.shape == (2, 3) + tail
+            assert np.array_equal(whole, each)
+            assert np.array_equal(rows, each[1])
+        # the gradient of f comes out in the grad_f layout
+        assert np.allclose(ambient.fd_jacobian(geom, geom.f, grid),
+                           geom.grad_f(grid), atol=1e-6)
+
+
+def test_fd_jacobian_needs_room_at_the_boundary(euclid, poincare):
+    near_origin = np.array([1e-6, 0.0, 0.0])
+    with pytest.raises(DomainExit):
+        ambient.fd_jacobian(euclid, euclid.f, near_origin)
+    inside_sphere = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 1.0 - 1e-6]])
+    with pytest.raises(DomainExit):
+        ambient.fd_jacobian(poincare, poincare.f, inside_sphere)
 
 
 def test_hessian_linear_function_euclidean(euclid):
@@ -63,7 +114,9 @@ def test_hessian_linear_function_euclidean(euclid):
         return 0.3 * p[..., 0] - 1.1 * p[..., 1] + 0.25 * p[..., 2]
 
     # roundoff floor of the central second difference is ~eps/h^2 ~ 1e-8
-    h = ambient.hessian_scalar(euclid, lin, np.array([0.4, -0.2, 0.9]))
+    h = ambient.covariant_hessian(
+        euclid, lambda q: ambient.fd_jacobian(euclid, lin, q),
+        np.array([0.4, -0.2, 0.9]))
     assert np.max(np.abs(h)) < 1e-7
 
 

@@ -26,7 +26,7 @@ def test_phi_matches_fd_conformal_factor(paper, poincare):
             p = rng.uniform(-0.45, 0.45, size=3) + np.array([0.7, 0.0, 0.0])
             if not geom.in_domain(p[None], margin=0.1)[0]:
                 continue
-            fd = 1.0 + float(p @ ambient.fd_grad_scalar(geom, geom.f, p))
+            fd = 1.0 + float(p @ ambient.fd_jacobian(geom, geom.f, p))
             assert abs(ckv.phi(geom, p) - fd) < 1e-5
 
 
@@ -54,7 +54,7 @@ def test_dilation_lambda_paper_spot_value(paper):
     p = np.array([1.0, 0.0, 0.0])
     analytic = float(paper.dlambda_dr(1.0))  # times r = 1
     assert abs(analytic - 10.0 / 27.0) < 1e-10
-    fd = float(p @ ambient.fd_grad_scalar(paper, lambda q: ckv.lam(paper, q), p))
+    fd = float(p @ ambient.fd_jacobian(paper, lambda q: ckv.lam(paper, q), p))
     assert abs(fd - 10.0 / 27.0) < 1e-5
     # and it equals 2 Lam |X_perp|_g^2 at the same point
     two_lam_x2 = 2.0 * ckv.Lam(paper, p) * ckv.dilation_norm_g(paper, p) ** 2
@@ -69,7 +69,7 @@ def test_grad_lambda_proportional_to_dilation(euclid, paper, poincare):
             p = rng.uniform(-0.5, 0.5, size=3) + np.array([0.6, 0.0, 0.0])
             if not geom.in_domain(p[None], margin=0.1)[0]:
                 continue
-            fd = ambient.fd_grad_scalar(geom, lambda q: ckv.lam(geom, q), p)
+            fd = ambient.fd_jacobian(geom, lambda q: ckv.lam(geom, q), p)
             target = 2.0 * ckv.Lam(geom, p) * np.exp(2.0 * geom.f(p)) * p
             assert np.max(np.abs(fd - target)) <= 1e-5 * (1.0 + np.max(np.abs(fd)))
 
@@ -161,3 +161,55 @@ def test_verify_assumptions_poincare(poincare):
     hi = float(poincare.lambda_of_r(0.7))
     report = ckv.verify_assumptions(poincare, pair, lo, hi)
     assert report.ok
+
+
+def loop_lie_derivative_metric(geom, field, jac, p):
+    """(L_X g)_ij at one point, metric derivative from the p +- h e_k
+    stencil; the per-point form of the verifier, kept as a reference."""
+    h = float(geom.fd_step(p))
+    dg = np.zeros((3, 3, 3))  # [k, i, j] = d_k g_ij
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = h
+        dg[k] = (geom.metric_at(p + e) - geom.metric_at(p - e)) / (2.0 * h)
+    g = geom.metric_at(p)
+    lie = np.einsum("k,kij->ij", field(p), dg)
+    lie += np.einsum("kj,ki->ij", g, jac)
+    lie += np.einsum("ik,kj->ij", g, jac)
+    return lie
+
+
+def loop_conformal_and_killing(geom, pair, sub):
+    """Worst (value, point) of items (i) and (vii), one point at a time."""
+    worst = {"i": (0.0, tuple(sub[0])), "vii": (0.0, tuple(sub[0]))}
+    for q in sub:
+        lie = loop_lie_derivative_metric(geom, pair.full, pair.full_jac(1.0), q)
+        target = 2.0 * ckv.phi(geom, q) * geom.metric_at(q)
+        scale = max(1.0, float(np.max(np.abs(target))))
+        res_i = float(np.max(np.abs(lie - target))) / scale
+        lie = loop_lie_derivative_metric(geom, pair.rotation,
+                                         pair.rotation_jac(), q)
+        scale = float(np.max(np.abs(geom.metric_at(q)))) * (1.0 + abs(pair.omega))
+        res_vii = float(np.max(np.abs(lie))) / scale
+        for index, res in (("i", res_i), ("vii", res_vii)):
+            if res > worst[index][0]:
+                worst[index] = (res, tuple(q))
+    return worst
+
+
+@pytest.mark.parametrize("axis, failing", [
+    ((1.0, 0.0, 0.0), set()),
+    ((0.0, 0.0, 1.0), {"i", "vii"}),  # f is not symmetric about e3
+])
+def test_verify_assumptions_matches_per_point_reference(paper, axis, failing):
+    pair = ckv.KillingPair(omega=1.0, axis=axis)
+    lo = float(paper.lambda_of_r(0.5))
+    hi = float(paper.lambda_of_r(1.5))
+    report = ckv.verify_assumptions(paper, pair, lo, hi)
+    _, pts = ckv.shell_spheres(paper, lo, hi, 16, 200, 0)
+    flat = pts.reshape(-1, 3)
+    ref = loop_conformal_and_killing(paper, pair, flat[:: flat.shape[0] // 160])
+    for index, (value, point) in ref.items():
+        assert abs(report[index].value - value) <= 1e-12
+        assert report[index].worst_point == point
+    assert {it.index for it in report.items if not it.passed} == failing

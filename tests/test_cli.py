@@ -169,6 +169,26 @@ def test_verify_wrong_rotation_axis_fails(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------
+# a seed at or past the chart boundary
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cmd", ["verify", "run", "profile"])
+@pytest.mark.parametrize("text", [
+    "geometry = poincare_ball\n",  # the default seed radius is the ball's
+    "geometry = paper_example\nseed.radius = 1.99\n",  # empty clipped band
+], ids=["poincare_default_seed", "paper_seed_r1.99"])
+def test_seed_outside_the_chart_exits_flow(tmp_path, capsys, cmd, text):
+    cfg = write_cfg(tmp_path, text)
+    code = run_cli([cmd, "--config", cfg, "--out", str(tmp_path / "out"),
+                    "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "STATUS=flow" in captured.err
+    assert "chart" in captured.err
+
+
+# --------------------------------------------------------------------------
 # profile
 # --------------------------------------------------------------------------
 
@@ -224,6 +244,7 @@ def test_unknown_key_exits_config(tmp_path, capsys):
     "flow.cfl = 0.9",
     "seed.level = -1",
     "poincare_ball.radius = 0",
+    "poincare_ball.radius = 1e-300",
     "seed.semiaxes = [1, 0, 1]",
     "rotation.axis = [0, 0, 0]",
     "flow.t_end = nan",
