@@ -382,18 +382,20 @@ def verify_assumptions(geom, pair, lam_lo, lam_hi, tol=1e-5,
     mu_min = eigs[:, 0]
     scale = np.maximum(1.0, np.max(np.abs(eigs), axis=1))
 
-    def _quad(vecs):
+    def _quad(vecs, mats):
         vn = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
-        return np.einsum("ni,nij,nj->n", vn, shaped, vn)
+        return np.einsum("ni,nij,nj->n", vn, mats, vn)
 
-    q_dil = _quad(flat)
+    q_dil = _quad(flat, shaped)
     items.append(_residual_item("ix", "dilation_least_ricci", flat,
                                 (q_dil - mu_min) / scale, tol))
 
     if pair.omega != 0.0:
-        rot = pair.rotation(flat)
+        # the rotation's direction, which does not depend on omega (a tiny
+        # omega would leave no point above the cut-off below)
+        rot = np.cross(np.broadcast_to(pair.axis_vec, flat.shape), flat)
         good = np.linalg.norm(rot, axis=-1) > 1e-12
-        q_rot = _quad(rot[good])
+        q_rot = _quad(rot[good], shaped[good])
         v_x = (q_rot - mu_min[good]) / scale[good]
         v_eq = np.abs(q_rot - q_dil[good]) / scale[good]
         items.append(_residual_item("x", "rotation_least_ricci", flat[good],

@@ -44,7 +44,11 @@ def make_pair(cfg):
 
 
 def make_seed(cfg, geom, pair):
-    """Build the seed mesh; returns (mesh, min_u, min_uperp)."""
+    """Build the seed mesh; returns (mesh, min_u, min_uperp).
+
+    A seed vertex outside the chart domain raises DomainExit before any
+    geometry is evaluated on it (`twisted_seed` checks its own mesh).
+    """
     kind, level = cfg["seed.kind"], cfg["seed.level"]
     if kind == "sphere":
         mesh = surface.sphere_seed(cfg["seed.radius"], level)
@@ -54,6 +58,7 @@ def make_seed(cfg, geom, pair):
         return surface.twisted_seed(
             geom, pair, cfg["seed.semiaxes"], cfg["seed.twist"], level
         )
+    geom.require_in_domain(mesh.vertices, what="seed vertex")
     vg = surface.mesh_geometry(mesh, geom, pair, xi_now=1.0, with_curvatures=False)
     return mesh, float(np.min(vg.u)), float(np.min(vg.u_perp))
 

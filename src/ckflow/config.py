@@ -24,7 +24,9 @@ REGISTRY = {
                              (lambda v: v > 0.0 and v * v > 0.0,
                               "> 0 with a square that does not underflow")),
     "rotation.axis": ("vec3", (1.0, 0.0, 0.0), None,
-                      (lambda v: any(v), "a nonzero vector")),
+                      (lambda v: sum(x * x for x in v) > 0.0,
+                       "a nonzero vector whose squared length does not "
+                       "underflow")),
     "rotation.omega": ("float", 0.0, None, None),
     "schedule.t0": ("auto_float", "auto", None, _POSITIVE),
     "schedule.margin": ("float", 0.1, None,

@@ -2,29 +2,38 @@
 
 The Lagrangian front (`run`) moves mesh vertices along the chart velocities
 (n phi - u H) exp(-f) nu_flat; the leaf graph (`run_graph`) evolves the leaf
-label lam over a fixed leaf as a scalar PDE.  Both run in `_drive`: two-stage
-(Heun) steps under a parabolic CFL bound, retried with half the step while
-the curved area would increase.  The driver owns the loop-top geometry and
-star-shape check, the label band, the trace row, frames, convergence and
-error tagging; a stepper (`_FrontStepper`, `_GraphStepper`) holds one
-backend's state, bounds dt, proposes a finite candidate and commits it.  The
-front projects each candidate back onto the initial curved volume and
-smooths tangentially on a fixed cadence, skipping a pass that would break
-area monotonicity.
+label lam over a fixed leaf as a scalar PDE.  Both run in `_drive`, with
+steps retried at half the size while the curved area would increase.  The
+driver owns the loop-top geometry and star-shape check, the label band, the
+trace row, frames, convergence and error tagging; a stepper (`_FrontStepper`,
+`_GraphStepper`) holds one backend's state, bounds dt, proposes a finite
+candidate and commits it.  The front projects each candidate back onto the
+initial curved volume and smooths tangentially on a fixed cadence, skipping
+a pass that would break area monotonicity.
+
+The front's step (`step_lagrangian`) is linearly implicit: the stiff part
+u exp(-2f) Lap x of the chart velocity is taken at the new time through one
+sparse solve with the cotan stiffness, the rest at the old, so its bound
+(`cfl_dt`) is dt = cfl h_min.  `StepControl(scheme="heun")` swaps in the
+explicit two-stage reference (`step_heun`) under the parabolic bound
+dt ~ cfl h_min^2 (`heun_cfl_dt`); no run file selects it.  The leaf graph
+steps Heun under either value.
 
 Each snapshot's geometry is computed once per step.  The loop-top
-`mesh_geometry` bundle is Heun's first stage (it depends on neither the
-step size nor the retry), so a step costs one more `mesh_geometry` call,
-for the predictor.  The accepted mesh's curved area is carried to the next
-loop top, and so is the front's curved volume, which the volume projection
-has just evaluated.  The graph stepper shares the loop-top chart fields
-between its CFL bound and its first stage, and builds what depends on the
-fixed leaf alone (`LeafData`) once per run.
+`mesh_geometry` bundle is the step's start (it depends on neither the step
+size nor the retry); an implicit step needs nothing else, and a Heun step
+costs one more `mesh_geometry` call, for the predictor.  The accepted mesh's
+curved area is carried to the next loop top, and so is the front's curved
+volume, which the volume projection has just evaluated.  The graph stepper
+shares the loop-top chart fields between its CFL bound and its first stage,
+and builds what depends on the fixed leaf alone (`LeafData`) once per run.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from . import ambient, ckv, diagnostics, surface
 from .ckv import N_SURF
@@ -34,6 +43,7 @@ from .errors import (CkflowError, EllipticityLost, GradientBoundExceeded,
 BAND_SLACK = 1e-3       # relative padding of the initial leaf-label band
 SMOOTH_STRENGTH = 0.5   # tangential smoothing step of the front
 MAX_RETRIES = 8         # step halvings before the area guard gives up
+SCHEMES = ("imex", "heun")  # front step schemes
 
 
 @dataclass
@@ -41,6 +51,7 @@ class StepControl:
     """Knobs of the time integration loop."""
 
     cfl: float = 0.25
+    scheme: str = "imex"
     t_end: float = 20.0
     speed_tol: float = 1e-2
     leaf_tol: float = 1e-2
@@ -51,6 +62,8 @@ class StepControl:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError("cfl must lie in (0, 0.5]")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {', '.join(SCHEMES)}")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
 
@@ -81,23 +94,59 @@ def chart_velocity(vg):
     return v[:, None] * vg.nu_flat
 
 
-def cfl_dt(mesh, vg, cfl):
-    """Parabolic step bound: cfl * h_min^2 / max(1, max |u| exp(-2f))."""
+def _min_edge(mesh):
     h_min = mesh.min_edge()
     if h_min < 1e-9:
         raise MeshDegenerate(f"minimum edge collapsed to {h_min:.3e}")
+    return h_min
+
+
+def cfl_dt(mesh, vg, cfl):
+    """Implicit front step bound: cfl * h_min."""
+    return cfl * _min_edge(mesh)
+
+
+def heun_cfl_dt(mesh, vg, cfl):
+    """Parabolic step bound: cfl * h_min^2 / max(1, max |u| exp(-2f))."""
+    h_min = _min_edge(mesh)
     weight = np.max(np.abs(vg.u) * np.exp(-2.0 * vg.f))
     return cfl * h_min * h_min / max(1.0, float(weight))
 
 
 def step_lagrangian(mesh, geom, pair, schedule, t, dt, vg, step):
+    """One linearly implicit step (Dziuk 1991) from t; returns the new mesh.
+
+    The chart velocity is c Lap x + b nu_flat, with c = u exp(-2f) and
+    b = n phi exp(-f) - 2 c nu_flat(f) frozen at the step's start (Lap x
+    carries -H_flat nu_flat).  With M the mixed Voronoi areas and L the
+    cotan stiffness (L x = M Lap x) the step solves
+
+        (diag(M/c) - dt L) x+ = diag(M/c) (x + dt b nu_flat),
+
+    a symmetric positive definite system while u > 0.  `vg` is the mesh's
+    geometry bundle at time t; it does not depend on dt, so the loop top's
+    bundle serves every retry.  A system entry that is not finite raises
+    MeshDegenerate naming `step` and t before the sparse solver would fail
+    on it, and so does a result that is not finite before the chart-domain
+    check would read it as a domain exit.
+    """
+    c = vg.u * np.exp(-2.0 * vg.f)
+    b = N_SURF * vg.phi * np.exp(-vg.f) - 2.0 * c * vg.nu_f
+    mass = vg.area_flat / c
+    lhs = sp.diags_array(mass, format="csc") \
+        - dt * surface.cotan_stiffness(mesh, vg.cot)
+    _require_finite(lhs.data, "", step, t, "implicit system entry")
+    rhs = mass[:, None] * (mesh.vertices + dt * b[:, None] * vg.nu_flat)
+    return _checked(mesh.with_vertices(splu(lhs).solve(rhs)), geom, step, t)
+
+
+def step_heun(mesh, geom, pair, schedule, t, dt, vg, step):
     """One explicit two-stage (Heun) step from time t; returns the new mesh.
 
-    `vg` is the mesh's geometry bundle at time t, the first stage; it does
-    not depend on dt, so the loop top's bundle serves every retry.  A
-    predictor or result that is not finite raises MeshDegenerate naming
-    `step` and t before the chart-domain check would read it as a domain
-    exit.
+    The reference scheme of `step_lagrangian`, under `heun_cfl_dt`.  `vg`
+    is the first stage, as there; a predictor or result that is not finite
+    raises MeshDegenerate naming `step` and t before the chart-domain check
+    would read it as a domain exit.
     """
     v1 = chart_velocity(vg)
     mid = mesh.with_vertices(mesh.vertices + dt * v1)
@@ -107,6 +156,10 @@ def step_lagrangian(mesh, geom, pair, schedule, t, dt, vg, step):
                                 with_curvatures=False)
     v2 = chart_velocity(vg2)
     new = mesh.with_vertices(mesh.vertices + 0.5 * dt * (v1 + v2))
+    return _checked(new, geom, step, t)
+
+
+def _checked(new, geom, step, t):
     _require_finite(new.vertices, "", step, t)
     geom.require_in_domain(new.vertices, what="vertex")
     return new
@@ -257,16 +310,20 @@ class _FrontStepper:
         self.vol0 = surface.enclosed_volume(self.mesh, geom)
         self.volume = self.vol0  # the mesh's, as the projection evaluated it
         self._cand = None  # the last proposal: (mesh, curved volume)
+        if ctrl.scheme == "heun":
+            self._bound, self._step = heun_cfl_dt, step_heun
+        else:
+            self._bound, self._step = cfl_dt, step_lagrangian
 
     def observe(self, vg):
         return vg.lam, self.volume
 
     def max_dt(self, vg, xi_now):
-        return cfl_dt(self.mesh, vg, self.ctrl.cfl)
+        return self._bound(self.mesh, vg, self.ctrl.cfl)
 
     def propose(self, vg, dt, step):
-        cand = step_lagrangian(self.mesh, self.geom, self.pair,
-                               self.schedule, self.t, dt, vg, step)
+        cand = self._step(self.mesh, self.geom, self.pair, self.schedule,
+                          self.t, dt, vg, step)
         _require_finite(cand.vertices, self.label, step, self.t)
         # the continuum flow conserves enclosed volume (first Minkowski
         # identity), but the discrete identity only holds to quadrature

@@ -16,7 +16,9 @@ Connectivity is fixed over a flow and lives on one `Topology`, shared
 between snapshots: its corner-to-vertex `scatter` matrix carries every
 face-to-vertex sum (vertex normals, mixed areas, gradient weights), the
 cotan Laplacian is one weighted half-edge difference through that same
-matrix, and its padded neighbour tables (`ring`) are built on first use.
+matrix, the sparse cotan stiffness of the implicit front step holds the
+same half-edge weights, and the topology's padded neighbour tables
+(`ring`) are built on first use.
 Within one snapshot the face kernels run once: `mesh_geometry` (and
 `tangential_smooth`) compute the face normals, face areas and corner
 cotangents a single time and hand them to `vertex_normals`,
@@ -255,10 +257,14 @@ def twisted_seed(geom, pair, semiaxes, tau, level):
 
     Each vertex is rotated about the pair's axis by tau * ln|p|, so rays
     from the origin become the integral spirals of dilation + tau*rotation.
-    Returns (mesh, min u at Xi=1, min u_perp); raises SeedInfeasible if the
-    seed is not strictly starshaped for the scheduled field at t=0.
+    Returns (mesh, min u at Xi=1, min u_perp); raises DomainExit if a
+    vertex lies outside the chart domain, SeedInfeasible if the seed is not
+    strictly starshaped for the scheduled field at t=0.
     """
     base = ellipsoid_seed(semiaxes, level)
+    # the chart domains are shells about the origin and the twist keeps
+    # radii, so the base is checked before ln|p| is taken
+    geom.require_in_domain(base.vertices, what="seed vertex")
     r = np.linalg.norm(base.vertices, axis=1)
     mesh = base.with_vertices(_rodrigues(base.vertices, pair.axis_vec, tau * np.log(r)))
     vg = mesh_geometry(mesh, geom, pair, xi_now=1.0, with_curvatures=False)
@@ -346,6 +352,12 @@ def mixed_voronoi_areas(mesh, cot=None, fa=None):
     return areas
 
 
+def _half_edge_weights(topo, cot):
+    """cot a + cot b of each half-edge: the corner it faces plus its twin's."""
+    he_cot = cot[:, [2, 0, 1]].reshape(-1)
+    return he_cot + he_cot[topo.he_twin]
+
+
 def cotan_laplacian_apply(mesh, values, areas=None, cot=None):
     """Pointwise Laplace-Beltrami of per-vertex values (flat induced metric).
 
@@ -364,11 +376,33 @@ def cotan_laplacian_apply(mesh, values, areas=None, cot=None):
         areas = mixed_voronoi_areas(mesh, cot)
     vals = np.asarray(values, dtype=float)
     flat = vals.reshape(vals.shape[0], -1)
-    he_cot = cot[:, [2, 0, 1]].reshape(-1)
-    w = he_cot + he_cot[topo.he_twin]
+    w = _half_edge_weights(topo, cot)
     acc = topo.scatter @ (w[:, None] * (flat[topo.he_head] - flat[topo.he_tail]))
     acc /= (2.0 * areas)[:, None]
     return acc.reshape(vals.shape)
+
+
+def cotan_stiffness(mesh, cot=None):
+    """Sparse cotan stiffness L: (L x)_i = (1/2) sum_j w_ij (x_j - x_i).
+
+    w_ij = cot a + cot b.  Symmetric with zero row sums; L x equals the
+    mixed areas times `cotan_laplacian_apply(x)`, from the same half-edge
+    weights: half-edge k gives the entry (tail, head), and each directed
+    edge is one half-edge.  `cot` (corner cotangents) is computed here
+    unless given.
+    """
+    topo = mesh.topology
+    if cot is None:
+        cot = _face_cotans(mesh.vertices, mesh.faces)
+    half = 0.5 * _half_edge_weights(topo, cot)
+    V = topo.n_vertices
+    diag = np.arange(V)
+    return sp.csc_array(
+        (np.concatenate([half, -(topo.scatter @ half)]),
+         (np.concatenate([topo.he_tail, diag]),
+          np.concatenate([topo.he_head, diag]))),
+        shape=(V, V),
+    )
 
 
 @dataclass
@@ -688,6 +722,7 @@ class VertexGeometry:
     lam: np.ndarray
     Lam: np.ndarray
     area_flat: np.ndarray    # mixed Voronoi cell areas, flat
+    cot: np.ndarray          # corner cotangents (F, 3), flat
     area_g: np.ndarray       # curved cell areas exp(2f) * flat
     dilation_norm: np.ndarray  # |D|_g at vertices
 
@@ -697,7 +732,8 @@ def mesh_geometry(mesh, geom, pair, xi_now=1.0, with_curvatures=True):
 
     The face kernels run once: face normals and areas and the corner
     cotangents feed the vertex normals, the mixed Voronoi areas and the
-    cotan Laplacian.
+    cotan Laplacian, and the cotangents are kept for the implicit step's
+    stiffness.
     """
     from . import ckv
 
@@ -739,6 +775,7 @@ def mesh_geometry(mesh, geom, pair, xi_now=1.0, with_curvatures=True):
         lam=ckv.lam(geom, verts),
         Lam=ckv.Lam(geom, verts),
         area_flat=areas,
+        cot=cot,
         area_g=np.exp(2.0 * f_v) * areas,
         dilation_norm=ckv.dilation_norm_g(geom, verts),
     )

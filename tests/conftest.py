@@ -1,4 +1,8 @@
-"""Shared fixtures; the session-scoped ones hold the expensive level-4 runs."""
+"""Shared fixtures; the session-scoped ones hold the expensive flow runs.
+
+The level-4 runs step under the default scheme (`imex`); the explicit Heun
+reference runs the same claims at level 3.
+"""
 
 import numpy as np
 import pytest
@@ -41,7 +45,7 @@ def euclid_l2_run(euclid, pair):
 
 @pytest.fixture(scope="session")
 def euclid_headline(euclid, pair):
-    """Ellipsoid (2,1,1) level-4 run to convergence (~1 min)."""
+    """Ellipsoid (2,1,1) level-4 run to convergence."""
     seed = surface.ellipsoid_seed((2.0, 1.0, 1.0), level=4)
     return flow.run(euclid, pair, seed, ckv.Schedule(t0=1.0),
                     flow.StepControl(t_end=8.0))
@@ -49,10 +53,26 @@ def euclid_headline(euclid, pair):
 
 @pytest.fixture(scope="session")
 def paper_run(paper, pair):
-    """Near-spherical seed at r ~ 1 in the curved example geometry (~3 min)."""
+    """Near-spherical seed at r ~ 1 in the curved example geometry."""
     seed = surface.ellipsoid_seed((1.08, 1.0, 0.93), level=4)
     return flow.run(paper, pair, seed, ckv.Schedule(t0=1.0),
                     flow.StepControl(t_end=8.0))
+
+
+@pytest.fixture(scope="session")
+def euclid_headline_heun(euclid, pair):
+    """The headline seed at level 3 under the explicit Heun reference."""
+    seed = surface.ellipsoid_seed((2.0, 1.0, 1.0), level=3)
+    return flow.run(euclid, pair, seed, ckv.Schedule(t0=1.0),
+                    flow.StepControl(t_end=8.0, scheme="heun"))
+
+
+@pytest.fixture(scope="session")
+def paper_run_heun(paper, pair):
+    """The curved example seed at level 3 under the explicit Heun reference."""
+    seed = surface.ellipsoid_seed((1.08, 1.0, 0.93), level=3)
+    return flow.run(paper, pair, seed, ckv.Schedule(t0=1.0),
+                    flow.StepControl(t_end=8.0, scheme="heun"))
 
 
 # twist rate found once by sweeping upward until min u_perp < 0 < min u;
@@ -63,7 +83,7 @@ TWIST_SEMIAXES = (1.6, 0.7, 0.7)
 
 @pytest.fixture(scope="session")
 def twisted_run(euclid, pair_e3):
-    """Scheduled run of the twisted seed (~1.5 min); returns run plus seed data."""
+    """Scheduled run of the twisted seed; returns run plus seed data."""
     mesh, min_u, min_uperp = surface.twisted_seed(
         euclid, pair_e3, TWIST_SEMIAXES, TWIST_TAU, 4
     )

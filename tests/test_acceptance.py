@@ -2,7 +2,9 @@
 
 Each test prints a single [PASS]/[FAIL] line so a plain `pytest -v -s
 tests/test_acceptance.py` doubles as the sign-off checklist.  The heavy
-level-4 runs are shared session fixtures (see conftest).
+level-4 runs are shared session fixtures (see conftest) and step under the
+default implicit scheme; the `_heun_reference` tests hold the explicit Heun
+scheme to the same thresholds at level 3.
 """
 
 import numpy as np
@@ -30,28 +32,45 @@ def test_c01_leaf_stationarity(euclid, pair):
            " tol 1e-2)", worst <= 1e-2)
 
 
-@pytest.mark.slow
-def test_c02_volume_conserved_area_monotone(euclid_headline):
-    trace = euclid_headline.trace
+def volume_area_check(res):
+    trace = res.trace
     vol = trace.column("volume")
     area = trace.column("area")
     drift = float(np.max(np.abs(vol / vol[0] - 1.0)))
     monotone = bool(np.all(np.diff(area) <= area[:-1] * 1e-8))
-    report(f"criterion 2: volume drift {drift:.2e} <= 5e-3 and area "
-           f"non-increasing each step (slack 1e-8): {monotone}",
-           drift <= 5e-3 and monotone)
+    return (f"volume drift {drift:.2e} <= 5e-3 and area non-increasing each "
+            f"step (slack 1e-8): {monotone}", drift <= 5e-3 and monotone)
 
 
-@pytest.mark.slow
-def test_c03_convergence_to_equal_volume_sphere(euclid_headline):
-    res = euclid_headline
+def equal_volume_sphere_check(res):
     ld = float(res.trace.column("leaf_distance")[-1])
     area = float(res.trace.column("area")[-1])
     target = 4.0 * np.pi * 2.0 ** (2.0 / 3.0)  # seed volume is 8 pi / 3
     rel = abs(area / target - 1.0)
-    report(f"criterion 3: converged={res.converged}, leaf distance "
-           f"{ld:.2e} <= 1e-2, final area off by {rel:.2e} <= 1e-2",
-           res.converged and ld <= 1e-2 and rel <= 1e-2)
+    return (f"converged={res.converged}, leaf distance {ld:.2e} <= 1e-2, "
+            f"final area off by {rel:.2e} <= 1e-2",
+            res.converged and ld <= 1e-2 and rel <= 1e-2)
+
+
+@pytest.mark.slow
+def test_c02_volume_conserved_area_monotone(euclid_headline):
+    label, ok = volume_area_check(euclid_headline)
+    report(f"criterion 2: {label}", ok)
+
+
+@pytest.mark.slow
+def test_c03_convergence_to_equal_volume_sphere(euclid_headline):
+    label, ok = equal_volume_sphere_check(euclid_headline)
+    report(f"criterion 3: {label}", ok)
+
+
+@pytest.mark.slow
+def test_c02_c03_heun_reference(euclid_headline_heun):
+    res = euclid_headline_heun
+    label2, ok2 = volume_area_check(res)
+    label3, ok3 = equal_volume_sphere_check(res)
+    report(f"criteria 2+3, Heun L3 ({res.steps} steps): {label2}; {label3}",
+           ok2 and ok3)
 
 
 @pytest.mark.slow
@@ -156,6 +175,15 @@ def test_c07_schedule_necessity(euclid, pair, twisted_run):
     )
 
 
+def curved_run_check(res):
+    vol = res.trace.column("volume")
+    drift = float(np.max(np.abs(vol / vol[0] - 1.0)))
+    ld = float(res.trace.column("leaf_distance")[-1])
+    return (f"curved run converged={res.converged} (leaf {ld:.2e} <= 1e-2, "
+            f"drift {drift:.2e} <= 5e-3)",
+            res.converged and ld <= 1e-2 and drift <= 5e-3)
+
+
 @pytest.mark.slow
 def test_c08_curved_example(paper, pair, paper_run):
     lam_lo = float(ckv.lam(paper, np.array([[0.3, 0.0, 0.0]]))[0])
@@ -178,17 +206,18 @@ def test_c08_curved_example(paper, pair, paper_run):
     xp_fd = abs((lam_p - lam_m) / (2 * h) - 10.0 / 27.0)
     fd = max(phi_fd, xp_fd)
 
-    res = paper_run
-    vol = res.trace.column("volume")
-    drift = float(np.max(np.abs(vol / vol[0] - 1.0)))
-    ld = float(res.trace.column("leaf_distance")[-1])
-    run_ok = res.converged and ld <= 1e-2 and drift <= 5e-3
+    run_label, run_ok = curved_run_check(paper_run)
     report(
         f"criterion 8: ten shell conditions pass ({all_ten}), spot values "
-        f"analytic {analytic:.1e} <= 1e-10 / FD {fd:.1e} <= 1e-5, curved "
-        f"run converged (leaf {ld:.2e}, drift {drift:.2e})",
+        f"analytic {analytic:.1e} <= 1e-10 / FD {fd:.1e} <= 1e-5, {run_label}",
         all_ten and analytic <= 1e-10 and fd <= 1e-5 and run_ok,
     )
+
+
+@pytest.mark.slow
+def test_c08_heun_reference(paper_run_heun):
+    label, ok = curved_run_check(paper_run_heun)
+    report(f"criterion 8, Heun L3 ({paper_run_heun.steps} steps): {label}", ok)
 
 
 def test_c09_graph_flux_ellipticity(paper, pair):

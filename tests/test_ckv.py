@@ -146,6 +146,19 @@ def test_verify_assumptions_euclid_exact(euclid):
     assert "overall: pass" in report.table()
 
 
+def test_verify_assumptions_tiny_omega_keeps_the_rotation_items(paper):
+    # items (ix)/(x) read only the rotation's direction; a tiny omega once
+    # left no sample above the field-length cut-off and raised ValueError
+    lo = float(paper.lambda_of_r(0.5))
+    hi = float(paper.lambda_of_r(1.5))
+    reports = [ckv.verify_assumptions(paper, ckv.KillingPair(omega=omega), lo,
+                                      hi) for omega in (1.0, 1e-300)]
+    for name in ("rotation_least_ricci", "ricci_values_equal"):
+        one, tiny = (next(it for it in rep.items if it.name == name)
+                     for rep in reports)
+        assert tiny.value == one.value and tiny.passed == one.passed
+
+
 def test_verify_assumptions_wrong_axis_fails_killing(paper):
     pair = ckv.KillingPair(omega=1.0, axis=(0.0, 0.0, 1.0))
     lo = float(paper.lambda_of_r(0.5))

@@ -173,11 +173,19 @@ def test_verify_wrong_rotation_axis_fails(tmp_path, capsys):
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("cmd", ["verify", "run", "profile"])
-@pytest.mark.parametrize("text", [
-    "geometry = poincare_ball\n",  # the default seed radius is the ball's
-    "geometry = paper_example\nseed.radius = 1.99\n",  # empty clipped band
-], ids=["poincare_default_seed", "paper_seed_r1.99"])
+SEEDS_OUTSIDE = {
+    "poincare_default_seed": "geometry = poincare_ball\n",  # on the ball
+    # inside the chart, but its clipped label band is empty; `seed` builds
+    # no band, so it runs only the first case
+    "paper_seed_r1.99": "geometry = paper_example\nseed.radius = 1.99\n",
+}
+
+
+@pytest.mark.parametrize("text, cmd", [
+    pytest.param(SEEDS_OUTSIDE[name], cmd, id=f"{name}-{cmd}")
+    for name in SEEDS_OUTSIDE for cmd in ("verify", "run", "profile", "seed")
+    if cmd != "seed" or name == "poincare_default_seed"
+])
 def test_seed_outside_the_chart_exits_flow(tmp_path, capsys, cmd, text):
     cfg = write_cfg(tmp_path, text)
     code = run_cli([cmd, "--config", cfg, "--out", str(tmp_path / "out"),
@@ -247,6 +255,7 @@ def test_unknown_key_exits_config(tmp_path, capsys):
     "poincare_ball.radius = 1e-300",
     "seed.semiaxes = [1, 0, 1]",
     "rotation.axis = [0, 0, 0]",
+    "rotation.axis = [1e-200, 0, 1e-300]",
     "flow.t_end = nan",
 ])
 def test_out_of_range_value_exits_config(tmp_path, capsys, monkeypatch, line):

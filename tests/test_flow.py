@@ -19,6 +19,9 @@ def test_step_control_rejects_bad_knobs():
         flow.StepControl(cfl=0.7)
     with pytest.raises(ValueError):
         flow.StepControl(t_end=0.0)
+    with pytest.raises(ValueError):
+        flow.StepControl(scheme="rk4")
+    assert flow.StepControl().scheme == "imex"
 
 
 def test_flow_speed_vanishes_on_flat_spheres(euclid, pair):
@@ -37,27 +40,40 @@ def test_chart_velocity_is_normal(euclid, pair):
     assert np.max(np.linalg.norm(cross, axis=1)) < 1e-12
 
 
-def test_cfl_dt_quadratic_in_resolution(euclid, pair):
+def _dt_by_level(euclid, pair, bound):
     dts = []
     for level in (2, 3):
         mesh = surface.sphere_seed(1.0, level)
         vg = surface.mesh_geometry(mesh, euclid, pair)
-        dts.append(flow.cfl_dt(mesh, vg, 0.25))
+        dts.append(bound(mesh, vg, 0.25))
+    return dts
+
+
+def test_cfl_dt_quadratic_in_resolution(euclid, pair):
+    # the Heun reference's bound
+    dts = _dt_by_level(euclid, pair, flow.heun_cfl_dt)
     assert 3.0 < dts[0] / dts[1] < 5.0
+
+
+def test_cfl_dt_linear_in_resolution_under_imex(euclid, pair):
+    dts = _dt_by_level(euclid, pair, flow.cfl_dt)
+    assert 1.5 < dts[0] / dts[1] < 2.5
 
 
 def test_cfl_dt_rejects_collapsed_edge(euclid, pair):
     mesh = surface.sphere_seed(1.0, 2)
     vg = surface.mesh_geometry(mesh, euclid, pair)
     tiny = mesh.with_vertices(1e-10 * mesh.vertices)
-    with pytest.raises(MeshDegenerate):
-        flow.cfl_dt(tiny, vg, 0.25)
+    for bound in (flow.cfl_dt, flow.heun_cfl_dt):
+        with pytest.raises(MeshDegenerate):
+            bound(tiny, vg, 0.25)
 
 
 def test_heun_step_conserves_volume_after_projection(euclid, pair):
     mesh = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     sched = ckv.Schedule(t0=1.0)
-    res = flow.run(euclid, pair, mesh, sched, flow.StepControl(t_end=0.02))
+    res = flow.run(euclid, pair, mesh, sched,
+                   flow.StepControl(t_end=0.02, scheme="heun"))
     vol = res.trace.column("volume")
     assert np.max(np.abs(vol / vol[0] - 1.0)) < 1e-10
 
@@ -71,10 +87,21 @@ def test_step_reuses_loop_top_geometry_bit_identically(paper, pair_e3):
                                      with_curvatures=True)
     stage1 = surface.mesh_geometry(mesh, paper, pair_e3, sched.xi_at(t),
                                    with_curvatures=False)
-    reused = flow.step_lagrangian(mesh, paper, pair_e3, sched, t, dt, loop_top,
-                                  0)
-    fresh = flow.step_lagrangian(mesh, paper, pair_e3, sched, t, dt, stage1, 0)
-    assert np.array_equal(reused.vertices, fresh.vertices)
+    for step in (flow.step_lagrangian, flow.step_heun):
+        reused = step(mesh, paper, pair_e3, sched, t, dt, loop_top, 0)
+        fresh = step(mesh, paper, pair_e3, sched, t, dt, stage1, 0)
+        assert np.array_equal(reused.vertices, fresh.vertices), step.__name__
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+def test_imex_step_keeps_a_sphere_on_its_leaf(euclid, pair, radius):
+    # dt = 0.5 is about 1e3 times Heun's parabolic bound at level 3
+    mesh = surface.sphere_seed(radius, 3)
+    vg = surface.mesh_geometry(mesh, euclid, pair, with_curvatures=False)
+    new = flow.step_lagrangian(mesh, euclid, pair, ckv.Schedule(t0=1.0), 0.0,
+                               0.5, vg, 0)
+    drift = np.linalg.norm(new.vertices, axis=1) / radius - 1.0
+    assert np.max(np.abs(drift)) <= 1e-3
 
 
 def _count_surface_calls(monkeypatch, name):
@@ -95,9 +122,20 @@ def test_run_computes_geometry_twice_per_step(euclid, pair, monkeypatch):
     calls = _count_surface_calls(monkeypatch, "mesh_geometry")
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     res = flow.run(euclid, pair, seed, ckv.Schedule(t0=1.0),
-                   flow.StepControl(t_end=0.3))
+                   flow.StepControl(t_end=0.3, scheme="heun"))
     assert res.steps >= 20
     assert len(calls) == 2 * res.steps + 1
+
+
+def test_imex_run_computes_geometry_once_per_step(euclid, pair, monkeypatch):
+    # the loop top is the whole step's geometry: no predictor; the run
+    # includes a smoothing pass
+    calls = _count_surface_calls(monkeypatch, "mesh_geometry")
+    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
+    res = flow.run(euclid, pair, seed, ckv.Schedule(t0=1.0),
+                   flow.StepControl(t_end=0.6))
+    assert res.steps >= 10
+    assert len(calls) == res.steps + 1
 
 
 def test_run_graph_computes_geometry_twice_per_step(euclid, pair, monkeypatch):
@@ -140,30 +178,35 @@ def test_trace_volume_is_the_frame_volume(request, pair, backend, geom_name):
     # the graph's evaluates its embedded mesh, which is the frame
     geom = request.getfixturevalue(geom_name)
     seed = surface.ellipsoid_seed((1.08, 1.0, 0.93), 2)
+    # the front smooths every 10 steps, and its implicit steps are long
+    t_end, min_steps = (0.6, 10) if backend == "lagrangian" else (0.1, 5)
     res = _run_backend(backend, geom, pair, seed,
-                       flow.StepControl(t_end=0.1), frame_every=1)
-    # the front smooths every 10 steps
-    assert res.steps >= (10 if backend == "lagrangian" else 5)
+                       flow.StepControl(t_end=t_end), frame_every=1)
+    assert res.steps >= min_steps
     volume = res.trace.column("volume")
     assert len(res.frames) == len(volume) + 1  # the final frame repeats
     for (k, _, mesh), vol in zip(res.frames, volume):
         assert vol == surface.enclosed_volume(mesh, geom), k
 
 
-@pytest.mark.parametrize("backend, fn_name, call, step", [
-    pytest.param("lagrangian", "step_lagrangian", 3, 2,
+@pytest.mark.parametrize("backend, fn_name, call, step, scheme", [
+    pytest.param("lagrangian", "step_lagrangian", 3, 2, "imex",
                  id="lagrangian-step_lagrangian"),
-    pytest.param("leaf_graph", "step_graph", 3, 2, id="leaf_graph-step_graph"),
-    # a velocity born inside the step meets the chart-domain checks of the
-    # predictor (step 1's first stage) or the result (step 0's second)
-    pytest.param("lagrangian", "chart_velocity", 3, 1,
+    pytest.param("lagrangian", "step_heun", 3, 2, "heun",
+                 id="lagrangian-step_heun"),
+    pytest.param("leaf_graph", "step_graph", 3, 2, "imex",
+                 id="leaf_graph-step_graph"),
+    # a Heun velocity born inside the step meets the chart-domain checks of
+    # the predictor (step 1's first stage) or the result (step 0's second)
+    pytest.param("lagrangian", "chart_velocity", 3, 1, "heun",
                  id="lagrangian-chart_velocity-predictor"),
-    pytest.param("lagrangian", "chart_velocity", 2, 0,
+    pytest.param("lagrangian", "chart_velocity", 2, 0, "heun",
                  id="lagrangian-chart_velocity-result"),
 ])
 def test_non_finite_candidate_fails_with_step_and_time(euclid, pair,
                                                        monkeypatch, backend,
-                                                       fn_name, call, step):
+                                                       fn_name, call, step,
+                                                       scheme):
     original = getattr(flow, fn_name)
     calls = []
 
@@ -172,6 +215,7 @@ def test_non_finite_candidate_fails_with_step_and_time(euclid, pair,
         calls.append(1)
         if len(calls) == call:
             values = {"step_lagrangian": lambda: out.vertices,
+                      "step_heun": lambda: out.vertices,
                       "step_graph": lambda: out.lam,
                       "chart_velocity": lambda: out}[fn_name]()
             values[0] = np.nan
@@ -180,9 +224,33 @@ def test_non_finite_candidate_fails_with_step_and_time(euclid, pair,
     monkeypatch.setattr(flow, fn_name, poisoned)
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     with pytest.raises(MeshDegenerate) as exc:
-        _run_backend(backend, euclid, pair, seed, flow.StepControl(t_end=0.1))
+        _run_backend(backend, euclid, pair, seed,
+                     flow.StepControl(t_end=0.3, scheme=scheme))
     assert f"step {step} from t=" in str(exc.value)
     assert "non-finite" in str(exc.value)
+    assert len(exc.value.trace) == step + 1
+
+
+def test_non_finite_implicit_system_fails_with_step_and_time(euclid, pair,
+                                                             monkeypatch):
+    # a NaN entry would make the sparse factorization raise RuntimeError;
+    # the step names it first
+    step, original, calls = 2, surface.cotan_stiffness, []
+
+    def poisoned(mesh, cot=None):
+        out = original(mesh, cot)
+        calls.append(1)
+        if len(calls) == step + 1:
+            out.data[0] = np.nan
+        return out
+
+    monkeypatch.setattr(surface, "cotan_stiffness", poisoned)
+    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
+    with pytest.raises(MeshDegenerate) as exc:
+        flow.run(euclid, pair, seed, ckv.Schedule(t0=1.0),
+                 flow.StepControl(t_end=0.3))
+    assert f"step {step} from t=" in str(exc.value)
+    assert "non-finite implicit system entry" in str(exc.value)
     assert len(exc.value.trace) == step + 1
 
 

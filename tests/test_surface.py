@@ -202,6 +202,28 @@ def test_cotan_laplacian_matches_bincount_reference():
         assert np.max(np.abs(lap - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def test_cotan_stiffness_is_areas_times_the_laplacian():
+    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 3)
+    rng = np.random.default_rng(1)
+    mesh = mesh.with_vertices(
+        mesh.vertices * (1.0 + 0.02 * rng.standard_normal((mesh.n_vertices, 1)))
+    )
+    stiff = surface.cotan_stiffness(mesh)
+    dense = stiff.toarray()
+    assert np.array_equal(dense, dense.T)
+    assert np.max(np.abs(dense.sum(axis=1))) <= 1e-12 * np.max(np.abs(dense))
+    areas = surface.mixed_voronoi_areas(mesh)
+    for values in (mesh.vertices, rng.standard_normal(mesh.n_vertices)):
+        ref = (areas * surface.cotan_laplacian_apply(mesh, values).T).T
+        assert np.max(np.abs(stiff @ values - ref)) <= 1e-12
+    # the pattern comes from the topology's half-edges: a moved snapshot
+    # only changes values
+    moved = surface.cotan_stiffness(mesh.with_vertices(1.1 * mesh.vertices))
+    assert np.array_equal(moved.indices, stiff.indices)
+    assert np.array_equal(moved.indptr, stiff.indptr)
+    assert np.count_nonzero(dense) == stiff.nnz
+
+
 def test_orientation_flip_negates_support(euclid, pair):
     mesh = surface.ellipsoid_seed((1.5, 1.0, 0.8), 2)
     flipped = surface.TriSurface(mesh.vertices, mesh.faces[:, ::-1].copy())
