@@ -22,11 +22,12 @@ steps Heun under either value.
 Each snapshot's geometry is computed once per step.  The loop-top
 `mesh_geometry` bundle is the step's start (it depends on neither the step
 size nor the retry); an implicit step needs nothing else, and a Heun step
-costs one more `mesh_geometry` call, for the predictor.  The accepted mesh's
-curved area is carried to the next loop top, and so is the front's curved
-volume, which the volume projection has just evaluated.  The graph stepper
-shares the loop-top chart fields between its CFL bound and its first stage,
-and builds what depends on the fixed leaf alone (`LeafData`) once per run.
+costs one more `mesh_geometry` call, for the predictor.  Every snapshot
+memoizes its own face kernels, area and volume (see `surface.TriSurface`),
+so the loop top reads the accepted mesh's area and volume where the area
+guard and the volume projection left them, and the graph's fixed leaf keeps
+its gradient basis and shortest edge for the whole run.  The graph stepper
+shares the loop-top chart fields between its CFL bound and its first stage.
 """
 
 from dataclasses import dataclass, field
@@ -95,7 +96,7 @@ def chart_velocity(vg):
 
 
 def _min_edge(mesh):
-    h_min = mesh.min_edge()
+    h_min = mesh.min_edge
     if h_min < 1e-9:
         raise MeshDegenerate(f"minimum edge collapsed to {h_min:.3e}")
     return h_min
@@ -134,7 +135,7 @@ def step_lagrangian(mesh, geom, pair, schedule, t, dt, vg, step):
     b = N_SURF * vg.phi * np.exp(-vg.f) - 2.0 * c * vg.nu_f
     mass = vg.area_flat / c
     lhs = sp.diags_array(mass, format="csc") \
-        - dt * surface.cotan_stiffness(mesh, vg.cot)
+        - dt * surface.cotan_stiffness(mesh)
     _require_finite(lhs.data, "", step, t, "implicit system entry")
     rhs = mass[:, None] * (mesh.vertices + dt * b[:, None] * vg.nu_flat)
     return _checked(mesh.with_vertices(splu(lhs).solve(rhs)), geom, step, t)
@@ -168,27 +169,25 @@ def _checked(new, geom, step, t):
 def _rescale_to_volume(mesh, geom, target, tol=1e-12):
     """Scale about the origin until the curved volume matches `target`.
 
-    Returns the scaled mesh and its curved volume.
+    Returns the scaled mesh, which keeps its curved volume in its memo.
     """
     def scaled(s):
         out = mesh.with_vertices(s * mesh.vertices)
-        return out, surface.enclosed_volume(out, geom)
+        return out, out.volume(geom) / target - 1.0
 
     s0 = 1.0
-    out, vol = scaled(s0)
-    e0 = vol / target - 1.0
+    out, e0 = scaled(s0)
     if abs(e0) < tol:
-        return out, vol
+        return out
     # cubic scaling holds only at leading order in curved geometry, where a
     # fixed-exponent iteration can stall; the secant update does not care.
     s1 = (1.0 + e0) ** (-1.0 / 3.0)
     for _ in range(20):
-        out, vol = scaled(s1)
-        e1 = vol / target - 1.0
+        out, e1 = scaled(s1)
         if abs(e1) < tol or e1 == e0:
-            return out, vol
+            return out
         s0, s1, e0 = s1, s1 - e1 * (s1 - s0) / (e1 - e0), e1
-    return scaled(s1)
+    return scaled(s1)[0]
 
 
 def _require_finite(vertices, label, step, t, what="vertex"):
@@ -201,9 +200,9 @@ def _drive(stepper, schedule, ctrl, frame_every, frame_cb):
     """The time loop of both backends; returns a RunResult.
 
     The stepper has `geom`, `pair`, `label` (its name in messages), `t`,
-    `mesh` (embedded, at t), `mesh_initial`, `observe(vg)` -> (leaf labels,
-    curved volume), `max_dt(vg, xi_now)`, `propose(vg, dt, step)` -> the
-    candidate's mesh and `accept(dt, step, area, area_prev)` -> its area.
+    `mesh` (embedded, at t), `mesh_initial`, `labels(vg)` -> the leaf
+    labels, `max_dt(vg, xi_now)`, `propose(vg, dt, step)` -> the candidate's
+    mesh and `accept(dt, step, area_prev)`.
     Convergence: leaf spread (max-min)/mean of the label <= leaf_tol and
     max |speed| <= speed_tol * max H; t_end or max_steps return
     converged=False.  A package error raised in the loop carries the
@@ -213,9 +212,9 @@ def _drive(stepper, schedule, ctrl, frame_every, frame_cb):
     trace = diagnostics.FlowTrace()
     frames = []
     step, dt_arrived, band, band_ok = 0, 0.0, None, True
-    area = None  # the accepted step's area, carried to the next loop top
 
     def emit_frame():
+        # a copy starts with an empty memo, so a frame holds its vertices only
         frames.append((step, stepper.t, stepper.mesh.copy()))
         if frame_cb is not None:
             frame_cb(step, stepper.t, stepper.mesh)
@@ -226,14 +225,14 @@ def _drive(stepper, schedule, ctrl, frame_every, frame_cb):
             xi_now = schedule.xi_at(t)
             vg = surface.mesh_geometry(mesh, geom, pair, xi_now,
                                        with_curvatures=True)
-            if np.min(vg.u) <= 0.0:
+            # a NaN fails this comparison too
+            if not np.min(vg.u) > 0.0:
                 raise StarshapeLost(
                     f"support function reached {float(np.min(vg.u)):.3e} "
                     f"at t={t:.6g} ({stepper.label}step {step})"
                 )
-            if area is None:
-                area = surface.surface_area(mesh, geom)
-            lam, volume = stepper.observe(vg)
+            area, volume = mesh.area(geom), mesh.volume(geom)
+            lam = stepper.labels(vg)
             if band is None:
                 rng = float(lam.max() - lam.min())
                 pad = BAND_SLACK * max(rng, 1e-300)
@@ -267,11 +266,9 @@ def _drive(stepper, schedule, ctrl, frame_every, frame_cb):
                 break
 
             dt = min(stepper.max_dt(vg, xi_now), ctrl.t_end - t)
-            area_prev = area
             for _ in range(MAX_RETRIES):
                 cand = stepper.propose(vg, dt, step)
-                area = surface.surface_area(cand, geom)
-                if area <= area_prev * (1.0 + ctrl.area_slack):
+                if cand.area(geom) <= area * (1.0 + ctrl.area_slack):
                     break
                 dt *= 0.5
             else:
@@ -281,7 +278,7 @@ def _drive(stepper, schedule, ctrl, frame_every, frame_cb):
                 )
             step += 1
             dt_arrived = dt
-            area = stepper.accept(dt, step, area, area_prev)
+            stepper.accept(dt, step, area)
     except CkflowError as err:
         err.trace = trace
         raise
@@ -304,19 +301,17 @@ class _FrontStepper:
     def __init__(self, geom, pair, mesh0, schedule, ctrl):
         self.geom, self.pair = geom, pair
         self.schedule, self.ctrl = schedule, ctrl
-        self.mesh_initial = mesh0
-        self.mesh = mesh0.copy()
+        self.mesh_initial = self.mesh = mesh0
         self.t = 0.0
-        self.vol0 = surface.enclosed_volume(self.mesh, geom)
-        self.volume = self.vol0  # the mesh's, as the projection evaluated it
-        self._cand = None  # the last proposal: (mesh, curved volume)
+        self.vol0 = mesh0.volume(geom)
+        self._cand = None  # the last proposal
         if ctrl.scheme == "heun":
             self._bound, self._step = heun_cfl_dt, step_heun
         else:
             self._bound, self._step = cfl_dt, step_lagrangian
 
-    def observe(self, vg):
-        return vg.lam, self.volume
+    def labels(self, vg):
+        return vg.lam
 
     def max_dt(self, vg, xi_now):
         return self._bound(self.mesh, vg, self.ctrl.cfl)
@@ -330,19 +325,18 @@ class _FrontStepper:
         # order; project back before judging the area trend, else the
         # drift masquerades as area growth.
         self._cand = _rescale_to_volume(cand, self.geom, self.vol0)
-        return self._cand[0]
+        return self._cand
 
-    def accept(self, dt, step, area, area_prev):
+    def accept(self, dt, step, area_prev):
         """Commit the candidate, then smooth on the cadence; guard quality."""
-        self.mesh, self.volume = self._cand
+        self.mesh = self._cand
         self.t += dt
         ctrl = self.ctrl
         if ctrl.smooth_every > 0 and step % ctrl.smooth_every == 0:
             sm = surface.tangential_smooth(self.mesh, SMOOTH_STRENGTH)
-            sm, sm_volume = _rescale_to_volume(sm, self.geom, self.vol0)
-            sm_area = surface.surface_area(sm, self.geom)
-            if sm_area <= area_prev * (1.0 + ctrl.area_slack):
-                self.mesh, self.volume, area = sm, sm_volume, sm_area
+            sm = _rescale_to_volume(sm, self.geom, self.vol0)
+            if sm.area(self.geom) <= area_prev * (1.0 + ctrl.area_slack):
+                self.mesh = sm
             q = surface.quality(self.mesh)
             if q.degenerate():
                 raise MeshDegenerate(
@@ -350,7 +344,6 @@ class _FrontStepper:
                     f"min angle {q.min_angle_deg:.2f} deg, "
                     f"edge ratio {q.max_edge_ratio:.1f}"
                 )
-        return area
 
 
 def run(geom, pair, mesh0, schedule, ctrl=None, frame_every=0, frame_cb=None):
@@ -456,34 +449,14 @@ def graph_state_from_mesh(mesh, geom, t=0.0):
     return GraphState(leaf=leaf, lam=ckv.lam(geom, mesh.vertices), t=t)
 
 
-@dataclass
-class LeafData:
-    """What depends on a graph run's fixed leaf alone; built once per run."""
-
-    basis: surface.GradientBasis  # the leaf's P1 gradient basis
-    dual_areas: np.ndarray        # barycentric dual cell areas
-    min_edge: float               # shortest leaf edge, for the CFL bound
-    rotation: np.ndarray          # the rotation field at the leaf's vertices
-
-    @classmethod
-    def build(cls, leaf, pair):
-        basis = surface.gradient_basis(leaf)
-        dual_areas = leaf.topology.scatter @ np.repeat(basis.area / 3.0, 3)
-        return cls(basis=basis, dual_areas=dual_areas,
-                   min_edge=leaf.min_edge(),
-                   rotation=pair.rotation(leaf.vertices))
-
-
-def _graph_chart_fields(geom, pair, state, xi_now, leaf_data, emb=None,
-                        vg=None):
+def _graph_chart_fields(geom, pair, state, xi_now, emb=None, vg=None):
     """Per-vertex chart quantities of a graph state.
 
     Returns (emb, vg, g, h, pv, w, u) with pv the P1 leaf gradient of lam,
     w the graph area factor and u the scheduled support function computed
     from the chart identities u_perp = |X_perp|_g / W, u_top = -sqrt(H_coef)
-    X_top(lam) / W.  `leaf_data` is the state leaf's `LeafData`; `emb` and
-    `vg` are the state's embedded mesh and its geometry bundle at xi_now,
-    when the caller already has them.
+    X_top(lam) / W.  `emb` and `vg` are the state's embedded mesh and its
+    geometry bundle at xi_now, when the caller already has them.
     """
     leaf = state.leaf
     if emb is None:
@@ -492,39 +465,40 @@ def _graph_chart_fields(geom, pair, state, xi_now, leaf_data, emb=None,
         vg = surface.mesh_geometry(emb, geom, pair, xi_now,
                                    with_curvatures=False)
     g, h = leaf_coefficients(geom, leaf.vertices, state.lam)
-    pv = surface.vertex_gradients(leaf, state.lam, leaf_data.basis)
+    pv = surface.vertex_gradients(leaf, state.lam)
     w = np.sqrt(1.0 + (h / g) * np.einsum("ij,ij->i", pv, pv))
     u_perp = vg.dilation_norm / w
-    u_top = -np.sqrt(h) * np.einsum("ij,ij->i", leaf_data.rotation, pv) / w
+    u_top = -np.sqrt(h) * np.einsum("ij,ij->i", pair.rotation(leaf.vertices),
+                                    pv) / w
     u = u_perp + xi_now * u_top
     return emb, vg, g, h, pv, w, u
 
 
-def _graph_rate(geom, pair, state, xi_now, c1, leaf_data, fields=None):
+def _graph_rate(geom, pair, state, xi_now, c1, fields=None):
     """Fixed-chart rate d lam/dt = W^2 (u div(A)/(G W) + B).
 
     The W^2 factor converts the material evolution law to the vertical
     chart derivative (graph points move vertically, flow points normally).
-    `leaf_data` is the state leaf's `LeafData`; `fields` is the state's
-    `_graph_chart_fields` tuple, when the caller already has it.
+    `fields` is the state's `_graph_chart_fields` tuple, when the caller
+    already has it.
     """
     leaf = state.leaf
     if fields is None:
-        fields = _graph_chart_fields(geom, pair, state, xi_now, leaf_data)
+        fields = _graph_chart_fields(geom, pair, state, xi_now)
     emb, vg, g, h, pv, w, u = fields
     grad_mag = np.linalg.norm(pv, axis=1)
     if np.max(grad_mag) > c1:
         raise GradientBoundExceeded(
             f"leaf gradient {np.max(grad_mag):.3f} exceeded the bound {c1:.3f}"
         )
-    if np.min(u) <= 0.0:
-        err = StarshapeLost(
-            f"graph support function reached {float(np.min(u)):.3e}"
+    if not np.min(u) > 0.0:  # a NaN fails this comparison too
+        raise StarshapeLost(
+            f"graph support function reached {float(np.min(u)):.3e} "
+            f"at t={state.t:.6g}"
         )
-        raise err
 
-    basis = leaf_data.basis
-    pf = surface.face_gradients(leaf, state.lam, basis)
+    basis = leaf.basis
+    pf = surface.face_gradients(leaf, state.lam)
     gf = np.mean(g[leaf.faces], axis=1)
     hf = np.mean(h[leaf.faces], axis=1)
     af = graph_flux(pf, gf, hf)
@@ -534,34 +508,31 @@ def _graph_rate(geom, pair, state, xi_now, c1, leaf_data, fields=None):
         contrib = -0.5 * np.einsum("ij,ij->i", af, basis.corner_cross[c])
         div += np.bincount(leaf.faces[:, c], weights=contrib,
                            minlength=leaf.n_vertices)
-    div /= leaf_data.dual_areas
+    div /= basis.dual_area
     b = diagnostics.label_evolution_source(geom, pair, emb, vg)
     return w * u * div / g + w * w * b
 
 
-def graph_cfl_dt(leaf_data, fields, cfl):
+def graph_cfl_dt(leaf, fields, cfl):
     """Parabolic bound for the graph update: cfl h^2 / max(1, max u W / G).
 
-    `leaf_data` is the state leaf's `LeafData` and `fields` the state's
-    `_graph_chart_fields` tuple.
+    `leaf` is the state's leaf and `fields` its `_graph_chart_fields` tuple.
     """
-    h_min = leaf_data.min_edge
+    h_min = leaf.min_edge
     _, _, g, _, _, w, u = fields
     kappa = np.max(np.abs(u) * w / g)
     return cfl * h_min * h_min / max(1.0, float(kappa))
 
 
-def step_graph(geom, pair, state, schedule, dt, c1, leaf_data, fields):
+def step_graph(geom, pair, state, schedule, dt, c1, fields):
     """One Heun step of the leaf-graph evolution.
 
-    `leaf_data` is the state leaf's `LeafData`.  `fields` is the state's
-    `_graph_chart_fields` tuple at its own time, the first stage; it does
-    not depend on dt, so it serves every retry.
+    `fields` is the state's `_graph_chart_fields` tuple at its own time, the
+    first stage; it does not depend on dt, so it serves every retry.
     """
-    k1 = _graph_rate(geom, pair, state, schedule.xi_at(state.t), c1,
-                     leaf_data, fields)
+    k1 = _graph_rate(geom, pair, state, schedule.xi_at(state.t), c1, fields)
     mid = GraphState(leaf=state.leaf, lam=state.lam + dt * k1, t=state.t + dt)
-    k2 = _graph_rate(geom, pair, mid, schedule.xi_at(mid.t), c1, leaf_data)
+    k2 = _graph_rate(geom, pair, mid, schedule.xi_at(mid.t), c1)
     return GraphState(leaf=state.leaf, lam=state.lam + 0.5 * dt * (k1 + k2),
                       t=state.t + dt)
 
@@ -576,10 +547,8 @@ class _GraphStepper:
         self.schedule, self.ctrl = schedule, ctrl
         state = GraphState(leaf=state0.leaf,
                            lam=np.array(state0.lam, dtype=float), t=state0.t)
-        self.leaf_data = LeafData.build(state.leaf, pair)
         if c1 is None:
-            pv = surface.vertex_gradients(state.leaf, state.lam,
-                                          self.leaf_data.basis)
+            pv = surface.vertex_gradients(state.leaf, state.lam)
             c1 = max(1.0, 2.0 * float(np.linalg.norm(pv, axis=1).max()))
         self.c1 = c1
         self.mesh_initial = state0.embedded(geom)
@@ -591,27 +560,25 @@ class _GraphStepper:
     def t(self):
         return self.state.t
 
-    def observe(self, vg):
-        return self.state.lam, surface.enclosed_volume(self.mesh, self.geom)
+    def labels(self, vg):
+        return self.state.lam
 
     def max_dt(self, vg, xi_now):
         # the loop-top chart fields are also the first stage of the step
         self.fields = _graph_chart_fields(self.geom, self.pair, self.state,
-                                          xi_now, self.leaf_data, self.mesh,
-                                          vg)
-        return graph_cfl_dt(self.leaf_data, self.fields, self.ctrl.cfl)
+                                          xi_now, self.mesh, vg)
+        return graph_cfl_dt(self.state.leaf, self.fields, self.ctrl.cfl)
 
     def propose(self, vg, dt, step):
         cand = step_graph(self.geom, self.pair, self.state, self.schedule, dt,
-                          self.c1, self.leaf_data, self.fields)
+                          self.c1, self.fields)
         emb = cand.embedded(self.geom)
         _require_finite(emb.vertices, self.label, step, self.t)
         self._cand = (cand, emb)
         return emb
 
-    def accept(self, dt, step, area, area_prev):
+    def accept(self, dt, step, area_prev):
         self.state, self.mesh = self._cand
-        return area
 
 
 def run_graph(geom, pair, state0, schedule, ctrl=None, c1=None,
@@ -654,9 +621,8 @@ def evolution_residuals(geom, pair, state, schedule, delta=None):
     pts = emb.vertices
     areas_g = vg.area_g
 
-    leaf_data = LeafData.build(state.leaf, pair)
     _, _, g_coef, h_coef, _, w, _ = _graph_chart_fields(
-        geom, pair, state, xim, leaf_data, emb, vg)
+        geom, pair, state, xim, emb, vg)
     speed = N_SURF * vg.phi - um * hm
     rate = speed * w / np.sqrt(h_coef)
     if delta is None:

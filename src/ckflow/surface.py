@@ -19,15 +19,17 @@ cotan Laplacian is one weighted half-edge difference through that same
 matrix, the sparse cotan stiffness of the implicit front step holds the
 same half-edge weights, and the topology's padded neighbour tables
 (`ring`) are built on first use.
-Within one snapshot the face kernels run once: `mesh_geometry` (and
-`tangential_smooth`) compute the face normals, face areas and corner
-cotangents a single time and hand them to `vertex_normals`,
-`mixed_voronoi_areas` and `cotan_laplacian_apply`, which fall back to
-computing them only when called on their own.  The P1 gradient kernels
-take a mesh's `GradientBasis` the same way.
+A snapshot's vertices are read-only, so what they determine is memoized on
+the `TriSurface` at its first use: the face normals and areas, the corner
+cotangents, the vertex normals, the mixed Voronoi areas, the P1 gradient
+basis, the shortest edge, and the curved area and volume under a given
+geometry.  The kernels read their inputs from that memo, so a snapshot
+computes each of these at most once, whoever asks first, and no caller
+passes one along.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -130,23 +132,29 @@ class Topology:
 
 @dataclass
 class TriSurface:
-    """Vertices + faces with shared adjacency tables."""
+    """One snapshot: read-only vertices over faces with shared adjacency.
+
+    The memo fills on first use and calls each kernel by its module name;
+    `with_vertices` and `copy` give a new snapshot with an empty memo.
+    """
 
     vertices: np.ndarray
     faces: np.ndarray
     topology: Topology = None
 
     def __post_init__(self):
-        self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
+        self.vertices = np.array(self.vertices, dtype=float, order="C")
+        self.vertices.flags.writeable = False
         self.faces = np.ascontiguousarray(self.faces, dtype=np.int64)
         if self.topology is None:
             self.topology = Topology(self.faces)
+        self._curved = {}  # (name, id(geom)) -> (geom, value)
 
     def with_vertices(self, verts):
         return TriSurface(verts, self.faces, self.topology)
 
     def copy(self):
-        return TriSurface(self.vertices.copy(), self.faces, self.topology)
+        return self.with_vertices(self.vertices)
 
     @property
     def n_vertices(self):
@@ -156,13 +164,52 @@ class TriSurface:
     def n_faces(self):
         return self.faces.shape[0]
 
-    def edge_lengths(self):
-        v = self.vertices
-        t = self.topology
-        return np.linalg.norm(v[t.he_head] - v[t.he_tail], axis=1)
+    @cached_property
+    def normals_areas(self):
+        """Flat face unit normals (F, 3) and areas (F,)."""
+        return face_normals_areas(self.vertices, self.faces)
 
+    @cached_property
+    def cotans(self):
+        """Flat corner cotangents (F, 3)."""
+        return _face_cotans(self.vertices, self.faces)
+
+    @cached_property
+    def normals(self):
+        """Flat unit vertex normals (V, 3)."""
+        return vertex_normals(self)
+
+    @cached_property
+    def mixed_areas(self):
+        """Flat mixed Voronoi cell areas (V,)."""
+        return mixed_voronoi_areas(self)
+
+    @cached_property
+    def basis(self):
+        """The P1 gradient's `GradientBasis`."""
+        return gradient_basis(self)
+
+    @cached_property
     def min_edge(self):
-        return float(np.min(self.edge_lengths()))
+        """Length of the shortest edge."""
+        v, t = self.vertices, self.topology
+        edges = v[t.he_head] - v[t.he_tail]
+        return float(np.min(np.linalg.norm(edges, axis=1)))
+
+    def area(self, geom):
+        """Curved area under `geom` (`surface_area`)."""
+        return self._under("area", geom, surface_area)
+
+    def volume(self, geom):
+        """Curved enclosed volume under `geom` (`enclosed_volume`)."""
+        return self._under("volume", geom, enclosed_volume)
+
+    def _under(self, name, geom, kernel):
+        # the entry holds geom, so its id names no other geometry meanwhile
+        key = (name, id(geom))
+        if key not in self._curved:
+            self._curved[key] = (geom, kernel(self, geom))
+        return self._curved[key][1]
 
 
 # --------------------------------------------------------------------------
@@ -292,15 +339,9 @@ def face_normals_areas(verts, faces):
     return cr / nrm[:, None], 0.5 * nrm
 
 
-def vertex_normals(mesh, normals_areas=None):
-    """Area-weighted average of incident face normals, unit length.
-
-    `normals_areas` is this mesh's `face_normals_areas` pair, when the
-    caller already has it.
-    """
-    if normals_areas is None:
-        normals_areas = face_normals_areas(mesh.vertices, mesh.faces)
-    fn, fa = normals_areas
+def vertex_normals(mesh):
+    """Area-weighted average of incident face normals, unit length."""
+    fn, fa = mesh.normals_areas
     out = mesh.topology.scatter @ np.repeat(fn * fa[:, None], 3, axis=0)
     nrm = np.linalg.norm(out, axis=1)
     if np.any(nrm <= 0.0):
@@ -320,18 +361,12 @@ def _face_cotans(verts, faces):
     return cot
 
 
-def mixed_voronoi_areas(mesh, cot=None, fa=None):
-    """Per-vertex mixed Voronoi cell areas (obtuse-safe).
-
-    `cot` and `fa` are the mesh's corner cotangents and face areas, when the
-    caller already has them.
-    """
-    verts, faces = mesh.vertices, mesh.faces
-    p = verts[faces]
-    if cot is None:
-        cot = _face_cotans(verts, faces)
-    if fa is None:
-        _, fa = face_normals_areas(verts, faces)
+def mixed_voronoi_areas(mesh):
+    """Per-vertex mixed Voronoi cell areas (obtuse-safe)."""
+    faces = mesh.faces
+    p = mesh.vertices[faces]
+    cot = mesh.cotans
+    _, fa = mesh.normals_areas
     contrib = np.empty((faces.shape[0], 3))
     obtuse_any = np.any(cot < 0.0, axis=1)
     for c in range(3):
@@ -358,43 +393,34 @@ def _half_edge_weights(topo, cot):
     return he_cot + he_cot[topo.he_twin]
 
 
-def cotan_laplacian_apply(mesh, values, areas=None, cot=None):
+def cotan_laplacian_apply(mesh, values):
     """Pointwise Laplace-Beltrami of per-vertex values (flat induced metric).
 
     (Lap v)_i = (1 / (2 A_i)) sum_j (cot a_ij + cot b_ij) (v_j - v_i)
 
     One product over the half-edges: half-edge k (tail i, head j) carries
     the cotangent of the corner it faces, plus its twin's, as its weight, and
-    `scatter` sums the weighted differences onto the tails.  `areas` (mixed
-    Voronoi) and `cot` (corner cotangents) are computed here unless the
-    caller passes this mesh's values.
+    `scatter` sums the weighted differences onto the tails.
     """
     topo = mesh.topology
-    if cot is None:
-        cot = _face_cotans(mesh.vertices, mesh.faces)
-    if areas is None:
-        areas = mixed_voronoi_areas(mesh, cot)
     vals = np.asarray(values, dtype=float)
     flat = vals.reshape(vals.shape[0], -1)
-    w = _half_edge_weights(topo, cot)
+    w = _half_edge_weights(topo, mesh.cotans)
     acc = topo.scatter @ (w[:, None] * (flat[topo.he_head] - flat[topo.he_tail]))
-    acc /= (2.0 * areas)[:, None]
+    acc /= (2.0 * mesh.mixed_areas)[:, None]
     return acc.reshape(vals.shape)
 
 
-def cotan_stiffness(mesh, cot=None):
+def cotan_stiffness(mesh):
     """Sparse cotan stiffness L: (L x)_i = (1/2) sum_j w_ij (x_j - x_i).
 
     w_ij = cot a + cot b.  Symmetric with zero row sums; L x equals the
     mixed areas times `cotan_laplacian_apply(x)`, from the same half-edge
     weights: half-edge k gives the entry (tail, head), and each directed
-    edge is one half-edge.  `cot` (corner cotangents) is computed here
-    unless given.
+    edge is one half-edge.
     """
     topo = mesh.topology
-    if cot is None:
-        cot = _face_cotans(mesh.vertices, mesh.faces)
-    half = 0.5 * _half_edge_weights(topo, cot)
+    half = 0.5 * _half_edge_weights(topo, mesh.cotans)
     V = topo.n_vertices
     diag = np.arange(V)
     return sp.csc_array(
@@ -407,40 +433,36 @@ def cotan_stiffness(mesh, cot=None):
 
 @dataclass
 class GradientBasis:
-    """Vertex-position data of the P1 gradient on one mesh.
-
-    A mesh whose vertices stay put (the leaf of a graph run) builds it once
-    and hands it to `face_gradients` and `vertex_gradients`.
-    """
+    """Vertex-position data of the P1 gradient on one mesh (`mesh.basis`)."""
 
     corner_cross: np.ndarray   # (3, F, 3): n x e_c, e_c opposite corner c
     area: np.ndarray           # (F,) flat face areas
     double_area: np.ndarray    # (F,) 2 * area
     vertex_weight: np.ndarray  # (V,) summed areas of the faces at each vertex
+    dual_area: np.ndarray      # (V,) barycentric dual cell areas
 
 
 def gradient_basis(mesh):
     """The mesh's `GradientBasis`."""
-    verts, faces = mesh.vertices, mesh.faces
-    fn, fa = face_normals_areas(verts, faces)
-    p = verts[faces]
+    fn, fa = mesh.normals_areas
+    p = mesh.vertices[mesh.faces]
     corner_cross = np.stack([
         np.cross(fn, p[:, (c + 2) % 3] - p[:, (c + 1) % 3]) for c in range(3)
     ])
-    vertex_weight = mesh.topology.scatter @ np.repeat(fa, 3)
+    scatter = mesh.topology.scatter
     return GradientBasis(corner_cross=corner_cross, area=fa,
-                         double_area=2.0 * fa, vertex_weight=vertex_weight)
+                         double_area=2.0 * fa,
+                         vertex_weight=scatter @ np.repeat(fa, 3),
+                         dual_area=scatter @ np.repeat(fa / 3.0, 3))
 
 
-def face_gradients(mesh, values, basis=None):
+def face_gradients(mesh, values):
     """Piecewise-linear gradient of per-vertex values, one 3-vector per face.
 
     grad chi_c = (n x e_c) / (2 area) with e_c the edge opposite corner c,
-    so the gradient lies in the face plane.  `basis` is this mesh's
-    `GradientBasis`, when the caller already has it.
+    so the gradient lies in the face plane.
     """
-    if basis is None:
-        basis = gradient_basis(mesh)
+    basis = mesh.basis
     faces = mesh.faces
     vals = np.asarray(values, dtype=float)
     grad = np.zeros((faces.shape[0], 3))
@@ -449,14 +471,10 @@ def face_gradients(mesh, values, basis=None):
     return grad / basis.double_area[:, None]
 
 
-def vertex_gradients(mesh, values, basis=None):
-    """Face gradients averaged to vertices with flat-area weights.
-
-    `basis` is this mesh's `GradientBasis`, when the caller already has it.
-    """
-    if basis is None:
-        basis = gradient_basis(mesh)
-    grad = face_gradients(mesh, values, basis) * basis.area[:, None]
+def vertex_gradients(mesh, values):
+    """Face gradients averaged to vertices with flat-area weights."""
+    basis = mesh.basis
+    grad = face_gradients(mesh, values) * basis.area[:, None]
     out = mesh.topology.scatter @ np.repeat(grad, 3, axis=0)
     return out / basis.vertex_weight[:, None]
 
@@ -502,7 +520,7 @@ def _quadric_columns(x, y):
     return np.stack([x * x, x * y, y * y, x, y], axis=-1)
 
 
-def quadric_fit(mesh, normals=None):
+def quadric_fit(mesh):
     """Per-vertex quadric over the two-ring in the local normal frame.
 
     Fits z = a x^2 + b xy + c y^2 + d x + e y with `_local_fit` and returns
@@ -510,9 +528,7 @@ def quadric_fit(mesh, normals=None):
     (V,5).  Every column vanishes at the origin, so the two-ring's padded
     slots drop out without a mask.
     """
-    if normals is None:
-        normals = vertex_normals(mesh)
-    frames, scale, coeffs = _local_fit(mesh.vertices, normals,
+    frames, scale, coeffs = _local_fit(mesh.vertices, mesh.normals,
                                        *mesh.topology.ring(2), _quadric_columns)
     # undo the scaling: quadratic terms pick up 1/scale, linear ones none
     coeffs[:, :3] /= scale[:, None]
@@ -562,7 +578,7 @@ class JetFields:
     lap_h: np.ndarray
 
 
-def jet_fields(mesh, geom, pair, xi_now, normals=None):
+def jet_fields(mesh, geom, pair, xi_now):
     """Per-vertex u/H fields and their surface operators from one local fit.
 
     The mean curvature is second order in position and its Laplacian
@@ -573,9 +589,7 @@ def jet_fields(mesh, geom, pair, xi_now, normals=None):
     (machine-accurate composition), so only the one smooth truncation
     error survives.
     """
-    verts = mesh.vertices
-    if normals is None:
-        normals = vertex_normals(mesh)
+    verts, normals = mesh.vertices, mesh.normals
     nbr, cnt = mesh.topology.ring(4)
     real = (np.arange(nbr.shape[1])[None, :] < cnt[:, None])[..., None]
 
@@ -673,12 +687,12 @@ def jet_fields(mesh, geom, pair, xi_now, normals=None):
     )
 
 
-def principal_curvatures_flat(mesh, normals=None):
+def principal_curvatures_flat(mesh):
     """Flat principal curvatures (k1 >= k2) from the quadric fit.
 
     Outward-positive convention: a round sphere of radius r gives +1/r.
     """
-    _, co = quadric_fit(mesh, normals)
+    _, co = quadric_fit(mesh)
     a, b, c, d, e = (co[:, k] for k in range(5))
     gsq = d * d + e * e
     denom = np.sqrt(1.0 + gsq)
@@ -722,35 +736,26 @@ class VertexGeometry:
     lam: np.ndarray
     Lam: np.ndarray
     area_flat: np.ndarray    # mixed Voronoi cell areas, flat
-    cot: np.ndarray          # corner cotangents (F, 3), flat
     area_g: np.ndarray       # curved cell areas exp(2f) * flat
     dilation_norm: np.ndarray  # |D|_g at vertices
 
 
 def mesh_geometry(mesh, geom, pair, xi_now=1.0, with_curvatures=True):
-    """Assemble the per-vertex geometry bundle for the current snapshot.
-
-    The face kernels run once: face normals and areas and the corner
-    cotangents feed the vertex normals, the mixed Voronoi areas and the
-    cotan Laplacian, and the cotangents are kept for the implicit step's
-    stiffness.
-    """
+    """Assemble the per-vertex geometry bundle for the current snapshot."""
     from . import ckv
 
     verts = mesh.vertices
     f_v = geom.f(verts)
     ef = np.exp(f_v)
-    fn, fa = face_normals_areas(verts, mesh.faces)
-    cot = _face_cotans(verts, mesh.faces)
-    nu = vertex_normals(mesh, (fn, fa))
-    areas = mixed_voronoi_areas(mesh, cot, fa)
-    lap_x = cotan_laplacian_apply(mesh, verts, areas, cot)
+    nu = mesh.normals
+    areas = mesh.mixed_areas
+    lap_x = cotan_laplacian_apply(mesh, verts)
     H_flat = -np.einsum("ij,ij->i", lap_x, nu)
     nu_f = np.einsum("ij,ij->i", nu, geom.grad_f(verts))
     H = (H_flat + 2.0 * nu_f) / ef
 
     if with_curvatures:
-        k1f, k2f = principal_curvatures_flat(mesh, nu)
+        k1f, k2f = principal_curvatures_flat(mesh)
         k1 = (k1f + nu_f) / ef
         k2 = (k2f + nu_f) / ef
     else:
@@ -775,7 +780,6 @@ def mesh_geometry(mesh, geom, pair, xi_now=1.0, with_curvatures=True):
         lam=ckv.lam(geom, verts),
         Lam=ckv.Lam(geom, verts),
         area_flat=areas,
-        cot=cot,
         area_g=np.exp(2.0 * f_v) * areas,
         dilation_norm=ckv.dilation_norm_g(geom, verts),
     )
@@ -799,7 +803,7 @@ def surface_area(mesh, geom):
     Edge-midpoint quadrature, exact for quadratic integrands per face.
     """
     v, faces = mesh.vertices, mesh.faces
-    _, fa = face_normals_areas(v, faces)
+    _, fa = mesh.normals_areas
     p0, p1, p2 = v[faces[:, 0]], v[faces[:, 1]], v[faces[:, 2]]
     total = 0.0
     for qa, qb in ((p0, p1), (p1, p2), (p2, p0)):
@@ -864,9 +868,8 @@ def quality(mesh):
         ],
         axis=1,
     )
-    _, fa = face_normals_areas(v, faces)
-    cot = _face_cotans(v, faces)
-    angles = np.arctan2(1.0, cot)  # corner angles in (0, pi)
+    _, fa = mesh.normals_areas
+    angles = np.arctan2(1.0, mesh.cotans)  # corner angles in (0, pi)
     return MeshQuality(
         min_angle_deg=float(np.degrees(np.min(angles))),
         max_edge_ratio=float(np.max(edges.max(axis=1) / edges.min(axis=1))),
@@ -879,15 +882,13 @@ def tangential_smooth(mesh, strength=0.5):
     then re-project onto the local quadric so the shape is kept to 2nd order.
     """
     verts = mesh.vertices
-    fn, fa = face_normals_areas(verts, mesh.faces)
-    areas = mixed_voronoi_areas(mesh, fa=fa)
     nbr, cnt = mesh.topology.ring(1)
     mask = (np.arange(nbr.shape[1])[None, :] < cnt[:, None]).astype(float)
-    w = areas[nbr] * mask
+    w = mesh.mixed_areas[nbr] * mask
     centroid = np.einsum("vk,vkj->vj", w, verts[nbr]) / np.sum(w, axis=1)[:, None]
 
-    normals = vertex_normals(mesh, (fn, fa))
-    frames, co = quadric_fit(mesh, normals)
+    normals = mesh.normals
+    frames, co = quadric_fit(mesh)
     delta = centroid - verts
     delta_t = delta - normals * np.einsum("ij,ij->i", delta, normals)[:, None]
     lx = strength * np.einsum("ij,ij->i", delta_t, frames[:, 0])

@@ -1,9 +1,11 @@
 """Time integration: Lagrangian driver, leaf-graph backend, evolution checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ckflow import ckv, diagnostics, flow, surface
+from ckflow import ckv, flow, surface
 from ckflow.errors import MeshDegenerate, StarshapeLost
 
 
@@ -149,16 +151,16 @@ def test_run_graph_computes_geometry_twice_per_step(euclid, pair, monkeypatch):
 
 
 def test_run_graph_builds_leaf_geometry_once(euclid, pair, monkeypatch):
-    # per step: the loop top's and the predictor's mesh_geometry and the
-    # candidate's area; plus 3 per run: the leaf data, the first loop top's
-    # area and the final loop top's mesh_geometry
+    # per step: the predictor's mesh_geometry and the candidate's area, whose
+    # face kernels the next loop top reads from the memo; plus 2 per run:
+    # the leaf's gradient basis and the first loop top
     calls = _count_surface_calls(monkeypatch, "face_normals_areas")
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     state0 = flow.graph_state_from_mesh(seed, euclid)
     res = flow.run_graph(euclid, pair, state0, ckv.Schedule(t0=1.0),
                          flow.StepControl(t_end=0.1))
     assert res.steps >= 5
-    assert len(calls) == 3 * res.steps + 3
+    assert len(calls) == 2 * res.steps + 2
 
 
 def _run_backend(backend, geom, pair, seed, ctrl, **kwargs):
@@ -210,16 +212,21 @@ def test_non_finite_candidate_fails_with_step_and_time(euclid, pair,
     original = getattr(flow, fn_name)
     calls = []
 
+    def nan_first(values):
+        values = np.array(values)
+        values[0] = np.nan
+        return values
+
     def poisoned(*args, **kwargs):
         out = original(*args, **kwargs)
         calls.append(1)
-        if len(calls) == call:
-            values = {"step_lagrangian": lambda: out.vertices,
-                      "step_heun": lambda: out.vertices,
-                      "step_graph": lambda: out.lam,
-                      "chart_velocity": lambda: out}[fn_name]()
-            values[0] = np.nan
-        return out
+        if len(calls) != call:
+            return out
+        if fn_name == "step_graph":
+            return dataclasses.replace(out, lam=nan_first(out.lam))
+        if fn_name == "chart_velocity":
+            return nan_first(out)
+        return out.with_vertices(nan_first(out.vertices))
 
     monkeypatch.setattr(flow, fn_name, poisoned)
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
@@ -237,11 +244,13 @@ def test_non_finite_implicit_system_fails_with_step_and_time(euclid, pair,
     # the step names it first
     step, original, calls = 2, surface.cotan_stiffness, []
 
-    def poisoned(mesh, cot=None):
-        out = original(mesh, cot)
+    def poisoned(mesh):
+        out = original(mesh)
         calls.append(1)
-        if len(calls) == step + 1:
-            out.data[0] = np.nan
+        if len(calls) != step + 1:
+            return out
+        out = out.copy()
+        out.data[0] = np.nan
         return out
 
     monkeypatch.setattr(surface, "cotan_stiffness", poisoned)
@@ -252,73 +261,6 @@ def test_non_finite_implicit_system_fails_with_step_and_time(euclid, pair,
     assert f"step {step} from t=" in str(exc.value)
     assert "non-finite implicit system entry" in str(exc.value)
     assert len(exc.value.trace) == step + 1
-
-
-# --------------------------------------------------------------------------
-# leaf-graph rate against the standalone kernels
-# --------------------------------------------------------------------------
-
-
-def _jittered_graph_state(geom):
-    leaf = surface.icosphere(2)
-    rng = np.random.default_rng(5)
-    dirs = leaf.vertices + 0.06 * rng.normal(size=leaf.vertices.shape)
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    r = 1.0 + 0.08 * dirs[:, 2] ** 2 - 0.05 * dirs[:, 0] * dirs[:, 1]
-    return flow.graph_state_from_mesh(leaf.with_vertices(r[:, None] * dirs),
-                                      geom)
-
-
-def _reference_rate(geom, pair, state, xi_now):
-    """The graph rate from the standalone kernels, nothing precomputed."""
-    leaf, lam = state.leaf, state.lam
-    emb = state.embedded(geom)
-    vg = surface.mesh_geometry(emb, geom, pair, xi_now, with_curvatures=False)
-    g, h = flow.leaf_coefficients(geom, leaf.vertices, lam)
-    pv = surface.vertex_gradients(leaf, lam)
-    w = np.sqrt(1.0 + (h / g) * np.einsum("ij,ij->i", pv, pv))
-    u_top = -np.sqrt(h) * np.einsum("ij,ij->i", pair.rotation(leaf.vertices),
-                                    pv) / w
-    u = vg.dilation_norm / w + xi_now * u_top
-    fn, fa = surface.face_normals_areas(leaf.vertices, leaf.faces)
-    af = flow.graph_flux(surface.face_gradients(leaf, lam),
-                         np.mean(g[leaf.faces], axis=1),
-                         np.mean(h[leaf.faces], axis=1))
-    div = np.zeros(leaf.n_vertices)
-    p = leaf.vertices[leaf.faces]
-    for c in range(3):
-        e = p[:, (c + 2) % 3] - p[:, (c + 1) % 3]
-        contrib = -0.5 * np.einsum("ij,ij->i", af, np.cross(fn, e))
-        div += np.bincount(leaf.faces[:, c], weights=contrib,
-                           minlength=leaf.n_vertices)
-    div /= np.bincount(leaf.faces.reshape(-1), weights=np.repeat(fa / 3.0, 3),
-                       minlength=leaf.n_vertices)
-    b = diagnostics.label_evolution_source(geom, pair, emb, vg)
-    return w * u * div / g + w * w * b
-
-
-@pytest.mark.parametrize("geom_name, axis", [("euclid", (0.0, 0.0, 1.0)),
-                                             ("paper", (1.0, 0.0, 0.0))])
-def test_graph_rate_with_leaf_data_matches_standalone_kernels(
-        request, geom_name, axis):
-    geom = request.getfixturevalue(geom_name)
-    pair = ckv.KillingPair(omega=0.5, axis=axis)
-    sched = ckv.Schedule(t0=0.5)
-    state = _jittered_graph_state(geom)
-    state.t = 0.1
-    leaf_data = flow.LeafData.build(state.leaf, pair)
-    xi_now = sched.xi_at(state.t)
-    c1, dt = 10.0, 1e-4
-
-    k1 = flow._graph_rate(geom, pair, state, xi_now, c1, leaf_data)
-    assert np.array_equal(k1, _reference_rate(geom, pair, state, xi_now))
-
-    fields = flow._graph_chart_fields(geom, pair, state, xi_now, leaf_data)
-    new = flow.step_graph(geom, pair, state, sched, dt, c1, leaf_data, fields)
-    mid = flow.GraphState(leaf=state.leaf, lam=state.lam + dt * k1,
-                          t=state.t + dt)
-    k2 = _reference_rate(geom, pair, mid, sched.xi_at(mid.t))
-    assert np.array_equal(new.lam, state.lam + 0.5 * dt * (k1 + k2))
 
 
 # --------------------------------------------------------------------------
@@ -353,6 +295,56 @@ def test_run_stops_at_t_end_without_convergence(euclid, pair):
                    flow.StepControl(t_end=0.02))
     assert not res.converged and res.reason == "t_end"
     assert res.t >= 0.02
+
+
+@pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
+def test_nan_support_fails_starshape_with_step_and_time(euclid, pair,
+                                                        monkeypatch, backend):
+    # NaN compares false with everything, so `u <= 0` cannot be the guard
+    label = "graph " if backend == "leaf_graph" else ""
+    step, original, calls = 2, surface.mesh_geometry, []
+
+    def poisoned(*args, **kwargs):
+        vg = original(*args, **kwargs)
+        if not kwargs.get("with_curvatures"):  # only the loop top's bundle
+            return vg
+        calls.append(1)
+        if len(calls) != step + 1:
+            return vg
+        u = np.array(vg.u)
+        u[0] = np.nan
+        return dataclasses.replace(vg, u=u)
+
+    monkeypatch.setattr(surface, "mesh_geometry", poisoned)
+    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
+    with pytest.raises(StarshapeLost) as exc:
+        _run_backend(backend, euclid, pair, seed, flow.StepControl(t_end=0.3))
+    assert "support function reached nan at t=" in str(exc.value)
+    assert f"({label}step {step})" in str(exc.value)
+    assert len(exc.value.trace) == step
+
+
+def test_nan_graph_rate_support_fails_starshape_with_time(euclid, pair,
+                                                         monkeypatch):
+    # the graph rate's own support function guards the predictor stage
+    original, calls = flow._graph_chart_fields, []
+
+    def poisoned(*args, **kwargs):
+        fields = original(*args, **kwargs)
+        calls.append(1)
+        if len(calls) != 4:  # the predictor of step 1
+            return fields
+        u = np.array(fields[-1])
+        u[0] = np.nan
+        return fields[:-1] + (u,)
+
+    monkeypatch.setattr(flow, "_graph_chart_fields", poisoned)
+    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
+    with pytest.raises(StarshapeLost) as exc:
+        _run_backend("leaf_graph", euclid, pair, seed,
+                     flow.StepControl(t_end=0.3))
+    assert "graph support function reached nan at t=" in str(exc.value)
+    assert len(exc.value.trace) == 2
 
 
 def test_run_detects_starshape_loss(euclid, pair, pair_e3):

@@ -9,6 +9,7 @@ keep no example database, so the suite stays deterministic.
 
 import contextlib
 import io
+import pathlib
 import tempfile
 
 import numpy as np
@@ -165,15 +166,26 @@ TINY_TWISTED = ("seed.kind = twisted\nseed.twist = 1\n"
 @example(TINY_TWISTED, "seed", False)
 @example(TINY_TWISTED, "run", False)
 def test_every_run_file_ends_in_a_documented_exit(text, cmd, force):
+    # a run that writes trace.csv runs again into a fresh directory: the
+    # same config gives the same bytes
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/run.cfg"
         with open(path, "w") as fh:
             fh.write(text)
-        args = [cmd, "--config", path, "--out", f"{tmp}/out", "--quiet"]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            code = cli.main(args + (["--force"] if force else []))
-    status = err.getvalue().strip().splitlines()[-1]
-    assert status.startswith("STATUS="), status
-    assert cli.STATUS_CODE[status[len("STATUS="):]] == code
+
+        def main(out):
+            args = [cmd, "--config", path, "--out", f"{tmp}/{out}", "--quiet"]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(args + (["--force"] if force else []))
+            return code, err.getvalue().strip().splitlines()[-1]
+
+        code, status = main("out")
+        assert status.startswith("STATUS="), status
+        assert cli.STATUS_CODE[status[len("STATUS="):]] == code
+        trace = pathlib.Path(tmp, "out", "trace.csv")
+        if cmd == "run" and trace.exists():
+            assert main("again") == (code, status)
+            again = pathlib.Path(tmp, "again", "trace.csv").read_bytes()
+            assert again == trace.read_bytes()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ckflow import ckv, surface
+from ckflow import ambient, ckv, diagnostics, flow, surface
 from ckflow.errors import MeshDegenerate, SeedInfeasible
 
 
@@ -170,7 +170,7 @@ def bincount_cotan_laplacian(mesh, values):
     """The cotan Laplacian as per-corner bincount loops, kept as a reference."""
     verts, faces = mesh.vertices, mesh.faces
     cot = surface._face_cotans(verts, faces)
-    areas = surface.mixed_voronoi_areas(mesh, cot)
+    areas = surface.mixed_voronoi_areas(mesh)
     vals = np.asarray(values, dtype=float)
     flat = vals.reshape(vals.shape[0], -1)
     acc = np.zeros_like(flat)
@@ -234,6 +234,155 @@ def test_orientation_flip_negates_support(euclid, pair):
 
 
 # --------------------------------------------------------------------------
+# the snapshot memo
+# --------------------------------------------------------------------------
+
+
+def _jittered_graph_state(geom):
+    leaf = surface.icosphere(2)
+    rng = np.random.default_rng(5)
+    dirs = leaf.vertices + 0.06 * rng.normal(size=leaf.vertices.shape)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    r = 1.0 + 0.08 * dirs[:, 2] ** 2 - 0.05 * dirs[:, 0] * dirs[:, 1]
+    return flow.graph_state_from_mesh(leaf.with_vertices(r[:, None] * dirs),
+                                      geom)
+
+
+def _reference_rate(geom, pair, state, xi_now):
+    """The graph rate with its divergence written out as bincount loops."""
+    leaf, lam = state.leaf, state.lam
+    emb = state.embedded(geom)
+    vg = surface.mesh_geometry(emb, geom, pair, xi_now, with_curvatures=False)
+    g, h = flow.leaf_coefficients(geom, leaf.vertices, lam)
+    pv = surface.vertex_gradients(leaf, lam)
+    w = np.sqrt(1.0 + (h / g) * np.einsum("ij,ij->i", pv, pv))
+    u_top = -np.sqrt(h) * np.einsum("ij,ij->i", pair.rotation(leaf.vertices),
+                                    pv) / w
+    u = vg.dilation_norm / w + xi_now * u_top
+    fn, fa = surface.face_normals_areas(leaf.vertices, leaf.faces)
+    af = flow.graph_flux(surface.face_gradients(leaf, lam),
+                         np.mean(g[leaf.faces], axis=1),
+                         np.mean(h[leaf.faces], axis=1))
+    div = np.zeros(leaf.n_vertices)
+    p = leaf.vertices[leaf.faces]
+    for c in range(3):
+        e = p[:, (c + 2) % 3] - p[:, (c + 1) % 3]
+        contrib = -0.5 * np.einsum("ij,ij->i", af, np.cross(fn, e))
+        div += np.bincount(leaf.faces[:, c], weights=contrib,
+                           minlength=leaf.n_vertices)
+    div /= np.bincount(leaf.faces.reshape(-1), weights=np.repeat(fa / 3.0, 3),
+                       minlength=leaf.n_vertices)
+    b = diagnostics.label_evolution_source(geom, pair, emb, vg)
+    return w * u * div / g + w * w * b
+
+
+def _memo(mesh, geom):
+    """Everything a snapshot memoizes, read through the memo."""
+    return {"normals_areas": mesh.normals_areas, "cotans": mesh.cotans,
+            "normals": mesh.normals, "mixed_areas": mesh.mixed_areas,
+            "basis": mesh.basis, "min_edge": mesh.min_edge,
+            "area": mesh.area(geom), "volume": mesh.volume(geom)}
+
+
+def _kernels(mesh, geom):
+    """The same quantities from the module's kernels."""
+    v = mesh.vertices
+    return {"normals_areas": surface.face_normals_areas(v, mesh.faces),
+            "cotans": surface._face_cotans(v, mesh.faces),
+            "normals": surface.vertex_normals(mesh),
+            "mixed_areas": surface.mixed_voronoi_areas(mesh),
+            "basis": surface.gradient_basis(mesh),
+            "min_edge": float(np.min(np.linalg.norm(
+                v[mesh.topology.he_head] - v[mesh.topology.he_tail], axis=1))),
+            "area": surface.surface_area(mesh, geom),
+            "volume": surface.enclosed_volume(mesh, geom)}
+
+
+def _assert_bit_equal(a, b, what):
+    if isinstance(a, tuple):
+        for x, y in zip(a, b):
+            _assert_bit_equal(x, y, what)
+    elif isinstance(a, (surface.GradientBasis, surface.VertexGeometry)):
+        for key, x in vars(a).items():
+            _assert_bit_equal(x, getattr(b, key), f"{what}.{key}")
+    else:
+        assert np.array_equal(a, b), what
+
+
+@pytest.mark.parametrize("geom_name, axis", [("euclid", (0.0, 0.0, 1.0)),
+                                             ("paper", (1.0, 0.0, 0.0))])
+def test_snapshot_memo_matches_fresh_kernels(request, monkeypatch, geom_name,
+                                             axis):
+    geom = request.getfixturevalue(geom_name)
+    other = ambient.PaperExample() if geom_name == "euclid" \
+        else ambient.Euclidean()
+    pair = ckv.KillingPair(omega=0.5, axis=axis)
+    # jittered, so some faces are obtuse and the mixed-area branch runs
+    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 3)
+    rng = np.random.default_rng(1)
+    mesh = mesh.with_vertices(
+        mesh.vertices * (1.0 + 0.02 * rng.standard_normal((mesh.n_vertices, 1)))
+    )
+
+    # a warm memo hands back what it computed, bit-equal to the kernels on a
+    # fresh snapshot with its own topology, and keys area and volume by the
+    # geometry object
+    vg = surface.mesh_geometry(mesh, geom, pair, 0.7)
+    warm = _memo(mesh, geom)
+    assert all(v is warm[k] for k, v in _memo(mesh, geom).items())
+    fresh = surface.TriSurface(np.array(mesh.vertices), mesh.faces)
+    for name, value in _kernels(fresh, geom).items():
+        _assert_bit_equal(warm[name], value, name)
+    _assert_bit_equal(vg, surface.mesh_geometry(fresh, geom, pair, 0.7), "vg")
+    assert mesh.area(other) == surface.surface_area(fresh, other)
+    assert mesh.volume(other) == surface.enclosed_volume(fresh, other)
+
+    # moved snapshots start cold; a read of the warm one computes nothing
+    calls = []
+    original = surface.face_normals_areas
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(surface, "face_normals_areas", counted)
+    assert mesh.normals_areas is warm["normals_areas"] and not calls
+    for cold in (mesh.copy(), mesh.with_vertices(mesh.vertices)):
+        _assert_bit_equal(cold.area(geom), warm["area"], "cold area")
+        _assert_bit_equal(cold.normals, warm["normals"], "cold normals")
+    assert len(calls) == 2
+    monkeypatch.undo()
+
+    # the vertices cannot be written, nor reached through the caller's array
+    with pytest.raises(ValueError):
+        mesh.vertices[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        mesh.vertices *= 2.0
+    verts = np.array(mesh.vertices)
+    moved = mesh.with_vertices(verts)
+    verts[0] = 0.0
+    assert np.array_equal(moved.vertices, mesh.vertices)
+
+    # the graph rate reads its fixed leaf's gradient basis from the memo:
+    # cold, warm and the written-out reference agree bit for bit, and so
+    # does the Heun step built from it
+    sched = ckv.Schedule(t0=0.5)
+    state = _jittered_graph_state(geom)
+    state.t = 0.1
+    xi_now = sched.xi_at(state.t)
+    c1, dt = 10.0, 1e-4
+    k1 = flow._graph_rate(geom, pair, state, xi_now, c1)
+    assert np.array_equal(k1, flow._graph_rate(geom, pair, state, xi_now, c1))
+    assert np.array_equal(k1, _reference_rate(geom, pair, state, xi_now))
+    fields = flow._graph_chart_fields(geom, pair, state, xi_now)
+    new = flow.step_graph(geom, pair, state, sched, dt, c1, fields)
+    mid = flow.GraphState(leaf=state.leaf, lam=state.lam + dt * k1,
+                          t=state.t + dt)
+    k2 = _reference_rate(geom, pair, mid, sched.xi_at(mid.t))
+    assert np.array_equal(new.lam, state.lam + 0.5 * dt * (k1 + k2))
+
+
+# --------------------------------------------------------------------------
 # quadric fit
 # --------------------------------------------------------------------------
 
@@ -266,9 +415,14 @@ def einsum_quadric_fit(mesh, normals):
     return np.stack([e1, e2, normals], axis=1), coeffs
 
 
-def test_quadric_fit_recovers_a_quadric_patch():
+def test_quadric_fit_recovers_a_quadric_patch(monkeypatch):
     # the cap z > 0.3 of an icosphere lifted onto z = 1 + q(x, y); vertical
-    # normals make the local frame the coordinate axes
+    # normals, which the snapshot memo takes from `vertex_normals`, make the
+    # local frame the coordinate axes
+    def vertical(mesh):
+        return np.tile([0.0, 0.0, 1.0], (mesh.n_vertices, 1))
+
+    monkeypatch.setattr(surface, "vertex_normals", vertical)
     a, b, c, d, e = 0.3, -0.2, 0.5, 0.1, -0.15
     mesh = surface.icosphere(3)
     x, y, z = mesh.vertices.T
@@ -276,8 +430,7 @@ def test_quadric_fit_recovers_a_quadric_patch():
     lifted = np.where(cap, 1.0 + a * x * x + b * x * y + c * y * y + d * x
                       + e * y, z)
     mesh = mesh.with_vertices(np.column_stack([x, y, lifted]))
-    normals = np.tile([0.0, 0.0, 1.0], (mesh.n_vertices, 1))
-    frames, co = surface.quadric_fit(mesh, normals)
+    frames, co = surface.quadric_fit(mesh)
     inner = cap & np.all(cap[mesh.topology.ring(2)[0]], axis=1)
     assert np.count_nonzero(inner) >= 50
     assert np.array_equal(frames[inner], np.tile(np.eye(3), (inner.sum(), 1, 1)))
@@ -350,9 +503,8 @@ def test_quadric_fit_matches_einsum_reference():
     mesh = mesh.with_vertices(
         mesh.vertices * (1.0 + 0.02 * rng.standard_normal((mesh.n_vertices, 1)))
     )
-    normals = surface.vertex_normals(mesh)
-    frames, co = surface.quadric_fit(mesh, normals)
-    frames_ref, co_ref = einsum_quadric_fit(mesh, normals)
+    frames, co = surface.quadric_fit(mesh)
+    frames_ref, co_ref = einsum_quadric_fit(mesh, surface.vertex_normals(mesh))
     assert np.array_equal(frames, frames_ref)
     err = np.max(np.abs(co - co_ref), axis=0)
     assert np.all(err <= 1e-12 * np.max(np.abs(co_ref), axis=0))
@@ -402,9 +554,9 @@ def test_smooth_icosphere_preserves_shape(euclid):
     mesh = surface.sphere_seed(1.0, 3)
     sm = surface.tangential_smooth(mesh, 0.5)
     radial = np.abs(np.linalg.norm(sm.vertices, axis=1) - 1.0)
-    assert np.max(radial) <= 1e-3 * mesh.min_edge()
+    assert np.max(radial) <= 1e-3 * mesh.min_edge
     slide = np.linalg.norm(sm.vertices - mesh.vertices, axis=1)
-    assert np.max(slide) <= 0.1 * mesh.min_edge()
+    assert np.max(slide) <= 0.1 * mesh.min_edge
 
 
 def test_smooth_improves_min_angle(euclid):
