@@ -452,11 +452,12 @@ def graph_state_from_mesh(mesh, geom, t=0.0):
 def _graph_chart_fields(geom, pair, state, xi_now, emb=None, vg=None):
     """Per-vertex chart quantities of a graph state.
 
-    Returns (emb, vg, g, h, pv, w, u) with pv the P1 leaf gradient of lam,
-    w the graph area factor and u the scheduled support function computed
-    from the chart identities u_perp = |X_perp|_g / W, u_top = -sqrt(H_coef)
-    X_top(lam) / W.  `emb` and `vg` are the state's embedded mesh and its
-    geometry bundle at xi_now, when the caller already has them.
+    Returns (emb, vg, g, h, pf, pv, w, u) with pf the P1 leaf gradient of
+    lam per face, pv its vertex average, w the graph area factor and u the
+    scheduled support function computed from the chart identities
+    u_perp = |X_perp|_g / W, u_top = -sqrt(H_coef) X_top(lam) / W.  `emb`
+    and `vg` are the state's embedded mesh and its geometry bundle at
+    xi_now, when the caller already has them.
     """
     leaf = state.leaf
     if emb is None:
@@ -465,13 +466,14 @@ def _graph_chart_fields(geom, pair, state, xi_now, emb=None, vg=None):
         vg = surface.mesh_geometry(emb, geom, pair, xi_now,
                                    with_curvatures=False)
     g, h = leaf_coefficients(geom, leaf.vertices, state.lam)
-    pv = surface.vertex_gradients(leaf, state.lam)
+    pf = surface.face_gradients(leaf, state.lam)
+    pv = surface.vertex_gradients(leaf, pf)
     w = np.sqrt(1.0 + (h / g) * np.einsum("ij,ij->i", pv, pv))
     u_perp = vg.dilation_norm / w
     u_top = -np.sqrt(h) * np.einsum("ij,ij->i", pair.rotation(leaf.vertices),
                                     pv) / w
     u = u_perp + xi_now * u_top
-    return emb, vg, g, h, pv, w, u
+    return emb, vg, g, h, pf, pv, w, u
 
 
 def _graph_rate(geom, pair, state, xi_now, c1, fields=None):
@@ -485,7 +487,7 @@ def _graph_rate(geom, pair, state, xi_now, c1, fields=None):
     leaf = state.leaf
     if fields is None:
         fields = _graph_chart_fields(geom, pair, state, xi_now)
-    emb, vg, g, h, pv, w, u = fields
+    emb, vg, g, h, pf, pv, w, u = fields
     grad_mag = np.linalg.norm(pv, axis=1)
     if np.max(grad_mag) > c1:
         raise GradientBoundExceeded(
@@ -498,7 +500,6 @@ def _graph_rate(geom, pair, state, xi_now, c1, fields=None):
         )
 
     basis = leaf.basis
-    pf = surface.face_gradients(leaf, state.lam)
     gf = np.mean(g[leaf.faces], axis=1)
     hf = np.mean(h[leaf.faces], axis=1)
     af = graph_flux(pf, gf, hf)
@@ -519,7 +520,7 @@ def graph_cfl_dt(leaf, fields, cfl):
     `leaf` is the state's leaf and `fields` its `_graph_chart_fields` tuple.
     """
     h_min = leaf.min_edge
-    _, _, g, _, _, w, u = fields
+    _, _, g, _, _, _, w, u = fields
     kappa = np.max(np.abs(u) * w / g)
     return cfl * h_min * h_min / max(1.0, float(kappa))
 
@@ -548,7 +549,8 @@ class _GraphStepper:
         state = GraphState(leaf=state0.leaf,
                            lam=np.array(state0.lam, dtype=float), t=state0.t)
         if c1 is None:
-            pv = surface.vertex_gradients(state.leaf, state.lam)
+            pv = surface.vertex_gradients(
+                state.leaf, surface.face_gradients(state.leaf, state.lam))
             c1 = max(1.0, 2.0 * float(np.linalg.norm(pv, axis=1).max()))
         self.c1 = c1
         self.mesh_initial = state0.embedded(geom)
@@ -621,7 +623,7 @@ def evolution_residuals(geom, pair, state, schedule, delta=None):
     pts = emb.vertices
     areas_g = vg.area_g
 
-    _, _, g_coef, h_coef, _, w, _ = _graph_chart_fields(
+    _, _, g_coef, h_coef, _, _, w, _ = _graph_chart_fields(
         geom, pair, state, xim, emb, vg)
     speed = N_SURF * vg.phi - um * hm
     rate = speed * w / np.sqrt(h_coef)

@@ -20,10 +20,13 @@ matrix, the sparse cotan stiffness of the implicit front step holds the
 same half-edge weights, and the topology's padded neighbour tables
 (`ring`) are built on first use.
 A snapshot's vertices are read-only, so what they determine is memoized on
-the `TriSurface` at its first use: the face normals and areas, the corner
-cotangents, the vertex normals, the mixed Voronoi areas, the P1 gradient
-basis, the shortest edge, and the curved area and volume under a given
-geometry.  The kernels read their inputs from that memo, so a snapshot
+the `TriSurface` at its first use: the face pass, the vertex normals, the
+mixed Voronoi areas, the P1 gradient basis, the shortest edge, and the
+curved area and volume under a given geometry.  The face pass
+(`face_normals_areas`) is the one kernel that gathers the face corners: it
+forms each face's edge vectors and their squared lengths, and takes the
+unit normal, the area and the three corner cotangents from one cross
+product.  Every other face kernel reads its `FaceGeometry`, so a snapshot
 computes each of these at most once, whoever asks first, and no caller
 passes one along.
 """
@@ -34,7 +37,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import MeshDegenerate, SeedInfeasible
+from . import ckv
+from .errors import DomainExit, MeshDegenerate, SeedInfeasible
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -165,14 +169,9 @@ class TriSurface:
         return self.faces.shape[0]
 
     @cached_property
-    def normals_areas(self):
-        """Flat face unit normals (F, 3) and areas (F,)."""
+    def face_geometry(self):
+        """The face pass's `FaceGeometry`."""
         return face_normals_areas(self.vertices, self.faces)
-
-    @cached_property
-    def cotans(self):
-        """Flat corner cotangents (F, 3)."""
-        return _face_cotans(self.vertices, self.faces)
 
     @cached_property
     def normals(self):
@@ -192,9 +191,7 @@ class TriSurface:
     @cached_property
     def min_edge(self):
         """Length of the shortest edge."""
-        v, t = self.vertices, self.topology
-        edges = v[t.he_head] - v[t.he_tail]
-        return float(np.min(np.linalg.norm(edges, axis=1)))
+        return float(np.sqrt(np.min(self.face_geometry.sq)))
 
     def area(self, geom):
         """Curved area under `geom` (`surface_area`)."""
@@ -330,57 +327,63 @@ def twisted_seed(geom, pair, semiaxes, tau, level):
 # --------------------------------------------------------------------------
 
 
+@dataclass
+class FaceGeometry:
+    """Flat per-face data of one snapshot (`mesh.face_geometry`).
+
+    Corner c sits at p_c and faces the edge e_c = p_{c+2} - p_{c+1}.
+    """
+
+    edge: np.ndarray    # (F, 3, 3) e_c
+    sq: np.ndarray      # (F, 3) |e_c|^2
+    normal: np.ndarray  # (F, 3) unit normals
+    area: np.ndarray    # (F,)
+    cot: np.ndarray     # (F, 3) corner cotangents
+
+
 def face_normals_areas(verts, faces):
-    p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    cr = np.cross(p1 - p0, p2 - p0)
+    """The face pass: one gather of the corners and one cross product.
+
+    2A = |e_1 x e_2|, and corner c, between e_{c+2} and -e_{c+1}, has
+    cot = -(e_{c+1} . e_{c+2}) / 2A.
+    """
+    p = verts[faces]
+    edge = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+    cr = np.cross(edge[:, 1], edge[:, 2])
     nrm = np.linalg.norm(cr, axis=1)
     if np.any(nrm <= 0.0):
         raise MeshDegenerate("zero-area face")
-    return cr / nrm[:, None], 0.5 * nrm
+    cot = -np.einsum("fcj,fcj->fc", edge[:, [1, 2, 0]], edge[:, [2, 0, 1]])
+    return FaceGeometry(edge=edge, sq=np.einsum("fcj,fcj->fc", edge, edge),
+                        normal=cr / nrm[:, None], area=0.5 * nrm,
+                        cot=cot / nrm[:, None])
 
 
 def vertex_normals(mesh):
     """Area-weighted average of incident face normals, unit length."""
-    fn, fa = mesh.normals_areas
-    out = mesh.topology.scatter @ np.repeat(fn * fa[:, None], 3, axis=0)
+    fg = mesh.face_geometry
+    out = mesh.topology.scatter @ np.repeat(fg.normal * fg.area[:, None], 3,
+                                            axis=0)
     nrm = np.linalg.norm(out, axis=1)
     if np.any(nrm <= 0.0):
         raise MeshDegenerate("vanishing vertex normal")
     return out / nrm[:, None]
 
 
-def _face_cotans(verts, faces):
-    """Cotangent at each face corner; corner c faces the edge (c+1, c+2)."""
-    p = verts[faces]  # (F, 3, 3)
-    cot = np.empty((faces.shape[0], 3))
-    for c in range(3):
-        a = p[:, (c + 1) % 3] - p[:, c]
-        b = p[:, (c + 2) % 3] - p[:, c]
-        cr = np.linalg.norm(np.cross(a, b), axis=1)
-        cot[:, c] = np.einsum("ij,ij->i", a, b) / np.maximum(cr, 1e-300)
-    return cot
-
-
 def mixed_voronoi_areas(mesh):
-    """Per-vertex mixed Voronoi cell areas (obtuse-safe)."""
-    faces = mesh.faces
-    p = mesh.vertices[faces]
-    cot = mesh.cotans
-    _, fa = mesh.normals_areas
-    contrib = np.empty((faces.shape[0], 3))
-    obtuse_any = np.any(cot < 0.0, axis=1)
-    for c in range(3):
-        e1 = p[:, (c + 1) % 3] - p[:, c]
-        e2 = p[:, (c + 2) % 3] - p[:, c]
-        l1 = np.einsum("ij,ij->i", e1, e1)
-        l2 = np.einsum("ij,ij->i", e2, e2)
-        vor = (l1 * cot[:, (c + 2) % 3] + l2 * cot[:, (c + 1) % 3]) / 8.0
-        obtuse_here = cot[:, c] < 0.0
-        contrib[:, c] = np.where(
-            obtuse_any,
-            np.where(obtuse_here, fa / 2.0, fa / 4.0),
-            vor,
-        )
+    """Per-vertex mixed Voronoi cell areas (obtuse-safe).
+
+    Corner c's Voronoi part is (|e_{c+1}|^2 cot_{c+1} + |e_{c+2}|^2
+    cot_{c+2}) / 8; a face with an obtuse corner gives that corner half its
+    area and the other two a quarter each instead.
+    """
+    fg = mesh.face_geometry
+    s = fg.sq * fg.cot
+    vor = (s[:, [2, 0, 1]] + s[:, [1, 2, 0]]) / 8.0
+    obtuse = fg.cot < 0.0
+    fa = fg.area[:, None]
+    contrib = np.where(np.any(obtuse, axis=1, keepdims=True),
+                       np.where(obtuse, fa / 2.0, fa / 4.0), vor)
     areas = mesh.topology.scatter @ contrib.reshape(-1)
     if np.any(areas <= 0.0):
         raise MeshDegenerate("non-positive mixed Voronoi area")
@@ -405,7 +408,7 @@ def cotan_laplacian_apply(mesh, values):
     topo = mesh.topology
     vals = np.asarray(values, dtype=float)
     flat = vals.reshape(vals.shape[0], -1)
-    w = _half_edge_weights(topo, mesh.cotans)
+    w = _half_edge_weights(topo, mesh.face_geometry.cot)
     acc = topo.scatter @ (w[:, None] * (flat[topo.he_head] - flat[topo.he_tail]))
     acc /= (2.0 * mesh.mixed_areas)[:, None]
     return acc.reshape(vals.shape)
@@ -420,7 +423,7 @@ def cotan_stiffness(mesh):
     edge is one half-edge.
     """
     topo = mesh.topology
-    half = 0.5 * _half_edge_weights(topo, mesh.cotans)
+    half = 0.5 * _half_edge_weights(topo, mesh.face_geometry.cot)
     V = topo.n_vertices
     diag = np.arange(V)
     return sp.csc_array(
@@ -444,16 +447,13 @@ class GradientBasis:
 
 def gradient_basis(mesh):
     """The mesh's `GradientBasis`."""
-    fn, fa = mesh.normals_areas
-    p = mesh.vertices[mesh.faces]
-    corner_cross = np.stack([
-        np.cross(fn, p[:, (c + 2) % 3] - p[:, (c + 1) % 3]) for c in range(3)
-    ])
-    scatter = mesh.topology.scatter
-    return GradientBasis(corner_cross=corner_cross, area=fa,
-                         double_area=2.0 * fa,
-                         vertex_weight=scatter @ np.repeat(fa, 3),
-                         dual_area=scatter @ np.repeat(fa / 3.0, 3))
+    fg = mesh.face_geometry
+    fa, scatter = fg.area, mesh.topology.scatter
+    return GradientBasis(
+        corner_cross=np.cross(fg.normal, fg.edge.swapaxes(0, 1)),
+        area=fa, double_area=2.0 * fa,
+        vertex_weight=scatter @ np.repeat(fa, 3),
+        dual_area=scatter @ np.repeat(fa / 3.0, 3))
 
 
 def face_gradients(mesh, values):
@@ -471,10 +471,10 @@ def face_gradients(mesh, values):
     return grad / basis.double_area[:, None]
 
 
-def vertex_gradients(mesh, values):
-    """Face gradients averaged to vertices with flat-area weights."""
+def vertex_gradients(mesh, face_grad):
+    """`face_gradients` output averaged to vertices with flat-area weights."""
     basis = mesh.basis
-    grad = face_gradients(mesh, values) * basis.area[:, None]
+    grad = face_grad * basis.area[:, None]
     out = mesh.topology.scatter @ np.repeat(grad, 3, axis=0)
     return out / basis.vertex_weight[:, None]
 
@@ -742,8 +742,6 @@ class VertexGeometry:
 
 def mesh_geometry(mesh, geom, pair, xi_now=1.0, with_curvatures=True):
     """Assemble the per-vertex geometry bundle for the current snapshot."""
-    from . import ckv
-
     verts = mesh.vertices
     f_v = geom.f(verts)
     ef = np.exp(f_v)
@@ -803,7 +801,7 @@ def surface_area(mesh, geom):
     Edge-midpoint quadrature, exact for quadratic integrands per face.
     """
     v, faces = mesh.vertices, mesh.faces
-    _, fa = mesh.normals_areas
+    fa = mesh.face_geometry.area
     p0, p1, p2 = v[faces[:, 0]], v[faces[:, 1]], v[faces[:, 2]]
     total = 0.0
     for qa, qb in ((p0, p1), (p1, p2), (p2, p0)):
@@ -833,8 +831,6 @@ def enclosed_volume(mesh, geom):
         node = np.einsum("k,fkj->fj", _TET_BARY[q], p)
         outer = geom.outer_distance(node)
         if np.any(outer <= 0.0):
-            from .errors import DomainExit
-
             raise DomainExit(
                 f"volume quadrature node left the {geom.name} outer boundary"
             )
@@ -858,22 +854,13 @@ class MeshQuality:
 
 
 def quality(mesh):
-    v, faces = mesh.vertices, mesh.faces
-    p = v[faces]
-    edges = np.stack(
-        [
-            np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-            np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-            np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-        ],
-        axis=1,
-    )
-    _, fa = mesh.normals_areas
-    angles = np.arctan2(1.0, mesh.cotans)  # corner angles in (0, pi)
+    fg = mesh.face_geometry
+    edges = np.sqrt(fg.sq)
+    angles = np.arctan2(1.0, fg.cot)  # corner angles in (0, pi)
     return MeshQuality(
         min_angle_deg=float(np.degrees(np.min(angles))),
         max_edge_ratio=float(np.max(edges.max(axis=1) / edges.min(axis=1))),
-        min_area=float(np.min(fa)),
+        min_area=float(np.min(fg.area)),
     )
 
 

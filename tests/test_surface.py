@@ -108,6 +108,94 @@ def test_twisted_seed_infeasible_without_rotation(euclid):
 
 
 # --------------------------------------------------------------------------
+# the face pass
+# --------------------------------------------------------------------------
+
+
+def jittered_ellipsoid(rng):
+    """An L3 ellipsoid with radially jittered vertices: some faces are
+    obtuse, so the mixed-area branch runs, and the local frames are
+    irregular."""
+    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 3)
+    return mesh.with_vertices(
+        mesh.vertices * (1.0 + 0.02 * rng.standard_normal((mesh.n_vertices, 1)))
+    )
+
+
+def corner_cotans(verts, faces):
+    """Cotangent at each corner as a.b / |a x b| per corner, kept as a
+    reference; corner c faces the edge (c+1, c+2)."""
+    p = verts[faces]
+    cot = np.empty((faces.shape[0], 3))
+    for c in range(3):
+        a = p[:, (c + 1) % 3] - p[:, c]
+        b = p[:, (c + 2) % 3] - p[:, c]
+        cr = np.linalg.norm(np.cross(a, b), axis=1)
+        cot[:, c] = np.einsum("ij,ij->i", a, b) / np.maximum(cr, 1e-300)
+    return cot
+
+
+def looped_mixed_areas(mesh):
+    """Mixed Voronoi areas as a per-corner loop, kept as a reference."""
+    faces = mesh.faces
+    p = mesh.vertices[faces]
+    cot = corner_cotans(mesh.vertices, faces)
+    fa = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]),
+                              axis=1)
+    contrib = np.empty((faces.shape[0], 3))
+    obtuse_any = np.any(cot < 0.0, axis=1)
+    for c in range(3):
+        e1 = p[:, (c + 1) % 3] - p[:, c]
+        e2 = p[:, (c + 2) % 3] - p[:, c]
+        l1 = np.einsum("ij,ij->i", e1, e1)
+        l2 = np.einsum("ij,ij->i", e2, e2)
+        vor = (l1 * cot[:, (c + 2) % 3] + l2 * cot[:, (c + 1) % 3]) / 8.0
+        obtuse_here = cot[:, c] < 0.0
+        contrib[:, c] = np.where(obtuse_any,
+                                 np.where(obtuse_here, fa / 2.0, fa / 4.0), vor)
+    return np.bincount(faces.reshape(-1), contrib.reshape(-1),
+                       minlength=mesh.n_vertices)
+
+
+def looped_corner_cross(mesh):
+    """n x e_c per corner, e_c the edge opposite corner c, kept as a
+    reference."""
+    p = mesh.vertices[mesh.faces]
+    cr = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    fn = cr / np.linalg.norm(cr, axis=1)[:, None]
+    return np.stack([np.cross(fn, p[:, (c + 2) % 3] - p[:, (c + 1) % 3])
+                     for c in range(3)])
+
+
+def test_face_pass_matches_per_corner_references():
+    mesh = jittered_ellipsoid(np.random.default_rng(1))
+    fg = surface.face_normals_areas(mesh.vertices, mesh.faces)
+    cot = corner_cotans(mesh.vertices, mesh.faces)
+    assert np.any(cot < 0.0)
+    # the numerators agree bit for bit; only the denominators |a x b| of
+    # corners 1 and 2 may differ from 2A in the last place
+    assert np.all(np.abs(fg.cot - cot) <= 1e-13 * np.abs(cot))
+    assert np.array_equal(fg.cot[:, 0], cot[:, 0])
+
+    areas = looped_mixed_areas(mesh)
+    assert np.all(np.abs(mesh.mixed_areas - areas) <= 1e-14 * areas)
+    ref = looped_corner_cross(mesh)
+    assert np.max(np.abs(mesh.basis.corner_cross - ref)) \
+        <= 1e-14 * np.max(np.abs(ref))
+
+    topo = mesh.topology
+    edges = np.linalg.norm(mesh.vertices[topo.he_head]
+                           - mesh.vertices[topo.he_tail], axis=1)
+    assert abs(mesh.min_edge - edges.min()) <= 1e-15 * edges.min()
+    q = surface.quality(mesh)
+    angles = np.degrees(np.arctan2(1.0, cot))
+    assert abs(q.min_angle_deg - angles.min()) <= 1e-13 * angles.min()
+    ratio = np.max(edges.reshape(-1, 3).max(axis=1)
+                   / edges.reshape(-1, 3).min(axis=1))
+    assert abs(q.max_edge_ratio - ratio) <= 1e-13 * ratio
+
+
+# --------------------------------------------------------------------------
 # vertex geometry
 # --------------------------------------------------------------------------
 
@@ -151,12 +239,7 @@ def test_trace_consistency_two_estimators(euclid, paper, pair):
 
 
 def test_mesh_geometry_matches_standalone_kernels(paper, pair):
-    # jittered, so some faces are obtuse and the mixed-area branch runs
-    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 3)
-    rng = np.random.default_rng(1)
-    mesh = mesh.with_vertices(
-        mesh.vertices * (1.0 + 0.02 * rng.standard_normal((mesh.n_vertices, 1)))
-    )
+    mesh = jittered_ellipsoid(np.random.default_rng(1))
     vg = surface.mesh_geometry(mesh, paper, pair)
     nu = surface.vertex_normals(mesh)
     areas = surface.mixed_voronoi_areas(mesh)
@@ -169,7 +252,7 @@ def test_mesh_geometry_matches_standalone_kernels(paper, pair):
 def bincount_cotan_laplacian(mesh, values):
     """The cotan Laplacian as per-corner bincount loops, kept as a reference."""
     verts, faces = mesh.vertices, mesh.faces
-    cot = surface._face_cotans(verts, faces)
+    cot = corner_cotans(verts, faces)
     areas = surface.mixed_voronoi_areas(mesh)
     vals = np.asarray(values, dtype=float)
     flat = vals.reshape(vals.shape[0], -1)
@@ -188,13 +271,9 @@ def bincount_cotan_laplacian(mesh, values):
 
 
 def test_cotan_laplacian_matches_bincount_reference():
-    # jittered, so some faces are obtuse and the mixed-area branch runs
-    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 3)
     rng = np.random.default_rng(1)
-    mesh = mesh.with_vertices(
-        mesh.vertices * (1.0 + 0.02 * rng.standard_normal((mesh.n_vertices, 1)))
-    )
-    assert np.any(surface._face_cotans(mesh.vertices, mesh.faces) < 0.0)
+    mesh = jittered_ellipsoid(rng)
+    assert np.any(mesh.face_geometry.cot < 0.0)
     for values in (mesh.vertices, rng.standard_normal(mesh.n_vertices)):
         lap = surface.cotan_laplacian_apply(mesh, values)
         ref = bincount_cotan_laplacian(mesh, values)
@@ -203,11 +282,8 @@ def test_cotan_laplacian_matches_bincount_reference():
 
 
 def test_cotan_stiffness_is_areas_times_the_laplacian():
-    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 3)
     rng = np.random.default_rng(1)
-    mesh = mesh.with_vertices(
-        mesh.vertices * (1.0 + 0.02 * rng.standard_normal((mesh.n_vertices, 1)))
-    )
+    mesh = jittered_ellipsoid(rng)
     stiff = surface.cotan_stiffness(mesh)
     dense = stiff.toarray()
     assert np.array_equal(dense, dense.T)
@@ -254,12 +330,13 @@ def _reference_rate(geom, pair, state, xi_now):
     emb = state.embedded(geom)
     vg = surface.mesh_geometry(emb, geom, pair, xi_now, with_curvatures=False)
     g, h = flow.leaf_coefficients(geom, leaf.vertices, lam)
-    pv = surface.vertex_gradients(leaf, lam)
+    pv = surface.vertex_gradients(leaf, surface.face_gradients(leaf, lam))
     w = np.sqrt(1.0 + (h / g) * np.einsum("ij,ij->i", pv, pv))
     u_top = -np.sqrt(h) * np.einsum("ij,ij->i", pair.rotation(leaf.vertices),
                                     pv) / w
     u = vg.dilation_norm / w + xi_now * u_top
-    fn, fa = surface.face_normals_areas(leaf.vertices, leaf.faces)
+    fg = surface.face_normals_areas(leaf.vertices, leaf.faces)
+    fn, fa = fg.normal, fg.area
     af = flow.graph_flux(surface.face_gradients(leaf, lam),
                          np.mean(g[leaf.faces], axis=1),
                          np.mean(h[leaf.faces], axis=1))
@@ -278,22 +355,20 @@ def _reference_rate(geom, pair, state, xi_now):
 
 def _memo(mesh, geom):
     """Everything a snapshot memoizes, read through the memo."""
-    return {"normals_areas": mesh.normals_areas, "cotans": mesh.cotans,
-            "normals": mesh.normals, "mixed_areas": mesh.mixed_areas,
-            "basis": mesh.basis, "min_edge": mesh.min_edge,
+    return {"face_geometry": mesh.face_geometry, "normals": mesh.normals,
+            "mixed_areas": mesh.mixed_areas, "basis": mesh.basis,
+            "min_edge": mesh.min_edge,
             "area": mesh.area(geom), "volume": mesh.volume(geom)}
 
 
 def _kernels(mesh, geom):
     """The same quantities from the module's kernels."""
-    v = mesh.vertices
-    return {"normals_areas": surface.face_normals_areas(v, mesh.faces),
-            "cotans": surface._face_cotans(v, mesh.faces),
+    fg = surface.face_normals_areas(mesh.vertices, mesh.faces)
+    return {"face_geometry": fg,
             "normals": surface.vertex_normals(mesh),
             "mixed_areas": surface.mixed_voronoi_areas(mesh),
             "basis": surface.gradient_basis(mesh),
-            "min_edge": float(np.min(np.linalg.norm(
-                v[mesh.topology.he_head] - v[mesh.topology.he_tail], axis=1))),
+            "min_edge": float(np.sqrt(np.min(fg.sq))),
             "area": surface.surface_area(mesh, geom),
             "volume": surface.enclosed_volume(mesh, geom)}
 
@@ -302,7 +377,8 @@ def _assert_bit_equal(a, b, what):
     if isinstance(a, tuple):
         for x, y in zip(a, b):
             _assert_bit_equal(x, y, what)
-    elif isinstance(a, (surface.GradientBasis, surface.VertexGeometry)):
+    elif isinstance(a, (surface.FaceGeometry, surface.GradientBasis,
+                        surface.VertexGeometry)):
         for key, x in vars(a).items():
             _assert_bit_equal(x, getattr(b, key), f"{what}.{key}")
     else:
@@ -317,12 +393,7 @@ def test_snapshot_memo_matches_fresh_kernels(request, monkeypatch, geom_name,
     other = ambient.PaperExample() if geom_name == "euclid" \
         else ambient.Euclidean()
     pair = ckv.KillingPair(omega=0.5, axis=axis)
-    # jittered, so some faces are obtuse and the mixed-area branch runs
-    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 3)
-    rng = np.random.default_rng(1)
-    mesh = mesh.with_vertices(
-        mesh.vertices * (1.0 + 0.02 * rng.standard_normal((mesh.n_vertices, 1)))
-    )
+    mesh = jittered_ellipsoid(np.random.default_rng(1))
 
     # a warm memo hands back what it computed, bit-equal to the kernels on a
     # fresh snapshot with its own topology, and keys area and volume by the
@@ -346,11 +417,16 @@ def test_snapshot_memo_matches_fresh_kernels(request, monkeypatch, geom_name,
         return original(*args)
 
     monkeypatch.setattr(surface, "face_normals_areas", counted)
-    assert mesh.normals_areas is warm["normals_areas"] and not calls
+    assert mesh.face_geometry is warm["face_geometry"] and not calls
     for cold in (mesh.copy(), mesh.with_vertices(mesh.vertices)):
         _assert_bit_equal(cold.area(geom), warm["area"], "cold area")
         _assert_bit_equal(cold.normals, warm["normals"], "cold normals")
     assert len(calls) == 2
+    # every face kernel of a cold snapshot reads the one face pass
+    cold = mesh.copy()
+    surface.mesh_geometry(cold, geom, pair, 0.7)
+    cold.basis, cold.min_edge, surface.quality(cold)
+    assert len(calls) == 3
     monkeypatch.undo()
 
     # the vertices cannot be written, nor reached through the caller's array
@@ -497,12 +573,7 @@ def test_jet_fit_ignores_padded_ring_slots(euclid, pair, monkeypatch):
 
 
 def test_quadric_fit_matches_einsum_reference():
-    # jittered, so some faces are obtuse and the frames are irregular
-    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 3)
-    rng = np.random.default_rng(1)
-    mesh = mesh.with_vertices(
-        mesh.vertices * (1.0 + 0.02 * rng.standard_normal((mesh.n_vertices, 1)))
-    )
+    mesh = jittered_ellipsoid(np.random.default_rng(1))
     frames, co = surface.quadric_fit(mesh)
     frames_ref, co_ref = einsum_quadric_fit(mesh, surface.vertex_normals(mesh))
     assert np.array_equal(frames, frames_ref)
@@ -574,20 +645,22 @@ def test_smooth_improves_min_angle(euclid):
 
 
 def test_quality_flags_degenerate():
-    # vertex 3 sits on the segment 0-1, so face (0, 1, 3) has zero area
+    # vertex 3 sits on the segment 0-1, so face (0, 1, 3) has zero area; the
+    # face pass rejects it before it divides by 2A
     verts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
                       [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     faces = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
-    with pytest.raises(MeshDegenerate):
-        surface.mesh_geometry(
-            surface.TriSurface(verts, faces), surface_geom(), ckv.KillingPair()
-        )
-
-
-def surface_geom():
-    from ckflow import ambient
-
-    return ambient.Euclidean()
+    mesh = surface.TriSurface(verts, faces)
+    with np.errstate(all="raise"):
+        with pytest.raises(MeshDegenerate, match="zero-area face"):
+            surface.face_normals_areas(verts, faces)
+        for read in ("min_edge", "mixed_areas", "basis"):
+            with pytest.raises(MeshDegenerate, match="zero-area face"):
+                getattr(mesh, read)
+        with pytest.raises(MeshDegenerate, match="zero-area face"):
+            surface.quality(mesh)
+        with pytest.raises(MeshDegenerate, match="zero-area face"):
+            surface.mesh_geometry(mesh, ambient.Euclidean(), ckv.KillingPair())
 
 
 # --------------------------------------------------------------------------
