@@ -146,22 +146,34 @@ _GL_NODES = 48
 _AZ_NODES = 96
 
 
-def _sphere_quad(geom, r, power):
-    """integral over the coordinate sphere of radius r of exp(power * f),
-    against the flat sphere measure r^2 dOmega.  Gauss-Legendre x trapezoid."""
+def _sphere_grid():
+    """Unit directions of the Gauss-Legendre (in cos theta) x uniform
+    azimuth grid, (_GL_NODES, _AZ_NODES, 3), and the Gauss-Legendre
+    weights."""
     x, wx = np.polynomial.legendre.leggauss(_GL_NODES)
     az = 2.0 * np.pi * np.arange(_AZ_NODES) / _AZ_NODES
-    waz = 2.0 * np.pi / _AZ_NODES
     st = np.sqrt(1.0 - x**2)
     dirs = np.empty((_GL_NODES, _AZ_NODES, 3))
     dirs[..., 0] = st[:, None] * np.cos(az)[None, :]
     dirs[..., 1] = st[:, None] * np.sin(az)[None, :]
     dirs[..., 2] = x[:, None]
+    dirs.flags.writeable = False
+    wx.flags.writeable = False
+    return dirs, wx
+
+
+# built once: every isoperimetric comparison and leaf-radius solve reads it
+_SPHERE_DIRS, _SPHERE_WX = _sphere_grid()
+_SPHERE_WAZ = 2.0 * np.pi / _AZ_NODES
+
+
+def _sphere_quad(geom, r, power):
+    """integral over the coordinate sphere of radius r of exp(power * f),
+    against the flat sphere measure r^2 dOmega.  Gauss-Legendre x trapezoid."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    pts = r[:, None, None, None] * dirs[None]
+    pts = r[:, None, None, None] * _SPHERE_DIRS[None]
     vals = np.exp(power * geom.f(pts))
-    out = r * r * np.einsum("rga,g->r", vals, wx) * waz
-    return out
+    return r * r * np.einsum("rga,g->r", vals, _SPHERE_WX) * _SPHERE_WAZ
 
 
 def leaf_area(geom, r):

@@ -16,18 +16,24 @@ u exp(-2f) Lap x of the chart velocity is taken at the new time through one
 sparse solve with the cotan stiffness, the rest at the old, so its bound
 (`cfl_dt`) is dt = cfl h_min.  `StepControl(scheme="heun")` swaps in the
 explicit two-stage reference (`step_heun`) under the parabolic bound
-dt ~ cfl h_min^2 (`heun_cfl_dt`); no run file selects it.  The leaf graph
-steps Heun under either value.
+dt ~ cfl h_min^2 (`heun_cfl_dt`); no run file selects it.  The leaf graph's
+step (`step_graph`) is linearly implicit in the same way: the divergence
+term goes through one solve with the leaf's cotan stiffness, each face
+weighted by 1/W, under dt = cfl h_min of the fixed leaf (`graph_cfl_dt`),
+and `scheme="heun"` swaps in its explicit reference (`step_graph_heun`,
+under `graph_heun_cfl_dt`).
 
 Each snapshot's geometry is computed once per step.  The loop-top
 `mesh_geometry` bundle is the step's start (it depends on neither the step
 size nor the retry); an implicit step needs nothing else, and a Heun step
-costs one more `mesh_geometry` call, for the predictor.  Every snapshot
-memoizes its own face kernels, area and volume (see `surface.TriSurface`),
-so the loop top reads the accepted mesh's area and volume where the area
-guard and the volume projection left them, and the graph's fixed leaf keeps
-its gradient basis and shortest edge for the whole run.  The graph stepper
-shares the loop-top chart fields between its CFL bound and its first stage.
+costs one more `mesh_geometry` call, for the predictor, on either backend.
+Every snapshot memoizes its own face kernels, area and volume (see
+`surface.TriSurface`), so the loop top reads the accepted mesh's area and
+volume where the area guard and the volume projection left them, and the
+graph's fixed leaf keeps its gradient basis, dual areas and shortest edge
+for the whole run.  The
+graph stepper's loop-top chart fields are the frozen coefficients of its
+implicit step, or the first stage of its Heun step.
 """
 
 from dataclasses import dataclass, field
@@ -44,7 +50,7 @@ from .errors import (CkflowError, EllipticityLost, GradientBoundExceeded,
 BAND_SLACK = 1e-3       # relative padding of the initial leaf-label band
 SMOOTH_STRENGTH = 0.5   # tangential smoothing step of the front
 MAX_RETRIES = 8         # step halvings before the area guard gives up
-SCHEMES = ("imex", "heun")  # front step schemes
+SCHEMES = ("imex", "heun")  # step schemes of both backends
 
 
 @dataclass
@@ -476,6 +482,23 @@ def _graph_chart_fields(geom, pair, state, xi_now, emb=None, vg=None):
     return emb, vg, g, h, pf, pv, w, u
 
 
+def _graph_guards(fields, c1, t):
+    """Raise unless a graph state's chart fields keep the gradient bound c1
+    and a positive support function; both graph steps call it on every
+    state whose coefficients they use."""
+    _, _, _, _, _, pv, _, u = fields
+    grad_mag = np.linalg.norm(pv, axis=1)
+    if np.max(grad_mag) > c1:
+        raise GradientBoundExceeded(
+            f"leaf gradient {np.max(grad_mag):.3f} exceeded the bound {c1:.3f}"
+        )
+    if not np.min(u) > 0.0:  # a NaN fails this comparison too
+        raise StarshapeLost(
+            f"graph support function reached {float(np.min(u)):.3e} "
+            f"at t={t:.6g}"
+        )
+
+
 def _graph_rate(geom, pair, state, xi_now, c1, fields=None):
     """Fixed-chart rate d lam/dt = W^2 (u div(A)/(G W) + B).
 
@@ -487,18 +510,8 @@ def _graph_rate(geom, pair, state, xi_now, c1, fields=None):
     leaf = state.leaf
     if fields is None:
         fields = _graph_chart_fields(geom, pair, state, xi_now)
+    _graph_guards(fields, c1, state.t)
     emb, vg, g, h, pf, pv, w, u = fields
-    grad_mag = np.linalg.norm(pv, axis=1)
-    if np.max(grad_mag) > c1:
-        raise GradientBoundExceeded(
-            f"leaf gradient {np.max(grad_mag):.3f} exceeded the bound {c1:.3f}"
-        )
-    if not np.min(u) > 0.0:  # a NaN fails this comparison too
-        raise StarshapeLost(
-            f"graph support function reached {float(np.min(u)):.3e} "
-            f"at t={state.t:.6g}"
-        )
-
     basis = leaf.basis
     gf = np.mean(g[leaf.faces], axis=1)
     hf = np.mean(h[leaf.faces], axis=1)
@@ -515,7 +528,16 @@ def _graph_rate(geom, pair, state, xi_now, c1, fields=None):
 
 
 def graph_cfl_dt(leaf, fields, cfl):
-    """Parabolic bound for the graph update: cfl h^2 / max(1, max u W / G).
+    """Implicit graph step bound: cfl h_min of the fixed leaf.
+
+    `leaf` is the state's leaf and `fields` its `_graph_chart_fields` tuple
+    (unused; the bound keeps the signature of `graph_heun_cfl_dt`).
+    """
+    return cfl * leaf.min_edge
+
+
+def graph_heun_cfl_dt(leaf, fields, cfl):
+    """Parabolic bound for the Heun graph step: cfl h^2 / max(1, max u W / G).
 
     `leaf` is the state's leaf and `fields` its `_graph_chart_fields` tuple.
     """
@@ -525,11 +547,47 @@ def graph_cfl_dt(leaf, fields, cfl):
     return cfl * h_min * h_min / max(1.0, float(kappa))
 
 
-def step_graph(geom, pair, state, schedule, dt, c1, fields):
+def step_graph(geom, pair, state, schedule, dt, c1, fields, step):
+    """One linearly implicit step of the leaf-graph evolution from state.t.
+
+    For n = 2 the flux is A_f = p_f / W_f, so the divergence in the rate
+    W^2 (u div(A)/(G W) + B) is (K_{1/W} lam) / Omega, with K_a the leaf's
+    cotan stiffness under face weights a (`surface.cotan_stiffness`) and
+    Omega the barycentric dual areas.  With W_f, g, w, u and B frozen at the
+    step's start (`fields`, the state's `_graph_chart_fields` tuple, which
+    does not depend on dt and so serves every retry) the step solves
+
+        (diag(Omega g/(w u)) - dt K_{1/W}) lam+
+            = diag(Omega g/(w u)) (lam + dt w^2 B),
+
+    symmetric positive definite while u > 0: the frozen-coefficient scheme
+    for graph mean curvature flow (Deckelnick, Dziuk & Elliott 2005).  A
+    system entry or result that is not finite raises MeshDegenerate naming
+    `step` and t.  `schedule` is unused: the fields carry the step's xi.
+    """
+    _graph_guards(fields, c1, state.t)
+    emb, vg, g, h, pf, _, w, u = fields
+    leaf = state.leaf
+    gf = np.mean(g[leaf.faces], axis=1)
+    hf = np.mean(h[leaf.faces], axis=1)
+    wf = np.sqrt(1.0 + (hf / gf) * np.einsum("ij,ij->i", pf, pf))
+    mass = leaf.basis.dual_area * g / (w * u)
+    lhs = sp.diags_array(mass, format="csc") \
+        - dt * surface.cotan_stiffness(leaf, face_weight=1.0 / wf)
+    _require_finite(lhs.data, "graph ", step, state.t, "implicit system entry")
+    b = diagnostics.label_evolution_source(geom, pair, emb, vg)
+    lam = splu(lhs).solve(mass * (state.lam + dt * w * w * b))
+    _require_finite(lam, "graph ", step, state.t, "label")
+    return GraphState(leaf=leaf, lam=lam, t=state.t + dt)
+
+
+def step_graph_heun(geom, pair, state, schedule, dt, c1, fields, step):
     """One Heun step of the leaf-graph evolution.
 
+    The reference scheme of `step_graph`, under `graph_heun_cfl_dt`.
     `fields` is the state's `_graph_chart_fields` tuple at its own time, the
-    first stage; it does not depend on dt, so it serves every retry.
+    first stage; it does not depend on dt, so it serves every retry.  `step`
+    is unused: the stepper checks the candidate.
     """
     k1 = _graph_rate(geom, pair, state, schedule.xi_at(state.t), c1, fields)
     mid = GraphState(leaf=state.leaf, lam=state.lam + dt * k1, t=state.t + dt)
@@ -557,6 +615,10 @@ class _GraphStepper:
         self.state, self.mesh = state, state.embedded(geom)
         self.fields = None  # the loop-top `_graph_chart_fields` tuple
         self._cand = None  # the last proposal: (state, embedded mesh)
+        if ctrl.scheme == "heun":
+            self._bound, self._step = graph_heun_cfl_dt, step_graph_heun
+        else:
+            self._bound, self._step = graph_cfl_dt, step_graph
 
     @property
     def t(self):
@@ -566,14 +628,14 @@ class _GraphStepper:
         return self.state.lam
 
     def max_dt(self, vg, xi_now):
-        # the loop-top chart fields are also the first stage of the step
+        # the loop-top chart fields are also the step's start
         self.fields = _graph_chart_fields(self.geom, self.pair, self.state,
                                           xi_now, self.mesh, vg)
-        return graph_cfl_dt(self.state.leaf, self.fields, self.ctrl.cfl)
+        return self._bound(self.state.leaf, self.fields, self.ctrl.cfl)
 
     def propose(self, vg, dt, step):
-        cand = step_graph(self.geom, self.pair, self.state, self.schedule, dt,
-                          self.c1, self.fields)
+        cand = self._step(self.geom, self.pair, self.state, self.schedule, dt,
+                          self.c1, self.fields, step)
         emb = cand.embedded(self.geom)
         _require_finite(emb.vertices, self.label, step, self.t)
         self._cand = (cand, emb)

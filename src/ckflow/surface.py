@@ -16,9 +16,9 @@ Connectivity is fixed over a flow and lives on one `Topology`, shared
 between snapshots: its corner-to-vertex `scatter` matrix carries every
 face-to-vertex sum (vertex normals, mixed areas, gradient weights), the
 cotan Laplacian is one weighted half-edge difference through that same
-matrix, the sparse cotan stiffness of the implicit front step holds the
-same half-edge weights, and the topology's padded neighbour tables
-(`ring`) are built on first use.
+matrix, the sparse cotan stiffness of both implicit steps holds the
+same half-edge weights (scaled per face for the leaf graph), and the
+topology's padded neighbour tables (`ring`) are built on first use.
 A snapshot's vertices are read-only, so what they determine is memoized on
 the `TriSurface` at its first use: the face pass, the vertex normals, the
 mixed Voronoi areas, the P1 gradient basis, the shortest edge, and the
@@ -414,16 +414,21 @@ def cotan_laplacian_apply(mesh, values):
     return acc.reshape(vals.shape)
 
 
-def cotan_stiffness(mesh):
+def cotan_stiffness(mesh, face_weight=None):
     """Sparse cotan stiffness L: (L x)_i = (1/2) sum_j w_ij (x_j - x_i).
 
     w_ij = cot a + cot b.  Symmetric with zero row sums; L x equals the
     mixed areas times `cotan_laplacian_apply(x)`, from the same half-edge
     weights: half-edge k gives the entry (tail, head), and each directed
-    edge is one half-edge.
+    edge is one half-edge.  `face_weight` (F,) scales each face's corner
+    cotangents by a_f, giving the weighted P1 stiffness
+    (K_a x)_i = -sum_f area_f a_f grad chi_i . grad x; None is a_f = 1.
     """
     topo = mesh.topology
-    half = 0.5 * _half_edge_weights(topo, mesh.face_geometry.cot)
+    cot = mesh.face_geometry.cot
+    if face_weight is not None:
+        cot = cot * np.asarray(face_weight, dtype=float)[:, None]
+    half = 0.5 * _half_edge_weights(topo, cot)
     V = topo.n_vertices
     diag = np.arange(V)
     return sp.csc_array(

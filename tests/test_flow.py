@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ckflow import ckv, flow, surface
+from ckflow import ckv, diagnostics, flow, surface
 from ckflow.errors import MeshDegenerate, StarshapeLost
 
 
@@ -140,27 +140,45 @@ def test_imex_run_computes_geometry_once_per_step(euclid, pair, monkeypatch):
     assert len(calls) == res.steps + 1
 
 
-def test_run_graph_computes_geometry_twice_per_step(euclid, pair, monkeypatch):
-    calls = _count_surface_calls(monkeypatch, "mesh_geometry")
+def _graph_run(euclid, pair, ctrl):
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
-    state0 = flow.graph_state_from_mesh(seed, euclid)
-    res = flow.run_graph(euclid, pair, state0, ckv.Schedule(t0=1.0),
-                         flow.StepControl(t_end=0.1))
+    return _run_backend("leaf_graph", euclid, pair, seed, ctrl)
+
+
+def test_run_graph_computes_geometry_twice_per_step(euclid, pair, monkeypatch):
+    # Heun: the loop top and the predictor
+    calls = _count_surface_calls(monkeypatch, "mesh_geometry")
+    res = _graph_run(euclid, pair, flow.StepControl(t_end=0.1, scheme="heun"))
     assert res.steps >= 5
     assert len(calls) == 2 * res.steps + 1
 
 
+def test_implicit_run_graph_computes_geometry_once_per_step(euclid, pair,
+                                                            monkeypatch):
+    calls = _count_surface_calls(monkeypatch, "mesh_geometry")
+    res = _graph_run(euclid, pair, flow.StepControl(t_end=0.6))
+    assert res.steps >= 5
+    assert len(calls) == res.steps + 1
+
+
 def test_run_graph_builds_leaf_geometry_once(euclid, pair, monkeypatch):
-    # per step: the predictor's mesh_geometry and the candidate's area, whose
-    # face kernels the next loop top reads from the memo; plus 2 per run:
-    # the leaf's gradient basis and the first loop top
+    # Heun, per step: the predictor's mesh_geometry and the candidate's area,
+    # whose face kernels the next loop top reads from the memo; plus 2 per
+    # run: the leaf's gradient basis and the first loop top
     calls = _count_surface_calls(monkeypatch, "face_normals_areas")
-    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
-    state0 = flow.graph_state_from_mesh(seed, euclid)
-    res = flow.run_graph(euclid, pair, state0, ckv.Schedule(t0=1.0),
-                         flow.StepControl(t_end=0.1))
+    res = _graph_run(euclid, pair, flow.StepControl(t_end=0.1, scheme="heun"))
     assert res.steps >= 5
     assert len(calls) == 2 * res.steps + 2
+
+
+def test_implicit_run_graph_builds_leaf_geometry_once(euclid, pair,
+                                                      monkeypatch):
+    # per step: the candidate's area only; the leaf's stiffness and dual
+    # areas read its one face pass
+    calls = _count_surface_calls(monkeypatch, "face_normals_areas")
+    res = _graph_run(euclid, pair, flow.StepControl(t_end=0.6))
+    assert res.steps >= 5
+    assert len(calls) == res.steps + 2
 
 
 def _run_backend(backend, geom, pair, seed, ctrl, **kwargs):
@@ -172,18 +190,24 @@ def _run_backend(backend, geom, pair, seed, ctrl, **kwargs):
 
 
 # the graph backend fails on the curved L2 seed (a known defect), so it
-# runs flat
-@pytest.mark.parametrize("backend, geom_name", [("lagrangian", "paper"),
-                                                ("leaf_graph", "euclid")])
-def test_trace_volume_is_the_frame_volume(request, pair, backend, geom_name):
+# runs flat; the front smooths every 10 steps, and implicit steps are long
+@pytest.mark.parametrize("backend, geom_name, scheme, t_end, min_steps", [
+    pytest.param("lagrangian", "paper", "imex", 0.6, 10,
+                 id="lagrangian-paper"),
+    pytest.param("leaf_graph", "euclid", "heun", 0.1, 5,
+                 id="leaf_graph-euclid"),
+    pytest.param("leaf_graph", "euclid", "imex", 0.6, 5,
+                 id="leaf_graph-euclid-imex"),
+])
+def test_trace_volume_is_the_frame_volume(request, pair, backend, geom_name,
+                                          scheme, t_end, min_steps):
     # the front's loop top reuses the volume projection's last evaluation;
     # the graph's evaluates its embedded mesh, which is the frame
     geom = request.getfixturevalue(geom_name)
     seed = surface.ellipsoid_seed((1.08, 1.0, 0.93), 2)
-    # the front smooths every 10 steps, and its implicit steps are long
-    t_end, min_steps = (0.6, 10) if backend == "lagrangian" else (0.1, 5)
     res = _run_backend(backend, geom, pair, seed,
-                       flow.StepControl(t_end=t_end), frame_every=1)
+                       flow.StepControl(t_end=t_end, scheme=scheme),
+                       frame_every=1)
     assert res.steps >= min_steps
     volume = res.trace.column("volume")
     assert len(res.frames) == len(volume) + 1  # the final frame repeats
@@ -198,6 +222,8 @@ def test_trace_volume_is_the_frame_volume(request, pair, backend, geom_name):
                  id="lagrangian-step_heun"),
     pytest.param("leaf_graph", "step_graph", 3, 2, "imex",
                  id="leaf_graph-step_graph"),
+    pytest.param("leaf_graph", "step_graph_heun", 3, 2, "heun",
+                 id="leaf_graph-step_graph_heun"),
     # a Heun velocity born inside the step meets the chart-domain checks of
     # the predictor (step 1's first stage) or the result (step 0's second)
     pytest.param("lagrangian", "chart_velocity", 3, 1, "heun",
@@ -222,7 +248,7 @@ def test_non_finite_candidate_fails_with_step_and_time(euclid, pair,
         calls.append(1)
         if len(calls) != call:
             return out
-        if fn_name == "step_graph":
+        if fn_name.startswith("step_graph"):
             return dataclasses.replace(out, lam=nan_first(out.lam))
         if fn_name == "chart_velocity":
             return nan_first(out)
@@ -324,27 +350,44 @@ def test_nan_support_fails_starshape_with_step_and_time(euclid, pair,
     assert len(exc.value.trace) == step
 
 
-def test_nan_graph_rate_support_fails_starshape_with_time(euclid, pair,
-                                                         monkeypatch):
-    # the graph rate's own support function guards the predictor stage
+def _poison_graph_support(monkeypatch, call):
     original, calls = flow._graph_chart_fields, []
 
     def poisoned(*args, **kwargs):
         fields = original(*args, **kwargs)
         calls.append(1)
-        if len(calls) != 4:  # the predictor of step 1
+        if len(calls) != call:
             return fields
         u = np.array(fields[-1])
         u[0] = np.nan
         return fields[:-1] + (u,)
 
     monkeypatch.setattr(flow, "_graph_chart_fields", poisoned)
+
+
+def _graph_starshape_failure(euclid, pair, scheme):
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     with pytest.raises(StarshapeLost) as exc:
         _run_backend("leaf_graph", euclid, pair, seed,
-                     flow.StepControl(t_end=0.3))
+                     flow.StepControl(t_end=0.3, scheme=scheme))
     assert "graph support function reached nan at t=" in str(exc.value)
-    assert len(exc.value.trace) == 2
+    return exc.value
+
+
+def test_nan_graph_rate_support_fails_starshape_with_time(euclid, pair,
+                                                         monkeypatch):
+    # Heun: the graph rate's own support function guards the predictor
+    # stage of step 1 (the chart-field call after two loop tops and step
+    # 0's predictor)
+    _poison_graph_support(monkeypatch, 4)
+    assert len(_graph_starshape_failure(euclid, pair, "heun").trace) == 2
+
+
+def test_nan_graph_step_support_fails_starshape_with_time(euclid, pair,
+                                                         monkeypatch):
+    # implicit: the guard reads step 1's frozen loop-top fields
+    _poison_graph_support(monkeypatch, 2)
+    assert len(_graph_starshape_failure(euclid, pair, "imex").trace) == 2
 
 
 def test_run_detects_starshape_loss(euclid, pair, pair_e3):
@@ -421,6 +464,49 @@ def test_run_graph_settles_perturbed_sphere(euclid, pair):
     assert res.trace.column("leaf_distance")[-1] <= 1e-2
     area = res.trace.column("area")
     assert np.all(np.diff(area) <= area[:-1] * 1e-8 + 1e-12)
+
+
+def test_implicit_graph_step_keeps_a_leaf(euclid, pair):
+    # a constant label has zero flux, and the flat source vanishes on it
+    sched = ckv.Schedule(t0=1.0)
+    state = flow.graph_state_from_mesh(surface.sphere_seed(1.2, 3), euclid)
+    fields = flow._graph_chart_fields(euclid, pair, state, sched.xi_at(0.0))
+    new = flow.step_graph(euclid, pair, state, sched, 0.1, 10.0, fields, 0)
+    assert new.t == 0.1
+    assert np.max(np.abs(new.lam - state.lam)) <= 1e-12 * np.max(state.lam)
+
+
+@pytest.mark.parametrize("target, what", [
+    ("cotan_stiffness", "non-finite implicit system entry"),
+    ("label_evolution_source", "non-finite label"),
+])
+def test_non_finite_implicit_graph_step_fails_with_step_and_time(
+        euclid, pair, monkeypatch, target, what):
+    # a NaN stiffness entry would make the factorization raise RuntimeError,
+    # a NaN source a NaN label; the step names either first
+    module = surface if target == "cotan_stiffness" else diagnostics
+    step, original, calls = 2, getattr(module, target), []
+
+    def poisoned(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(1)
+        if len(calls) != step + 1:
+            return out
+        out = out.copy()
+        if target == "cotan_stiffness":
+            out.data[0] = np.nan
+        else:
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(module, target, poisoned)
+    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
+    with pytest.raises(MeshDegenerate) as exc:
+        _run_backend("leaf_graph", euclid, pair, seed,
+                     flow.StepControl(t_end=0.6))
+    assert f"graph step {step} from t=" in str(exc.value)
+    assert what in str(exc.value)
+    assert len(exc.value.trace) == step + 1
 
 
 def test_run_graph_starshape_guard(euclid, pair, pair_e3):

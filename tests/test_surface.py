@@ -300,6 +300,39 @@ def test_cotan_stiffness_is_areas_times_the_laplacian():
     assert np.count_nonzero(dense) == stiff.nnz
 
 
+def test_weighted_cotan_stiffness():
+    rng = np.random.default_rng(2)
+    mesh = jittered_ellipsoid(rng)
+    stiff = surface.cotan_stiffness(mesh)
+    ones = surface.cotan_stiffness(mesh, face_weight=np.ones(mesh.n_faces))
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(ones, attr), getattr(stiff, attr)), attr
+    weighted = surface.cotan_stiffness(
+        mesh, face_weight=rng.uniform(0.2, 2.0, mesh.n_faces))
+    dense = weighted.toarray()
+    assert np.array_equal(dense, dense.T)
+    assert np.max(np.abs(dense.sum(axis=1))) <= 1e-12 * np.max(np.abs(dense))
+    assert np.array_equal(weighted.indices, stiff.indices)
+    assert np.array_equal(weighted.indptr, stiff.indptr)
+
+
+def test_weighted_stiffness_is_the_graph_divergence(euclid, paper):
+    # the implicit graph step's operator K_{1/W} lam / Omega is the Heun
+    # rate's flux divergence, written out in `_reference_divergence`
+    for geom in (euclid, paper):
+        state = _jittered_graph_state(geom)
+        leaf, lam = state.leaf, state.lam
+        g, h = flow.leaf_coefficients(geom, leaf.vertices, lam)
+        pf = surface.face_gradients(leaf, lam)
+        wf = np.sqrt(1.0 + (np.mean(h[leaf.faces], axis=1)
+                            / np.mean(g[leaf.faces], axis=1))
+                     * np.einsum("ij,ij->i", pf, pf))
+        div = surface.cotan_stiffness(leaf, face_weight=1.0 / wf) @ lam \
+            / leaf.basis.dual_area
+        ref = _reference_divergence(geom, state)
+        assert np.max(np.abs(div - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_orientation_flip_negates_support(euclid, pair):
     mesh = surface.ellipsoid_seed((1.5, 1.0, 0.8), 2)
     flipped = surface.TriSurface(mesh.vertices, mesh.faces[:, ::-1].copy())
@@ -324,17 +357,10 @@ def _jittered_graph_state(geom):
                                       geom)
 
 
-def _reference_rate(geom, pair, state, xi_now):
-    """The graph rate with its divergence written out as bincount loops."""
+def _reference_divergence(geom, state):
+    """The graph flux divergence written out as bincount loops."""
     leaf, lam = state.leaf, state.lam
-    emb = state.embedded(geom)
-    vg = surface.mesh_geometry(emb, geom, pair, xi_now, with_curvatures=False)
     g, h = flow.leaf_coefficients(geom, leaf.vertices, lam)
-    pv = surface.vertex_gradients(leaf, surface.face_gradients(leaf, lam))
-    w = np.sqrt(1.0 + (h / g) * np.einsum("ij,ij->i", pv, pv))
-    u_top = -np.sqrt(h) * np.einsum("ij,ij->i", pair.rotation(leaf.vertices),
-                                    pv) / w
-    u = vg.dilation_norm / w + xi_now * u_top
     fg = surface.face_normals_areas(leaf.vertices, leaf.faces)
     fn, fa = fg.normal, fg.area
     af = flow.graph_flux(surface.face_gradients(leaf, lam),
@@ -349,6 +375,21 @@ def _reference_rate(geom, pair, state, xi_now):
                            minlength=leaf.n_vertices)
     div /= np.bincount(leaf.faces.reshape(-1), weights=np.repeat(fa / 3.0, 3),
                        minlength=leaf.n_vertices)
+    return div
+
+
+def _reference_rate(geom, pair, state, xi_now):
+    """The graph rate around `_reference_divergence`."""
+    leaf, lam = state.leaf, state.lam
+    emb = state.embedded(geom)
+    vg = surface.mesh_geometry(emb, geom, pair, xi_now, with_curvatures=False)
+    g, h = flow.leaf_coefficients(geom, leaf.vertices, lam)
+    pv = surface.vertex_gradients(leaf, surface.face_gradients(leaf, lam))
+    w = np.sqrt(1.0 + (h / g) * np.einsum("ij,ij->i", pv, pv))
+    u_top = -np.sqrt(h) * np.einsum("ij,ij->i", pair.rotation(leaf.vertices),
+                                    pv) / w
+    u = vg.dilation_norm / w + xi_now * u_top
+    div = _reference_divergence(geom, state)
     b = diagnostics.label_evolution_source(geom, pair, emb, vg)
     return w * u * div / g + w * w * b
 
@@ -451,7 +492,7 @@ def test_snapshot_memo_matches_fresh_kernels(request, monkeypatch, geom_name,
     assert np.array_equal(k1, flow._graph_rate(geom, pair, state, xi_now, c1))
     assert np.array_equal(k1, _reference_rate(geom, pair, state, xi_now))
     fields = flow._graph_chart_fields(geom, pair, state, xi_now)
-    new = flow.step_graph(geom, pair, state, sched, dt, c1, fields)
+    new = flow.step_graph_heun(geom, pair, state, sched, dt, c1, fields, 0)
     mid = flow.GraphState(leaf=state.leaf, lam=state.lam + dt * k1,
                           t=state.t + dt)
     k2 = _reference_rate(geom, pair, mid, sched.xi_at(mid.t))
