@@ -59,7 +59,7 @@ def make_seed(cfg, geom, pair):
             geom, pair, cfg["seed.semiaxes"], cfg["seed.twist"], level
         )
     geom.require_in_domain(mesh.vertices, what="seed vertex")
-    vg = surface.mesh_geometry(mesh, geom, pair, xi_now=1.0, with_curvatures=False)
+    vg = surface.mesh_geometry(mesh, geom, pair, xi_now=1.0)
     return mesh, float(np.min(vg.u)), float(np.min(vg.u_perp))
 
 

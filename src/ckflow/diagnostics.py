@@ -13,7 +13,8 @@ from scipy.optimize import brentq
 from . import ckv
 from .ckv import N_SURF
 from .errors import ProfileNotMonotone
-from .surface import cotan_laplacian_apply, enclosed_volume, surface_area
+from .surface import (cotan_laplacian_apply, enclosed_volume,
+                      principal_curvatures, surface_area)
 
 TRACE_COLUMNS = (
     "step", "time", "xi", "area", "volume", "lambda_min", "lambda_max",
@@ -67,7 +68,8 @@ def minkowski2_parts(mesh, geom, vg):
     rhs_ric = float(
         (N_SURF / (N_SURF - 1.0)) * np.sum(vg.u * (ric_dil - ric_nu) * w)
     )
-    rhs_umb = -float(np.sum((vg.k1 - vg.k2) ** 2 * vg.u * w))
+    k1, k2 = principal_curvatures(mesh, vg)
+    rhs_umb = -float(np.sum((k1 - k2) ** 2 * vg.u * w))
     scale = float(np.sum(vg.H**2 * np.abs(vg.u) * w))
     return lhs, rhs_ric, rhs_umb, scale
 
@@ -78,9 +80,10 @@ def minkowski2_residual(mesh, geom, vg):
     return abs(lhs - rhs_ric - rhs_umb) / max(scale, 1e-300)
 
 
-def umbilicity_deficit(vg):
+def umbilicity_deficit(mesh, vg):
     """integral (k1 - k2)^2 dA_g: zero exactly on umbilic surfaces."""
-    return float(np.sum((vg.k1 - vg.k2) ** 2 * vg.area_g))
+    k1, k2 = principal_curvatures(mesh, vg)
+    return float(np.sum((k1 - k2) ** 2 * vg.area_g))
 
 
 # --------------------------------------------------------------------------

@@ -36,7 +36,7 @@ graph stepper's loop-top chart fields are the frozen coefficients of its
 implicit step, or the first stage of its Heun step.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,8 +86,6 @@ class RunResult:
     steps: int
     band_ok: bool
     lam_band: tuple
-    schedule: object = None
-    frames: list = field(default_factory=list)
 
 
 def flow_speed(vg):
@@ -159,8 +157,7 @@ def step_heun(mesh, geom, pair, schedule, t, dt, vg, step):
     mid = mesh.with_vertices(mesh.vertices + dt * v1)
     _require_finite(mid.vertices, "", step, t, "predictor vertex")
     geom.require_in_domain(mid.vertices, what="predictor vertex")
-    vg2 = surface.mesh_geometry(mid, geom, pair, schedule.xi_at(t + dt),
-                                with_curvatures=False)
+    vg2 = surface.mesh_geometry(mid, geom, pair, schedule.xi_at(t + dt))
     v2 = chart_velocity(vg2)
     new = mesh.with_vertices(mesh.vertices + 0.5 * dt * (v1 + v2))
     return _checked(new, geom, step, t)
@@ -211,26 +208,21 @@ def _drive(stepper, schedule, ctrl, frame_every, frame_cb):
     mesh and `accept(dt, step, area_prev)`.
     Convergence: leaf spread (max-min)/mean of the label <= leaf_tol and
     max |speed| <= speed_tol * max H; t_end or max_steps return
-    converged=False.  A package error raised in the loop carries the
-    partial trace as `err.trace`.
+    converged=False.  With frame_every > 0, frame_cb(step, t, mesh) gets
+    every frame_every-th loop-top snapshot and the last one.  A package
+    error raised in the loop carries the partial trace as `err.trace`.
     """
+    if frame_every > 0 and frame_cb is None:
+        raise ValueError("frame_every > 0 needs a frame_cb")
     geom, pair = stepper.geom, stepper.pair
     trace = diagnostics.FlowTrace()
-    frames = []
     step, dt_arrived, band, band_ok = 0, 0.0, None, True
-
-    def emit_frame():
-        # a copy starts with an empty memo, so a frame holds its vertices only
-        frames.append((step, stepper.t, stepper.mesh.copy()))
-        if frame_cb is not None:
-            frame_cb(step, stepper.t, stepper.mesh)
 
     try:
         while True:
             t, mesh = stepper.t, stepper.mesh
             xi_now = schedule.xi_at(t)
-            vg = surface.mesh_geometry(mesh, geom, pair, xi_now,
-                                       with_curvatures=True)
+            vg = surface.mesh_geometry(mesh, geom, pair, xi_now)
             # a NaN fails this comparison too
             if not np.min(vg.u) > 0.0:
                 raise StarshapeLost(
@@ -254,11 +246,11 @@ def _drive(stepper, schedule, ctrl, frame_every, frame_cb):
                 H_min=float(vg.H.min()), H_max=float(vg.H.max()),
                 mink1=diagnostics.minkowski1_residual(vg),
                 mink2=diagnostics.minkowski2_residual(mesh, geom, vg),
-                umbilicity=diagnostics.umbilicity_deficit(vg),
+                umbilicity=diagnostics.umbilicity_deficit(mesh, vg),
                 leaf_distance=ld, dt=dt_arrived,
             )
             if frame_every > 0 and step % frame_every == 0:
-                emit_frame()
+                frame_cb(step, t, mesh)
 
             converged = (
                 ld <= ctrl.leaf_tol
@@ -290,12 +282,11 @@ def _drive(stepper, schedule, ctrl, frame_every, frame_cb):
         raise
 
     if frame_every > 0:
-        emit_frame()
+        frame_cb(step, stepper.t, stepper.mesh)
     return RunResult(
         mesh=stepper.mesh, mesh_initial=stepper.mesh_initial, trace=trace,
         converged=(reason == "converged"), reason=reason, t=stepper.t,
-        steps=step, band_ok=band_ok, lam_band=band, schedule=schedule,
-        frames=frames,
+        steps=step, band_ok=band_ok, lam_band=band,
     )
 
 
@@ -455,7 +446,7 @@ def graph_state_from_mesh(mesh, geom, t=0.0):
     return GraphState(leaf=leaf, lam=ckv.lam(geom, mesh.vertices), t=t)
 
 
-def _graph_chart_fields(geom, pair, state, xi_now, emb=None, vg=None):
+def _graph_chart_fields(geom, pair, state, xi_now, emb, vg):
     """Per-vertex chart quantities of a graph state.
 
     Returns (emb, vg, g, h, pf, pv, w, u) with pf the P1 leaf gradient of
@@ -463,14 +454,9 @@ def _graph_chart_fields(geom, pair, state, xi_now, emb=None, vg=None):
     scheduled support function computed from the chart identities
     u_perp = |X_perp|_g / W, u_top = -sqrt(H_coef) X_top(lam) / W.  `emb`
     and `vg` are the state's embedded mesh and its geometry bundle at
-    xi_now, when the caller already has them.
+    xi_now.
     """
     leaf = state.leaf
-    if emb is None:
-        emb = state.embedded(geom)
-    if vg is None:
-        vg = surface.mesh_geometry(emb, geom, pair, xi_now,
-                                   with_curvatures=False)
     g, h = leaf_coefficients(geom, leaf.vertices, state.lam)
     pf = surface.face_gradients(leaf, state.lam)
     pv = surface.vertex_gradients(leaf, pf)
@@ -499,17 +485,14 @@ def _graph_guards(fields, c1, t):
         )
 
 
-def _graph_rate(geom, pair, state, xi_now, c1, fields=None):
+def _graph_rate(geom, pair, state, c1, fields):
     """Fixed-chart rate d lam/dt = W^2 (u div(A)/(G W) + B).
 
     The W^2 factor converts the material evolution law to the vertical
     chart derivative (graph points move vertically, flow points normally).
-    `fields` is the state's `_graph_chart_fields` tuple, when the caller
-    already has it.
+    `fields` is the state's `_graph_chart_fields` tuple.
     """
     leaf = state.leaf
-    if fields is None:
-        fields = _graph_chart_fields(geom, pair, state, xi_now)
     _graph_guards(fields, c1, state.t)
     emb, vg, g, h, pf, pv, w, u = fields
     basis = leaf.basis
@@ -586,12 +569,17 @@ def step_graph_heun(geom, pair, state, schedule, dt, c1, fields, step):
 
     The reference scheme of `step_graph`, under `graph_heun_cfl_dt`.
     `fields` is the state's `_graph_chart_fields` tuple at its own time, the
-    first stage; it does not depend on dt, so it serves every retry.  `step`
-    is unused: the stepper checks the candidate.
+    first stage; it does not depend on dt, so it serves every retry.  The
+    second stage's embedded mesh, geometry bundle and fields are built here.
+    `step` is unused: the stepper checks the candidate.
     """
-    k1 = _graph_rate(geom, pair, state, schedule.xi_at(state.t), c1, fields)
+    k1 = _graph_rate(geom, pair, state, c1, fields)
     mid = GraphState(leaf=state.leaf, lam=state.lam + dt * k1, t=state.t + dt)
-    k2 = _graph_rate(geom, pair, mid, schedule.xi_at(mid.t), c1)
+    xi_mid = schedule.xi_at(mid.t)
+    emb = mid.embedded(geom)
+    vg = surface.mesh_geometry(emb, geom, pair, xi_mid)
+    k2 = _graph_rate(geom, pair, mid, c1,
+                     _graph_chart_fields(geom, pair, mid, xi_mid, emb, vg))
     return GraphState(leaf=state.leaf, lam=state.lam + 0.5 * dt * (k1 + k2),
                       t=state.t + dt)
 
@@ -601,16 +589,14 @@ class _GraphStepper:
 
     label = "graph "
 
-    def __init__(self, geom, pair, state0, schedule, ctrl, c1):
+    def __init__(self, geom, pair, state0, schedule, ctrl):
         self.geom, self.pair = geom, pair
         self.schedule, self.ctrl = schedule, ctrl
         state = GraphState(leaf=state0.leaf,
                            lam=np.array(state0.lam, dtype=float), t=state0.t)
-        if c1 is None:
-            pv = surface.vertex_gradients(
-                state.leaf, surface.face_gradients(state.leaf, state.lam))
-            c1 = max(1.0, 2.0 * float(np.linalg.norm(pv, axis=1).max()))
-        self.c1 = c1
+        pv = surface.vertex_gradients(
+            state.leaf, surface.face_gradients(state.leaf, state.lam))
+        self.c1 = max(1.0, 2.0 * float(np.linalg.norm(pv, axis=1).max()))
         self.mesh_initial = state0.embedded(geom)
         self.state, self.mesh = state, state.embedded(geom)
         self.fields = None  # the loop-top `_graph_chart_fields` tuple
@@ -645,11 +631,11 @@ class _GraphStepper:
         self.state, self.mesh = self._cand
 
 
-def run_graph(geom, pair, state0, schedule, ctrl=None, c1=None,
-              frame_every=0, frame_cb=None):
+def run_graph(geom, pair, state0, schedule, ctrl=None, frame_every=0,
+              frame_cb=None):
     """Integrate the leaf-graph backend; see `_drive`."""
     ctrl = ctrl or StepControl()
-    stepper = _GraphStepper(geom, pair, state0, schedule, ctrl, c1)
+    stepper = _GraphStepper(geom, pair, state0, schedule, ctrl)
     return _drive(stepper, schedule, ctrl, frame_every, frame_cb)
 
 
@@ -664,7 +650,7 @@ def _phi_hessian(geom, pts):
     return ambient.covariant_hessian(geom, lambda q: ckv.grad_phi(geom, q), pts)
 
 
-def evolution_residuals(geom, pair, state, schedule, delta=None):
+def evolution_residuals(geom, pair, state, schedule):
     """Discrete residuals of the u- and H-evolution identities at a state.
 
     The chart time derivative is taken centrally along the flow's own
@@ -689,9 +675,8 @@ def evolution_residuals(geom, pair, state, schedule, delta=None):
         geom, pair, state, xim, emb, vg)
     speed = N_SURF * vg.phi - um * hm
     rate = speed * w / np.sqrt(h_coef)
-    if delta is None:
-        delta = 1e-4 * np.max(np.abs(state.lam)) / max(np.max(np.abs(rate)),
-                                                       1e-300)
+    delta = 1e-4 * np.max(np.abs(state.lam)) / max(np.max(np.abs(rate)),
+                                                   1e-300)
     pair_at = []
     for sgn in (-1.0, 1.0):
         shifted = GraphState(leaf=state.leaf, lam=state.lam + sgn * delta

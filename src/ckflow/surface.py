@@ -8,10 +8,10 @@ from the flat ones through the conformal factor:
 
 Flat mean curvature comes from the cotangent Laplacian over mixed Voronoi
 cells; flat principal curvatures from per-vertex quadric fits over the
-two-ring.  One local-fit kernel, `_local_fit`, serves the quadric (loop-top
-curvatures and smoothing) and the degree-six jet over the four-ring: it
-gathers each padded neighbour table once, projects it onto the local frames
-and solves all the normal equations as stacked matrix products.
+two-ring.  One local-fit kernel, `_local_fit`, serves the quadric (the
+trace's principal curvatures and smoothing) and the degree-six jet over the
+four-ring: it gathers each padded neighbour table once, projects it onto the
+local frames and solves all the normal equations as stacked matrix products.
 Connectivity is fixed over a flow and lives on one `Topology`, shared
 between snapshots: its corner-to-vertex `scatter` matrix carries every
 face-to-vertex sum (vertex normals, mixed areas, gradient weights), the
@@ -21,14 +21,14 @@ same half-edge weights (scaled per face for the leaf graph), and the
 topology's padded neighbour tables (`ring`) are built on first use.
 A snapshot's vertices are read-only, so what they determine is memoized on
 the `TriSurface` at its first use: the face pass, the vertex normals, the
-mixed Voronoi areas, the P1 gradient basis, the shortest edge, and the
-curved area and volume under a given geometry.  The face pass
-(`face_normals_areas`) is the one kernel that gathers the face corners: it
-forms each face's edge vectors and their squared lengths, and takes the
-unit normal, the area and the three corner cotangents from one cross
-product.  Every other face kernel reads its `FaceGeometry`, so a snapshot
-computes each of these at most once, whoever asks first, and no caller
-passes one along.
+mixed Voronoi areas, the P1 gradient basis, the shortest edge, the flat
+principal curvatures, and the curved area and volume under a given
+geometry.  The face pass (`face_normals_areas`) is the one kernel that
+gathers the face corners: it forms each face's edge vectors and their
+squared lengths, and takes the unit normal, the area and the three corner
+cotangents from one cross product.  Every other face kernel reads its
+`FaceGeometry`, so a snapshot computes each of these at most once, whoever
+asks first, and no caller passes one along.
 """
 
 from dataclasses import dataclass
@@ -193,6 +193,11 @@ class TriSurface:
         """Length of the shortest edge."""
         return float(np.sqrt(np.min(self.face_geometry.sq)))
 
+    @cached_property
+    def flat_curvatures(self):
+        """Flat principal curvatures (k1, k2) (`principal_curvatures_flat`)."""
+        return principal_curvatures_flat(self)
+
     def area(self, geom):
         """Curved area under `geom` (`surface_area`)."""
         return self._under("area", geom, surface_area)
@@ -311,7 +316,7 @@ def twisted_seed(geom, pair, semiaxes, tau, level):
     geom.require_in_domain(base.vertices, what="seed vertex")
     r = np.linalg.norm(base.vertices, axis=1)
     mesh = base.with_vertices(_rodrigues(base.vertices, pair.axis_vec, tau * np.log(r)))
-    vg = mesh_geometry(mesh, geom, pair, xi_now=1.0, with_curvatures=False)
+    vg = mesh_geometry(mesh, geom, pair, xi_now=1.0)
     min_u = float(np.min(vg.u))
     min_uperp = float(np.min(vg.u_perp))
     if min_u <= 0.0:
@@ -718,6 +723,14 @@ def principal_curvatures_flat(mesh):
     return k1, k2
 
 
+def principal_curvatures(mesh, vg):
+    """Curved principal curvatures (k1, k2) of a snapshot with bundle `vg`,
+    from its memoized flat ones."""
+    ef = np.exp(vg.f)
+    k1f, k2f = mesh.flat_curvatures
+    return (k1f + vg.nu_f) / ef, (k2f + vg.nu_f) / ef
+
+
 # --------------------------------------------------------------------------
 # curved-metric geometry bundle
 # --------------------------------------------------------------------------
@@ -732,8 +745,6 @@ class VertexGeometry:
     nu_f: np.ndarray         # normal derivative nu_flat(f)
     H_flat: np.ndarray       # flat mean curvature (sum convention)
     H: np.ndarray            # curved mean curvature
-    k1: np.ndarray           # curved principal curvatures (None if skipped)
-    k2: np.ndarray
     u_perp: np.ndarray       # support of the dilation
     u_top: np.ndarray        # support of the rotation
     u: np.ndarray            # scheduled support u_perp + xi * u_top
@@ -745,7 +756,7 @@ class VertexGeometry:
     dilation_norm: np.ndarray  # |D|_g at vertices
 
 
-def mesh_geometry(mesh, geom, pair, xi_now=1.0, with_curvatures=True):
+def mesh_geometry(mesh, geom, pair, xi_now=1.0):
     """Assemble the per-vertex geometry bundle for the current snapshot."""
     verts = mesh.vertices
     f_v = geom.f(verts)
@@ -757,13 +768,6 @@ def mesh_geometry(mesh, geom, pair, xi_now=1.0, with_curvatures=True):
     nu_f = np.einsum("ij,ij->i", nu, geom.grad_f(verts))
     H = (H_flat + 2.0 * nu_f) / ef
 
-    if with_curvatures:
-        k1f, k2f = principal_curvatures_flat(mesh)
-        k1 = (k1f + nu_f) / ef
-        k2 = (k2f + nu_f) / ef
-    else:
-        k1 = k2 = None
-
     u_perp = ef * np.einsum("ij,ij->i", verts, nu)
     u_top = ef * np.einsum("ij,ij->i", pair.rotation(verts), nu)
     u = u_perp + xi_now * u_top
@@ -774,8 +778,6 @@ def mesh_geometry(mesh, geom, pair, xi_now=1.0, with_curvatures=True):
         nu_f=nu_f,
         H_flat=H_flat,
         H=H,
-        k1=k1,
-        k2=k2,
         u_perp=u_perp,
         u_top=u_top,
         u=u,

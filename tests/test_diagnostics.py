@@ -43,13 +43,13 @@ def test_minkowski2_parts_balance_on_sphere(euclid, pair):
 
 
 def test_umbilicity_separates_spheres_from_ellipsoids(euclid, pair):
-    vg_s = surface.mesh_geometry(surface.sphere_seed(1.0, 4), euclid, pair)
-    vg_e = surface.mesh_geometry(
-        surface.ellipsoid_seed((2.0, 1.0, 1.0), 4), euclid, pair
-    )
+    sphere = surface.sphere_seed(1.0, 4)
+    ellipsoid = surface.ellipsoid_seed((2.0, 1.0, 1.0), 4)
+    vg_s = surface.mesh_geometry(sphere, euclid, pair)
+    vg_e = surface.mesh_geometry(ellipsoid, euclid, pair)
     h2 = float(np.sum(vg_s.H**2 * vg_s.area_g))
-    assert diagnostics.umbilicity_deficit(vg_s) <= 5e-3 * h2
-    assert diagnostics.umbilicity_deficit(vg_e) > 0.1
+    assert diagnostics.umbilicity_deficit(sphere, vg_s) <= 5e-3 * h2
+    assert diagnostics.umbilicity_deficit(ellipsoid, vg_e) > 0.1
 
 
 def test_label_evolution_residual_small(euclid, pair):

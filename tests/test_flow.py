@@ -84,14 +84,18 @@ def test_step_reuses_loop_top_geometry_bit_identically(paper, pair_e3):
     mesh = surface.ellipsoid_seed((1.08, 1.0, 0.93), 2)
     sched = ckv.Schedule(t0=0.5)
     t, dt = 0.1, 1e-3
-    # the loop top's bundle (with curvatures) against a fresh first stage
-    loop_top = surface.mesh_geometry(mesh, paper, pair_e3, sched.xi_at(t),
-                                     with_curvatures=True)
-    stage1 = surface.mesh_geometry(mesh, paper, pair_e3, sched.xi_at(t),
-                                   with_curvatures=False)
+    # the loop top's snapshot, whose curvature memo the trace has filled,
+    # against a cold copy and its own first stage
+    loop_top = surface.mesh_geometry(mesh, paper, pair_e3, sched.xi_at(t))
+    diagnostics.minkowski2_residual(mesh, paper, loop_top)
+    diagnostics.umbilicity_deficit(mesh, loop_top)
+    assert "flat_curvatures" in vars(mesh)
     for step in (flow.step_lagrangian, flow.step_heun):
+        cold = mesh.copy()
+        assert "flat_curvatures" not in vars(cold)
+        stage1 = surface.mesh_geometry(cold, paper, pair_e3, sched.xi_at(t))
         reused = step(mesh, paper, pair_e3, sched, t, dt, loop_top, 0)
-        fresh = step(mesh, paper, pair_e3, sched, t, dt, stage1, 0)
+        fresh = step(cold, paper, pair_e3, sched, t, dt, stage1, 0)
         assert np.array_equal(reused.vertices, fresh.vertices), step.__name__
 
 
@@ -99,7 +103,7 @@ def test_step_reuses_loop_top_geometry_bit_identically(paper, pair_e3):
 def test_imex_step_keeps_a_sphere_on_its_leaf(euclid, pair, radius):
     # dt = 0.5 is about 1e3 times Heun's parabolic bound at level 3
     mesh = surface.sphere_seed(radius, 3)
-    vg = surface.mesh_geometry(mesh, euclid, pair, with_curvatures=False)
+    vg = surface.mesh_geometry(mesh, euclid, pair)
     new = flow.step_lagrangian(mesh, euclid, pair, ckv.Schedule(t0=1.0), 0.0,
                                0.5, vg, 0)
     drift = np.linalg.norm(new.vertices, axis=1) / radius - 1.0
@@ -205,14 +209,24 @@ def test_trace_volume_is_the_frame_volume(request, pair, backend, geom_name,
     # the graph's evaluates its embedded mesh, which is the frame
     geom = request.getfixturevalue(geom_name)
     seed = surface.ellipsoid_seed((1.08, 1.0, 0.93), 2)
+    frames = []
     res = _run_backend(backend, geom, pair, seed,
                        flow.StepControl(t_end=t_end, scheme=scheme),
-                       frame_every=1)
+                       frame_every=1,
+                       frame_cb=lambda k, t, mesh: frames.append((k, mesh)))
     assert res.steps >= min_steps
     volume = res.trace.column("volume")
-    assert len(res.frames) == len(volume) + 1  # the final frame repeats
-    for (k, _, mesh), vol in zip(res.frames, volume):
+    assert len(frames) == len(volume) + 1  # the final frame repeats
+    for (k, mesh), vol in zip(frames, volume):
         assert vol == surface.enclosed_volume(mesh, geom), k
+
+
+@pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
+def test_frames_need_a_callback(euclid, pair, backend):
+    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
+    with pytest.raises(ValueError, match="frame_cb"):
+        _run_backend(backend, euclid, pair, seed, flow.StepControl(),
+                     frame_every=1)
 
 
 @pytest.mark.parametrize("backend, fn_name, call, step, scheme", [
@@ -331,9 +345,9 @@ def test_nan_support_fails_starshape_with_step_and_time(euclid, pair,
     step, original, calls = 2, surface.mesh_geometry, []
 
     def poisoned(*args, **kwargs):
+        # implicit steps compute no bundle of their own: every call is a
+        # loop top's
         vg = original(*args, **kwargs)
-        if not kwargs.get("with_curvatures"):  # only the loop top's bundle
-            return vg
         calls.append(1)
         if len(calls) != step + 1:
             return vg
@@ -444,6 +458,27 @@ def test_ellipticity_bounds_on_curved_shell(paper, pair):
     assert 0.0 < c2 <= c3
 
 
+def test_flux_jacobian_spectrum_is_the_ellipticity_bounds():
+    # for n = 2 and unit coefficients the Jacobian's eigenvalues are W^-3
+    # along p and W^-1 across it, the closed form `ellipticity_bounds` sweeps
+    c1 = 1.7
+    rng = np.random.default_rng(7)
+    dirs = rng.normal(size=(400, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    mags = np.concatenate([[0.0, c1], rng.uniform(0.0, c1, 398)])
+    eig = np.linalg.eigvalsh(flow.graph_flux_jacobian(mags[:, None] * dirs))
+    c2, c3 = flow.ellipticity_bounds(None, None, None, c1)
+    assert abs(eig.min() - c2) <= 1e-12 * c2
+    assert abs(eig.max() - c3) <= 1e-12 * c3
+
+
+def _chart_fields(geom, pair, state, xi_now):
+    """A graph state's `_graph_chart_fields` tuple from its own bundle."""
+    emb = state.embedded(geom)
+    vg = surface.mesh_geometry(emb, geom, pair, xi_now)
+    return flow._graph_chart_fields(geom, pair, state, xi_now, emb, vg)
+
+
 def test_graph_state_roundtrip(euclid):
     mesh = surface.sphere_seed(1.3, 2)
     state = flow.graph_state_from_mesh(mesh, euclid)
@@ -470,7 +505,7 @@ def test_implicit_graph_step_keeps_a_leaf(euclid, pair):
     # a constant label has zero flux, and the flat source vanishes on it
     sched = ckv.Schedule(t0=1.0)
     state = flow.graph_state_from_mesh(surface.sphere_seed(1.2, 3), euclid)
-    fields = flow._graph_chart_fields(euclid, pair, state, sched.xi_at(0.0))
+    fields = _chart_fields(euclid, pair, state, sched.xi_at(0.0))
     new = flow.step_graph(euclid, pair, state, sched, 0.1, 10.0, fields, 0)
     assert new.t == 0.1
     assert np.max(np.abs(new.lam - state.lam)) <= 1e-12 * np.max(state.lam)

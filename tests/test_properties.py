@@ -45,8 +45,7 @@ def rotation(q):
 
 
 def h_flat(mesh):
-    return surface.mesh_geometry(mesh, EUCLID, PAIR,
-                                 with_curvatures=False).H_flat
+    return surface.mesh_geometry(mesh, EUCLID, PAIR).H_flat
 
 
 @CHEAP

@@ -224,7 +224,8 @@ def test_leaf_formula_all_geometries(euclid, paper, poincare, pair):
         target = 2.0 / np.sqrt(ckv.lam(geom, mesh.vertices))
         assert np.max(np.abs(vg.H - target) / vg.H) <= 0.02
         assert np.min(vg.u) > 0.0
-        assert np.max(np.abs(vg.k1 - vg.k2)) <= 0.05 * np.max(vg.H)
+        k1, k2 = surface.principal_curvatures(mesh, vg)
+        assert np.max(np.abs(k1 - k2)) <= 0.05 * np.max(vg.H)
 
 
 def test_trace_consistency_two_estimators(euclid, paper, pair):
@@ -235,7 +236,8 @@ def test_trace_consistency_two_estimators(euclid, paper, pair):
     ]
     for geom, mesh in shapes:
         vg = surface.mesh_geometry(mesh, geom, pair)
-        assert np.all(np.abs(vg.k1 + vg.k2 - vg.H) <= 0.05 * (1.0 + np.abs(vg.H)))
+        k1, k2 = surface.principal_curvatures(mesh, vg)
+        assert np.all(np.abs(k1 + k2 - vg.H) <= 0.05 * (1.0 + np.abs(vg.H)))
 
 
 def test_mesh_geometry_matches_standalone_kernels(paper, pair):
@@ -382,7 +384,7 @@ def _reference_rate(geom, pair, state, xi_now):
     """The graph rate around `_reference_divergence`."""
     leaf, lam = state.leaf, state.lam
     emb = state.embedded(geom)
-    vg = surface.mesh_geometry(emb, geom, pair, xi_now, with_curvatures=False)
+    vg = surface.mesh_geometry(emb, geom, pair, xi_now)
     g, h = flow.leaf_coefficients(geom, leaf.vertices, lam)
     pv = surface.vertex_gradients(leaf, surface.face_gradients(leaf, lam))
     w = np.sqrt(1.0 + (h / g) * np.einsum("ij,ij->i", pv, pv))
@@ -394,11 +396,18 @@ def _reference_rate(geom, pair, state, xi_now):
     return w * u * div / g + w * w * b
 
 
+def _chart_fields(geom, pair, state, xi_now):
+    """A graph state's `_graph_chart_fields` tuple from its own bundle."""
+    emb = state.embedded(geom)
+    vg = surface.mesh_geometry(emb, geom, pair, xi_now)
+    return flow._graph_chart_fields(geom, pair, state, xi_now, emb, vg)
+
+
 def _memo(mesh, geom):
     """Everything a snapshot memoizes, read through the memo."""
     return {"face_geometry": mesh.face_geometry, "normals": mesh.normals,
             "mixed_areas": mesh.mixed_areas, "basis": mesh.basis,
-            "min_edge": mesh.min_edge,
+            "min_edge": mesh.min_edge, "flat_curvatures": mesh.flat_curvatures,
             "area": mesh.area(geom), "volume": mesh.volume(geom)}
 
 
@@ -410,6 +419,7 @@ def _kernels(mesh, geom):
             "mixed_areas": surface.mixed_voronoi_areas(mesh),
             "basis": surface.gradient_basis(mesh),
             "min_edge": float(np.sqrt(np.min(fg.sq))),
+            "flat_curvatures": surface.principal_curvatures_flat(mesh),
             "area": surface.surface_area(mesh, geom),
             "volume": surface.enclosed_volume(mesh, geom)}
 
@@ -460,6 +470,7 @@ def test_snapshot_memo_matches_fresh_kernels(request, monkeypatch, geom_name,
     monkeypatch.setattr(surface, "face_normals_areas", counted)
     assert mesh.face_geometry is warm["face_geometry"] and not calls
     for cold in (mesh.copy(), mesh.with_vertices(mesh.vertices)):
+        assert "flat_curvatures" not in vars(cold)
         _assert_bit_equal(cold.area(geom), warm["area"], "cold area")
         _assert_bit_equal(cold.normals, warm["normals"], "cold normals")
     assert len(calls) == 2
@@ -488,10 +499,11 @@ def test_snapshot_memo_matches_fresh_kernels(request, monkeypatch, geom_name,
     state.t = 0.1
     xi_now = sched.xi_at(state.t)
     c1, dt = 10.0, 1e-4
-    k1 = flow._graph_rate(geom, pair, state, xi_now, c1)
-    assert np.array_equal(k1, flow._graph_rate(geom, pair, state, xi_now, c1))
+    fields = _chart_fields(geom, pair, state, xi_now)
+    k1 = flow._graph_rate(geom, pair, state, c1, fields)
+    assert np.array_equal(k1, flow._graph_rate(
+        geom, pair, state, c1, _chart_fields(geom, pair, state, xi_now)))
     assert np.array_equal(k1, _reference_rate(geom, pair, state, xi_now))
-    fields = flow._graph_chart_fields(geom, pair, state, xi_now)
     new = flow.step_graph_heun(geom, pair, state, sched, dt, c1, fields, 0)
     mid = flow.GraphState(leaf=state.leaf, lam=state.lam + dt * k1,
                           t=state.t + dt)
