@@ -52,7 +52,7 @@ REGISTRY = {
 }
 
 
-def _parse_scalar(text, where):
+def _parse_scalar(text):
     low = text.lower()
     try:
         if "." in low or "e" in low or "inf" in low or "nan" in low:
@@ -72,12 +72,12 @@ def _parse_value(text, where):
         items = [s.strip() for s in text[1:-1].split(",") if s.strip()]
         vals = []
         for s in items:
-            v = _parse_scalar(s, where)
+            v = _parse_scalar(s)
             if isinstance(v, str):
                 raise ConfigError(f"{where}: non-numeric list entry {s!r}")
             vals.append(float(v))
         return vals
-    return _parse_scalar(text, where)
+    return _parse_scalar(text)
 
 
 def _check(key, value, where):

@@ -91,7 +91,7 @@ def umbilicity_deficit(mesh, vg):
 # --------------------------------------------------------------------------
 
 
-def label_evolution_source(geom, pair, mesh, vg):
+def label_evolution_source(geom, mesh, vg):
     """Zeroth-order source of the leaf-label evolution identity.
 
     B = -2 Lam n phi (u - u_perp)
@@ -118,7 +118,7 @@ class ResidualCheck:
     source_norm: float
 
 
-def label_evolution_residual(mesh, geom, pair, vg):
+def label_evolution_residual(mesh, geom, vg):
     """Surface-L2 residual of (d/dt) lam = u Lap_g lam + B along the flow.
 
     The material derivative is exact by the chain rule,
@@ -130,7 +130,7 @@ def label_evolution_residual(mesh, geom, pair, vg):
     lam_vals = vg.lam
     lap = cotan_laplacian_apply(mesh, lam_vals) * np.exp(-2.0 * vg.f)
     diffusion = vg.u * lap
-    source = label_evolution_source(geom, pair, mesh, vg)
+    source = label_evolution_source(geom, mesh, vg)
     w = vg.area_g / np.sum(vg.area_g)
 
     def l2(x):

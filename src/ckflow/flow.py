@@ -11,29 +11,24 @@ candidate and commits it.  The front projects each candidate back onto the
 initial curved volume and smooths tangentially on a fixed cadence, skipping
 a pass that would break area monotonicity.
 
-The front's step (`step_lagrangian`) is linearly implicit: the stiff part
-u exp(-2f) Lap x of the chart velocity is taken at the new time through one
-sparse solve with the cotan stiffness, the rest at the old, so its bound
-(`cfl_dt`) is dt = cfl h_min.  `StepControl(scheme="heun")` swaps in the
-explicit two-stage reference (`step_heun`) under the parabolic bound
-dt ~ cfl h_min^2 (`heun_cfl_dt`); no run file selects it.  The leaf graph's
-step (`step_graph`) is linearly implicit in the same way: the divergence
-term goes through one solve with the leaf's cotan stiffness, each face
-weighted by 1/W, under dt = cfl h_min of the fixed leaf (`graph_cfl_dt`),
-and `scheme="heun"` swaps in its explicit reference (`step_graph_heun`,
-under `graph_heun_cfl_dt`).
+Each backend has one step, linearly implicit.  The front's
+(`step_lagrangian`) takes the stiff part u exp(-2f) Lap x of the chart
+velocity at the new time through one sparse solve with the cotan stiffness,
+the rest at the old, so its bound (`cfl_dt`) is dt = cfl h_min.  The leaf
+graph's (`step_graph`) does the same for its divergence term, with the
+leaf's cotan stiffness weighting each face by 1/W, under dt = cfl h_min of
+the fixed leaf (`graph_cfl_dt`).  `chart_velocity` and `_graph_rate` are the
+explicit rates the two steps are consistent with.
 
-Each snapshot's geometry is computed once per step.  The loop-top
+Each snapshot's geometry is computed once per step: the loop-top
 `mesh_geometry` bundle is the step's start (it depends on neither the step
-size nor the retry); an implicit step needs nothing else, and a Heun step
-costs one more `mesh_geometry` call, for the predictor, on either backend.
-Every snapshot memoizes its own face kernels, area and volume (see
-`surface.TriSurface`), so the loop top reads the accepted mesh's area and
-volume where the area guard and the volume projection left them, and the
-graph's fixed leaf keeps its gradient basis, dual areas and shortest edge
-for the whole run.  The
+size nor the retry), and a step needs nothing else.  Every snapshot
+memoizes its own face kernels, area and volume (see `surface.TriSurface`),
+so the loop top reads the accepted mesh's area and volume where the area
+guard and the volume projection left them, and the graph's fixed leaf keeps
+its gradient basis, dual areas and shortest edge for the whole run.  The
 graph stepper's loop-top chart fields are the frozen coefficients of its
-implicit step, or the first stage of its Heun step.
+step.
 """
 
 from dataclasses import dataclass
@@ -50,7 +45,6 @@ from .errors import (CkflowError, EllipticityLost, GradientBoundExceeded,
 BAND_SLACK = 1e-3       # relative padding of the initial leaf-label band
 SMOOTH_STRENGTH = 0.5   # tangential smoothing step of the front
 MAX_RETRIES = 8         # step halvings before the area guard gives up
-SCHEMES = ("imex", "heun")  # step schemes of both backends
 
 
 @dataclass
@@ -58,7 +52,6 @@ class StepControl:
     """Knobs of the time integration loop."""
 
     cfl: float = 0.25
-    scheme: str = "imex"
     t_end: float = 20.0
     speed_tol: float = 1e-2
     leaf_tol: float = 1e-2
@@ -69,8 +62,6 @@ class StepControl:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError("cfl must lie in (0, 0.5]")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {', '.join(SCHEMES)}")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
 
@@ -106,19 +97,12 @@ def _min_edge(mesh):
     return h_min
 
 
-def cfl_dt(mesh, vg, cfl):
-    """Implicit front step bound: cfl * h_min."""
+def cfl_dt(mesh, cfl):
+    """Front step bound: cfl * h_min."""
     return cfl * _min_edge(mesh)
 
 
-def heun_cfl_dt(mesh, vg, cfl):
-    """Parabolic step bound: cfl * h_min^2 / max(1, max |u| exp(-2f))."""
-    h_min = _min_edge(mesh)
-    weight = np.max(np.abs(vg.u) * np.exp(-2.0 * vg.f))
-    return cfl * h_min * h_min / max(1.0, float(weight))
-
-
-def step_lagrangian(mesh, geom, pair, schedule, t, dt, vg, step):
+def step_lagrangian(mesh, geom, t, dt, vg, step):
     """One linearly implicit step (Dziuk 1991) from t; returns the new mesh.
 
     The chart velocity is c Lap x + b nu_flat, with c = u exp(-2f) and
@@ -142,28 +126,7 @@ def step_lagrangian(mesh, geom, pair, schedule, t, dt, vg, step):
         - dt * surface.cotan_stiffness(mesh)
     _require_finite(lhs.data, "", step, t, "implicit system entry")
     rhs = mass[:, None] * (mesh.vertices + dt * b[:, None] * vg.nu_flat)
-    return _checked(mesh.with_vertices(splu(lhs).solve(rhs)), geom, step, t)
-
-
-def step_heun(mesh, geom, pair, schedule, t, dt, vg, step):
-    """One explicit two-stage (Heun) step from time t; returns the new mesh.
-
-    The reference scheme of `step_lagrangian`, under `heun_cfl_dt`.  `vg`
-    is the first stage, as there; a predictor or result that is not finite
-    raises MeshDegenerate naming `step` and t before the chart-domain check
-    would read it as a domain exit.
-    """
-    v1 = chart_velocity(vg)
-    mid = mesh.with_vertices(mesh.vertices + dt * v1)
-    _require_finite(mid.vertices, "", step, t, "predictor vertex")
-    geom.require_in_domain(mid.vertices, what="predictor vertex")
-    vg2 = surface.mesh_geometry(mid, geom, pair, schedule.xi_at(t + dt))
-    v2 = chart_velocity(vg2)
-    new = mesh.with_vertices(mesh.vertices + 0.5 * dt * (v1 + v2))
-    return _checked(new, geom, step, t)
-
-
-def _checked(new, geom, step, t):
+    new = mesh.with_vertices(splu(lhs).solve(rhs))
     _require_finite(new.vertices, "", step, t)
     geom.require_in_domain(new.vertices, what="vertex")
     return new
@@ -295,27 +258,21 @@ class _FrontStepper:
 
     label = ""
 
-    def __init__(self, geom, pair, mesh0, schedule, ctrl):
-        self.geom, self.pair = geom, pair
-        self.schedule, self.ctrl = schedule, ctrl
+    def __init__(self, geom, pair, mesh0, ctrl):
+        self.geom, self.pair, self.ctrl = geom, pair, ctrl
         self.mesh_initial = self.mesh = mesh0
         self.t = 0.0
         self.vol0 = mesh0.volume(geom)
         self._cand = None  # the last proposal
-        if ctrl.scheme == "heun":
-            self._bound, self._step = heun_cfl_dt, step_heun
-        else:
-            self._bound, self._step = cfl_dt, step_lagrangian
 
     def labels(self, vg):
         return vg.lam
 
     def max_dt(self, vg, xi_now):
-        return self._bound(self.mesh, vg, self.ctrl.cfl)
+        return cfl_dt(self.mesh, self.ctrl.cfl)
 
     def propose(self, vg, dt, step):
-        cand = self._step(self.mesh, self.geom, self.pair, self.schedule,
-                          self.t, dt, vg, step)
+        cand = step_lagrangian(self.mesh, self.geom, self.t, dt, vg, step)
         _require_finite(cand.vertices, self.label, step, self.t)
         # the continuum flow conserves enclosed volume (first Minkowski
         # identity), but the discrete identity only holds to quadrature
@@ -346,7 +303,7 @@ class _FrontStepper:
 def run(geom, pair, mesh0, schedule, ctrl=None, frame_every=0, frame_cb=None):
     """Integrate the Lagrangian front from the seed; see `_drive`."""
     ctrl = ctrl or StepControl()
-    stepper = _FrontStepper(geom, pair, mesh0, schedule, ctrl)
+    stepper = _FrontStepper(geom, pair, mesh0, ctrl)
     return _drive(stepper, schedule, ctrl, frame_every, frame_cb)
 
 
@@ -369,32 +326,32 @@ def leaf_coefficients(geom, dirs, lam):
     return e2f * r * r, e2f * drdlam * drdlam
 
 
-def graph_flux(p, g_coef=1.0, h_coef=1.0, n=2):
-    """Flux A = sqrt(G^{n-2} / (1 + (H/G)|p|^2)) p of the graph equation."""
+def graph_flux(p, g_coef=1.0, h_coef=1.0):
+    """Flux A = p / sqrt(1 + (H/G)|p|^2) of the graph equation (n = 2)."""
     p = np.asarray(p, dtype=float)
     g = np.asarray(g_coef, dtype=float)
     p2 = np.sum(p * p, axis=-1)
     w = np.sqrt(1.0 + (np.asarray(h_coef, dtype=float) / g) * p2)
-    amp = g ** (0.5 * (n - 2)) / w
+    amp = 1.0 / w
     return amp[..., None] * p
 
 
-def graph_flux_jacobian(p, g_coef=1.0, h_coef=1.0, n=2):
-    """dA_i/dp_j; symmetric with eigenvalues G^{(n-2)/2}/W^3 along p, /W across."""
+def graph_flux_jacobian(p, g_coef=1.0, h_coef=1.0):
+    """dA_i/dp_j; symmetric with eigenvalues 1/W^3 along p, 1/W across."""
     p = np.asarray(p, dtype=float)
     g = np.asarray(g_coef, dtype=float)
     ratio = np.asarray(h_coef, dtype=float) / g
     p2 = np.sum(p * p, axis=-1)
     w2 = 1.0 + ratio * p2
-    amp = g ** (0.5 * (n - 2)) / np.sqrt(w2)
+    amp = 1.0 / np.sqrt(w2)
     d = p.shape[-1]
     eye = np.eye(d)
     outer = p[..., :, None] * p[..., None, :]
     return amp[..., None, None] * (eye - (ratio / w2)[..., None, None] * outer)
 
 
-def ellipticity_bounds(geom, pair, shell, c1, n=2, n_spheres=16,
-                       n_per_sphere=200, n_grad=65, seed=0):
+def ellipticity_bounds(geom, shell, c1, n_spheres=16, n_per_sphere=200,
+                       n_grad=65, seed=0):
     """Extremes (c2, c3) of the flux Jacobian eigenvalues over the shell.
 
     Sweeps sampled shell points and gradient magnitudes |p| <= c1; geom=None
@@ -404,7 +361,6 @@ def ellipticity_bounds(geom, pair, shell, c1, n=2, n_spheres=16,
         raise ValueError("gradient bound c1 must be positive")
     if geom is None:
         ratio = np.array([1.0])
-        gpow = np.array([1.0])
     else:
         _, pts = ckv.shell_spheres(geom, shell[0], shell[1],
                                    n_spheres=n_spheres,
@@ -413,11 +369,10 @@ def ellipticity_bounds(geom, pair, shell, c1, n=2, n_spheres=16,
         dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         g, h = leaf_coefficients(geom, dirs, ckv.lam(geom, pts))
         ratio = h / g
-        gpow = g ** (0.5 * (n - 2))
     mags = np.linspace(0.0, c1, n_grad)
     w2 = 1.0 + ratio[:, None] * mags[None, :] ** 2
-    lo = gpow[:, None] / w2 ** 1.5
-    hi = gpow[:, None] / np.sqrt(w2)
+    lo = 1.0 / w2 ** 1.5
+    hi = 1.0 / np.sqrt(w2)
     c2, c3 = float(np.min(lo)), float(np.max(hi))
     if not c2 > 0.0:
         raise EllipticityLost(f"flux Jacobian lower bound c2 = {c2:.3e}")
@@ -470,8 +425,8 @@ def _graph_chart_fields(geom, pair, state, xi_now, emb, vg):
 
 def _graph_guards(fields, c1, t):
     """Raise unless a graph state's chart fields keep the gradient bound c1
-    and a positive support function; both graph steps call it on every
-    state whose coefficients they use."""
+    and a positive support function; the graph step calls it on the fields
+    it freezes."""
     _, _, _, _, _, pv, _, u = fields
     grad_mag = np.linalg.norm(pv, axis=1)
     if np.max(grad_mag) > c1:
@@ -485,15 +440,15 @@ def _graph_guards(fields, c1, t):
         )
 
 
-def _graph_rate(geom, pair, state, c1, fields):
+def _graph_rate(geom, state, fields):
     """Fixed-chart rate d lam/dt = W^2 (u div(A)/(G W) + B).
 
     The W^2 factor converts the material evolution law to the vertical
     chart derivative (graph points move vertically, flow points normally).
-    `fields` is the state's `_graph_chart_fields` tuple.
+    `fields` is the state's `_graph_chart_fields` tuple.  The explicit rate
+    that `step_graph` is consistent with; no run calls it.
     """
     leaf = state.leaf
-    _graph_guards(fields, c1, state.t)
     emb, vg, g, h, pf, pv, w, u = fields
     basis = leaf.basis
     gf = np.mean(g[leaf.faces], axis=1)
@@ -506,31 +461,16 @@ def _graph_rate(geom, pair, state, c1, fields):
         div += np.bincount(leaf.faces[:, c], weights=contrib,
                            minlength=leaf.n_vertices)
     div /= basis.dual_area
-    b = diagnostics.label_evolution_source(geom, pair, emb, vg)
+    b = diagnostics.label_evolution_source(geom, emb, vg)
     return w * u * div / g + w * w * b
 
 
-def graph_cfl_dt(leaf, fields, cfl):
-    """Implicit graph step bound: cfl h_min of the fixed leaf.
-
-    `leaf` is the state's leaf and `fields` its `_graph_chart_fields` tuple
-    (unused; the bound keeps the signature of `graph_heun_cfl_dt`).
-    """
+def graph_cfl_dt(leaf, cfl):
+    """Graph step bound: cfl h_min of the fixed leaf."""
     return cfl * leaf.min_edge
 
 
-def graph_heun_cfl_dt(leaf, fields, cfl):
-    """Parabolic bound for the Heun graph step: cfl h^2 / max(1, max u W / G).
-
-    `leaf` is the state's leaf and `fields` its `_graph_chart_fields` tuple.
-    """
-    h_min = leaf.min_edge
-    _, _, g, _, _, _, w, u = fields
-    kappa = np.max(np.abs(u) * w / g)
-    return cfl * h_min * h_min / max(1.0, float(kappa))
-
-
-def step_graph(geom, pair, state, schedule, dt, c1, fields, step):
+def step_graph(geom, state, dt, c1, fields, step):
     """One linearly implicit step of the leaf-graph evolution from state.t.
 
     For n = 2 the flux is A_f = p_f / W_f, so the divergence in the rate
@@ -544,9 +484,9 @@ def step_graph(geom, pair, state, schedule, dt, c1, fields, step):
             = diag(Omega g/(w u)) (lam + dt w^2 B),
 
     symmetric positive definite while u > 0: the frozen-coefficient scheme
-    for graph mean curvature flow (Deckelnick, Dziuk & Elliott 2005).  A
-    system entry or result that is not finite raises MeshDegenerate naming
-    `step` and t.  `schedule` is unused: the fields carry the step's xi.
+    for graph mean curvature flow (Deckelnick, Dziuk & Elliott 2005).  The
+    fields carry the step's xi.  A system entry or result that is not finite
+    raises MeshDegenerate naming `step` and t.
     """
     _graph_guards(fields, c1, state.t)
     emb, vg, g, h, pf, _, w, u = fields
@@ -558,30 +498,10 @@ def step_graph(geom, pair, state, schedule, dt, c1, fields, step):
     lhs = sp.diags_array(mass, format="csc") \
         - dt * surface.cotan_stiffness(leaf, face_weight=1.0 / wf)
     _require_finite(lhs.data, "graph ", step, state.t, "implicit system entry")
-    b = diagnostics.label_evolution_source(geom, pair, emb, vg)
+    b = diagnostics.label_evolution_source(geom, emb, vg)
     lam = splu(lhs).solve(mass * (state.lam + dt * w * w * b))
     _require_finite(lam, "graph ", step, state.t, "label")
     return GraphState(leaf=leaf, lam=lam, t=state.t + dt)
-
-
-def step_graph_heun(geom, pair, state, schedule, dt, c1, fields, step):
-    """One Heun step of the leaf-graph evolution.
-
-    The reference scheme of `step_graph`, under `graph_heun_cfl_dt`.
-    `fields` is the state's `_graph_chart_fields` tuple at its own time, the
-    first stage; it does not depend on dt, so it serves every retry.  The
-    second stage's embedded mesh, geometry bundle and fields are built here.
-    `step` is unused: the stepper checks the candidate.
-    """
-    k1 = _graph_rate(geom, pair, state, c1, fields)
-    mid = GraphState(leaf=state.leaf, lam=state.lam + dt * k1, t=state.t + dt)
-    xi_mid = schedule.xi_at(mid.t)
-    emb = mid.embedded(geom)
-    vg = surface.mesh_geometry(emb, geom, pair, xi_mid)
-    k2 = _graph_rate(geom, pair, mid, c1,
-                     _graph_chart_fields(geom, pair, mid, xi_mid, emb, vg))
-    return GraphState(leaf=state.leaf, lam=state.lam + 0.5 * dt * (k1 + k2),
-                      t=state.t + dt)
 
 
 class _GraphStepper:
@@ -589,9 +509,8 @@ class _GraphStepper:
 
     label = "graph "
 
-    def __init__(self, geom, pair, state0, schedule, ctrl):
-        self.geom, self.pair = geom, pair
-        self.schedule, self.ctrl = schedule, ctrl
+    def __init__(self, geom, pair, state0, ctrl):
+        self.geom, self.pair, self.ctrl = geom, pair, ctrl
         state = GraphState(leaf=state0.leaf,
                            lam=np.array(state0.lam, dtype=float), t=state0.t)
         pv = surface.vertex_gradients(
@@ -601,10 +520,6 @@ class _GraphStepper:
         self.state, self.mesh = state, state.embedded(geom)
         self.fields = None  # the loop-top `_graph_chart_fields` tuple
         self._cand = None  # the last proposal: (state, embedded mesh)
-        if ctrl.scheme == "heun":
-            self._bound, self._step = graph_heun_cfl_dt, step_graph_heun
-        else:
-            self._bound, self._step = graph_cfl_dt, step_graph
 
     @property
     def t(self):
@@ -617,11 +532,11 @@ class _GraphStepper:
         # the loop-top chart fields are also the step's start
         self.fields = _graph_chart_fields(self.geom, self.pair, self.state,
                                           xi_now, self.mesh, vg)
-        return self._bound(self.state.leaf, self.fields, self.ctrl.cfl)
+        return graph_cfl_dt(self.state.leaf, self.ctrl.cfl)
 
     def propose(self, vg, dt, step):
-        cand = self._step(self.geom, self.pair, self.state, self.schedule, dt,
-                          self.c1, self.fields, step)
+        cand = step_graph(self.geom, self.state, dt, self.c1, self.fields,
+                          step)
         emb = cand.embedded(self.geom)
         _require_finite(emb.vertices, self.label, step, self.t)
         self._cand = (cand, emb)
@@ -635,7 +550,7 @@ def run_graph(geom, pair, state0, schedule, ctrl=None, frame_every=0,
               frame_cb=None):
     """Integrate the leaf-graph backend; see `_drive`."""
     ctrl = ctrl or StepControl()
-    stepper = _GraphStepper(geom, pair, state0, schedule, ctrl)
+    stepper = _GraphStepper(geom, pair, state0, ctrl)
     return _drive(stepper, schedule, ctrl, frame_every, frame_cb)
 
 

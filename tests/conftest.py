@@ -1,8 +1,4 @@
-"""Shared fixtures; the session-scoped ones hold the expensive flow runs.
-
-The level-4 runs step under the default scheme (`imex`); the explicit Heun
-reference runs the same claims at level 3.
-"""
+"""Shared fixtures; the session-scoped ones hold the expensive flow runs."""
 
 import numpy as np
 import pytest
@@ -57,22 +53,6 @@ def paper_run(paper, pair):
     seed = surface.ellipsoid_seed((1.08, 1.0, 0.93), level=4)
     return flow.run(paper, pair, seed, ckv.Schedule(t0=1.0),
                     flow.StepControl(t_end=8.0))
-
-
-@pytest.fixture(scope="session")
-def euclid_headline_heun(euclid, pair):
-    """The headline seed at level 3 under the explicit Heun reference."""
-    seed = surface.ellipsoid_seed((2.0, 1.0, 1.0), level=3)
-    return flow.run(euclid, pair, seed, ckv.Schedule(t0=1.0),
-                    flow.StepControl(t_end=8.0, scheme="heun"))
-
-
-@pytest.fixture(scope="session")
-def paper_run_heun(paper, pair):
-    """The curved example seed at level 3 under the explicit Heun reference."""
-    seed = surface.ellipsoid_seed((1.08, 1.0, 0.93), level=3)
-    return flow.run(paper, pair, seed, ckv.Schedule(t0=1.0),
-                    flow.StepControl(t_end=8.0, scheme="heun"))
 
 
 # twist rate found once by sweeping upward until min u_perp < 0 < min u;

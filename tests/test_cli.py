@@ -1,7 +1,5 @@
 """End-to-end command line behavior: exit codes, artifacts, determinism."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -99,29 +97,18 @@ def _raise_from(monkeypatch, name, error):
     monkeypatch.setattr(flow, name, failing)
 
 
-def _heun(monkeypatch):
-    """Run the Heun reference scheme, which no run file selects."""
-    make_ctrl = cli.make_ctrl
-    monkeypatch.setattr(cli, "make_ctrl", lambda cfg: dataclasses.replace(
-        make_ctrl(cfg), scheme="heun"))
-
-
-def _flow_error(backend, name, error, scheme="imex"):
-    return pytest.param(backend, name, error, scheme,
+def _flow_error(backend, name, error):
+    return pytest.param(backend, name, error,
                         id=f"{backend}-{name}-{error.__name__}")
 
 
-@pytest.mark.parametrize("backend, name, error, scheme", [
+@pytest.mark.parametrize("backend, name, error", [
     _flow_error("leaf_graph", "_graph_guards", GradientBoundExceeded),
-    _flow_error("leaf_graph", "_graph_rate", GradientBoundExceeded, "heun"),
     _flow_error("leaf_graph", "step_graph", DomainExit),
-    _flow_error("leaf_graph", "step_graph_heun", DomainExit, "heun"),
     _flow_error("lagrangian", "step_lagrangian", DomainExit),
 ])
 def test_run_flow_error_writes_partial_trace(tmp_path, capsys, monkeypatch,
-                                             backend, name, error, scheme):
-    if scheme == "heun":
-        _heun(monkeypatch)
+                                             backend, name, error):
     _raise_from(monkeypatch, name, error)
     cfg = write_cfg(tmp_path, ELLIPSOID + f"flow.backend = {backend}\n")
     out = tmp_path / "out"

@@ -55,7 +55,7 @@ def test_umbilicity_separates_spheres_from_ellipsoids(euclid, pair):
 def test_label_evolution_residual_small(euclid, pair):
     mesh = surface.ellipsoid_seed((1.3, 1.0, 1.0), 3)
     vg = surface.mesh_geometry(mesh, euclid, pair)
-    check = diagnostics.label_evolution_residual(mesh, euclid, pair, vg)
+    check = diagnostics.label_evolution_residual(mesh, euclid, vg)
     assert check.rel <= 0.15
     assert check.lhs_norm > 0.0
 

@@ -21,9 +21,9 @@ def test_step_control_rejects_bad_knobs():
         flow.StepControl(cfl=0.7)
     with pytest.raises(ValueError):
         flow.StepControl(t_end=0.0)
-    with pytest.raises(ValueError):
-        flow.StepControl(scheme="rk4")
-    assert flow.StepControl().scheme == "imex"
+    # each backend has one step: there is no scheme to choose
+    with pytest.raises(TypeError):
+        flow.StepControl(scheme="imex")
 
 
 def test_flow_speed_vanishes_on_flat_spheres(euclid, pair):
@@ -42,40 +42,24 @@ def test_chart_velocity_is_normal(euclid, pair):
     assert np.max(np.linalg.norm(cross, axis=1)) < 1e-12
 
 
-def _dt_by_level(euclid, pair, bound):
-    dts = []
-    for level in (2, 3):
-        mesh = surface.sphere_seed(1.0, level)
-        vg = surface.mesh_geometry(mesh, euclid, pair)
-        dts.append(bound(mesh, vg, 0.25))
-    return dts
-
-
-def test_cfl_dt_quadratic_in_resolution(euclid, pair):
-    # the Heun reference's bound
-    dts = _dt_by_level(euclid, pair, flow.heun_cfl_dt)
-    assert 3.0 < dts[0] / dts[1] < 5.0
-
-
-def test_cfl_dt_linear_in_resolution_under_imex(euclid, pair):
-    dts = _dt_by_level(euclid, pair, flow.cfl_dt)
+def test_cfl_dt_linear_in_resolution_under_imex():
+    dts = [flow.cfl_dt(surface.sphere_seed(1.0, level), 0.25)
+           for level in (2, 3)]
     assert 1.5 < dts[0] / dts[1] < 2.5
 
 
-def test_cfl_dt_rejects_collapsed_edge(euclid, pair):
+def test_cfl_dt_rejects_collapsed_edge():
     mesh = surface.sphere_seed(1.0, 2)
-    vg = surface.mesh_geometry(mesh, euclid, pair)
     tiny = mesh.with_vertices(1e-10 * mesh.vertices)
-    for bound in (flow.cfl_dt, flow.heun_cfl_dt):
-        with pytest.raises(MeshDegenerate):
-            bound(tiny, vg, 0.25)
+    with pytest.raises(MeshDegenerate):
+        flow.cfl_dt(tiny, 0.25)
 
 
-def test_heun_step_conserves_volume_after_projection(euclid, pair):
+def test_step_conserves_volume_after_projection(euclid, pair):
     mesh = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     sched = ckv.Schedule(t0=1.0)
-    res = flow.run(euclid, pair, mesh, sched,
-                   flow.StepControl(t_end=0.02, scheme="heun"))
+    res = flow.run(euclid, pair, mesh, sched, flow.StepControl(t_end=0.3))
+    assert res.steps >= 2
     vol = res.trace.column("volume")
     assert np.max(np.abs(vol / vol[0] - 1.0)) < 1e-10
 
@@ -85,29 +69,68 @@ def test_step_reuses_loop_top_geometry_bit_identically(paper, pair_e3):
     sched = ckv.Schedule(t0=0.5)
     t, dt = 0.1, 1e-3
     # the loop top's snapshot, whose curvature memo the trace has filled,
-    # against a cold copy and its own first stage
+    # against a cold copy and its own bundle
     loop_top = surface.mesh_geometry(mesh, paper, pair_e3, sched.xi_at(t))
     diagnostics.minkowski2_residual(mesh, paper, loop_top)
     diagnostics.umbilicity_deficit(mesh, loop_top)
     assert "flat_curvatures" in vars(mesh)
-    for step in (flow.step_lagrangian, flow.step_heun):
-        cold = mesh.copy()
-        assert "flat_curvatures" not in vars(cold)
-        stage1 = surface.mesh_geometry(cold, paper, pair_e3, sched.xi_at(t))
-        reused = step(mesh, paper, pair_e3, sched, t, dt, loop_top, 0)
-        fresh = step(cold, paper, pair_e3, sched, t, dt, stage1, 0)
-        assert np.array_equal(reused.vertices, fresh.vertices), step.__name__
+    cold = mesh.copy()
+    assert "flat_curvatures" not in vars(cold)
+    start = surface.mesh_geometry(cold, paper, pair_e3, sched.xi_at(t))
+    reused = flow.step_lagrangian(mesh, paper, t, dt, loop_top, 0)
+    fresh = flow.step_lagrangian(cold, paper, t, dt, start, 0)
+    assert np.array_equal(reused.vertices, fresh.vertices)
 
 
 @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
 def test_imex_step_keeps_a_sphere_on_its_leaf(euclid, pair, radius):
-    # dt = 0.5 is about 1e3 times Heun's parabolic bound at level 3
+    # dt = 0.5 is about 1e3 times an explicit step's parabolic bound
+    # cfl h_min^2 at level 3
     mesh = surface.sphere_seed(radius, 3)
     vg = surface.mesh_geometry(mesh, euclid, pair)
-    new = flow.step_lagrangian(mesh, euclid, pair, ckv.Schedule(t0=1.0), 0.0,
-                               0.5, vg, 0)
+    new = flow.step_lagrangian(mesh, euclid, 0.0, 0.5, vg, 0)
     drift = np.linalg.norm(new.vertices, axis=1) / radius - 1.0
     assert np.max(np.abs(drift)) <= 1e-3
+
+
+# the explicit rates the steps are consistent with are evaluated on level-3
+# seeds, rotating about e3, at a time inside the schedule's ramp
+CONSISTENCY_DTS = (1e-3, 5e-4, 2.5e-4, 1.25e-4)
+CONSISTENCY_SEED = (1.08, 1.0, 0.93)
+
+
+def _consistency_setup(request, geom_name):
+    geom = request.getfixturevalue(geom_name)
+    pair = ckv.KillingPair(omega=0.5, axis=(0.0, 0.0, 1.0))
+    t = 0.1
+    return geom, pair, t, ckv.Schedule(t0=0.5).xi_at(t)
+
+
+def _assert_first_order(rate_at, ref):
+    """The relative max error of rate_at(dt) against ref shrinks by more
+    than 1.5x each time dt halves: the step is first-order consistent."""
+    scale = np.max(np.abs(ref))
+    errs = [np.max(np.abs(rate_at(dt) - ref)) / scale
+            for dt in CONSISTENCY_DTS]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert coarse > 1.5 * fine, errs
+
+
+@pytest.mark.parametrize("geom_name", ["euclid", "paper"])
+def test_front_step_is_consistent_with_chart_velocity(request, geom_name):
+    # only the normal part: the discrete Lap x has a tangential component
+    geom, pair, t, xi_now = _consistency_setup(request, geom_name)
+    mesh = surface.ellipsoid_seed(CONSISTENCY_SEED, 3)
+    vg = surface.mesh_geometry(mesh, geom, pair, xi_now)
+
+    def normal(vel):
+        return np.einsum("ij,ij->i", vel, vg.nu_flat)
+
+    def rate_at(dt):
+        new = flow.step_lagrangian(mesh, geom, t, dt, vg, 0)
+        return normal((new.vertices - mesh.vertices) / dt)
+
+    _assert_first_order(rate_at, normal(flow.chart_velocity(vg)))
 
 
 def _count_surface_calls(monkeypatch, name):
@@ -120,17 +143,6 @@ def _count_surface_calls(monkeypatch, name):
 
     monkeypatch.setattr(surface, name, counted)
     return calls
-
-
-def test_run_computes_geometry_twice_per_step(euclid, pair, monkeypatch):
-    # loop top (also Heun's first stage) + predictor per step, plus the
-    # final loop top; the run includes two smoothing passes
-    calls = _count_surface_calls(monkeypatch, "mesh_geometry")
-    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
-    res = flow.run(euclid, pair, seed, ckv.Schedule(t0=1.0),
-                   flow.StepControl(t_end=0.3, scheme="heun"))
-    assert res.steps >= 20
-    assert len(calls) == 2 * res.steps + 1
 
 
 def test_imex_run_computes_geometry_once_per_step(euclid, pair, monkeypatch):
@@ -149,14 +161,6 @@ def _graph_run(euclid, pair, ctrl):
     return _run_backend("leaf_graph", euclid, pair, seed, ctrl)
 
 
-def test_run_graph_computes_geometry_twice_per_step(euclid, pair, monkeypatch):
-    # Heun: the loop top and the predictor
-    calls = _count_surface_calls(monkeypatch, "mesh_geometry")
-    res = _graph_run(euclid, pair, flow.StepControl(t_end=0.1, scheme="heun"))
-    assert res.steps >= 5
-    assert len(calls) == 2 * res.steps + 1
-
-
 def test_implicit_run_graph_computes_geometry_once_per_step(euclid, pair,
                                                             monkeypatch):
     calls = _count_surface_calls(monkeypatch, "mesh_geometry")
@@ -165,20 +169,11 @@ def test_implicit_run_graph_computes_geometry_once_per_step(euclid, pair,
     assert len(calls) == res.steps + 1
 
 
-def test_run_graph_builds_leaf_geometry_once(euclid, pair, monkeypatch):
-    # Heun, per step: the predictor's mesh_geometry and the candidate's area,
-    # whose face kernels the next loop top reads from the memo; plus 2 per
-    # run: the leaf's gradient basis and the first loop top
-    calls = _count_surface_calls(monkeypatch, "face_normals_areas")
-    res = _graph_run(euclid, pair, flow.StepControl(t_end=0.1, scheme="heun"))
-    assert res.steps >= 5
-    assert len(calls) == 2 * res.steps + 2
-
-
 def test_implicit_run_graph_builds_leaf_geometry_once(euclid, pair,
                                                       monkeypatch):
-    # per step: the candidate's area only; the leaf's stiffness and dual
-    # areas read its one face pass
+    # per step: the candidate's area only, whose face kernels the next loop
+    # top reads from the memo; plus 2 per run: the leaf's gradient basis,
+    # which its stiffness and dual areas also read, and the first loop top
     calls = _count_surface_calls(monkeypatch, "face_normals_areas")
     res = _graph_run(euclid, pair, flow.StepControl(t_end=0.6))
     assert res.steps >= 5
@@ -195,24 +190,19 @@ def _run_backend(backend, geom, pair, seed, ctrl, **kwargs):
 
 # the graph backend fails on the curved L2 seed (a known defect), so it
 # runs flat; the front smooths every 10 steps, and implicit steps are long
-@pytest.mark.parametrize("backend, geom_name, scheme, t_end, min_steps", [
-    pytest.param("lagrangian", "paper", "imex", 0.6, 10,
-                 id="lagrangian-paper"),
-    pytest.param("leaf_graph", "euclid", "heun", 0.1, 5,
-                 id="leaf_graph-euclid"),
-    pytest.param("leaf_graph", "euclid", "imex", 0.6, 5,
-                 id="leaf_graph-euclid-imex"),
+@pytest.mark.parametrize("backend, geom_name, t_end, min_steps", [
+    pytest.param("lagrangian", "paper", 0.6, 10, id="lagrangian-paper"),
+    pytest.param("leaf_graph", "euclid", 0.6, 5, id="leaf_graph-euclid-imex"),
 ])
 def test_trace_volume_is_the_frame_volume(request, pair, backend, geom_name,
-                                          scheme, t_end, min_steps):
+                                          t_end, min_steps):
     # the front's loop top reuses the volume projection's last evaluation;
     # the graph's evaluates its embedded mesh, which is the frame
     geom = request.getfixturevalue(geom_name)
     seed = surface.ellipsoid_seed((1.08, 1.0, 0.93), 2)
     frames = []
     res = _run_backend(backend, geom, pair, seed,
-                       flow.StepControl(t_end=t_end, scheme=scheme),
-                       frame_every=1,
+                       flow.StepControl(t_end=t_end), frame_every=1,
                        frame_cb=lambda k, t, mesh: frames.append((k, mesh)))
     assert res.steps >= min_steps
     volume = res.trace.column("volume")
@@ -229,26 +219,14 @@ def test_frames_need_a_callback(euclid, pair, backend):
                      frame_every=1)
 
 
-@pytest.mark.parametrize("backend, fn_name, call, step, scheme", [
-    pytest.param("lagrangian", "step_lagrangian", 3, 2, "imex",
+@pytest.mark.parametrize("backend, fn_name, call, step", [
+    pytest.param("lagrangian", "step_lagrangian", 3, 2,
                  id="lagrangian-step_lagrangian"),
-    pytest.param("lagrangian", "step_heun", 3, 2, "heun",
-                 id="lagrangian-step_heun"),
-    pytest.param("leaf_graph", "step_graph", 3, 2, "imex",
-                 id="leaf_graph-step_graph"),
-    pytest.param("leaf_graph", "step_graph_heun", 3, 2, "heun",
-                 id="leaf_graph-step_graph_heun"),
-    # a Heun velocity born inside the step meets the chart-domain checks of
-    # the predictor (step 1's first stage) or the result (step 0's second)
-    pytest.param("lagrangian", "chart_velocity", 3, 1, "heun",
-                 id="lagrangian-chart_velocity-predictor"),
-    pytest.param("lagrangian", "chart_velocity", 2, 0, "heun",
-                 id="lagrangian-chart_velocity-result"),
+    pytest.param("leaf_graph", "step_graph", 3, 2, id="leaf_graph-step_graph"),
 ])
 def test_non_finite_candidate_fails_with_step_and_time(euclid, pair,
                                                        monkeypatch, backend,
-                                                       fn_name, call, step,
-                                                       scheme):
+                                                       fn_name, call, step):
     original = getattr(flow, fn_name)
     calls = []
 
@@ -262,17 +240,15 @@ def test_non_finite_candidate_fails_with_step_and_time(euclid, pair,
         calls.append(1)
         if len(calls) != call:
             return out
-        if fn_name.startswith("step_graph"):
+        if fn_name == "step_graph":
             return dataclasses.replace(out, lam=nan_first(out.lam))
-        if fn_name == "chart_velocity":
-            return nan_first(out)
         return out.with_vertices(nan_first(out.vertices))
 
     monkeypatch.setattr(flow, fn_name, poisoned)
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     with pytest.raises(MeshDegenerate) as exc:
         _run_backend(backend, euclid, pair, seed,
-                     flow.StepControl(t_end=0.3, scheme=scheme))
+                     flow.StepControl(t_end=0.3))
     assert f"step {step} from t=" in str(exc.value)
     assert "non-finite" in str(exc.value)
     assert len(exc.value.trace) == step + 1
@@ -379,29 +355,16 @@ def _poison_graph_support(monkeypatch, call):
     monkeypatch.setattr(flow, "_graph_chart_fields", poisoned)
 
 
-def _graph_starshape_failure(euclid, pair, scheme):
+def test_nan_graph_step_support_fails_starshape_with_time(euclid, pair,
+                                                         monkeypatch):
+    # the guard reads step 1's frozen loop-top fields
+    _poison_graph_support(monkeypatch, 2)
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     with pytest.raises(StarshapeLost) as exc:
         _run_backend("leaf_graph", euclid, pair, seed,
-                     flow.StepControl(t_end=0.3, scheme=scheme))
+                     flow.StepControl(t_end=0.3))
     assert "graph support function reached nan at t=" in str(exc.value)
-    return exc.value
-
-
-def test_nan_graph_rate_support_fails_starshape_with_time(euclid, pair,
-                                                         monkeypatch):
-    # Heun: the graph rate's own support function guards the predictor
-    # stage of step 1 (the chart-field call after two loop tops and step
-    # 0's predictor)
-    _poison_graph_support(monkeypatch, 4)
-    assert len(_graph_starshape_failure(euclid, pair, "heun").trace) == 2
-
-
-def test_nan_graph_step_support_fails_starshape_with_time(euclid, pair,
-                                                         monkeypatch):
-    # implicit: the guard reads step 1's frozen loop-top fields
-    _poison_graph_support(monkeypatch, 2)
-    assert len(_graph_starshape_failure(euclid, pair, "imex").trace) == 2
+    assert len(exc.value.trace) == 2
 
 
 def test_run_detects_starshape_loss(euclid, pair, pair_e3):
@@ -444,17 +407,17 @@ def test_graph_flux_jacobian_matches_fd():
 
 
 def test_ellipticity_bounds_unit_case():
-    c2, c3 = flow.ellipticity_bounds(None, None, None, 1.0)
+    c2, c3 = flow.ellipticity_bounds(None, None, 1.0)
     assert abs(c2 - 2.0 ** -1.5) < 1e-9
     assert abs(c3 - 1.0) < 1e-9
     with pytest.raises(ValueError):
-        flow.ellipticity_bounds(None, None, None, 0.0)
+        flow.ellipticity_bounds(None, None, 0.0)
 
 
 def test_ellipticity_bounds_on_curved_shell(paper, pair):
     shell = (float(ckv.lam(paper, np.array([[0.3, 0.0, 0.0]]))[0]),
              float(ckv.lam(paper, np.array([[1.8, 0.0, 0.0]]))[0]))
-    c2, c3 = flow.ellipticity_bounds(paper, pair, shell, 1.0)
+    c2, c3 = flow.ellipticity_bounds(paper, shell, 1.0)
     assert 0.0 < c2 <= c3
 
 
@@ -467,7 +430,7 @@ def test_flux_jacobian_spectrum_is_the_ellipticity_bounds():
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     mags = np.concatenate([[0.0, c1], rng.uniform(0.0, c1, 398)])
     eig = np.linalg.eigvalsh(flow.graph_flux_jacobian(mags[:, None] * dirs))
-    c2, c3 = flow.ellipticity_bounds(None, None, None, c1)
+    c2, c3 = flow.ellipticity_bounds(None, None, c1)
     assert abs(eig.min() - c2) <= 1e-12 * c2
     assert abs(eig.max() - c3) <= 1e-12 * c3
 
@@ -506,9 +469,23 @@ def test_implicit_graph_step_keeps_a_leaf(euclid, pair):
     sched = ckv.Schedule(t0=1.0)
     state = flow.graph_state_from_mesh(surface.sphere_seed(1.2, 3), euclid)
     fields = _chart_fields(euclid, pair, state, sched.xi_at(0.0))
-    new = flow.step_graph(euclid, pair, state, sched, 0.1, 10.0, fields, 0)
+    new = flow.step_graph(euclid, state, 0.1, 10.0, fields, 0)
     assert new.t == 0.1
     assert np.max(np.abs(new.lam - state.lam)) <= 1e-12 * np.max(state.lam)
+
+
+@pytest.mark.parametrize("geom_name", ["euclid", "paper"])
+def test_graph_step_is_consistent_with_graph_rate(request, geom_name):
+    geom, pair, t, xi_now = _consistency_setup(request, geom_name)
+    state = flow.graph_state_from_mesh(
+        surface.ellipsoid_seed(CONSISTENCY_SEED, 3), geom, t=t)
+    fields = _chart_fields(geom, pair, state, xi_now)
+
+    def rate_at(dt):
+        new = flow.step_graph(geom, state, dt, 10.0, fields, 0)
+        return (new.lam - state.lam) / dt
+
+    _assert_first_order(rate_at, flow._graph_rate(geom, state, fields))
 
 
 @pytest.mark.parametrize("target, what", [

@@ -319,8 +319,8 @@ def test_weighted_cotan_stiffness():
 
 
 def test_weighted_stiffness_is_the_graph_divergence(euclid, paper):
-    # the implicit graph step's operator K_{1/W} lam / Omega is the Heun
-    # rate's flux divergence, written out in `_reference_divergence`
+    # the graph step's operator K_{1/W} lam / Omega is the explicit rate's
+    # flux divergence, written out in `_reference_divergence`
     for geom in (euclid, paper):
         state = _jittered_graph_state(geom)
         leaf, lam = state.leaf, state.lam
@@ -392,7 +392,7 @@ def _reference_rate(geom, pair, state, xi_now):
                                     pv) / w
     u = vg.dilation_norm / w + xi_now * u_top
     div = _reference_divergence(geom, state)
-    b = diagnostics.label_evolution_source(geom, pair, emb, vg)
+    b = diagnostics.label_evolution_source(geom, emb, vg)
     return w * u * div / g + w * w * b
 
 
@@ -492,23 +492,15 @@ def test_snapshot_memo_matches_fresh_kernels(request, monkeypatch, geom_name,
     assert np.array_equal(moved.vertices, mesh.vertices)
 
     # the graph rate reads its fixed leaf's gradient basis from the memo:
-    # cold, warm and the written-out reference agree bit for bit, and so
-    # does the Heun step built from it
+    # cold, warm and the written-out reference agree bit for bit
     sched = ckv.Schedule(t0=0.5)
     state = _jittered_graph_state(geom)
     state.t = 0.1
     xi_now = sched.xi_at(state.t)
-    c1, dt = 10.0, 1e-4
-    fields = _chart_fields(geom, pair, state, xi_now)
-    k1 = flow._graph_rate(geom, pair, state, c1, fields)
+    k1 = flow._graph_rate(geom, state, _chart_fields(geom, pair, state, xi_now))
     assert np.array_equal(k1, flow._graph_rate(
-        geom, pair, state, c1, _chart_fields(geom, pair, state, xi_now)))
+        geom, state, _chart_fields(geom, pair, state, xi_now)))
     assert np.array_equal(k1, _reference_rate(geom, pair, state, xi_now))
-    new = flow.step_graph_heun(geom, pair, state, sched, dt, c1, fields, 0)
-    mid = flow.GraphState(leaf=state.leaf, lam=state.lam + dt * k1,
-                          t=state.t + dt)
-    k2 = _reference_rate(geom, pair, mid, sched.xi_at(mid.t))
-    assert np.array_equal(new.lam, state.lam + 0.5 * dt * (k1 + k2))
 
 
 # --------------------------------------------------------------------------
