@@ -56,13 +56,13 @@ class AmbientGeometry:
     def in_domain(self, p, margin=0.0):
         return self.boundary_distance(p) > margin
 
-    def require_in_domain(self, p, margin=0.0, what="point"):
+    def require_in_domain(self, p, what="point"):
         d = self.boundary_distance(p)
-        if not np.all(d > margin):
+        if not np.all(d > 0.0):
             worst = float(np.min(d))
             raise DomainExit(
                 f"{what} left the {self.name} chart domain "
-                f"(boundary distance {worst:.3e} <= margin {margin:.3e})"
+                f"(boundary distance {worst:.3e})"
             )
 
     # --- metric data (chart components) -------------------------------------

@@ -16,6 +16,7 @@ from . import ambient
 from .errors import ScheduleInfeasible
 
 N_SURF = ambient.SURF_DIM  # = 2
+ASSUMPTION_TOL = 1e-5      # relative residual bound of the shell conditions
 
 
 # --------------------------------------------------------------------------
@@ -146,9 +147,9 @@ def xi_prime(s):
     return out if out.ndim else float(out)
 
 
-def xi_sup_derivative(n=200001):
-    """sup |xi'| on [0,1] by dense sampling."""
-    s = np.linspace(0.0, 1.0, n)
+def xi_sup_derivative():
+    """sup |xi'| on [0,1] by dense sampling (200001 points)."""
+    s = np.linspace(0.0, 1.0, 200001)
     return float(np.max(np.abs(xi_prime(s))))
 
 
@@ -278,15 +279,14 @@ def _positive_item(index, name, points, values):
                           bool(values[k] > 0.0), tuple(points[k]))
 
 
-def _residual_item(index, name, points, res, tol):
+def _residual_item(index, name, points, res):
     """The largest residual over `points` (the first one on ties)."""
     k = int(np.argmax(res))
-    return AssumptionItem(index, name, float(res[k]), tol,
-                          bool(res[k] <= tol), tuple(points[k]))
+    return AssumptionItem(index, name, float(res[k]), ASSUMPTION_TOL,
+                          bool(res[k] <= ASSUMPTION_TOL), tuple(points[k]))
 
 
-def verify_assumptions(geom, pair, lam_lo, lam_hi, tol=1e-5,
-                       n_spheres=16, n_per_sphere=200, seed=0):
+def verify_assumptions(geom, pair, lam_lo, lam_hi, seed=0):
     """Numerically check the ten structural conditions on a leaf-label shell.
 
     (i)    X = D + R is conformal: L_X g = 2 phi g          (FD Lie derivative)
@@ -302,11 +302,12 @@ def verify_assumptions(geom, pair, lam_lo, lam_hi, tol=1e-5,
 
     Every item is one batched evaluation over the shell samples; the FD
     items (i), (v), (vii) and (viii) take `ambient.fd_jacobian` over an
-    evenly thinned subset of about 160 of them.  Each item reports its
-    worst sample.  Residual conditions are relative with threshold `tol`;
-    positivity conditions require strict positivity of the sampled minimum.
+    evenly thinned subset of about 160 of them.  The shell is sampled on 16
+    spheres of 200 points.  Each item reports its worst sample.  Residual
+    conditions are relative with threshold `ASSUMPTION_TOL`; positivity
+    conditions require strict positivity of the sampled minimum.
     """
-    radii, pts = shell_spheres(geom, lam_lo, lam_hi, n_spheres, n_per_sphere, seed)
+    radii, pts = shell_spheres(geom, lam_lo, lam_hi, 16, 200, seed)
     flat = pts.reshape(-1, 3)
     sub = flat[:: max(1, flat.shape[0] // 160)]
     items = []
@@ -316,7 +317,7 @@ def verify_assumptions(geom, pair, lam_lo, lam_hi, tol=1e-5,
     target = 2.0 * phi(geom, sub)[:, None, None] * geom.metric_at(sub)
     scale = np.maximum(1.0, np.max(np.abs(target), axis=(1, 2)))
     res = np.max(np.abs(lie - target), axis=(1, 2)) / scale
-    items.append(_residual_item("i", "full_field_conformal", sub, res, tol))
+    items.append(_residual_item("i", "full_field_conformal", sub, res))
 
     # (ii) positivity of phi and |D|_g
     items.append(_positive_item("ii", "conformal_factor_positive", flat,
@@ -335,8 +336,9 @@ def verify_assumptions(geom, pair, lam_lo, lam_hi, tol=1e-5,
     spread = (lam_vals.max(axis=1) - lam_vals.min(axis=1)) / lam_vals.mean(axis=1)
     k = int(np.argmax(spread))
     items.append(AssumptionItem("iv", "leaf_label_constant",
-                                float(spread[k]), tol,
-                                bool(spread[k] <= tol), (float(radii[k]), 0.0, 0.0)))
+                                float(spread[k]), ASSUMPTION_TOL,
+                                bool(spread[k] <= ASSUMPTION_TOL),
+                                (float(radii[k]), 0.0, 0.0)))
 
     # (v) Lam > 0 and the label gradient is 2 Lam D^flat
     items.append(_positive_item("v", "label_coefficient_positive", flat,
@@ -345,7 +347,7 @@ def verify_assumptions(geom, pair, lam_lo, lam_hi, tol=1e-5,
     target = (2.0 * Lam(geom, sub) * np.exp(2.0 * geom.f(sub)))[:, None] * sub
     scale = np.maximum(np.linalg.norm(target, axis=-1), 1e-12)
     res = np.linalg.norm(fd - target, axis=-1) / scale
-    items.append(_residual_item("v", "label_gradient_radial", sub, res, tol))
+    items.append(_residual_item("v", "label_gradient_radial", sub, res))
 
     # (vi) schedule gap positivity
     items.append(_positive_item("vi", "schedule_gap_positive", flat,
@@ -356,7 +358,7 @@ def verify_assumptions(geom, pair, lam_lo, lam_hi, tol=1e-5,
                                         sub)
     scale = np.max(np.abs(geom.metric_at(sub)), axis=(1, 2)) * (1.0 + abs(pair.omega))
     res = np.max(np.abs(lie), axis=(1, 2)) / scale
-    items.append(_residual_item("vii", "rotation_killing", sub, res, tol))
+    items.append(_residual_item("vii", "rotation_killing", sub, res))
 
     # (viii) integrability of the distribution orthogonal to the rotation:
     # the flat 1-form w_i = exp(2f) R_i must satisfy w . curl w = 0
@@ -372,7 +374,7 @@ def verify_assumptions(geom, pair, lam_lo, lam_hi, tol=1e-5,
                        1e-12)
     res = np.abs(np.sum(w * curl, axis=-1)) / denom
     items.append(_residual_item("viii", "rotation_orthogonal_integrable", sub,
-                                res, tol))
+                                res))
 
     # (ix)/(x) least-Ricci directions.  Work with exp(-2f) Ric, whose
     # eigenvalues are those of the g-shape of the Ricci form.
@@ -388,7 +390,7 @@ def verify_assumptions(geom, pair, lam_lo, lam_hi, tol=1e-5,
 
     q_dil = _quad(flat, shaped)
     items.append(_residual_item("ix", "dilation_least_ricci", flat,
-                                (q_dil - mu_min) / scale, tol))
+                                (q_dil - mu_min) / scale))
 
     if pair.omega != 0.0:
         # the rotation's direction, which does not depend on omega (a tiny
@@ -399,12 +401,12 @@ def verify_assumptions(geom, pair, lam_lo, lam_hi, tol=1e-5,
         v_x = (q_rot - mu_min[good]) / scale[good]
         v_eq = np.abs(q_rot - q_dil[good]) / scale[good]
         items.append(_residual_item("x", "rotation_least_ricci", flat[good],
-                                    v_x, tol))
+                                    v_x))
         items.append(_residual_item("x", "ricci_values_equal", flat[good],
-                                    v_eq, tol))
+                                    v_eq))
     else:
         for name in ("rotation_least_ricci", "ricci_values_equal"):
-            items.append(AssumptionItem("x", name, 0.0, tol, True,
+            items.append(AssumptionItem("x", name, 0.0, ASSUMPTION_TOL, True,
                                         tuple(flat[0])))
 
     return AssumptionReport(items)

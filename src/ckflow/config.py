@@ -21,12 +21,13 @@ REGISTRY = {
     "geometry": ("choice", "euclidean",
                  ("euclidean", "paper_example", "poincare_ball"), None),
     "poincare_ball.radius": ("float", 1.0, None,
-                             (lambda v: v > 0.0 and v * v > 0.0,
-                              "> 0 with a square that does not underflow")),
+                             (lambda v: v > 0.0 and 0.0 < v * v < math.inf,
+                              "> 0 with a square that neither underflows "
+                              "nor overflows")),
     "rotation.axis": ("vec3", (1.0, 0.0, 0.0), None,
-                      (lambda v: sum(x * x for x in v) > 0.0,
-                       "a nonzero vector whose squared length does not "
-                       "underflow")),
+                      (lambda v: 0.0 < sum(x * x for x in v) < math.inf,
+                       "a nonzero vector whose squared length neither "
+                       "underflows nor overflows")),
     "rotation.omega": ("float", 0.0, None, None),
     "schedule.t0": ("auto_float", "auto", None, _POSITIVE),
     "schedule.margin": ("float", 0.1, None,

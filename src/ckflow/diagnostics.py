@@ -147,6 +147,8 @@ def label_evolution_residual(mesh, geom, vg):
 
 _GL_NODES = 48
 _AZ_NODES = 96
+_BALL_PANELS = 64          # radial panels of a ball-volume sweep
+ISOPERIMETRIC_TOL = 5e-3   # relative slack of A(leaf) <= A(seed)
 
 
 def _sphere_grid():
@@ -199,14 +201,14 @@ def _shell_volume(geom, a, b):
 class _BallVolumeTable:
     """Curved ball volume V(r) for 0 <= r <= r_hi from one radial sweep.
 
-    The radial density is integrated once, panel by panel, over n_panels
-    equal panels of [0, r_hi]; the cumulative sums give V at the panel
-    edges, and V(r) between edges adds one partial-panel rule.
+    The radial density is integrated once, panel by panel, over
+    `_BALL_PANELS` equal panels of [0, r_hi]; the cumulative sums give V at
+    the panel edges, and V(r) between edges adds one partial-panel rule.
     """
 
-    def __init__(self, geom, r_hi, n_panels=64):
+    def __init__(self, geom, r_hi):
         self.geom = geom
-        self.edges = np.linspace(0.0, r_hi, n_panels + 1)
+        self.edges = np.linspace(0.0, r_hi, _BALL_PANELS + 1)
         shells = [_shell_volume(geom, a, b)
                   for a, b in zip(self.edges[:-1], self.edges[1:])]
         self.cumulative = np.concatenate([[0.0], np.cumsum(shells)])
@@ -224,11 +226,11 @@ class _BallVolumeTable:
                      + _shell_volume(self.geom, self.edges[k], r))
 
 
-def ball_volume(geom, r, n_panels=64):
+def ball_volume(geom, r):
     """Curved volume of the coordinate ball of radius r (origin included)."""
     scalar = np.isscalar(r)
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    table = _BallVolumeTable(geom, float(r.max()), n_panels)
+    table = _BallVolumeTable(geom, float(r.max()))
     out = np.array([table.volume(rk) for rk in r])
     return float(out[0]) if scalar else out
 
@@ -310,14 +312,14 @@ class IsoperimetricVerdict:
             fh.write(f"converged = {str(self.converged).lower()}\n")
 
 
-def isoperimetric_check(geom, mesh_initial, mesh_final, converged, tol=5e-3):
+def isoperimetric_check(geom, mesh_initial, mesh_final, converged):
     """Leaf-of-equal-volume comparison against the seed surface.
 
     The flow preserves volume and shrinks area toward the leaf enclosing the
-    same volume, so A(leaf) <= A(seed) up to discretization tolerance.  The
-    leaf radius comes from `leaf_radius_for_volume`: one tabulated sweep of
-    the radial volume density over [0, r_hi], then a root search inside a
-    single panel.
+    same volume, so A(leaf) <= A(seed) up to the discretization tolerance
+    `ISOPERIMETRIC_TOL`.  The leaf radius comes from
+    `leaf_radius_for_volume`: one tabulated sweep of the radial volume
+    density over [0, r_hi], then a root search inside a single panel.
     """
     a0 = surface_area(mesh_initial, geom)
     v0 = enclosed_volume(mesh_initial, geom)
@@ -336,7 +338,7 @@ def isoperimetric_check(geom, mesh_initial, mesh_final, converged, tol=5e-3):
         volume_final=v1,
         r_leaf=r_leaf,
         area_leaf_equal_volume=a_leaf,
-        isoperimetric_pass=bool(a_leaf <= a0 * (1.0 + tol)),
+        isoperimetric_pass=bool(a_leaf <= a0 * (1.0 + ISOPERIMETRIC_TOL)),
         converged=bool(converged),
     )
 
@@ -346,7 +348,7 @@ def isoperimetric_check(geom, mesh_initial, mesh_final, converged, tol=5e-3):
 # --------------------------------------------------------------------------
 
 
-def h_growth_fit(times, h_max, slack=1e-6):
+def h_growth_fit(times, h_max):
     """Affine envelope fitted on the first half, checked on the whole trace.
 
     Least squares fit a + b t on the first half, slope clamped to b >= 0,
@@ -363,7 +365,7 @@ def h_growth_fit(times, h_max, slack=1e-6):
     (a, b), *_ = np.linalg.lstsq(A, hh, rcond=None)
     b = max(0.0, float(b))
     a = float(a + np.max(hh - (a + b * th)))
-    ok = bool(np.all(h <= a + b * t + slack * max(1.0, np.max(np.abs(h)))))
+    ok = bool(np.all(h <= a + b * t + 1e-6 * max(1.0, np.max(np.abs(h)))))
     return a, b, ok
 
 

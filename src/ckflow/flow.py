@@ -32,6 +32,7 @@ step.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,8 +44,8 @@ from .errors import (CkflowError, EllipticityLost, GradientBoundExceeded,
                      MeshDegenerate, StarshapeLost)
 
 BAND_SLACK = 1e-3       # relative padding of the initial leaf-label band
-SMOOTH_STRENGTH = 0.5   # tangential smoothing step of the front
 MAX_RETRIES = 8         # step halvings before the area guard gives up
+VOLUME_TOL = 1e-12      # relative volume error the projection stops at
 
 
 @dataclass
@@ -56,8 +57,8 @@ class StepControl:
     speed_tol: float = 1e-2
     leaf_tol: float = 1e-2
     smooth_every: int = 10
-    area_slack: float = 1e-8
     max_steps: int = 500000
+    area_slack: ClassVar[float] = 1e-8  # area growth the guard forgives
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 0.5:
@@ -132,7 +133,7 @@ def step_lagrangian(mesh, geom, t, dt, vg, step):
     return new
 
 
-def _rescale_to_volume(mesh, geom, target, tol=1e-12):
+def _rescale_to_volume(mesh, geom, target):
     """Scale about the origin until the curved volume matches `target`.
 
     Returns the scaled mesh, which keeps its curved volume in its memo.
@@ -143,14 +144,14 @@ def _rescale_to_volume(mesh, geom, target, tol=1e-12):
 
     s0 = 1.0
     out, e0 = scaled(s0)
-    if abs(e0) < tol:
+    if abs(e0) < VOLUME_TOL:
         return out
     # cubic scaling holds only at leading order in curved geometry, where a
     # fixed-exponent iteration can stall; the secant update does not care.
     s1 = (1.0 + e0) ** (-1.0 / 3.0)
     for _ in range(20):
         out, e1 = scaled(s1)
-        if abs(e1) < tol or e1 == e0:
+        if abs(e1) < VOLUME_TOL or e1 == e0:
             return out
         s0, s1, e0 = s1, s1 - e1 * (s1 - s0) / (e1 - e0), e1
     return scaled(s1)[0]
@@ -287,7 +288,7 @@ class _FrontStepper:
         self.t += dt
         ctrl = self.ctrl
         if ctrl.smooth_every > 0 and step % ctrl.smooth_every == 0:
-            sm = surface.tangential_smooth(self.mesh, SMOOTH_STRENGTH)
+            sm = surface.tangential_smooth(self.mesh)
             sm = _rescale_to_volume(sm, self.geom, self.vol0)
             if sm.area(self.geom) <= area_prev * (1.0 + ctrl.area_slack):
                 self.mesh = sm
@@ -350,12 +351,11 @@ def graph_flux_jacobian(p, g_coef=1.0, h_coef=1.0):
     return amp[..., None, None] * (eye - (ratio / w2)[..., None, None] * outer)
 
 
-def ellipticity_bounds(geom, shell, c1, n_spheres=16, n_per_sphere=200,
-                       n_grad=65, seed=0):
+def ellipticity_bounds(geom, shell, c1):
     """Extremes (c2, c3) of the flux Jacobian eigenvalues over the shell.
 
-    Sweeps sampled shell points and gradient magnitudes |p| <= c1; geom=None
-    evaluates the constant-coefficient case G = H_coef = 1.
+    Sweeps 16 x 200 shell samples and 65 gradient magnitudes |p| <= c1;
+    geom=None evaluates the constant-coefficient case G = H_coef = 1.
     """
     if c1 <= 0.0:
         raise ValueError("gradient bound c1 must be positive")
@@ -363,13 +363,12 @@ def ellipticity_bounds(geom, shell, c1, n_spheres=16, n_per_sphere=200,
         ratio = np.array([1.0])
     else:
         _, pts = ckv.shell_spheres(geom, shell[0], shell[1],
-                                   n_spheres=n_spheres,
-                                   n_per_sphere=n_per_sphere, seed=seed)
+                                   n_spheres=16, n_per_sphere=200)
         pts = pts.reshape(-1, 3)
         dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         g, h = leaf_coefficients(geom, dirs, ckv.lam(geom, pts))
         ratio = h / g
-    mags = np.linspace(0.0, c1, n_grad)
+    mags = np.linspace(0.0, c1, 65)
     w2 = 1.0 + ratio[:, None] * mags[None, :] ** 2
     lo = 1.0 / w2 ** 1.5
     hi = 1.0 / np.sqrt(w2)
@@ -404,12 +403,12 @@ def graph_state_from_mesh(mesh, geom, t=0.0):
 def _graph_chart_fields(geom, pair, state, xi_now, emb, vg):
     """Per-vertex chart quantities of a graph state.
 
-    Returns (emb, vg, g, h, pf, pv, w, u) with pf the P1 leaf gradient of
-    lam per face, pv its vertex average, w the graph area factor and u the
-    scheduled support function computed from the chart identities
-    u_perp = |X_perp|_g / W, u_top = -sqrt(H_coef) X_top(lam) / W.  `emb`
-    and `vg` are the state's embedded mesh and its geometry bundle at
-    xi_now.
+    Returns (g, h, pf, pv, w, b, u) with pf the P1 leaf gradient of lam per
+    face, pv its vertex average, w the graph area factor, b the label
+    evolution source B and u the scheduled support function computed from
+    the chart identities u_perp = |X_perp|_g / W,
+    u_top = -sqrt(H_coef) X_top(lam) / W.  `emb` and `vg` are the state's
+    embedded mesh and its geometry bundle at xi_now.
     """
     leaf = state.leaf
     g, h = leaf_coefficients(geom, leaf.vertices, state.lam)
@@ -420,14 +419,15 @@ def _graph_chart_fields(geom, pair, state, xi_now, emb, vg):
     u_top = -np.sqrt(h) * np.einsum("ij,ij->i", pair.rotation(leaf.vertices),
                                     pv) / w
     u = u_perp + xi_now * u_top
-    return emb, vg, g, h, pf, pv, w, u
+    b = diagnostics.label_evolution_source(geom, emb, vg)
+    return g, h, pf, pv, w, b, u
 
 
 def _graph_guards(fields, c1, t):
     """Raise unless a graph state's chart fields keep the gradient bound c1
-    and a positive support function; the graph step calls it on the fields
-    it freezes."""
-    _, _, _, _, _, pv, _, u = fields
+    and a positive support function; the graph stepper calls it on the
+    fields each step freezes."""
+    _, _, _, pv, _, _, u = fields
     grad_mag = np.linalg.norm(pv, axis=1)
     if np.max(grad_mag) > c1:
         raise GradientBoundExceeded(
@@ -440,7 +440,7 @@ def _graph_guards(fields, c1, t):
         )
 
 
-def _graph_rate(geom, state, fields):
+def _graph_rate(state, fields):
     """Fixed-chart rate d lam/dt = W^2 (u div(A)/(G W) + B).
 
     The W^2 factor converts the material evolution law to the vertical
@@ -449,7 +449,7 @@ def _graph_rate(geom, state, fields):
     that `step_graph` is consistent with; no run calls it.
     """
     leaf = state.leaf
-    emb, vg, g, h, pf, pv, w, u = fields
+    g, h, pf, _, w, b, u = fields
     basis = leaf.basis
     gf = np.mean(g[leaf.faces], axis=1)
     hf = np.mean(h[leaf.faces], axis=1)
@@ -461,7 +461,6 @@ def _graph_rate(geom, state, fields):
         div += np.bincount(leaf.faces[:, c], weights=contrib,
                            minlength=leaf.n_vertices)
     div /= basis.dual_area
-    b = diagnostics.label_evolution_source(geom, emb, vg)
     return w * u * div / g + w * w * b
 
 
@@ -470,7 +469,7 @@ def graph_cfl_dt(leaf, cfl):
     return cfl * leaf.min_edge
 
 
-def step_graph(geom, state, dt, c1, fields, step):
+def step_graph(state, dt, fields, step):
     """One linearly implicit step of the leaf-graph evolution from state.t.
 
     For n = 2 the flux is A_f = p_f / W_f, so the divergence in the rate
@@ -488,8 +487,7 @@ def step_graph(geom, state, dt, c1, fields, step):
     fields carry the step's xi.  A system entry or result that is not finite
     raises MeshDegenerate naming `step` and t.
     """
-    _graph_guards(fields, c1, state.t)
-    emb, vg, g, h, pf, _, w, u = fields
+    g, h, pf, _, w, b, u = fields
     leaf = state.leaf
     gf = np.mean(g[leaf.faces], axis=1)
     hf = np.mean(h[leaf.faces], axis=1)
@@ -498,7 +496,6 @@ def step_graph(geom, state, dt, c1, fields, step):
     lhs = sp.diags_array(mass, format="csc") \
         - dt * surface.cotan_stiffness(leaf, face_weight=1.0 / wf)
     _require_finite(lhs.data, "graph ", step, state.t, "implicit system entry")
-    b = diagnostics.label_evolution_source(geom, emb, vg)
     lam = splu(lhs).solve(mass * (state.lam + dt * w * w * b))
     _require_finite(lam, "graph ", step, state.t, "label")
     return GraphState(leaf=leaf, lam=lam, t=state.t + dt)
@@ -529,14 +526,14 @@ class _GraphStepper:
         return self.state.lam
 
     def max_dt(self, vg, xi_now):
-        # the loop-top chart fields are also the step's start
+        # the loop-top chart fields are the start of every retry of the step
         self.fields = _graph_chart_fields(self.geom, self.pair, self.state,
                                           xi_now, self.mesh, vg)
+        _graph_guards(self.fields, self.c1, self.t)
         return graph_cfl_dt(self.state.leaf, self.ctrl.cfl)
 
     def propose(self, vg, dt, step):
-        cand = step_graph(self.geom, self.state, dt, self.c1, self.fields,
-                          step)
+        cand = step_graph(self.state, dt, self.fields, step)
         emb = cand.embedded(self.geom)
         _require_finite(emb.vertices, self.label, step, self.t)
         self._cand = (cand, emb)
@@ -586,7 +583,7 @@ def evolution_residuals(geom, pair, state, schedule):
     pts = emb.vertices
     areas_g = vg.area_g
 
-    _, _, g_coef, h_coef, _, _, w, _ = _graph_chart_fields(
+    g_coef, h_coef, _, _, w, _, _ = _graph_chart_fields(
         geom, pair, state, xim, emb, vg)
     speed = N_SURF * vg.phi - um * hm
     rate = speed * w / np.sqrt(h_coef)

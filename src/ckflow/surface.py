@@ -449,8 +449,6 @@ class GradientBasis:
     """Vertex-position data of the P1 gradient on one mesh (`mesh.basis`)."""
 
     corner_cross: np.ndarray   # (3, F, 3): n x e_c, e_c opposite corner c
-    area: np.ndarray           # (F,) flat face areas
-    double_area: np.ndarray    # (F,) 2 * area
     vertex_weight: np.ndarray  # (V,) summed areas of the faces at each vertex
     dual_area: np.ndarray      # (V,) barycentric dual cell areas
 
@@ -461,7 +459,6 @@ def gradient_basis(mesh):
     fa, scatter = fg.area, mesh.topology.scatter
     return GradientBasis(
         corner_cross=np.cross(fg.normal, fg.edge.swapaxes(0, 1)),
-        area=fa, double_area=2.0 * fa,
         vertex_weight=scatter @ np.repeat(fa, 3),
         dual_area=scatter @ np.repeat(fa / 3.0, 3))
 
@@ -478,15 +475,14 @@ def face_gradients(mesh, values):
     grad = np.zeros((faces.shape[0], 3))
     for c in range(3):
         grad += vals[faces[:, c], None] * basis.corner_cross[c]
-    return grad / basis.double_area[:, None]
+    return grad / (2.0 * mesh.face_geometry.area)[:, None]
 
 
 def vertex_gradients(mesh, face_grad):
     """`face_gradients` output averaged to vertices with flat-area weights."""
-    basis = mesh.basis
-    grad = face_grad * basis.area[:, None]
+    grad = face_grad * mesh.face_geometry.area[:, None]
     out = mesh.topology.scatter @ np.repeat(grad, 3, axis=0)
-    return out / basis.vertex_weight[:, None]
+    return out / mesh.basis.vertex_weight[:, None]
 
 
 def _local_fit(verts, normals, nbr, cnt, design):
@@ -856,8 +852,8 @@ class MeshQuality:
     max_edge_ratio: float
     min_area: float
 
-    def degenerate(self, min_angle=1.0, max_ratio=50.0):
-        return self.min_angle_deg < min_angle or self.max_edge_ratio > max_ratio
+    def degenerate(self):
+        return self.min_angle_deg < 1.0 or self.max_edge_ratio > 50.0
 
 
 def quality(mesh):
@@ -871,9 +867,9 @@ def quality(mesh):
     )
 
 
-def tangential_smooth(mesh, strength=0.5):
-    """Move vertices toward the area-weighted one-ring centroid, tangentially,
-    then re-project onto the local quadric so the shape is kept to 2nd order.
+def tangential_smooth(mesh):
+    """Move vertices tangentially halfway to the area-weighted one-ring
+    centroid, then re-project onto the local quadric (shape kept to 2nd order).
     """
     verts = mesh.vertices
     nbr, cnt = mesh.topology.ring(1)
@@ -885,8 +881,8 @@ def tangential_smooth(mesh, strength=0.5):
     frames, co = quadric_fit(mesh)
     delta = centroid - verts
     delta_t = delta - normals * np.einsum("ij,ij->i", delta, normals)[:, None]
-    lx = strength * np.einsum("ij,ij->i", delta_t, frames[:, 0])
-    ly = strength * np.einsum("ij,ij->i", delta_t, frames[:, 1])
+    lx = 0.5 * np.einsum("ij,ij->i", delta_t, frames[:, 0])
+    ly = 0.5 * np.einsum("ij,ij->i", delta_t, frames[:, 1])
     lz = co[:, 0] * lx * lx + co[:, 1] * lx * ly + co[:, 2] * ly * ly \
         + co[:, 3] * lx + co[:, 4] * ly
     new = verts + lx[:, None] * frames[:, 0] + ly[:, None] * frames[:, 1] \
@@ -904,18 +900,18 @@ def tangential_smooth(mesh, strength=0.5):
 # --------------------------------------------------------------------------
 
 
-def radial_intersections(mesh, dirs, chunk=512):
+def radial_intersections(mesh, dirs):
     """Intersection points of origin rays with a starshaped mesh.
 
-    Moller-Trumbore per ray/face pair; each ray must hit the surface
-    (starshapedness about the chart origin), else MeshDegenerate.
+    Moller-Trumbore per ray/face pair, 512 rays at a time; each ray must hit
+    the surface (starshapedness about the chart origin), else MeshDegenerate.
     """
     dirs = np.asarray(dirs, dtype=float)
     v0 = mesh.vertices[mesh.faces[:, 0]]
     e1 = mesh.vertices[mesh.faces[:, 1]] - v0
     e2 = mesh.vertices[mesh.faces[:, 2]] - v0
     out = np.empty(dirs.shape[0])
-    eps = 1e-12
+    eps, chunk = 1e-12, 512
     for start in range(0, dirs.shape[0], chunk):
         d = dirs[start:start + chunk]
         pvec = np.cross(d[:, None, :], e2[None, :, :])

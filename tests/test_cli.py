@@ -258,9 +258,11 @@ def test_unknown_key_exits_config(tmp_path, capsys):
     "seed.level = -1",
     "poincare_ball.radius = 0",
     "poincare_ball.radius = 1e-300",
+    "poincare_ball.radius = 1e155",
     "seed.semiaxes = [1, 0, 1]",
     "rotation.axis = [0, 0, 0]",
     "rotation.axis = [1e-200, 0, 1e-300]",
+    "rotation.axis = [1e200, 0, 0]",
     "flow.t_end = nan",
 ])
 def test_out_of_range_value_exits_config(tmp_path, capsys, monkeypatch, line):

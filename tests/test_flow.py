@@ -24,6 +24,10 @@ def test_step_control_rejects_bad_knobs():
     # each backend has one step: there is no scheme to choose
     with pytest.raises(TypeError):
         flow.StepControl(scheme="imex")
+    # the area guard's slack is fixed, not a field
+    assert flow.StepControl().area_slack == 1e-8
+    with pytest.raises(TypeError):
+        flow.StepControl(area_slack=1e-6)
 
 
 def test_flow_speed_vanishes_on_flat_spheres(euclid, pair):
@@ -367,6 +371,24 @@ def test_nan_graph_step_support_fails_starshape_with_time(euclid, pair,
     assert len(exc.value.trace) == 2
 
 
+def test_front_quality_guard_fails_with_time(euclid, pair, monkeypatch):
+    # the guard reads the quality after each smoothing pass (every 10th step)
+    collapsed = surface.MeshQuality(min_angle_deg=0.5, max_edge_ratio=2.0,
+                                    min_area=1e-3)
+    monkeypatch.setattr(surface, "quality", lambda mesh: collapsed)
+    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
+    with pytest.raises(MeshDegenerate) as exc:
+        flow.run(euclid, pair, seed, ckv.Schedule(t0=1.0),
+                 flow.StepControl(t_end=5.0))
+    message = str(exc.value)
+    assert "mesh quality collapsed at t=" in message
+    assert "min angle 0.50 deg, edge ratio 2.0" in message
+    trace = exc.value.trace
+    assert len(trace) == 10
+    t_fail = float(message.split("t=")[1].split(":")[0])
+    assert t_fail > trace.column("time")[-1]
+
+
 def test_run_detects_starshape_loss(euclid, pair, pair_e3):
     # the twisted seed is starshaped only thanks to the rotational part;
     # running it without rotation must fail the support-function check
@@ -469,7 +491,7 @@ def test_implicit_graph_step_keeps_a_leaf(euclid, pair):
     sched = ckv.Schedule(t0=1.0)
     state = flow.graph_state_from_mesh(surface.sphere_seed(1.2, 3), euclid)
     fields = _chart_fields(euclid, pair, state, sched.xi_at(0.0))
-    new = flow.step_graph(euclid, state, 0.1, 10.0, fields, 0)
+    new = flow.step_graph(state, 0.1, fields, 0)
     assert new.t == 0.1
     assert np.max(np.abs(new.lam - state.lam)) <= 1e-12 * np.max(state.lam)
 
@@ -482,10 +504,10 @@ def test_graph_step_is_consistent_with_graph_rate(request, geom_name):
     fields = _chart_fields(geom, pair, state, xi_now)
 
     def rate_at(dt):
-        new = flow.step_graph(geom, state, dt, 10.0, fields, 0)
+        new = flow.step_graph(state, dt, fields, 0)
         return (new.lam - state.lam) / dt
 
-    _assert_first_order(rate_at, flow._graph_rate(geom, state, fields))
+    _assert_first_order(rate_at, flow._graph_rate(state, fields))
 
 
 @pytest.mark.parametrize("target, what", [

@@ -497,9 +497,9 @@ def test_snapshot_memo_matches_fresh_kernels(request, monkeypatch, geom_name,
     state = _jittered_graph_state(geom)
     state.t = 0.1
     xi_now = sched.xi_at(state.t)
-    k1 = flow._graph_rate(geom, state, _chart_fields(geom, pair, state, xi_now))
+    k1 = flow._graph_rate(state, _chart_fields(geom, pair, state, xi_now))
     assert np.array_equal(k1, flow._graph_rate(
-        geom, state, _chart_fields(geom, pair, state, xi_now)))
+        state, _chart_fields(geom, pair, state, xi_now)))
     assert np.array_equal(k1, _reference_rate(geom, pair, state, xi_now))
 
 
@@ -668,7 +668,7 @@ def test_smooth_icosphere_preserves_shape(euclid):
     # pentagon neighborhoods are not centroidal), but the quadric
     # re-projection keeps the shape: radii stay put to fit accuracy
     mesh = surface.sphere_seed(1.0, 3)
-    sm = surface.tangential_smooth(mesh, 0.5)
+    sm = surface.tangential_smooth(mesh)
     radial = np.abs(np.linalg.norm(sm.vertices, axis=1) - 1.0)
     assert np.max(radial) <= 1e-3 * mesh.min_edge
     slide = np.linalg.norm(sm.vertices - mesh.vertices, axis=1)
@@ -682,11 +682,23 @@ def test_smooth_improves_min_angle(euclid):
         mesh.vertices + 0.01 * rng.normal(size=mesh.vertices.shape)
     )
     q0 = surface.quality(noisy)
-    q1 = surface.quality(surface.tangential_smooth(noisy, 0.5))
+    q1 = surface.quality(surface.tangential_smooth(noisy))
     assert q1.min_angle_deg >= q0.min_angle_deg
     v0 = surface.enclosed_volume_flat(noisy)
-    v1 = surface.enclosed_volume_flat(surface.tangential_smooth(noisy, 0.5))
+    v1 = surface.enclosed_volume_flat(surface.tangential_smooth(noisy))
     assert abs(v1 / v0 - 1.0) <= 1e-4
+
+
+@pytest.mark.parametrize("min_angle, ratio, degenerate", [
+    (1.0, 50.0, False),
+    (float(np.nextafter(1.0, 0.0)), 50.0, True),
+    (1.0, float(np.nextafter(50.0, 51.0)), True),
+])
+def test_quality_degenerate_bounds(min_angle, ratio, degenerate):
+    # the front's guard: a corner under 1 degree or an edge ratio over 50:1
+    quality = surface.MeshQuality(min_angle_deg=min_angle,
+                                  max_edge_ratio=ratio, min_area=1.0)
+    assert quality.degenerate() is degenerate
 
 
 def test_quality_flags_degenerate():
