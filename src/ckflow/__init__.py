@@ -7,11 +7,11 @@ from .diagnostics import FlowTrace, isoperimetric_check, leaf_profile
 from .flow import StepControl, graph_state_from_mesh, run, run_graph
 from .surface import (
     TriSurface,
+    checked_seed,
     ellipsoid_seed,
     icosphere,
     mesh_geometry,
     sphere_seed,
-    twisted_seed,
 )
 
 __all__ = [
@@ -33,9 +33,9 @@ __all__ = [
     "run",
     "run_graph",
     "TriSurface",
+    "checked_seed",
     "ellipsoid_seed",
     "icosphere",
     "mesh_geometry",
     "sphere_seed",
-    "twisted_seed",
 ]

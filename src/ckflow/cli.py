@@ -1,9 +1,15 @@
 """Command line entry point: run / verify / profile / seed.
 
-Exit codes: 0 ok, 1 assumption failure, 2 flow error (starshape lost, mesh
+Exit codes: 0 ok, 1 assumption failure, 2 flow error (a seed that is not
+strictly starshaped for the scheduled field, starshape lost, mesh
 degenerate, domain exit, graph gradient bound exceeded, any other package
 error), 3 non-convergence, 64 bad config.  Every exit path prints
-`STATUS=<ok|assumptions|flow|nonconv|config>` to stderr.
+`STATUS=<ok|assumptions|flow|nonconv|config>` to stderr.  A package error
+ends in `main`'s one handler: it writes the partial trace the error
+carries, if any, as `trace.csv`, then takes the status and the message
+prefix from the first `EXITS` entry the error is an instance of.  `run`
+saves every `output.frame_every`-th loop-top snapshot, and the last one,
+as `frame_<step>.obj`.
 """
 
 import argparse
@@ -21,10 +27,18 @@ from .errors import (
     ProfileNotMonotone,
     ScheduleInfeasible,
     SeedInfeasible,
-    StarshapeLost,
 )
 
 STATUS_CODE = {"ok": 0, "assumptions": 1, "flow": 2, "nonconv": 3, "config": 64}
+
+# the first class an error is an instance of gives its status and prefix
+EXITS = (
+    (ConfigError, ("config", "config error")),
+    (ScheduleInfeasible, ("assumptions", "schedule infeasible")),
+    (SeedInfeasible, ("flow", "starshape violation")),
+    (ProfileNotMonotone, ("flow", "profile error")),
+    (CkflowError, ("flow", "flow error")),
+)
 
 
 def _status(name):
@@ -43,24 +57,19 @@ def make_pair(cfg):
     return ckv.KillingPair(omega=cfg["rotation.omega"], axis=cfg["rotation.axis"])
 
 
-def make_seed(cfg, geom, pair):
-    """Build the seed mesh; returns (mesh, min_u, min_uperp).
+def _base_seed(cfg, level):
+    """The untwisted sphere or ellipsoid of the run file's seed."""
+    if cfg["seed.kind"] == "sphere":
+        return surface.sphere_seed(cfg["seed.radius"], level)
+    return surface.ellipsoid_seed(cfg["seed.semiaxes"], level)
 
-    A seed vertex outside the chart domain raises DomainExit before any
-    geometry is evaluated on it (`twisted_seed` checks its own mesh).
-    """
-    kind, level = cfg["seed.kind"], cfg["seed.level"]
-    if kind == "sphere":
-        mesh = surface.sphere_seed(cfg["seed.radius"], level)
-    elif kind == "ellipsoid":
-        mesh = surface.ellipsoid_seed(cfg["seed.semiaxes"], level)
-    else:
-        return surface.twisted_seed(
-            geom, pair, cfg["seed.semiaxes"], cfg["seed.twist"], level
-        )
-    geom.require_in_domain(mesh.vertices, what="seed vertex")
-    vg = surface.mesh_geometry(mesh, geom, pair, xi_now=1.0)
-    return mesh, float(np.min(vg.u)), float(np.min(vg.u_perp))
+
+def make_seed(cfg, geom, pair):
+    """The run file's seed through `surface.checked_seed`; returns (mesh,
+    min_u, min_uperp) or raises DomainExit or SeedInfeasible."""
+    tau = cfg["seed.twist"] if cfg["seed.kind"] == "twisted" else 0.0
+    return surface.checked_seed(_base_seed(cfg, cfg["seed.level"]), geom,
+                                pair, tau)
 
 
 def shell_bounds(cfg, geom):
@@ -71,11 +80,7 @@ def shell_bounds(cfg, geom):
     domain, or a band left empty by the clip below the outer boundary,
     raises DomainExit.
     """
-    kind, level = cfg["seed.kind"], min(cfg["seed.level"], 3)
-    if kind == "sphere":
-        base = surface.sphere_seed(cfg["seed.radius"], level)
-    else:
-        base = surface.ellipsoid_seed(cfg["seed.semiaxes"], level)
+    base = _base_seed(cfg, min(cfg["seed.level"], 3))
     geom.require_in_domain(base.vertices, what="seed vertex")
     lam_v = ckv.lam(geom, base.vertices)
     lo, hi = 0.75 * float(np.min(lam_v)), 1.3 * float(np.max(lam_v))
@@ -124,27 +129,20 @@ def cmd_run(cfg, out, force, quiet):
     if not quiet:
         print(f"seed: min u(0) = {min_u:.6g}, min uperp = {min_uperp:.6g}, "
               f"T0 = {schedule.t0:.6g}")
-    ctrl = make_ctrl(cfg)
-    frame_every = cfg["output.frame_every"]
+    every = cfg["output.frame_every"]
 
-    def frame_cb(k, t, m):
-        surface.save_obj(m, os.path.join(out, f"frame_{k}.obj"), t=t, frame=k)
+    def frame_cb(k, t, m, last=False):
+        if every > 0 and (last or k % every == 0):
+            surface.save_obj(m, os.path.join(out, f"frame_{k}.obj"), t=t,
+                             frame=k)
 
-    try:
-        if cfg["flow.backend"] == "lagrangian":
-            res = flow.run(geom, pair, mesh, schedule, ctrl,
-                           frame_every=frame_every, frame_cb=frame_cb)
-        else:
-            state0 = flow.graph_state_from_mesh(mesh, geom)
-            res = flow.run_graph(geom, pair, state0, schedule, ctrl,
-                                 frame_every=frame_every, frame_cb=frame_cb)
-    except CkflowError as err:
-        trace = getattr(err, "trace", None)
-        if trace is not None and len(trace):
-            trace.write_csv(os.path.join(out, "trace.csv"))
-        print(f"flow error: {err}", file=sys.stderr)
-        return _status("flow")
-
+    if cfg["flow.backend"] == "lagrangian":
+        res = flow.run(geom, pair, mesh, schedule, make_ctrl(cfg), frame_cb)
+    else:
+        state0 = flow.graph_state_from_mesh(mesh, geom)
+        res = flow.run_graph(geom, pair, state0, schedule, make_ctrl(cfg),
+                             frame_cb)
+    frame_cb(res.steps, res.t, res.mesh, last=True)
     res.trace.write_csv(os.path.join(out, "trace.csv"))
     verdict = diagnostics.isoperimetric_check(
         geom, res.mesh_initial, res.mesh, res.converged
@@ -230,24 +228,15 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return _status("config")
-    try:
         os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.cmd](cfg, args.out, args.force, args.quiet)
-    except (ScheduleInfeasible,) as err:
-        print(f"schedule infeasible: {err}", file=sys.stderr)
-        return _status("assumptions")
-    except (SeedInfeasible, StarshapeLost) as err:
-        print(f"starshape violation: {err}", file=sys.stderr)
-        return _status("flow")
-    except ProfileNotMonotone as err:
-        print(f"profile error: {err}", file=sys.stderr)
-        return _status("flow")
     except CkflowError as err:
-        print(f"flow error: {err}", file=sys.stderr)
-        return _status("flow")
+        trace = getattr(err, "trace", None)
+        if trace is not None and len(trace):
+            trace.write_csv(os.path.join(args.out, "trace.csv"))
+        status, prefix = next(pair for cls, pair in EXITS if isinstance(err, cls))
+        print(f"{prefix}: {err}", file=sys.stderr)
+        return _status(status)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,9 @@ from .errors import ConfigError
 # ranges: (test on the parsed value, what the message says it must be)
 _POSITIVE = (lambda v: v > 0.0, "> 0")
 _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+# a face area's squared norm is quartic in the seed's size
+_SEED_SIZE = (lambda v: v > 0.0 and v * v * v * v < math.inf,
+              "> 0 with a fourth power that does not overflow")
 
 # key -> (kind, default, choices-or-None, range-or-None); kind in
 # {choice, float, int, vec3, auto_float}.  Numbers must also be finite.
@@ -34,9 +37,10 @@ REGISTRY = {
                         (lambda v: 0.0 < v < 1.0, "in (0, 1)")),
     "seed.kind": ("choice", "sphere", ("sphere", "ellipsoid", "twisted"),
                   None),
-    "seed.radius": ("float", 1.0, None, _POSITIVE),
+    "seed.radius": ("float", 1.0, None, _SEED_SIZE),
     "seed.semiaxes": ("vec3", (1.3, 1.0, 1.0), None,
-                      (lambda v: min(v) > 0.0, "three positive numbers")),
+                      (lambda v: all(map(_SEED_SIZE[0], v)),
+                       "three numbers " + _SEED_SIZE[1])),
     "seed.twist": ("float", 0.0, None, None),
     "seed.level": ("int", 4, None, _NON_NEGATIVE),
     "flow.backend": ("choice", "lagrangian", ("lagrangian", "leaf_graph"),

@@ -163,7 +163,7 @@ def _require_finite(vertices, label, step, t, what="vertex"):
                              f"non-finite {what}")
 
 
-def _drive(stepper, schedule, ctrl, frame_every, frame_cb):
+def _drive(stepper, schedule, ctrl, frame_cb):
     """The time loop of both backends; returns a RunResult.
 
     The stepper has `geom`, `pair`, `label` (its name in messages), `t`,
@@ -172,12 +172,10 @@ def _drive(stepper, schedule, ctrl, frame_every, frame_cb):
     mesh and `accept(dt, step, area_prev)`.
     Convergence: leaf spread (max-min)/mean of the label <= leaf_tol and
     max |speed| <= speed_tol * max H; t_end or max_steps return
-    converged=False.  With frame_every > 0, frame_cb(step, t, mesh) gets
-    every frame_every-th loop-top snapshot and the last one.  A package
-    error raised in the loop carries the partial trace as `err.trace`.
+    converged=False.  frame_cb(step, t, mesh), when given, gets every
+    loop-top snapshot, the last one included.  A package error raised in
+    the loop carries the partial trace as `err.trace`.
     """
-    if frame_every > 0 and frame_cb is None:
-        raise ValueError("frame_every > 0 needs a frame_cb")
     geom, pair = stepper.geom, stepper.pair
     trace = diagnostics.FlowTrace()
     step, dt_arrived, band, band_ok = 0, 0.0, None, True
@@ -213,7 +211,7 @@ def _drive(stepper, schedule, ctrl, frame_every, frame_cb):
                 umbilicity=diagnostics.umbilicity_deficit(mesh, vg),
                 leaf_distance=ld, dt=dt_arrived,
             )
-            if frame_every > 0 and step % frame_every == 0:
+            if frame_cb is not None:
                 frame_cb(step, t, mesh)
 
             converged = (
@@ -245,8 +243,6 @@ def _drive(stepper, schedule, ctrl, frame_every, frame_cb):
         err.trace = trace
         raise
 
-    if frame_every > 0:
-        frame_cb(step, stepper.t, stepper.mesh)
     return RunResult(
         mesh=stepper.mesh, mesh_initial=stepper.mesh_initial, trace=trace,
         converged=(reason == "converged"), reason=reason, t=stepper.t,
@@ -301,11 +297,11 @@ class _FrontStepper:
                 )
 
 
-def run(geom, pair, mesh0, schedule, ctrl=None, frame_every=0, frame_cb=None):
+def run(geom, pair, mesh0, schedule, ctrl=None, frame_cb=None):
     """Integrate the Lagrangian front from the seed; see `_drive`."""
     ctrl = ctrl or StepControl()
     stepper = _FrontStepper(geom, pair, mesh0, ctrl)
-    return _drive(stepper, schedule, ctrl, frame_every, frame_cb)
+    return _drive(stepper, schedule, ctrl, frame_cb)
 
 
 # --------------------------------------------------------------------------
@@ -543,12 +539,11 @@ class _GraphStepper:
         self.state, self.mesh = self._cand
 
 
-def run_graph(geom, pair, state0, schedule, ctrl=None, frame_every=0,
-              frame_cb=None):
+def run_graph(geom, pair, state0, schedule, ctrl=None, frame_cb=None):
     """Integrate the leaf-graph backend; see `_drive`."""
     ctrl = ctrl or StepControl()
     stepper = _GraphStepper(geom, pair, state0, ctrl)
-    return _drive(stepper, schedule, ctrl, frame_every, frame_cb)
+    return _drive(stepper, schedule, ctrl, frame_cb)
 
 
 # --------------------------------------------------------------------------

@@ -301,27 +301,29 @@ def _rodrigues(points, axis, angles):
     return points * c + cross * s + a[None, :] * dot * (1.0 - c)
 
 
-def twisted_seed(geom, pair, semiaxes, tau, level):
-    """Ellipsoid sheared by the log-spiral twist of the rotation axis.
+def checked_seed(mesh, geom, pair, tau=0.0):
+    """The seed `mesh`, twisted when tau != 0, and its support minima.
 
-    Each vertex is rotated about the pair's axis by tau * ln|p|, so rays
-    from the origin become the integral spirals of dilation + tau*rotation.
-    Returns (mesh, min u at Xi=1, min u_perp); raises DomainExit if a
-    vertex lies outside the chart domain, SeedInfeasible if the seed is not
-    strictly starshaped for the scheduled field at t=0.
+    Returns (mesh, min_u, min_uperp) with u taken at Xi = 1.  The twist
+    rotates each vertex about the pair's axis by tau * ln|p|, so rays from
+    the origin become the integral spirals of dilation + tau*rotation.
+    Raises DomainExit if a vertex lies outside the chart domain,
+    SeedInfeasible unless the seed is strictly starshaped for the scheduled
+    field at t=0, whatever its kind.
     """
-    base = ellipsoid_seed(semiaxes, level)
     # the chart domains are shells about the origin and the twist keeps
-    # radii, so the base is checked before ln|p| is taken
-    geom.require_in_domain(base.vertices, what="seed vertex")
-    r = np.linalg.norm(base.vertices, axis=1)
-    mesh = base.with_vertices(_rodrigues(base.vertices, pair.axis_vec, tau * np.log(r)))
+    # radii, so the untwisted mesh is checked before ln|p| is taken
+    geom.require_in_domain(mesh.vertices, what="seed vertex")
+    if tau != 0.0:
+        r = np.linalg.norm(mesh.vertices, axis=1)
+        mesh = mesh.with_vertices(
+            _rodrigues(mesh.vertices, pair.axis_vec, tau * np.log(r)))
     vg = mesh_geometry(mesh, geom, pair, xi_now=1.0)
     min_u = float(np.min(vg.u))
     min_uperp = float(np.min(vg.u_perp))
     if min_u <= 0.0:
         raise SeedInfeasible(
-            f"twisted seed not starshaped for the scheduled field "
+            f"seed not starshaped for the scheduled field "
             f"(min u = {min_u:.3e}; tau={tau}, omega={pair.omega})"
         )
     return mesh, min_u, min_uperp

@@ -64,8 +64,8 @@ TWIST_SEMIAXES = (1.6, 0.7, 0.7)
 @pytest.fixture(scope="session")
 def twisted_run(euclid, pair_e3):
     """Scheduled run of the twisted seed; returns run plus seed data."""
-    mesh, min_u, min_uperp = surface.twisted_seed(
-        euclid, pair_e3, TWIST_SEMIAXES, TWIST_TAU, 4
+    mesh, min_u, min_uperp = surface.checked_seed(
+        surface.ellipsoid_seed(TWIST_SEMIAXES, 4), euclid, pair_e3, TWIST_TAU
     )
     lam_v = ckv.lam(euclid, mesh.vertices)
     t0 = ckv.estimate_T0(euclid, pair_e3, 0.75 * lam_v.min(), 1.3 * lam_v.max())

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from ckflow import cli, flow
+from ckflow import ambient, cli, errors, flow, surface
+from ckflow.config import parse_config
 from ckflow.diagnostics import TRACE_COLUMNS
-from ckflow.errors import DomainExit, EllipticityLost, GradientBoundExceeded
+from ckflow.errors import (
+    DomainExit,
+    EllipticityLost,
+    GradientBoundExceeded,
+    SeedInfeasible,
+)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -68,12 +74,17 @@ def test_run_nonconvergence_exit(tmp_path, capsys):
 
 
 def test_run_writes_frames(tmp_path):
-    cfg = write_cfg(tmp_path, "seed.level = 2\noutput.frame_every = 1\n")
+    text = ("seed.kind = ellipsoid\nseed.semiaxes = [1.3, 1, 1]\n"
+            "seed.level = 2\nflow.t_end = 0.3\noutput.frame_every = 2\n")
+    cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
-    assert run_cli(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    assert (out / "frame_0.obj").exists()
+    assert run_cli(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 3
     head = (out / "frame_0.obj").read_text().split("\n")[0]
     assert head.startswith("#")
+    steps = len((out / "trace.csv").read_text().strip().split("\n")) - 2
+    assert steps % 2 == 1  # the last frame is off the cadence
+    saved = sorted(int(p.stem.split("_")[1]) for p in out.glob("frame_*.obj"))
+    assert saved == list(range(0, steps, 2)) + [steps]
 
 
 def test_run_graph_backend(tmp_path, capsys):
@@ -131,6 +142,44 @@ def test_run_any_package_error_exits_flow(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "STATUS=flow" in captured.err
     assert "injected" in captured.err
+
+
+# a star-shaped ellipsoid that is not star-shaped for the scheduled field:
+# the fast rotation about z drives u to -3.242 on its long flanks
+ROTATED_ELLIPSOID = ("seed.semiaxes = [1.6, 0.7, 0.7]\nseed.level = 2\n"
+                     "rotation.axis = [0, 0, 1]\nrotation.omega = 5.0\n")
+
+
+@pytest.mark.parametrize("cmd", ["seed", "run"])
+def test_seed_not_starshaped_for_the_field_exits_flow(tmp_path, capsys, cmd):
+    cfg = write_cfg(tmp_path, "seed.kind = ellipsoid\n" + ROTATED_ELLIPSOID)
+    out = tmp_path / "out"
+    code = run_cli([cmd, "--config", cfg, "--out", str(out), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.count("STATUS=") == 1
+    assert "STATUS=flow" in captured.err
+    assert "starshape" in captured.err
+    assert not (out / "seed.obj").exists()
+    assert not (out / "trace.csv").exists()
+
+
+def test_every_seed_kind_gets_the_same_starshape_check():
+    geom = ambient.Euclidean()
+    messages = []
+    for kind in ("seed.kind = ellipsoid\n",
+                 "seed.kind = twisted\nseed.twist = 0\n"):
+        cfg = parse_config(kind + ROTATED_ELLIPSOID)
+        with pytest.raises(SeedInfeasible) as exc:
+            cli.make_seed(cfg, geom, cli.make_pair(cfg))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    cfg = parse_config(ROTATED_ELLIPSOID)
+    seed = surface.ellipsoid_seed(cfg["seed.semiaxes"], cfg["seed.level"])
+    vg = surface.mesh_geometry(seed, geom, cli.make_pair(cfg), xi_now=1.0)
+    min_u = float(np.min(vg.u))
+    assert min_u < 0.0
+    assert f"min u = {min_u:.3e};" in messages[0]
 
 
 def test_run_twisted_without_rotation_fails_starshape(tmp_path, capsys):
@@ -260,6 +309,8 @@ def test_unknown_key_exits_config(tmp_path, capsys):
     "poincare_ball.radius = 1e-300",
     "poincare_ball.radius = 1e155",
     "seed.semiaxes = [1, 0, 1]",
+    "seed.radius = 1e100",
+    "seed.semiaxes = [1e100, 1, 1]",
     "rotation.axis = [0, 0, 0]",
     "rotation.axis = [1e-200, 0, 1e-300]",
     "rotation.axis = [1e200, 0, 0]",
@@ -276,8 +327,55 @@ def test_out_of_range_value_exits_config(tmp_path, capsys, monkeypatch, line):
     assert "STATUS=config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["seed", "verify"])
+@pytest.mark.parametrize("text", [
+    "seed.radius = 1e76\n",
+    "seed.kind = ellipsoid\nseed.semiaxes = [1e76, 1, 1]\n",
+])
+def test_largest_seed_sizes_run_clean(tmp_path, capsys, cmd, text):
+    # numpy overflow warnings are errors in this suite
+    cfg = write_cfg(tmp_path, text + "seed.level = 1\n")
+    code = run_cli([cmd, "--config", cfg, "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    assert "STATUS=ok" in capsys.readouterr().err
+
+
 def test_missing_config_exits_config(tmp_path, capsys):
     code = run_cli(["run", "--config", str(tmp_path / "nope.cfg"),
                     "--out", str(tmp_path)])
     assert code == 64
     assert "STATUS=config" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# the exit table
+# --------------------------------------------------------------------------
+
+
+PACKAGE_ERRORS = [cls for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, errors.CkflowError)]
+# an error's code and message prefix, as the module docstring documents them
+DOCUMENTED_EXIT = {
+    errors.ConfigError: (64, "config error"),
+    errors.ScheduleInfeasible: (1, "schedule infeasible"),
+    errors.SeedInfeasible: (2, "starshape violation"),
+    errors.ProfileNotMonotone: (2, "profile error"),
+}
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_package_error_ends_in_its_documented_exit(tmp_path, capsys,
+                                                         monkeypatch, error):
+    def failing(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "make_seed", failing)
+    cfg = write_cfg(tmp_path, "seed.level = 0\n")
+    code = run_cli(["seed", "--config", cfg, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    expected_code, prefix = DOCUMENTED_EXIT.get(error, (2, "flow error"))
+    assert code == expected_code
+    assert captured.err.count("STATUS=") == 1
+    assert captured.err.strip().splitlines()[-1] == next(
+        f"STATUS={name}" for name, c in cli.STATUS_CODE.items() if c == code)
+    assert f"{prefix}: injected" in captured.err

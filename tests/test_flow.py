@@ -206,21 +206,16 @@ def test_trace_volume_is_the_frame_volume(request, pair, backend, geom_name,
     seed = surface.ellipsoid_seed((1.08, 1.0, 0.93), 2)
     frames = []
     res = _run_backend(backend, geom, pair, seed,
-                       flow.StepControl(t_end=t_end), frame_every=1,
+                       flow.StepControl(t_end=t_end),
                        frame_cb=lambda k, t, mesh: frames.append((k, mesh)))
     assert res.steps >= min_steps
     volume = res.trace.column("volume")
-    assert len(frames) == len(volume) + 1  # the final frame repeats
+    # every loop top is a frame, the last one included
+    assert [k for k, _ in frames] == list(range(res.steps + 1))
+    assert frames[-1][1] is res.mesh
+    assert len(frames) == len(volume)
     for (k, mesh), vol in zip(frames, volume):
         assert vol == surface.enclosed_volume(mesh, geom), k
-
-
-@pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
-def test_frames_need_a_callback(euclid, pair, backend):
-    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
-    with pytest.raises(ValueError, match="frame_cb"):
-        _run_backend(backend, euclid, pair, seed, flow.StepControl(),
-                     frame_every=1)
 
 
 @pytest.mark.parametrize("backend, fn_name, call, step", [
@@ -392,8 +387,8 @@ def test_front_quality_guard_fails_with_time(euclid, pair, monkeypatch):
 def test_run_detects_starshape_loss(euclid, pair, pair_e3):
     # the twisted seed is starshaped only thanks to the rotational part;
     # running it without rotation must fail the support-function check
-    mesh, _, min_uperp = surface.twisted_seed(euclid, pair_e3,
-                                              (1.6, 0.7, 0.7), 1.5, 2)
+    mesh, _, min_uperp = surface.checked_seed(
+        surface.ellipsoid_seed((1.6, 0.7, 0.7), 2), euclid, pair_e3, 1.5)
     assert min_uperp < 0.0
     with pytest.raises(StarshapeLost) as exc:
         flow.run(euclid, pair, mesh, ckv.Schedule(t0=1.0))
@@ -544,7 +539,8 @@ def test_non_finite_implicit_graph_step_fails_with_step_and_time(
 
 
 def test_run_graph_starshape_guard(euclid, pair, pair_e3):
-    mesh, _, _ = surface.twisted_seed(euclid, pair_e3, (1.6, 0.7, 0.7), 1.5, 2)
+    mesh, _, _ = surface.checked_seed(
+        surface.ellipsoid_seed((1.6, 0.7, 0.7), 2), euclid, pair_e3, 1.5)
     state0 = flow.graph_state_from_mesh(mesh, euclid)
     with pytest.raises(StarshapeLost):
         flow.run_graph(euclid, pair, state0, ckv.Schedule(t0=1.0))

@@ -85,17 +85,19 @@ def test_scatter_matches_bincount():
 
 def test_twisted_seed_identity_at_zero_twist(euclid, pair_e3):
     base = surface.ellipsoid_seed((1.6, 0.7, 0.7), 2)
-    mesh, _, _ = surface.twisted_seed(euclid, pair_e3, (1.6, 0.7, 0.7), 0.0, 2)
-    assert np.allclose(mesh.vertices, base.vertices)
+    mesh, _, _ = surface.checked_seed(base, euclid, pair_e3, 0.0)
+    assert mesh is base  # the zero twist is skipped...
+    zero = np.zeros(base.n_vertices)
+    # ...and applying it would move no vertex by a single bit
+    assert np.array_equal(
+        surface._rodrigues(base.vertices, pair_e3.axis_vec, zero), base.vertices)
 
 
 def test_twisted_seed_regression_signs(euclid, pair_e3):
-    mesh, min_u, min_uperp = surface.twisted_seed(
-        euclid, pair_e3, (1.6, 0.7, 0.7), 1.5, 3
-    )
+    base = surface.ellipsoid_seed((1.6, 0.7, 0.7), 3)
+    mesh, min_u, min_uperp = surface.checked_seed(base, euclid, pair_e3, 1.5)
     assert min_uperp < 0.0 < min_u
     # vertexwise rotation preserves every radius exactly
-    base = surface.ellipsoid_seed((1.6, 0.7, 0.7), 3)
     r_mesh = np.linalg.norm(mesh.vertices, axis=1)
     r_base = np.linalg.norm(base.vertices, axis=1)
     assert np.max(np.abs(r_mesh - r_base)) < 1e-12
@@ -104,7 +106,8 @@ def test_twisted_seed_regression_signs(euclid, pair_e3):
 def test_twisted_seed_infeasible_without_rotation(euclid):
     still = ckv.KillingPair(omega=0.0, axis=(0.0, 0.0, 1.0))
     with pytest.raises(SeedInfeasible):
-        surface.twisted_seed(euclid, still, (1.6, 0.7, 0.7), 1.5, 3)
+        surface.checked_seed(surface.ellipsoid_seed((1.6, 0.7, 0.7), 3),
+                             euclid, still, 1.5)
 
 
 # --------------------------------------------------------------------------
