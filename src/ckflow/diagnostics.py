@@ -201,17 +201,27 @@ def _shell_volume(geom, a, b):
 class _BallVolumeTable:
     """Curved ball volume V(r) for 0 <= r <= r_hi from one radial sweep.
 
-    The radial density is integrated once, panel by panel, over
-    `_BALL_PANELS` equal panels of [0, r_hi]; the cumulative sums give V at
-    the panel edges, and V(r) between edges adds one partial-panel rule.
+    The radial density is integrated panel by panel, in order, over
+    `_BALL_PANELS` equal panels of [0, r_hi]; the running sums give V at
+    the built panel edges, and V(r) between edges adds one partial-panel
+    rule.  The sweep stops once the running volume exceeds `until` and the
+    panel that holds `r_min` is built; by default it covers every panel.
+    The running sum adds in the order `np.cumsum` does, so a stopped sweep
+    is a bit-identical prefix of the full one.
     """
 
-    def __init__(self, geom, r_hi):
+    def __init__(self, geom, r_hi, until=np.inf, r_min=0.0):
         self.geom = geom
         self.edges = np.linspace(0.0, r_hi, _BALL_PANELS + 1)
-        shells = [_shell_volume(geom, a, b)
-                  for a, b in zip(self.edges[:-1], self.edges[1:])]
-        self.cumulative = np.concatenate([[0.0], np.cumsum(shells)])
+        k_min = self.panel(r_min)
+        total, cumulative = 0.0, [0.0]
+        for k in range(_BALL_PANELS):
+            total = total + _shell_volume(geom, self.edges[k],
+                                          self.edges[k + 1])
+            cumulative.append(total)
+            if total > until and k >= k_min:
+                break
+        self.cumulative = np.array(cumulative)
 
     def panel(self, r):
         """Index k of the panel [edges[k], edges[k+1]] that holds r."""
@@ -266,18 +276,23 @@ def leaf_profile(geom, r_lo, r_hi, n=128):
 def leaf_radius_for_volume(geom, target, r_lo, r_hi):
     """Radius of the coordinate ball enclosing the given curved volume.
 
-    One radial sweep tabulates the ball volume at the panel edges of
-    [0, r_hi] (`_BallVolumeTable`); the cumulative sums bracket the root in
-    one panel, and brentq refines it there with a partial-panel rule per
-    iteration.
+    One radial sweep (`_BallVolumeTable`) tabulates the ball volume at the
+    panel edges of [0, r_hi], panel by panel, and stops at the first panel
+    whose outer edge encloses more than the target (and not before r_lo's
+    panel); the running sums bracket the root in that panel, and brentq
+    refines it there with a partial-panel rule per iteration.  A target
+    outside [V(r_lo), V(r_hi)] raises ValueError.
     """
-    table = _BallVolumeTable(geom, r_hi)
+    table = _BallVolumeTable(geom, r_hi, until=target, r_min=r_lo)
     flo = table.volume(r_lo) - target
+    # V at the last built edge: r_hi after a full sweep, else an edge whose
+    # volume already exceeds the target, so of V(r_hi)'s sign
+    r_top = float(table.edges[table.cumulative.size - 1])
     fhi = float(table.cumulative[-1]) - target
     if flo * fhi > 0.0:
         raise ValueError(
             f"volume {target:.6g} not bracketed on [{r_lo}, {r_hi}] "
-            f"(endpoint values {flo:.3g}, {fhi:.3g})"
+            f"(V - target = {flo:.3g} at r_lo, {fhi:.3g} at r = {r_top:.6g})"
         )
     # first panel whose outer edge encloses the target volume
     k = max(table.panel(r_lo),
@@ -318,8 +333,9 @@ def isoperimetric_check(geom, mesh_initial, mesh_final, converged):
     The flow preserves volume and shrinks area toward the leaf enclosing the
     same volume, so A(leaf) <= A(seed) up to the discretization tolerance
     `ISOPERIMETRIC_TOL`.  The leaf radius comes from
-    `leaf_radius_for_volume`: one tabulated sweep of the radial volume
-    density over [0, r_hi], then a root search inside a single panel.
+    `leaf_radius_for_volume`: a sweep of the radial volume density that
+    stops at the panel holding the seed's volume, then a root search inside
+    that panel.
     """
     a0 = surface_area(mesh_initial, geom)
     v0 = enclosed_volume(mesh_initial, geom)

@@ -396,21 +396,29 @@ def graph_state_from_mesh(mesh, geom, t=0.0):
     return GraphState(leaf=leaf, lam=ckv.lam(geom, mesh.vertices), t=t)
 
 
-def _graph_chart_fields(geom, pair, state, xi_now, emb, vg):
-    """Per-vertex chart quantities of a graph state.
-
-    Returns (g, h, pf, pv, w, b, u) with pf the P1 leaf gradient of lam per
-    face, pv its vertex average, w the graph area factor, b the label
-    evolution source B and u the scheduled support function computed from
-    the chart identities u_perp = |X_perp|_g / W,
-    u_top = -sqrt(H_coef) X_top(lam) / W.  `emb` and `vg` are the state's
-    embedded mesh and its geometry bundle at xi_now.
-    """
+def _graph_slope_fields(geom, state):
+    """The leaf coefficients and slope of a graph state: (g, h, pf, pv, w)
+    with pf the P1 leaf gradient of lam per face, pv its vertex average and
+    w the graph area factor."""
     leaf = state.leaf
     g, h = leaf_coefficients(geom, leaf.vertices, state.lam)
     pf = surface.face_gradients(leaf, state.lam)
     pv = surface.vertex_gradients(leaf, pf)
     w = np.sqrt(1.0 + (h / g) * np.einsum("ij,ij->i", pv, pv))
+    return g, h, pf, pv, w
+
+
+def _graph_chart_fields(geom, pair, state, xi_now, emb, vg):
+    """Per-vertex chart quantities of a graph state.
+
+    Returns (g, h, pf, pv, w, b, u): the `_graph_slope_fields`, the label
+    evolution source B and the scheduled support function u computed from
+    the chart identities u_perp = |X_perp|_g / W,
+    u_top = -sqrt(H_coef) X_top(lam) / W.  `emb` and `vg` are the state's
+    embedded mesh and its geometry bundle at xi_now.
+    """
+    leaf = state.leaf
+    g, h, pf, pv, w = _graph_slope_fields(geom, state)
     u_perp = vg.dilation_norm / w
     u_top = -np.sqrt(h) * np.einsum("ij,ij->i", pair.rotation(leaf.vertices),
                                     pv) / w
@@ -578,8 +586,7 @@ def evolution_residuals(geom, pair, state, schedule):
     pts = emb.vertices
     areas_g = vg.area_g
 
-    g_coef, h_coef, _, _, w, _, _ = _graph_chart_fields(
-        geom, pair, state, xim, emb, vg)
+    _, h_coef, _, _, w = _graph_slope_fields(geom, state)
     speed = N_SURF * vg.phi - um * hm
     rate = speed * w / np.sqrt(h_coef)
     delta = 1e-4 * np.max(np.abs(state.lam)) / max(np.max(np.abs(rate)),

@@ -78,6 +78,35 @@ def test_methods_broadcast_over_leading_axes(euclid, paper, poincare, method,
         assert np.array_equal(rows[0], single)
 
 
+@pytest.mark.parametrize("shape", [(200, 3), (16, 48, 96, 3)])
+@pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e3, 1e150])
+def test_sq_norm_is_bitwise_the_sum_reduce(shape, scale):
+    # the conformal factors' squared norms keep np.sum's bits, so a run's
+    # trace does not move with the helper
+    x = np.random.default_rng(23).standard_normal(shape) * scale
+    for arr in (x, np.asfortranarray(x)):
+        assert np.array_equal(ambient._sq_norm(arr),
+                              np.sum(arr * arr, axis=-1))
+
+
+def test_conformal_factors_match_a_sum_reduce_reference(paper, poincare):
+    rng = np.random.default_rng(29)
+    pts = _interior_points(paper, rng)
+    d = pts - np.array([2.0, 0.0, 0.0])
+    q = np.sum(d * d, axis=-1)
+    hess = (-2.0 / q)[:, None, None] * np.eye(3)
+    hess += (4.0 / (q * q))[:, None, None] * d[:, :, None] * d[:, None, :]
+    assert np.array_equal(paper.f(pts), -np.log(q))
+    assert np.array_equal(paper.grad_f(pts), -2.0 * d / q[:, None])
+    assert np.array_equal(paper.hess_f(pts), hess)
+
+    pts = _interior_points(poincare, rng)
+    s = np.sum(pts * pts, axis=-1) / poincare.radius**2
+    assert np.array_equal(poincare.f(pts), np.log(2.0) - np.log1p(-s))
+    grad = (2.0 / poincare.radius**2) * pts / (1.0 - s)[:, None]
+    assert np.array_equal(poincare.grad_f(pts), grad)
+
+
 def test_fd_jacobian_is_pointwise(paper, poincare):
     # a batched stencil equals stacking per-point calls, for scalar, vector
     # and matrix fields, with the derivative index last

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ckflow import ckv, diagnostics, surface
 from ckflow.errors import DomainExit
@@ -119,6 +120,87 @@ def test_ball_volume_and_leaf_radius_curved_closed_form(paper):
         assert abs(diagnostics.ball_volume(paper, r) / exact(r) - 1.0) < tol
     r1 = diagnostics.leaf_radius_for_volume(paper, exact(1.1), 0.3, 1.8)
     assert abs(r1 - 1.1) < 1e-10
+
+
+def _full_sweep_leaf_radius(geom, target, r_lo, r_hi):
+    """Reference root search: every panel of [0, r_hi] swept first, the
+    prefix sums from np.cumsum.  Returns (r_leaf, bracket panel k)."""
+    edges = np.linspace(0.0, r_hi, diagnostics._BALL_PANELS + 1)
+    shells = [diagnostics._shell_volume(geom, a, b)
+              for a, b in zip(edges[:-1], edges[1:])]
+    cumulative = np.concatenate([[0.0], np.cumsum(shells)])
+
+    def panel(r):
+        k = int(np.searchsorted(edges, r, side="right")) - 1
+        return min(max(k, 0), edges.size - 2)
+
+    def volume(r, k):
+        return float(cumulative[k]
+                     + diagnostics._shell_volume(geom, edges[k], r))
+
+    flo = volume(r_lo, panel(r_lo)) - target
+    assert flo * (float(cumulative[-1]) - target) <= 0.0
+    k = max(panel(r_lo), int(np.searchsorted(cumulative, target)) - 1)
+    a, b = max(float(edges[k]), r_lo), float(edges[k + 1])
+    r = brentq(lambda r: volume(float(r), k) - target, a, b,
+               xtol=1e-12, rtol=1e-13)
+    return float(r), k
+
+
+def _count_sweep(monkeypatch, geom, r_hi):
+    """Record _shell_volume calls; returns a function giving the length of
+    the leading run of whole-panel calls, i.e. the panels swept."""
+    edges = np.linspace(0.0, r_hi, diagnostics._BALL_PANELS + 1)
+    original, calls = diagnostics._shell_volume, []
+
+    def counted(g, a, b):
+        calls.append((a, b))
+        return original(g, a, b)
+
+    monkeypatch.setattr(diagnostics, "_shell_volume", counted)
+
+    def swept():
+        n = 0
+        while (n < min(len(calls), diagnostics._BALL_PANELS)
+               and calls[n] == (edges[n], edges[n + 1])):
+            n += 1
+        return n
+
+    return swept
+
+
+@pytest.mark.parametrize("name, r_lo, r_hi, radii", [
+    # targets: V at a radius in r_lo's own panel, mid-range, last panel
+    ("euclid", 0.51, 2.0, (0.52, 1.2, 1.99)),
+    ("paper", 0.3, 1.8, (0.305, 1.0, 1.79)),
+])
+def test_leaf_radius_sweep_stops_at_the_bracket_panel(
+        request, monkeypatch, name, r_lo, r_hi, radii):
+    geom = request.getfixturevalue(name)
+    ks = []
+    for r in radii:
+        target = diagnostics.ball_volume(geom, r)
+        r_ref, k = _full_sweep_leaf_radius(geom, target, r_lo, r_hi)
+        ks.append(k)
+        with monkeypatch.context() as m:
+            swept = _count_sweep(m, geom, r_hi)
+            r_leaf = diagnostics.leaf_radius_for_volume(geom, target, r_lo,
+                                                        r_hi)
+            assert swept() == k + 1
+        assert r_leaf == r_ref  # bit for bit
+        assert abs(r_leaf - r) < 1e-10
+    # the three targets bracket in r_lo's panel, mid-range and the last
+    edges = np.linspace(0.0, r_hi, diagnostics._BALL_PANELS + 1)
+    assert ks[0] == int(np.searchsorted(edges, r_lo, side="right")) - 1
+    assert 0 < ks[0] < ks[1] < ks[2] == diagnostics._BALL_PANELS - 1
+
+
+def test_leaf_radius_rejects_targets_outside_the_range(paper):
+    v_lo = diagnostics.ball_volume(paper, 0.3)
+    v_hi = diagnostics.ball_volume(paper, 1.8)
+    for target in (0.5 * v_lo, 1.01 * v_hi):
+        with pytest.raises(ValueError, match="not bracketed"):
+            diagnostics.leaf_radius_for_volume(paper, target, 0.3, 1.8)
 
 
 def test_profile_csv_round_trip(euclid, tmp_path):

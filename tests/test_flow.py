@@ -551,11 +551,16 @@ def test_run_graph_starshape_guard(euclid, pair, pair_e3):
 # --------------------------------------------------------------------------
 
 
-def test_evolution_residuals_smoke(euclid, pair):
+def test_evolution_residuals_smoke(euclid, pair, monkeypatch):
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 3)
     state = flow.graph_state_from_mesh(seed, euclid)
+    sources = []
+    original = diagnostics.label_evolution_source
+    monkeypatch.setattr(diagnostics, "label_evolution_source",
+                        lambda *a: sources.append(1) or original(*a))
     rel_u, rel_h = flow.evolution_residuals(euclid, pair, state,
                                             ckv.Schedule(t0=1.0))
+    assert not sources  # the oracle needs no label evolution source
     # level-3 smoke values; the H identity needs 4th-derivative jets and
     # only reaches its working accuracy at level 4 (see the acceptance run)
     assert rel_u < 0.2
