@@ -63,9 +63,6 @@ class AmbientGeometry:
         """Central difference step, scaled to the local boundary distance."""
         return np.maximum(FD_MIN_STEP, FD_REL_STEP * self.boundary_distance(p))
 
-    def in_domain(self, p, margin=0.0):
-        return self.boundary_distance(p) > margin
-
     def require_in_domain(self, p, what="point"):
         d = self.boundary_distance(p)
         if not np.all(d > 0.0):

@@ -99,13 +99,6 @@ def Lam(geom, p):
     return (ph * ph - dphi) / ph**3
 
 
-def dilation_lam_phi2(geom, p):
-    """D(Lam * phi^2), via the radial profile of Lam * phi^2."""
-    p = np.asarray(p, dtype=float)
-    r = np.linalg.norm(p, axis=-1)
-    return r * geom.d_lam_phi2_dr(r)
-
-
 def rotation_phi(geom, pair, p):
     """R(phi), the rotation derivative of the conformal factor."""
     p = np.asarray(p, dtype=float)
@@ -165,9 +158,6 @@ class Schedule:
 
     def xi_at(self, t):
         return xi(t / self.t0)
-
-    def dxi_dt(self, t):
-        return xi_prime(t / self.t0) / self.t0
 
 
 # --------------------------------------------------------------------------

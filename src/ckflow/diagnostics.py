@@ -34,11 +34,6 @@ def leaf_distance(lam_values):
     return float((lam.max() - lam.min()) / lam.mean())
 
 
-def support_criterion(vg):
-    """max |u_perp - |D|_g| / |D|_g: zero exactly on a leaf."""
-    return float(np.max(np.abs(vg.u_perp - vg.dilation_norm) / vg.dilation_norm))
-
-
 def minkowski1_residual(vg):
     """Relative residual of  integral(H u) = n * integral(phi)."""
     w = vg.area_g
@@ -103,7 +98,8 @@ def label_evolution_source(geom, mesh, vg):
     gp = ckv.grad_phi(geom, verts)
     d_phi = np.einsum("ij,ij->i", verts, gp)
     nu_phi = np.exp(-vg.f) * np.einsum("ij,ij->i", vg.nu_flat, gp)
-    d_lamphi2 = ckv.dilation_lam_phi2(geom, verts)
+    r = np.linalg.norm(verts, axis=-1)
+    d_lamphi2 = r * geom.d_lam_phi2_dr(r)  # D(Lam phi^2), radial profile
     b = -2.0 * vg.Lam * N_SURF * vg.phi * (vg.u - vg.u_perp)
     b -= vg.u * (2.0 / (vg.phi**2 * dn2)) * d_lamphi2 * (dn2 - vg.u_perp**2)
     b += 4.0 * vg.u * (vg.Lam / vg.phi) * (d_phi - nu_phi * vg.u_perp)

@@ -4,7 +4,7 @@ The Lagrangian front (`run`) moves mesh vertices along the chart velocities
 (n phi - u H) exp(-f) nu_flat; the leaf graph (`run_graph`) evolves the leaf
 label lam over a fixed leaf as a scalar PDE.  Both run in `_drive`, with
 steps retried at half the size while the curved area would increase.  The
-driver owns the loop-top geometry and star-shape check, the label band, the
+driver owns the loop-top geometry and star-shape check, the initial mesh, the
 trace row, frames, convergence and error tagging; a stepper (`_FrontStepper`,
 `_GraphStepper`) holds one backend's state, bounds dt, proposes a finite
 candidate and commits it.  The front projects each candidate back onto the
@@ -17,8 +17,10 @@ velocity at the new time through one sparse solve with the cotan stiffness,
 the rest at the old, so its bound (`cfl_dt`) is dt = cfl h_min.  The leaf
 graph's (`step_graph`) does the same for its divergence term, with the
 leaf's cotan stiffness weighting each face by 1/W, under dt = cfl h_min of
-the fixed leaf (`graph_cfl_dt`).  `chart_velocity` and `_graph_rate` are the
-explicit rates the two steps are consistent with.
+the fixed leaf (`graph_cfl_dt`).  Both steps build their mass and right-hand
+side and hand them to `_implicit_solve`, the one place a system
+diag(mass) - dt K is assembled, checked and factored.  `chart_velocity` and
+`_graph_rate` are the explicit rates the two steps are consistent with.
 
 Each snapshot's geometry is computed once per step: the loop-top
 `mesh_geometry` bundle is the step's start (it depends on neither the step
@@ -43,7 +45,6 @@ from .ckv import N_SURF
 from .errors import (CkflowError, EllipticityLost, GradientBoundExceeded,
                      MeshDegenerate, StarshapeLost)
 
-BAND_SLACK = 1e-3       # relative padding of the initial leaf-label band
 MAX_RETRIES = 8         # step halvings before the area guard gives up
 VOLUME_TOL = 1e-12      # relative volume error the projection stops at
 
@@ -76,8 +77,6 @@ class RunResult:
     reason: str
     t: float
     steps: int
-    band_ok: bool
-    lam_band: tuple
 
 
 def flow_speed(vg):
@@ -91,16 +90,29 @@ def chart_velocity(vg):
     return v[:, None] * vg.nu_flat
 
 
-def _min_edge(mesh):
+def cfl_dt(mesh, cfl):
+    """Front step bound cfl * h_min; a collapsed edge raises MeshDegenerate."""
     h_min = mesh.min_edge
     if h_min < 1e-9:
         raise MeshDegenerate(f"minimum edge collapsed to {h_min:.3e}")
-    return h_min
+    return cfl * h_min
 
 
-def cfl_dt(mesh, cfl):
-    """Front step bound: cfl * h_min."""
-    return cfl * _min_edge(mesh)
+def _implicit_solve(mesh, mass, rhs, dt, label, step, t, what,
+                    face_weight=None):
+    """Solve (diag(mass) - dt K) x = rhs, K the mesh's cotan stiffness.
+
+    `face_weight` is `surface.cotan_stiffness`'s.  A system entry that is
+    not finite raises MeshDegenerate naming `label`, `step` and t before the
+    sparse solver would fail on it, and so does a result that is not finite
+    (called a non-finite `what`).
+    """
+    lhs = sp.diags_array(mass, format="csc") \
+        - dt * surface.cotan_stiffness(mesh, face_weight=face_weight)
+    _require_finite(lhs.data, label, step, t, "implicit system entry")
+    x = splu(lhs).solve(rhs)
+    _require_finite(x, label, step, t, what)
+    return x
 
 
 def step_lagrangian(mesh, geom, t, dt, vg, step):
@@ -115,20 +127,16 @@ def step_lagrangian(mesh, geom, t, dt, vg, step):
 
     a symmetric positive definite system while u > 0.  `vg` is the mesh's
     geometry bundle at time t; it does not depend on dt, so the loop top's
-    bundle serves every retry.  A system entry that is not finite raises
-    MeshDegenerate naming `step` and t before the sparse solver would fail
-    on it, and so does a result that is not finite before the chart-domain
-    check would read it as a domain exit.
+    bundle serves every retry.  A system entry or result that is not finite
+    raises MeshDegenerate naming `step` and t (`_implicit_solve`), the
+    result before the chart-domain check would read it as a domain exit.
     """
     c = vg.u * np.exp(-2.0 * vg.f)
     b = N_SURF * vg.phi * np.exp(-vg.f) - 2.0 * c * vg.nu_f
     mass = vg.area_flat / c
-    lhs = sp.diags_array(mass, format="csc") \
-        - dt * surface.cotan_stiffness(mesh)
-    _require_finite(lhs.data, "", step, t, "implicit system entry")
     rhs = mass[:, None] * (mesh.vertices + dt * b[:, None] * vg.nu_flat)
-    new = mesh.with_vertices(splu(lhs).solve(rhs))
-    _require_finite(new.vertices, "", step, t)
+    new = mesh.with_vertices(
+        _implicit_solve(mesh, mass, rhs, dt, "", step, t, "vertex"))
     geom.require_in_domain(new.vertices, what="vertex")
     return new
 
@@ -167,18 +175,19 @@ def _drive(stepper, schedule, ctrl, frame_cb):
     """The time loop of both backends; returns a RunResult.
 
     The stepper has `geom`, `pair`, `label` (its name in messages), `t`,
-    `mesh` (embedded, at t), `mesh_initial`, `labels(vg)` -> the leaf
-    labels, `max_dt(vg, xi_now)`, `propose(vg, dt, step)` -> the candidate's
-    mesh and `accept(dt, step, area_prev)`.
+    `mesh` (embedded, at t), `labels(vg)` -> the leaf labels,
+    `max_dt(vg, xi_now)`, `propose(vg, dt, step)` -> the candidate's mesh
+    and `accept(dt, step, area_prev)`.
     Convergence: leaf spread (max-min)/mean of the label <= leaf_tol and
     max |speed| <= speed_tol * max H; t_end or max_steps return
-    converged=False.  frame_cb(step, t, mesh), when given, gets every
-    loop-top snapshot, the last one included.  A package error raised in
-    the loop carries the partial trace as `err.trace`.
+    converged=False.  The result's `mesh_initial` is the step-0 loop-top
+    mesh.  frame_cb(step, t, mesh), when given, gets every loop-top
+    snapshot, the last one included.  A package error raised in the loop
+    carries the partial trace as `err.trace`.
     """
     geom, pair = stepper.geom, stepper.pair
     trace = diagnostics.FlowTrace()
-    step, dt_arrived, band, band_ok = 0, 0.0, None, True
+    step, dt_arrived, mesh_initial = 0, 0.0, stepper.mesh
 
     try:
         while True:
@@ -193,12 +202,6 @@ def _drive(stepper, schedule, ctrl, frame_cb):
                 )
             area, volume = mesh.area(geom), mesh.volume(geom)
             lam = stepper.labels(vg)
-            if band is None:
-                rng = float(lam.max() - lam.min())
-                pad = BAND_SLACK * max(rng, 1e-300)
-                band = (float(lam.min()) - pad, float(lam.max()) + pad)
-            if lam.min() < band[0] or lam.max() > band[1]:
-                band_ok = False
             speed = flow_speed(vg)
             ld = diagnostics.leaf_distance(lam)
             trace.add(
@@ -244,9 +247,9 @@ def _drive(stepper, schedule, ctrl, frame_cb):
         raise
 
     return RunResult(
-        mesh=stepper.mesh, mesh_initial=stepper.mesh_initial, trace=trace,
+        mesh=stepper.mesh, mesh_initial=mesh_initial, trace=trace,
         converged=(reason == "converged"), reason=reason, t=stepper.t,
-        steps=step, band_ok=band_ok, lam_band=band,
+        steps=step,
     )
 
 
@@ -257,7 +260,7 @@ class _FrontStepper:
 
     def __init__(self, geom, pair, mesh0, ctrl):
         self.geom, self.pair, self.ctrl = geom, pair, ctrl
-        self.mesh_initial = self.mesh = mesh0
+        self.mesh = mesh0
         self.t = 0.0
         self.vol0 = mesh0.volume(geom)
         self._cand = None  # the last proposal
@@ -270,7 +273,6 @@ class _FrontStepper:
 
     def propose(self, vg, dt, step):
         cand = step_lagrangian(self.mesh, self.geom, self.t, dt, vg, step)
-        _require_finite(cand.vertices, self.label, step, self.t)
         # the continuum flow conserves enclosed volume (first Minkowski
         # identity), but the discrete identity only holds to quadrature
         # order; project back before judging the area trend, else the
@@ -489,7 +491,7 @@ def step_graph(state, dt, fields, step):
     symmetric positive definite while u > 0: the frozen-coefficient scheme
     for graph mean curvature flow (Deckelnick, Dziuk & Elliott 2005).  The
     fields carry the step's xi.  A system entry or result that is not finite
-    raises MeshDegenerate naming `step` and t.
+    raises MeshDegenerate naming `step` and t (`_implicit_solve`).
     """
     g, h, pf, _, w, b, u = fields
     leaf = state.leaf
@@ -497,11 +499,9 @@ def step_graph(state, dt, fields, step):
     hf = np.mean(h[leaf.faces], axis=1)
     wf = np.sqrt(1.0 + (hf / gf) * np.einsum("ij,ij->i", pf, pf))
     mass = leaf.basis.dual_area * g / (w * u)
-    lhs = sp.diags_array(mass, format="csc") \
-        - dt * surface.cotan_stiffness(leaf, face_weight=1.0 / wf)
-    _require_finite(lhs.data, "graph ", step, state.t, "implicit system entry")
-    lam = splu(lhs).solve(mass * (state.lam + dt * w * w * b))
-    _require_finite(lam, "graph ", step, state.t, "label")
+    lam = _implicit_solve(leaf, mass, mass * (state.lam + dt * w * w * b), dt,
+                          "graph ", step, state.t, "label",
+                          face_weight=1.0 / wf)
     return GraphState(leaf=leaf, lam=lam, t=state.t + dt)
 
 
@@ -514,10 +514,8 @@ class _GraphStepper:
         self.geom, self.pair, self.ctrl = geom, pair, ctrl
         state = GraphState(leaf=state0.leaf,
                            lam=np.array(state0.lam, dtype=float), t=state0.t)
-        pv = surface.vertex_gradients(
-            state.leaf, surface.face_gradients(state.leaf, state.lam))
+        pv = _graph_slope_fields(geom, state)[3]
         self.c1 = max(1.0, 2.0 * float(np.linalg.norm(pv, axis=1).max()))
-        self.mesh_initial = state0.embedded(geom)
         self.state, self.mesh = state, state.embedded(geom)
         self.fields = None  # the loop-top `_graph_chart_fields` tuple
         self._cand = None  # the last proposal: (state, embedded mesh)

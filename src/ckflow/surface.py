@@ -139,7 +139,7 @@ class TriSurface:
     """One snapshot: read-only vertices over faces with shared adjacency.
 
     The memo fills on first use and calls each kernel by its module name;
-    `with_vertices` and `copy` give a new snapshot with an empty memo.
+    `with_vertices` gives a new snapshot with an empty memo.
     """
 
     vertices: np.ndarray
@@ -156,9 +156,6 @@ class TriSurface:
 
     def with_vertices(self, verts):
         return TriSurface(verts, self.faces, self.topology)
-
-    def copy(self):
-        return self.with_vertices(self.vertices)
 
     @property
     def n_vertices(self):
@@ -741,10 +738,8 @@ class VertexGeometry:
     f: np.ndarray            # conformal exponent at vertices
     nu_flat: np.ndarray      # flat unit normals (outward)
     nu_f: np.ndarray         # normal derivative nu_flat(f)
-    H_flat: np.ndarray       # flat mean curvature (sum convention)
     H: np.ndarray            # curved mean curvature
     u_perp: np.ndarray       # support of the dilation
-    u_top: np.ndarray        # support of the rotation
     u: np.ndarray            # scheduled support u_perp + xi * u_top
     phi: np.ndarray
     lam: np.ndarray
@@ -774,10 +769,8 @@ def mesh_geometry(mesh, geom, pair, xi_now=1.0):
         f=f_v,
         nu_flat=nu,
         nu_f=nu_f,
-        H_flat=H_flat,
         H=H,
         u_perp=u_perp,
-        u_top=u_top,
         u=u,
         phi=ckv.phi(geom, verts),
         lam=ckv.lam(geom, verts),
@@ -852,7 +845,6 @@ def enclosed_volume(mesh, geom):
 class MeshQuality:
     min_angle_deg: float
     max_edge_ratio: float
-    min_area: float
 
     def degenerate(self):
         return self.min_angle_deg < 1.0 or self.max_edge_ratio > 50.0
@@ -865,7 +857,6 @@ def quality(mesh):
     return MeshQuality(
         min_angle_deg=float(np.degrees(np.min(angles))),
         max_edge_ratio=float(np.max(edges.max(axis=1) / edges.min(axis=1))),
-        min_area=float(np.min(fg.area)),
     )
 
 

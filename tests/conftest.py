@@ -6,6 +6,15 @@ import pytest
 from ckflow import ambient, ckv, flow, surface
 
 
+def seed_label_band(trace):
+    """The leaf-label band of a run's seed: trace row 0's label range,
+    padded on each side by 1e-3 of its width."""
+    lo = trace.column("lambda_min")[0]
+    hi = trace.column("lambda_max")[0]
+    pad = 1e-3 * max(float(hi - lo), 1e-300)
+    return float(lo) - pad, float(hi) + pad
+
+
 @pytest.fixture(scope="session")
 def euclid():
     return ambient.Euclidean()

@@ -13,7 +13,7 @@ def _interior_points(geom, rng, n=100):
     while len(pts) < n:
         p = rng.uniform(-1.4, 1.4, size=3)
         r = np.linalg.norm(p)
-        if 0.3 < r and geom.in_domain(p[None, :], margin=0.1)[0]:
+        if 0.3 < r and geom.boundary_distance(p[None, :])[0] > 0.1:
             pts.append(p)
     return np.array(pts)
 

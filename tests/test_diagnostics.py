@@ -19,15 +19,6 @@ def test_leaf_distance_values():
     assert abs(spread - 0.1 / 1.05) < 1e-15
 
 
-def test_support_criterion_zero_on_leaves(paper, pair):
-    vg = surface.mesh_geometry(surface.sphere_seed(0.8, 3), paper, pair)
-    assert diagnostics.support_criterion(vg) < 1e-3
-    vg_e = surface.mesh_geometry(
-        surface.ellipsoid_seed((1.5, 1.0, 1.0), 3), paper, pair
-    )
-    assert diagnostics.support_criterion(vg_e) > 0.05
-
-
 def test_minkowski1_small_on_resolved_shapes(euclid, paper, pair):
     for geom, shape in ((euclid, (1.3, 1.0, 1.0)), (paper, (1.05, 1.0, 0.95))):
         vg = surface.mesh_geometry(surface.ellipsoid_seed(shape, 4), geom, pair)

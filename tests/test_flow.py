@@ -1,12 +1,14 @@
 """Time integration: Lagrangian driver, leaf-graph backend, evolution checks."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ckflow import ckv, diagnostics, flow, surface
 from ckflow.errors import MeshDegenerate, StarshapeLost
+from conftest import seed_label_band
 
 
 # --------------------------------------------------------------------------
@@ -78,7 +80,7 @@ def test_step_reuses_loop_top_geometry_bit_identically(paper, pair_e3):
     diagnostics.minkowski2_residual(mesh, paper, loop_top)
     diagnostics.umbilicity_deficit(mesh, loop_top)
     assert "flat_curvatures" in vars(mesh)
-    cold = mesh.copy()
+    cold = mesh.with_vertices(mesh.vertices)
     assert "flat_curvatures" not in vars(cold)
     start = surface.mesh_geometry(cold, paper, pair_e3, sched.xi_at(t))
     reused = flow.step_lagrangian(mesh, paper, t, dt, loop_top, 0)
@@ -218,32 +220,29 @@ def test_trace_volume_is_the_frame_volume(request, pair, backend, geom_name,
         assert vol == surface.enclosed_volume(mesh, geom), k
 
 
-@pytest.mark.parametrize("backend, fn_name, call, step", [
-    pytest.param("lagrangian", "step_lagrangian", 3, 2,
-                 id="lagrangian-step_lagrangian"),
-    pytest.param("leaf_graph", "step_graph", 3, 2, id="leaf_graph-step_graph"),
+@pytest.mark.parametrize("backend", [
+    pytest.param("lagrangian", id="lagrangian-step_lagrangian"),
+    pytest.param("leaf_graph", id="leaf_graph-step_graph"),
 ])
 def test_non_finite_candidate_fails_with_step_and_time(euclid, pair,
-                                                       monkeypatch, backend,
-                                                       fn_name, call, step):
-    original = getattr(flow, fn_name)
-    calls = []
-
-    def nan_first(values):
-        values = np.array(values)
-        values[0] = np.nan
-        return values
+                                                       monkeypatch, backend):
+    # each step factors one system; the third factor's solve returns a NaN
+    step, original, calls = 2, flow.splu, []
 
     def poisoned(*args, **kwargs):
-        out = original(*args, **kwargs)
+        lu = original(*args, **kwargs)
         calls.append(1)
-        if len(calls) != call:
-            return out
-        if fn_name == "step_graph":
-            return dataclasses.replace(out, lam=nan_first(out.lam))
-        return out.with_vertices(nan_first(out.vertices))
+        if len(calls) != step + 1:
+            return lu
 
-    monkeypatch.setattr(flow, fn_name, poisoned)
+        def solve(rhs):
+            out = lu.solve(rhs)
+            out[0] = np.nan
+            return out
+
+        return SimpleNamespace(solve=solve)
+
+    monkeypatch.setattr(flow, "splu", poisoned)
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     with pytest.raises(MeshDegenerate) as exc:
         _run_backend(backend, euclid, pair, seed,
@@ -259,8 +258,8 @@ def test_non_finite_implicit_system_fails_with_step_and_time(euclid, pair,
     # the step names it first
     step, original, calls = 2, surface.cotan_stiffness, []
 
-    def poisoned(mesh):
-        out = original(mesh)
+    def poisoned(*args, **kwargs):
+        out = original(*args, **kwargs)
         calls.append(1)
         if len(calls) != step + 1:
             return out
@@ -290,6 +289,23 @@ def test_sphere_seed_converges_at_once(euclid, pair):
     assert np.allclose(res.mesh.vertices, res.mesh_initial.vertices)
 
 
+@pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
+def test_mesh_initial_is_the_step_zero_frame(euclid, pair, backend):
+    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
+    frames = {}
+    res = _run_backend(backend, euclid, pair, seed,
+                       flow.StepControl(t_end=0.1),
+                       frame_cb=lambda k, t, mesh: frames.setdefault(k, mesh))
+    assert res.steps >= 1
+    first = frames[0]
+    assert res.mesh_initial.vertices.tobytes() == first.vertices.tobytes()
+    assert np.array_equal(res.mesh_initial.faces, first.faces)
+    # frame 0 is the seed, embedded from its graph state on the leaf graph
+    start = seed if backend == "lagrangian" \
+        else flow.graph_state_from_mesh(seed, euclid).embedded(euclid)
+    assert first.vertices.tobytes() == start.vertices.tobytes()
+
+
 def test_run_reaches_leaf_and_records_trace(euclid_l2_run):
     res = euclid_l2_run
     assert res.converged and res.reason == "converged"
@@ -298,10 +314,9 @@ def test_run_reaches_leaf_and_records_trace(euclid_l2_run):
     assert np.all(np.diff(area) <= area[:-1] * 1e-8 + 1e-12)
     vol = res.trace.column("volume")
     assert np.max(np.abs(vol / vol[0] - 1.0)) < 1e-10
-    assert res.band_ok
-    lam_lo = res.trace.column("lambda_min")
-    lam_hi = res.trace.column("lambda_max")
-    assert np.all(lam_lo >= res.lam_band[0]) and np.all(lam_hi <= res.lam_band[1])
+    lo, hi = seed_label_band(res.trace)
+    assert np.all(res.trace.column("lambda_min") >= lo)
+    assert np.all(res.trace.column("lambda_max") <= hi)
 
 
 def test_run_stops_at_t_end_without_convergence(euclid, pair):
@@ -368,8 +383,7 @@ def test_nan_graph_step_support_fails_starshape_with_time(euclid, pair,
 
 def test_front_quality_guard_fails_with_time(euclid, pair, monkeypatch):
     # the guard reads the quality after each smoothing pass (every 10th step)
-    collapsed = surface.MeshQuality(min_angle_deg=0.5, max_edge_ratio=2.0,
-                                    min_area=1e-3)
+    collapsed = surface.MeshQuality(min_angle_deg=0.5, max_edge_ratio=2.0)
     monkeypatch.setattr(surface, "quality", lambda mesh: collapsed)
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     with pytest.raises(MeshDegenerate) as exc:

@@ -45,7 +45,8 @@ def rotation(q):
 
 
 def h_flat(mesh):
-    return surface.mesh_geometry(mesh, EUCLID, PAIR).H_flat
+    # f = 0 under Euclidean, so the curved H is the flat one
+    return surface.mesh_geometry(mesh, EUCLID, PAIR).H
 
 
 @CHEAP

@@ -243,7 +243,7 @@ def test_trace_consistency_two_estimators(euclid, paper, pair):
         assert np.all(np.abs(k1 + k2 - vg.H) <= 0.05 * (1.0 + np.abs(vg.H)))
 
 
-def test_mesh_geometry_matches_standalone_kernels(paper, pair):
+def test_mesh_geometry_matches_standalone_kernels(euclid, paper, pair):
     mesh = jittered_ellipsoid(np.random.default_rng(1))
     vg = surface.mesh_geometry(mesh, paper, pair)
     nu = surface.vertex_normals(mesh)
@@ -251,7 +251,9 @@ def test_mesh_geometry_matches_standalone_kernels(paper, pair):
     lap_x = surface.cotan_laplacian_apply(mesh, mesh.vertices)
     assert np.array_equal(vg.nu_flat, nu)
     assert np.array_equal(vg.area_flat, areas)
-    assert np.array_equal(vg.H_flat, -np.einsum("ij,ij->i", lap_x, nu))
+    # f = 0 under Euclidean, so the curved H is the flat one
+    flat = surface.mesh_geometry(mesh, euclid, pair)
+    assert np.array_equal(flat.H, -np.einsum("ij,ij->i", lap_x, nu))
 
 
 def bincount_cotan_laplacian(mesh, values):
@@ -344,7 +346,7 @@ def test_orientation_flip_negates_support(euclid, pair):
     vg = surface.mesh_geometry(mesh, euclid, pair, xi_now=1.0)
     fg = surface.mesh_geometry(flipped, euclid, pair, xi_now=1.0)
     assert np.allclose(vg.u_perp, -fg.u_perp, atol=1e-12)
-    assert np.allclose(vg.u_top, -fg.u_top, atol=1e-12)
+    assert np.allclose(vg.u, -fg.u, atol=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -472,13 +474,14 @@ def test_snapshot_memo_matches_fresh_kernels(request, monkeypatch, geom_name,
 
     monkeypatch.setattr(surface, "face_normals_areas", counted)
     assert mesh.face_geometry is warm["face_geometry"] and not calls
-    for cold in (mesh.copy(), mesh.with_vertices(mesh.vertices)):
+    for cold in (mesh.with_vertices(mesh.vertices),
+                 surface.TriSurface(mesh.vertices, mesh.faces, mesh.topology)):
         assert "flat_curvatures" not in vars(cold)
         _assert_bit_equal(cold.area(geom), warm["area"], "cold area")
         _assert_bit_equal(cold.normals, warm["normals"], "cold normals")
     assert len(calls) == 2
     # every face kernel of a cold snapshot reads the one face pass
-    cold = mesh.copy()
+    cold = mesh.with_vertices(mesh.vertices)
     surface.mesh_geometry(cold, geom, pair, 0.7)
     cold.basis, cold.min_edge, surface.quality(cold)
     assert len(calls) == 3
@@ -700,7 +703,7 @@ def test_smooth_improves_min_angle(euclid):
 def test_quality_degenerate_bounds(min_angle, ratio, degenerate):
     # the front's guard: a corner under 1 degree or an edge ratio over 50:1
     quality = surface.MeshQuality(min_angle_deg=min_angle,
-                                  max_edge_ratio=ratio, min_area=1.0)
+                                  max_edge_ratio=ratio)
     assert quality.degenerate() is degenerate
 
 
