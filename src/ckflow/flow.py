@@ -19,8 +19,11 @@ graph's (`step_graph`) does the same for its divergence term, with the
 leaf's cotan stiffness weighting each face by 1/W, under dt = cfl h_min of
 the fixed leaf (`graph_cfl_dt`).  Both steps build their mass and right-hand
 side and hand them to `_implicit_solve`, the one place a system
-diag(mass) - dt K is assembled, checked and factored.  `chart_velocity` and
-`_graph_rate` are the explicit rates the two steps are consistent with.
+diag(mass) - dt K is assembled, checked and solved.  It solves through the
+run's `LaggedFactor`: a sparse LU factor made every REFACTOR_EVERY steps
+preconditions CG in between, and a CG that does not converge refactors.
+`chart_velocity` and `_graph_rate` are the explicit rates the two steps are
+consistent with.
 
 Each snapshot's geometry is computed once per step: the loop-top
 `mesh_geometry` bundle is the step's start (it depends on neither the step
@@ -38,7 +41,7 @@ from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from . import ambient, ckv, diagnostics, surface
 from .ckv import N_SURF
@@ -47,6 +50,9 @@ from .errors import (CkflowError, EllipticityLost, GradientBoundExceeded,
 
 MAX_RETRIES = 8         # step halvings before the area guard gives up
 VOLUME_TOL = 1e-12      # relative volume error the projection stops at
+REFACTOR_EVERY = 10     # steps one factor of the implicit system serves
+CG_RTOL = 1e-12         # relative residual a lagged-factor CG solve stops at
+CG_MAXITER = 40         # CG iterations before a solve refactors afresh
 
 
 @dataclass
@@ -69,6 +75,17 @@ class StepControl:
 
 
 @dataclass
+class SolveCounts:
+    """What a run's implicit solves did: sparse LU factors made, CG
+    iterations on a lagged factor, and CG solves that did not converge and
+    fell back to a fresh factor (each also counted as a factor)."""
+
+    factors: int = 0
+    cg_iterations: int = 0
+    fallbacks: int = 0
+
+
+@dataclass
 class RunResult:
     mesh: surface.TriSurface
     mesh_initial: surface.TriSurface
@@ -77,6 +94,7 @@ class RunResult:
     reason: str
     t: float
     steps: int
+    solves: SolveCounts
 
 
 def flow_speed(vg):
@@ -98,24 +116,81 @@ def cfl_dt(mesh, cfl):
     return cfl * h_min
 
 
-def _implicit_solve(mesh, mass, rhs, dt, label, step, t, what,
+class LaggedFactor:
+    """A run's last sparse LU factor of its implicit system, reused.
+
+    The system diag(mass) - dt K changes slowly from step to step, so an
+    earlier step's factor is a near-exact preconditioner.  A step at least
+    REFACTOR_EVERY steps after the held factor's factors afresh (COLAMD
+    `splu`); any other solves by CG from the given start, preconditioned by
+    the held factor, down to the relative residual CG_RTOL.  A CG solve that
+    has not converged in CG_MAXITER iterations falls back to a fresh factor.
+    One factor is alive at a time.  Each run holds its own, so nothing
+    carries over between runs.
+    """
+
+    def __init__(self):
+        self.lu = None
+        self.made_at = 0  # the step the held factor was made at
+        self.counts = SolveCounts()
+
+    def solve(self, lhs, rhs, x0, step):
+        """x with lhs x = rhs; x0 (shaped like rhs) starts the CG."""
+        if self.lu is not None and step - self.made_at < REFACTOR_EVERY:
+            x = self._cg(lhs, rhs, x0)
+            if x is not None:
+                return x
+            self.counts.fallbacks += 1
+        self.lu = None  # drop the old factor before making the new one
+        self.lu = splu(lhs)
+        self.made_at = step
+        self.counts.factors += 1
+        return self.lu.solve(rhs)
+
+    def _cg(self, lhs, rhs, x0):
+        """The lagged-factor CG solution, or None if CG did not converge.
+
+        The columns of rhs solve as one block-diagonal system, so each
+        iteration makes one sparse product and one factor solve.
+        """
+        shape = rhs.shape
+
+        def by_column(apply):
+            return LinearOperator(
+                (rhs.size, rhs.size), dtype=float,
+                matvec=lambda v: apply(v.reshape(shape)).reshape(-1))
+
+        counts = self.counts
+
+        def count(_):
+            counts.cg_iterations += 1
+
+        x, info = cg(by_column(lambda x: lhs @ x), rhs.reshape(-1),
+                     x0=x0.reshape(-1), rtol=CG_RTOL, maxiter=CG_MAXITER,
+                     M=by_column(self.lu.solve), callback=count)
+        return x.reshape(shape) if info == 0 else None
+
+
+def _implicit_solve(factor, mesh, mass, rhs, x0, dt, label, step, t, what,
                     face_weight=None):
     """Solve (diag(mass) - dt K) x = rhs, K the mesh's cotan stiffness.
 
-    `face_weight` is `surface.cotan_stiffness`'s.  A system entry that is
-    not finite raises MeshDegenerate naming `label`, `step` and t before the
-    sparse solver would fail on it, and so does a result that is not finite
-    (called a non-finite `what`).
+    `factor` is the run's `LaggedFactor`, and x0 (the state at the step's
+    start, shaped like rhs) starts its CG.  `face_weight` is
+    `surface.cotan_stiffness`'s.  A system entry that is not finite raises
+    MeshDegenerate naming `label`, `step` and t before any solve would fail
+    on it, and so does a result that is not finite (called a non-finite
+    `what`).
     """
     lhs = sp.diags_array(mass, format="csc") \
         - dt * surface.cotan_stiffness(mesh, face_weight=face_weight)
     _require_finite(lhs.data, label, step, t, "implicit system entry")
-    x = splu(lhs).solve(rhs)
+    x = factor.solve(lhs, rhs, x0, step)
     _require_finite(x, label, step, t, what)
     return x
 
 
-def step_lagrangian(mesh, geom, t, dt, vg, step):
+def step_lagrangian(mesh, geom, t, dt, vg, step, factor=None):
     """One linearly implicit step (Dziuk 1991) from t; returns the new mesh.
 
     The chart velocity is c Lap x + b nu_flat, with c = u exp(-2f) and
@@ -127,16 +202,19 @@ def step_lagrangian(mesh, geom, t, dt, vg, step):
 
     a symmetric positive definite system while u > 0.  `vg` is the mesh's
     geometry bundle at time t; it does not depend on dt, so the loop top's
-    bundle serves every retry.  A system entry or result that is not finite
-    raises MeshDegenerate naming `step` and t (`_implicit_solve`), the
-    result before the chart-domain check would read it as a domain exit.
+    bundle serves every retry.  `factor` is the run's `LaggedFactor` (None
+    solves with a fresh factor), and the CG starts from the vertices.  A
+    system entry or result that is not finite raises MeshDegenerate naming
+    `step` and t (`_implicit_solve`), the result before the chart-domain
+    check would read it as a domain exit.
     """
     c = vg.u * np.exp(-2.0 * vg.f)
     b = N_SURF * vg.phi * np.exp(-vg.f) - 2.0 * c * vg.nu_f
     mass = vg.area_flat / c
     rhs = mass[:, None] * (mesh.vertices + dt * b[:, None] * vg.nu_flat)
     new = mesh.with_vertices(
-        _implicit_solve(mesh, mass, rhs, dt, "", step, t, "vertex"))
+        _implicit_solve(factor or LaggedFactor(), mesh, mass, rhs,
+                        mesh.vertices, dt, "", step, t, "vertex"))
     geom.require_in_domain(new.vertices, what="vertex")
     return new
 
@@ -175,7 +253,8 @@ def _drive(stepper, schedule, ctrl, frame_cb):
     """The time loop of both backends; returns a RunResult.
 
     The stepper has `geom`, `pair`, `label` (its name in messages), `t`,
-    `mesh` (embedded, at t), `labels(vg)` -> the leaf labels,
+    `mesh` (embedded, at t), `factor` (the run's `LaggedFactor`, whose
+    counts the result reports), `labels(vg)` -> the leaf labels,
     `max_dt(vg, xi_now)`, `propose(vg, dt, step)` -> the candidate's mesh
     and `accept(dt, step, area_prev)`.
     Convergence: leaf spread (max-min)/mean of the label <= leaf_tol and
@@ -249,7 +328,7 @@ def _drive(stepper, schedule, ctrl, frame_cb):
     return RunResult(
         mesh=stepper.mesh, mesh_initial=mesh_initial, trace=trace,
         converged=(reason == "converged"), reason=reason, t=stepper.t,
-        steps=step,
+        steps=step, solves=stepper.factor.counts,
     )
 
 
@@ -263,6 +342,7 @@ class _FrontStepper:
         self.mesh = mesh0
         self.t = 0.0
         self.vol0 = mesh0.volume(geom)
+        self.factor = LaggedFactor()
         self._cand = None  # the last proposal
 
     def labels(self, vg):
@@ -272,7 +352,8 @@ class _FrontStepper:
         return cfl_dt(self.mesh, self.ctrl.cfl)
 
     def propose(self, vg, dt, step):
-        cand = step_lagrangian(self.mesh, self.geom, self.t, dt, vg, step)
+        cand = step_lagrangian(self.mesh, self.geom, self.t, dt, vg, step,
+                               self.factor)
         # the continuum flow conserves enclosed volume (first Minkowski
         # identity), but the discrete identity only holds to quadrature
         # order; project back before judging the area trend, else the
@@ -475,7 +556,7 @@ def graph_cfl_dt(leaf, cfl):
     return cfl * leaf.min_edge
 
 
-def step_graph(state, dt, fields, step):
+def step_graph(state, dt, fields, step, factor=None):
     """One linearly implicit step of the leaf-graph evolution from state.t.
 
     For n = 2 the flux is A_f = p_f / W_f, so the divergence in the rate
@@ -490,8 +571,10 @@ def step_graph(state, dt, fields, step):
 
     symmetric positive definite while u > 0: the frozen-coefficient scheme
     for graph mean curvature flow (Deckelnick, Dziuk & Elliott 2005).  The
-    fields carry the step's xi.  A system entry or result that is not finite
-    raises MeshDegenerate naming `step` and t (`_implicit_solve`).
+    fields carry the step's xi.  `factor` is the run's `LaggedFactor` (None
+    solves with a fresh factor), and the CG starts from lam.  A system entry
+    or result that is not finite raises MeshDegenerate naming `step` and t
+    (`_implicit_solve`).
     """
     g, h, pf, _, w, b, u = fields
     leaf = state.leaf
@@ -499,7 +582,8 @@ def step_graph(state, dt, fields, step):
     hf = np.mean(h[leaf.faces], axis=1)
     wf = np.sqrt(1.0 + (hf / gf) * np.einsum("ij,ij->i", pf, pf))
     mass = leaf.basis.dual_area * g / (w * u)
-    lam = _implicit_solve(leaf, mass, mass * (state.lam + dt * w * w * b), dt,
+    lam = _implicit_solve(factor or LaggedFactor(), leaf, mass,
+                          mass * (state.lam + dt * w * w * b), state.lam, dt,
                           "graph ", step, state.t, "label",
                           face_weight=1.0 / wf)
     return GraphState(leaf=leaf, lam=lam, t=state.t + dt)
@@ -518,6 +602,7 @@ class _GraphStepper:
         self.c1 = max(1.0, 2.0 * float(np.linalg.norm(pv, axis=1).max()))
         self.state, self.mesh = state, state.embedded(geom)
         self.fields = None  # the loop-top `_graph_chart_fields` tuple
+        self.factor = LaggedFactor()
         self._cand = None  # the last proposal: (state, embedded mesh)
 
     @property
@@ -535,7 +620,7 @@ class _GraphStepper:
         return graph_cfl_dt(self.state.leaf, self.ctrl.cfl)
 
     def propose(self, vg, dt, step):
-        cand = step_graph(self.state, dt, self.fields, step)
+        cand = step_graph(self.state, dt, self.fields, step, self.factor)
         emb = cand.embedded(self.geom)
         _require_finite(emb.vertices, self.label, step, self.t)
         self._cand = (cand, emb)

@@ -249,25 +249,29 @@ def icosphere(level):
     if level < 0:
         raise ValueError("level must be >= 0")
     verts, faces = icosahedron()
-    verts = list(map(np.asarray, verts))
     for _ in range(level):
-        cache = {}
-        new_faces = []
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                m = verts[i] + verts[j]
-                m /= np.linalg.norm(m)
-                verts.append(m)
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        faces = np.asarray(new_faces, dtype=np.int64)
-    mesh = TriSurface(np.asarray(verts), faces)
+        n = len(verts)
+        # edges (a,b), (b,c), (c,a) of each face in turn; each new midpoint
+        # is numbered by its edge's first appearance in that order
+        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, first, inverse = np.unique(edges[:, 0] * n + edges[:, 1],
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+        ends = edges[first[order]]
+        m = verts[ends[:, 0]] + verts[ends[:, 1]]
+        # the row-wise matmul adds in the order of a 1-D norm, bit for bit
+        m /= np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0])[:, None]
+        verts = np.concatenate([verts, m])
+        a, b, c = faces.T
+        faces = np.stack([np.stack([a, ab, ca], axis=1),
+                          np.stack([b, bc, ab], axis=1),
+                          np.stack([c, ca, bc], axis=1),
+                          np.stack([ab, bc, ca], axis=1)],
+                         axis=1).reshape(-1, 3)
+    mesh = TriSurface(verts, faces)
     # outward orientation: positive enclosed flat volume
     if enclosed_volume_flat(mesh) < 0.0:
         mesh = TriSurface(mesh.vertices, mesh.faces[:, ::-1].copy())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ckflow import ambient, ckv, flow, surface
+from ckflow import ambient, ckv, diagnostics, flow, surface
 
 
 def seed_label_band(trace):
@@ -13,6 +13,24 @@ def seed_label_band(trace):
     hi = trace.column("lambda_max")[0]
     pad = 1e-3 * max(float(hi - lo), 1e-300)
     return float(lo) - pad, float(hi) + pad
+
+
+def assert_traces_close(a, b, rtol):
+    """Assert two flow traces have the same rows, each column agreeing to
+    `rtol` of the column's largest magnitude.
+
+    The residual columns (`mink1`, `mink2`, `umbilicity`) are small
+    differences of O(1) sums, so round-off alone moves them by more than
+    `rtol` of their own size, and bytes of trace.csv can differ with it;
+    measured against the column's scale, round-off stays far inside `rtol`
+    and a change of the flow does not.
+    """
+    assert len(a) == len(b)
+    for name in diagnostics.TRACE_COLUMNS:
+        x, y = a.column(name), b.column(name)
+        scale = max(np.max(np.abs(x)), np.max(np.abs(y)))
+        np.testing.assert_allclose(x, y, rtol=0.0, atol=rtol * scale,
+                                   err_msg=name)
 
 
 @pytest.fixture(scope="session")
@@ -70,11 +88,12 @@ TWIST_TAU = 1.5
 TWIST_SEMIAXES = (1.6, 0.7, 0.7)
 
 
-@pytest.fixture(scope="session")
-def twisted_run(euclid, pair_e3):
-    """Scheduled run of the twisted seed; returns run plus seed data."""
+def twisted_run_at(euclid, pair_e3, level):
+    """Scheduled run of the twisted seed at `level`; returns run plus seed
+    data."""
     mesh, min_u, min_uperp = surface.checked_seed(
-        surface.ellipsoid_seed(TWIST_SEMIAXES, 4), euclid, pair_e3, TWIST_TAU
+        surface.ellipsoid_seed(TWIST_SEMIAXES, level), euclid, pair_e3,
+        TWIST_TAU
     )
     lam_v = ckv.lam(euclid, mesh.vertices)
     t0 = ckv.estimate_T0(euclid, pair_e3, 0.75 * lam_v.min(), 1.3 * lam_v.max())
@@ -82,6 +101,11 @@ def twisted_run(euclid, pair_e3):
                    flow.StepControl(t_end=4.0 * t0))
     return {"mesh": mesh, "min_u": min_u, "min_uperp": min_uperp,
             "t0": t0, "res": res}
+
+
+@pytest.fixture(scope="session")
+def twisted_run(euclid, pair_e3):
+    return twisted_run_at(euclid, pair_e3, 4)
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,14 @@
 """Time integration: Lagrangian driver, leaf-graph backend, evolution checks."""
 
 import dataclasses
-from types import SimpleNamespace
+import math
 
 import numpy as np
 import pytest
 
 from ckflow import ckv, diagnostics, flow, surface
 from ckflow.errors import MeshDegenerate, StarshapeLost
-from conftest import seed_label_band
+from conftest import assert_traces_close, seed_label_band, twisted_run_at
 
 
 # --------------------------------------------------------------------------
@@ -226,23 +226,20 @@ def test_trace_volume_is_the_frame_volume(request, pair, backend, geom_name,
 ])
 def test_non_finite_candidate_fails_with_step_and_time(euclid, pair,
                                                        monkeypatch, backend):
-    # each step factors one system; the third factor's solve returns a NaN
-    step, original, calls = 2, flow.splu, []
+    # the step-2 solve returns a NaN, whichever path made it: under the
+    # default cadence it is CG on the step-0 factor
+    step, original, lagged = 2, flow.LaggedFactor.solve, []
 
-    def poisoned(*args, **kwargs):
-        lu = original(*args, **kwargs)
-        calls.append(1)
-        if len(calls) != step + 1:
-            return lu
-
-        def solve(rhs):
-            out = lu.solve(rhs)
-            out[0] = np.nan
+    def poisoned(self, lhs, rhs, x0, at):
+        factors = self.counts.factors
+        out = original(self, lhs, rhs, x0, at)
+        if at != step:
             return out
+        lagged.append(self.counts.factors == factors)
+        out[0] = np.nan
+        return out
 
-        return SimpleNamespace(solve=solve)
-
-    monkeypatch.setattr(flow, "splu", poisoned)
+    monkeypatch.setattr(flow.LaggedFactor, "solve", poisoned)
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     with pytest.raises(MeshDegenerate) as exc:
         _run_backend(backend, euclid, pair, seed,
@@ -250,6 +247,64 @@ def test_non_finite_candidate_fails_with_step_and_time(euclid, pair,
     assert f"step {step} from t=" in str(exc.value)
     assert "non-finite" in str(exc.value)
     assert len(exc.value.trace) == step + 1
+    assert lagged == [True]
+
+
+@pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
+def test_cg_that_does_not_converge_falls_back_to_a_fresh_factor(
+        euclid, pair, monkeypatch, backend):
+    # one CG iteration on the step-0 factor cannot solve the system at half
+    # the step: the solve refactors, and its result is the fresh factor's
+    mesh = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
+    vg = surface.mesh_geometry(mesh, euclid, pair)
+    dt = flow.cfl_dt(mesh, 0.25)
+    if backend == "lagrangian":
+        def step(dt, at, factor=None):
+            return flow.step_lagrangian(mesh, euclid, 0.0, dt, vg, at,
+                                        factor).vertices
+    else:
+        state = flow.graph_state_from_mesh(mesh, euclid)
+        fields = flow._graph_chart_fields(euclid, pair, state, 1.0,
+                                          state.embedded(euclid), vg)
+
+        def step(dt, at, factor=None):
+            return flow.step_graph(state, dt, fields, at, factor).lam
+
+    factor = flow.LaggedFactor()
+    step(dt, 0, factor)
+    assert factor.counts == flow.SolveCounts(factors=1)
+    monkeypatch.setattr(flow, "CG_MAXITER", 1)
+    lagged = step(0.5 * dt, 1, factor)
+    assert factor.counts == flow.SolveCounts(factors=2, cg_iterations=1,
+                                             fallbacks=1)
+    assert factor.made_at == 1
+    assert np.array_equal(lagged, step(0.5 * dt, 1))
+
+
+@pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
+def test_lagged_factor_agrees_with_a_fresh_factor_every_step(
+        euclid, pair, pair_e3, monkeypatch, backend):
+    # the front on the twisted L3 seed, the graph on the flat L3 ellipsoid
+    def run():
+        if backend == "lagrangian":
+            return twisted_run_at(euclid, pair_e3, 3)["res"]
+        return _run_backend(backend, euclid, pair,
+                            surface.ellipsoid_seed((1.3, 1.0, 1.0), 3),
+                            flow.StepControl())
+
+    every, lagged = flow.REFACTOR_EVERY, run()
+    monkeypatch.setattr(flow, "REFACTOR_EVERY", 1)
+    fresh = run()
+    assert (lagged.steps, lagged.reason) == (fresh.steps, fresh.reason)
+    assert lagged.reason == "converged"
+    assert_traces_close(lagged.trace, fresh.trace, rtol=1e-9)
+    # the lag makes a factor every `every` steps, and one per fallback;
+    # the fresh run makes one each step
+    counts = lagged.solves
+    assert counts.cg_iterations > 0
+    assert counts.factors <= math.ceil(lagged.steps / every) + counts.fallbacks
+    assert fresh.solves.factors == fresh.steps
+    assert fresh.solves.fallbacks == 0
 
 
 def test_non_finite_implicit_system_fails_with_step_and_time(euclid, pair,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ckflow import ambient, ckv, cli, config, surface
+from ckflow import ambient, ckv, cli, config, diagnostics, flow, surface
 
 EUCLID = ambient.Euclidean()
 PAIR = ckv.KillingPair()
@@ -153,6 +153,15 @@ def test_run_file_values_cover_the_registry():
 
 TINY_TWISTED = ("seed.kind = twisted\nseed.twist = 1\n"
                 "seed.semiaxes = [1e-300, 1e-300, 1e-300]\nseed.level = 0\n")
+# drawn run files mostly stop at step 0 (a sphere seed converges at once),
+# so these take a few steps each, through the lagged-factor CG of both
+# backends
+STEPPING = "seed.level = 1\nflow.cfl = 0.05\nflow.t_end = 0.05\n"
+STEPPING_ELLIPSOID = ("seed.kind = ellipsoid\nseed.semiaxes = [1.3, 1, 1]\n"
+                      + STEPPING)
+STEPPING_TWISTED = ("seed.kind = twisted\nseed.semiaxes = [1.6, 0.7, 0.7]\n"
+                    "seed.twist = 1.5\nrotation.axis = [0, 0, 1]\n"
+                    "rotation.omega = 1.0\n" + STEPPING)
 
 
 # a numpy warning is a defect here too (the CI fast step errors on it), so
@@ -165,6 +174,9 @@ TINY_TWISTED = ("seed.kind = twisted\nseed.twist = 1\n"
 @example("seed.radius = 1e-150\nseed.level = 0\n", "seed", False)
 @example(TINY_TWISTED, "seed", False)
 @example(TINY_TWISTED, "run", False)
+@example(STEPPING_ELLIPSOID, "run", False)
+@example(STEPPING_ELLIPSOID + "flow.backend = leaf_graph\n", "run", False)
+@example(STEPPING_TWISTED, "run", False)
 def test_every_run_file_ends_in_a_documented_exit(text, cmd, force):
     # a run that writes trace.csv runs again into a fresh directory: the
     # same config gives the same bytes
@@ -189,3 +201,18 @@ def test_every_run_file_ends_in_a_documented_exit(text, cmd, force):
             assert main("again") == (code, status)
             again = pathlib.Path(tmp, "again", "trace.csv").read_bytes()
             assert again == trace.read_bytes()
+        if cmd == "run" and status in ("STATUS=ok", "STATUS=nonconv"):
+            _assert_volume_kept_and_area_not_increased(trace)
+
+
+# two roundings to the 9 significant digits of trace.csv
+CSV_ROUNDING = 1e-8
+
+
+def _assert_volume_kept_and_area_not_increased(path):
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    volume = rows[:, diagnostics.TRACE_COLUMNS.index("volume")]
+    area = rows[:, diagnostics.TRACE_COLUMNS.index("area")]
+    assert np.max(np.abs(volume / volume[0] - 1.0)) <= 5e-3
+    limit = 1.0 + flow.StepControl.area_slack + CSV_ROUNDING
+    assert np.all(area[1:] <= area[:-1] * limit)

@@ -42,6 +42,42 @@ def test_icosphere_counts():
         assert surface.enclosed_volume_flat(m) > 0.0
 
 
+def icosphere_by_loop(level):
+    """The icosphere face by face: each edge's midpoint made, normalised by
+    its 1-D norm and numbered the first time a face's (a,b), (b,c), (c,a)
+    reaches it."""
+    verts, faces = surface.icosahedron()
+    verts = list(verts)
+    for _ in range(level):
+        cache, new_faces = {}, []
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                m = verts[i] + verts[j]
+                m /= np.linalg.norm(m)
+                verts.append(m)
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+        faces = np.asarray(new_faces, dtype=np.int64)
+    mesh = surface.TriSurface(np.asarray(verts), faces)
+    if surface.enclosed_volume_flat(mesh) < 0.0:
+        mesh = surface.TriSurface(mesh.vertices, mesh.faces[:, ::-1].copy())
+    return mesh
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_icosphere_matches_the_face_loop_bit_for_bit(level):
+    mesh, ref = surface.icosphere(level), icosphere_by_loop(level)
+    assert np.array_equal(mesh.vertices, ref.vertices)
+    assert np.array_equal(mesh.faces, ref.faces)
+    assert mesh.faces.dtype == ref.faces.dtype
+
+
 def test_icosphere_rejects_negative_level():
     with pytest.raises(ValueError):
         surface.icosphere(-1)
