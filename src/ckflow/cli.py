@@ -7,7 +7,9 @@ error), 3 non-convergence, 64 bad config.  Every exit path prints
 `STATUS=<ok|assumptions|flow|nonconv|config>` to stderr.  A package error
 ends in `main`'s one handler: it writes the partial trace the error
 carries, if any, as `trace.csv`, then takes the status and the message
-prefix from the first `EXITS` entry the error is an instance of.  `run`
+prefix from the first `EXITS` entry the error is an instance of.  A flow
+error from the time loop names the step and time it came from
+("flow error: graph step 0 from t=0: ..."), whatever raised it.  `run`
 saves every `output.frame_every`-th loop-top snapshot, and the last one,
 as `frame_<step>.obj`.
 """

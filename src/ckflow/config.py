@@ -42,7 +42,8 @@ REGISTRY = {
                       (lambda v: all(map(_SEED_SIZE[0], v)),
                        "three numbers " + _SEED_SIZE[1])),
     "seed.twist": ("float", 0.0, None, None),
-    "seed.level": ("int", 4, None, _NON_NEGATIVE),
+    # an icosphere of level L has 10 * 4^L + 2 vertices: 163842 at 7
+    "seed.level": ("int", 4, None, (lambda v: 0 <= v <= 7, "in [0, 7]")),
     "flow.backend": ("choice", "lagrangian", ("lagrangian", "leaf_graph"),
                      None),
     "flow.cfl": ("float", 0.25, None,

@@ -5,11 +5,14 @@ The Lagrangian front (`run`) moves mesh vertices along the chart velocities
 label lam over a fixed leaf as a scalar PDE.  Both run in `_drive`, with
 steps retried at half the size while the curved area would increase.  The
 driver owns the loop-top geometry and star-shape check, the initial mesh, the
-trace row, frames, convergence and error tagging; a stepper (`_FrontStepper`,
-`_GraphStepper`) holds one backend's state, bounds dt, proposes a finite
-candidate and commits it.  The front projects each candidate back onto the
-initial curved volume and smooths tangentially on a fixed cadence, skipping
-a pass that would break area monotonicity.
+trace row, frames, convergence and error tagging: a package error that
+leaves the loop carries the partial trace, and its message starts with the
+loop top's step and time ("graph step 3 from t=0.0125: ..."), which no raise
+site names itself.  A stepper (`_FrontStepper`, `_GraphStepper`) holds one
+backend's state, bounds dt, proposes a finite candidate and commits it.  The
+front projects each candidate back onto the initial curved volume and
+smooths tangentially on a fixed cadence, skipping a pass that would break
+area monotonicity.
 
 Each backend has one step, linearly implicit.  The front's
 (`step_lagrangian`) takes the stiff part u exp(-2f) Lap x of the chart
@@ -171,27 +174,27 @@ class LaggedFactor:
         return x.reshape(shape) if info == 0 else None
 
 
-def _implicit_solve(factor, mesh, mass, rhs, x0, dt, label, step, t, what,
+def _implicit_solve(factor, mesh, mass, rhs, x0, dt, step, what,
                     face_weight=None):
     """Solve (diag(mass) - dt K) x = rhs, K the mesh's cotan stiffness.
 
     `factor` is the run's `LaggedFactor`, and x0 (the state at the step's
     start, shaped like rhs) starts its CG.  `face_weight` is
-    `surface.cotan_stiffness`'s.  A system entry that is not finite raises
-    MeshDegenerate naming `label`, `step` and t before any solve would fail
-    on it, and so does a result that is not finite (called a non-finite
-    `what`).
+    `surface.cotan_stiffness`'s.  A system entry or right-hand side that is
+    not finite raises MeshDegenerate before any solve would run on it, and
+    so does a result that is not finite (called a non-finite `what`).
     """
     lhs = sp.diags_array(mass, format="csc") \
         - dt * surface.cotan_stiffness(mesh, face_weight=face_weight)
-    _require_finite(lhs.data, label, step, t, "implicit system entry")
+    _require_finite(lhs.data, "implicit system entry")
+    _require_finite(rhs, "right-hand side")
     x = factor.solve(lhs, rhs, x0, step)
-    _require_finite(x, label, step, t, what)
+    _require_finite(x, what)
     return x
 
 
-def step_lagrangian(mesh, geom, t, dt, vg, step, factor=None):
-    """One linearly implicit step (Dziuk 1991) from t; returns the new mesh.
+def step_lagrangian(mesh, geom, dt, vg, step, factor):
+    """One linearly implicit step (Dziuk 1991); returns the new mesh.
 
     The chart velocity is c Lap x + b nu_flat, with c = u exp(-2f) and
     b = n phi exp(-f) - 2 c nu_flat(f) frozen at the step's start (Lap x
@@ -201,20 +204,20 @@ def step_lagrangian(mesh, geom, t, dt, vg, step, factor=None):
         (diag(M/c) - dt L) x+ = diag(M/c) (x + dt b nu_flat),
 
     a symmetric positive definite system while u > 0.  `vg` is the mesh's
-    geometry bundle at time t; it does not depend on dt, so the loop top's
-    bundle serves every retry.  `factor` is the run's `LaggedFactor` (None
-    solves with a fresh factor), and the CG starts from the vertices.  A
-    system entry or result that is not finite raises MeshDegenerate naming
-    `step` and t (`_implicit_solve`), the result before the chart-domain
-    check would read it as a domain exit.
+    geometry bundle at the step's start; it does not depend on dt, so the
+    loop top's bundle serves every retry.  `factor` is the run's
+    `LaggedFactor`, and the CG starts from the vertices.  A system entry,
+    right-hand side or result that is not finite raises MeshDegenerate
+    (`_implicit_solve`), the result before the chart-domain check would
+    read it as a domain exit.
     """
     c = vg.u * np.exp(-2.0 * vg.f)
     b = N_SURF * vg.phi * np.exp(-vg.f) - 2.0 * c * vg.nu_f
     mass = vg.area_flat / c
     rhs = mass[:, None] * (mesh.vertices + dt * b[:, None] * vg.nu_flat)
     new = mesh.with_vertices(
-        _implicit_solve(factor or LaggedFactor(), mesh, mass, rhs,
-                        mesh.vertices, dt, "", step, t, "vertex"))
+        _implicit_solve(factor, mesh, mass, rhs, mesh.vertices, dt, step,
+                        "vertex"))
     geom.require_in_domain(new.vertices, what="vertex")
     return new
 
@@ -243,10 +246,9 @@ def _rescale_to_volume(mesh, geom, target):
     return scaled(s1)[0]
 
 
-def _require_finite(vertices, label, step, t, what="vertex"):
-    if not np.all(np.isfinite(vertices)):
-        raise MeshDegenerate(f"{label}step {step} from t={t:.6g} gave a "
-                             f"non-finite {what}")
+def _require_finite(values, what):
+    if not np.all(np.isfinite(values)):
+        raise MeshDegenerate(f"non-finite {what}")
 
 
 def _drive(stepper, schedule, ctrl, frame_cb):
@@ -256,13 +258,15 @@ def _drive(stepper, schedule, ctrl, frame_cb):
     `mesh` (embedded, at t), `factor` (the run's `LaggedFactor`, whose
     counts the result reports), `labels(vg)` -> the leaf labels,
     `max_dt(vg, xi_now)`, `propose(vg, dt, step)` -> the candidate's mesh
-    and `accept(dt, step, area_prev)`.
+    and `accept(dt, step + 1, area_prev)`.
     Convergence: leaf spread (max-min)/mean of the label <= leaf_tol and
     max |speed| <= speed_tol * max H; t_end or max_steps return
     converged=False.  The result's `mesh_initial` is the step-0 loop-top
     mesh.  frame_cb(step, t, mesh), when given, gets every loop-top
     snapshot, the last one included.  A package error raised in the loop
-    carries the partial trace as `err.trace`.
+    carries the partial trace as `err.trace`, and its message starts with
+    "<label>step N from t=T: ", N and T the loop top's step and time: the
+    one place a failed run's step and time are named.
     """
     geom, pair = stepper.geom, stepper.pair
     trace = diagnostics.FlowTrace()
@@ -276,9 +280,7 @@ def _drive(stepper, schedule, ctrl, frame_cb):
             # a NaN fails this comparison too
             if not np.min(vg.u) > 0.0:
                 raise StarshapeLost(
-                    f"support function reached {float(np.min(vg.u)):.3e} "
-                    f"at t={t:.6g} ({stepper.label}step {step})"
-                )
+                    f"support function reached {float(np.min(vg.u)):.3e}")
             area, volume = mesh.area(geom), mesh.volume(geom)
             lam = stepper.labels(vg)
             speed = flow_speed(vg)
@@ -315,14 +317,13 @@ def _drive(stepper, schedule, ctrl, frame_cb):
                 dt *= 0.5
             else:
                 raise MeshDegenerate(
-                    f"{stepper.label}area kept increasing at t={t:.6g} "
-                    f"even at dt={dt:.3e}"
-                )
+                    f"area kept increasing even at dt={dt:.3e}")
+            stepper.accept(dt, step + 1, area)
             step += 1
             dt_arrived = dt
-            stepper.accept(dt, step, area)
     except CkflowError as err:
         err.trace = trace
+        err.args = (f"{stepper.label}step {step} from t={t:.6g}: {err}",)
         raise
 
     return RunResult(
@@ -352,7 +353,7 @@ class _FrontStepper:
         return cfl_dt(self.mesh, self.ctrl.cfl)
 
     def propose(self, vg, dt, step):
-        cand = step_lagrangian(self.mesh, self.geom, self.t, dt, vg, step,
+        cand = step_lagrangian(self.mesh, self.geom, dt, vg, step,
                                self.factor)
         # the continuum flow conserves enclosed volume (first Minkowski
         # identity), but the discrete identity only holds to quadrature
@@ -374,10 +375,9 @@ class _FrontStepper:
             q = surface.quality(self.mesh)
             if q.degenerate():
                 raise MeshDegenerate(
-                    f"mesh quality collapsed at t={self.t:.6g}: "
-                    f"min angle {q.min_angle_deg:.2f} deg, "
-                    f"edge ratio {q.max_edge_ratio:.1f}"
-                )
+                    "mesh quality collapsed: min angle "
+                    f"{q.min_angle_deg:.2f} deg, edge ratio "
+                    f"{q.max_edge_ratio:.1f}")
 
 
 def run(geom, pair, mesh0, schedule, ctrl=None, frame_cb=None):
@@ -510,7 +510,7 @@ def _graph_chart_fields(geom, pair, state, xi_now, emb, vg):
     return g, h, pf, pv, w, b, u
 
 
-def _graph_guards(fields, c1, t):
+def _graph_guards(fields, c1):
     """Raise unless a graph state's chart fields keep the gradient bound c1
     and a positive support function; the graph stepper calls it on the
     fields each step freezes."""
@@ -522,9 +522,7 @@ def _graph_guards(fields, c1, t):
         )
     if not np.min(u) > 0.0:  # a NaN fails this comparison too
         raise StarshapeLost(
-            f"graph support function reached {float(np.min(u)):.3e} "
-            f"at t={t:.6g}"
-        )
+            f"chart support function reached {float(np.min(u)):.3e}")
 
 
 def _graph_rate(state, fields):
@@ -556,7 +554,7 @@ def graph_cfl_dt(leaf, cfl):
     return cfl * leaf.min_edge
 
 
-def step_graph(state, dt, fields, step, factor=None):
+def step_graph(state, dt, fields, step, factor):
     """One linearly implicit step of the leaf-graph evolution from state.t.
 
     For n = 2 the flux is A_f = p_f / W_f, so the divergence in the rate
@@ -571,10 +569,9 @@ def step_graph(state, dt, fields, step, factor=None):
 
     symmetric positive definite while u > 0: the frozen-coefficient scheme
     for graph mean curvature flow (Deckelnick, Dziuk & Elliott 2005).  The
-    fields carry the step's xi.  `factor` is the run's `LaggedFactor` (None
-    solves with a fresh factor), and the CG starts from lam.  A system entry
-    or result that is not finite raises MeshDegenerate naming `step` and t
-    (`_implicit_solve`).
+    fields carry the step's xi.  `factor` is the run's `LaggedFactor`, and
+    the CG starts from lam.  A system entry, right-hand side or result that
+    is not finite raises MeshDegenerate (`_implicit_solve`).
     """
     g, h, pf, _, w, b, u = fields
     leaf = state.leaf
@@ -582,10 +579,9 @@ def step_graph(state, dt, fields, step, factor=None):
     hf = np.mean(h[leaf.faces], axis=1)
     wf = np.sqrt(1.0 + (hf / gf) * np.einsum("ij,ij->i", pf, pf))
     mass = leaf.basis.dual_area * g / (w * u)
-    lam = _implicit_solve(factor or LaggedFactor(), leaf, mass,
+    lam = _implicit_solve(factor, leaf, mass,
                           mass * (state.lam + dt * w * w * b), state.lam, dt,
-                          "graph ", step, state.t, "label",
-                          face_weight=1.0 / wf)
+                          step, "label", face_weight=1.0 / wf)
     return GraphState(leaf=leaf, lam=lam, t=state.t + dt)
 
 
@@ -616,13 +612,13 @@ class _GraphStepper:
         # the loop-top chart fields are the start of every retry of the step
         self.fields = _graph_chart_fields(self.geom, self.pair, self.state,
                                           xi_now, self.mesh, vg)
-        _graph_guards(self.fields, self.c1, self.t)
+        _graph_guards(self.fields, self.c1)
         return graph_cfl_dt(self.state.leaf, self.ctrl.cfl)
 
     def propose(self, vg, dt, step):
         cand = step_graph(self.state, dt, self.fields, step, self.factor)
         emb = cand.embedded(self.geom)
-        _require_finite(emb.vertices, self.label, step, self.t)
+        _require_finite(emb.vertices, "vertex")
         self._cand = (cand, emb)
         return emb
 

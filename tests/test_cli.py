@@ -127,6 +127,10 @@ def test_run_flow_error_writes_partial_trace(tmp_path, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert code == 2
     assert "STATUS=flow" in captured.err
+    # the driver names the step and time the error came from, once
+    label = "graph " if backend == "leaf_graph" else ""
+    assert f"flow error: {label}step 0 from t=0: injected\n" in captured.err
+    assert captured.err.count(" from t=") == 1
     # the partial trace holds the loop-top row written before the first step
     lines = (out / "trace.csv").read_text().strip().split("\n")
     assert lines[0] == ",".join(TRACE_COLUMNS)
@@ -305,6 +309,7 @@ def test_unknown_key_exits_config(tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "flow.cfl = 0.9",
     "seed.level = -1",
+    "seed.level = 8",
     "poincare_ball.radius = 0",
     "poincare_ball.radius = 1e-300",
     "poincare_ball.radius = 1e155",

@@ -54,6 +54,7 @@ def test_values_comments_and_lists():
     ("schedule.margin = 1", r"must be in \(0, 1\)"),
     ("schedule.t0 = 0", "must be > 0"),
     ("sampling.seed = -1", "must be >= 0"),
+    ("seed.level = 8", r"must be in \[0, 7\]"),
 ])
 def test_rejects_malformed_lines(line, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -83,8 +83,10 @@ def test_step_reuses_loop_top_geometry_bit_identically(paper, pair_e3):
     cold = mesh.with_vertices(mesh.vertices)
     assert "flat_curvatures" not in vars(cold)
     start = surface.mesh_geometry(cold, paper, pair_e3, sched.xi_at(t))
-    reused = flow.step_lagrangian(mesh, paper, t, dt, loop_top, 0)
-    fresh = flow.step_lagrangian(cold, paper, t, dt, start, 0)
+    reused = flow.step_lagrangian(mesh, paper, dt, loop_top, 0,
+                                  flow.LaggedFactor())
+    fresh = flow.step_lagrangian(cold, paper, dt, start, 0,
+                                 flow.LaggedFactor())
     assert np.array_equal(reused.vertices, fresh.vertices)
 
 
@@ -94,7 +96,7 @@ def test_imex_step_keeps_a_sphere_on_its_leaf(euclid, pair, radius):
     # cfl h_min^2 at level 3
     mesh = surface.sphere_seed(radius, 3)
     vg = surface.mesh_geometry(mesh, euclid, pair)
-    new = flow.step_lagrangian(mesh, euclid, 0.0, 0.5, vg, 0)
+    new = flow.step_lagrangian(mesh, euclid, 0.5, vg, 0, flow.LaggedFactor())
     drift = np.linalg.norm(new.vertices, axis=1) / radius - 1.0
     assert np.max(np.abs(drift)) <= 1e-3
 
@@ -133,7 +135,7 @@ def test_front_step_is_consistent_with_chart_velocity(request, geom_name):
         return np.einsum("ij,ij->i", vel, vg.nu_flat)
 
     def rate_at(dt):
-        new = flow.step_lagrangian(mesh, geom, t, dt, vg, 0)
+        new = flow.step_lagrangian(mesh, geom, dt, vg, 0, flow.LaggedFactor())
         return normal((new.vertices - mesh.vertices) / dt)
 
     _assert_first_order(rate_at, normal(flow.chart_velocity(vg)))
@@ -194,6 +196,22 @@ def _run_backend(backend, geom, pair, seed, ctrl, **kwargs):
     return flow.run_graph(geom, pair, state0, sched, ctrl, **kwargs)
 
 
+def _label(backend):
+    return "graph " if backend == "leaf_graph" else ""
+
+
+def _assert_tagged_at_row(err, label, row):
+    """The driver tagged the error, once, with the step and time of the
+    loop top that wrote trace row `row`; returns the rest of the message."""
+    trace = err.trace
+    step, t = int(trace.column("step")[row]), trace.column("time")[row]
+    tag = f"{label}step {step} from t={t:.6g}: "
+    message = str(err)
+    assert message.startswith(tag), message
+    assert message.count(" from t=") == 1, message
+    return message[len(tag):]
+
+
 # the graph backend fails on the curved L2 seed (a known defect), so it
 # runs flat; the front smooths every 10 steps, and implicit steps are long
 @pytest.mark.parametrize("backend, geom_name, t_end, min_steps", [
@@ -244,9 +262,10 @@ def test_non_finite_candidate_fails_with_step_and_time(euclid, pair,
     with pytest.raises(MeshDegenerate) as exc:
         _run_backend(backend, euclid, pair, seed,
                      flow.StepControl(t_end=0.3))
-    assert f"step {step} from t=" in str(exc.value)
-    assert "non-finite" in str(exc.value)
     assert len(exc.value.trace) == step + 1
+    rest = _assert_tagged_at_row(exc.value, _label(backend), step)
+    what = "vertex" if backend == "lagrangian" else "label"
+    assert rest == f"non-finite {what}"
     assert lagged == [True]
 
 
@@ -259,15 +278,15 @@ def test_cg_that_does_not_converge_falls_back_to_a_fresh_factor(
     vg = surface.mesh_geometry(mesh, euclid, pair)
     dt = flow.cfl_dt(mesh, 0.25)
     if backend == "lagrangian":
-        def step(dt, at, factor=None):
-            return flow.step_lagrangian(mesh, euclid, 0.0, dt, vg, at,
+        def step(dt, at, factor):
+            return flow.step_lagrangian(mesh, euclid, dt, vg, at,
                                         factor).vertices
     else:
         state = flow.graph_state_from_mesh(mesh, euclid)
         fields = flow._graph_chart_fields(euclid, pair, state, 1.0,
                                           state.embedded(euclid), vg)
 
-        def step(dt, at, factor=None):
+        def step(dt, at, factor):
             return flow.step_graph(state, dt, fields, at, factor).lam
 
     factor = flow.LaggedFactor()
@@ -278,7 +297,7 @@ def test_cg_that_does_not_converge_falls_back_to_a_fresh_factor(
     assert factor.counts == flow.SolveCounts(factors=2, cg_iterations=1,
                                              fallbacks=1)
     assert factor.made_at == 1
-    assert np.array_equal(lagged, step(0.5 * dt, 1))
+    assert np.array_equal(lagged, step(0.5 * dt, 1, flow.LaggedFactor()))
 
 
 @pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
@@ -327,9 +346,9 @@ def test_non_finite_implicit_system_fails_with_step_and_time(euclid, pair,
     with pytest.raises(MeshDegenerate) as exc:
         flow.run(euclid, pair, seed, ckv.Schedule(t0=1.0),
                  flow.StepControl(t_end=0.3))
-    assert f"step {step} from t=" in str(exc.value)
-    assert "non-finite implicit system entry" in str(exc.value)
     assert len(exc.value.trace) == step + 1
+    rest = _assert_tagged_at_row(exc.value, "", step)
+    assert rest == "non-finite implicit system entry"
 
 
 # --------------------------------------------------------------------------
@@ -386,7 +405,6 @@ def test_run_stops_at_t_end_without_convergence(euclid, pair):
 def test_nan_support_fails_starshape_with_step_and_time(euclid, pair,
                                                         monkeypatch, backend):
     # NaN compares false with everything, so `u <= 0` cannot be the guard
-    label = "graph " if backend == "leaf_graph" else ""
     step, original, calls = 2, surface.mesh_geometry, []
 
     def poisoned(*args, **kwargs):
@@ -404,9 +422,15 @@ def test_nan_support_fails_starshape_with_step_and_time(euclid, pair,
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     with pytest.raises(StarshapeLost) as exc:
         _run_backend(backend, euclid, pair, seed, flow.StepControl(t_end=0.3))
-    assert "support function reached nan at t=" in str(exc.value)
-    assert f"({label}step {step})" in str(exc.value)
-    assert len(exc.value.trace) == step
+    # the failing loop top wrote no row: its time is past the last one's
+    message, trace = str(exc.value), exc.value.trace
+    assert len(trace) == step
+    tag = f"{_label(backend)}step {step} from t="
+    assert message.startswith(tag), message
+    assert message.count(" from t=") == 1, message
+    t_fail, rest = message[len(tag):].split(": ", 1)
+    assert float(t_fail) > trace.column("time")[-1]
+    assert rest == "support function reached nan"
 
 
 def _poison_graph_support(monkeypatch, call):
@@ -432,25 +456,23 @@ def test_nan_graph_step_support_fails_starshape_with_time(euclid, pair,
     with pytest.raises(StarshapeLost) as exc:
         _run_backend("leaf_graph", euclid, pair, seed,
                      flow.StepControl(t_end=0.3))
-    assert "graph support function reached nan at t=" in str(exc.value)
     assert len(exc.value.trace) == 2
+    rest = _assert_tagged_at_row(exc.value, "graph ", 1)
+    assert rest == "chart support function reached nan"
 
 
 def test_front_quality_guard_fails_with_time(euclid, pair, monkeypatch):
-    # the guard reads the quality after each smoothing pass (every 10th step)
+    # the guard reads the quality after each smoothing pass (every 10th
+    # step), and names the step it came from: the last trace row's
     collapsed = surface.MeshQuality(min_angle_deg=0.5, max_edge_ratio=2.0)
     monkeypatch.setattr(surface, "quality", lambda mesh: collapsed)
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     with pytest.raises(MeshDegenerate) as exc:
         flow.run(euclid, pair, seed, ckv.Schedule(t0=1.0),
                  flow.StepControl(t_end=5.0))
-    message = str(exc.value)
-    assert "mesh quality collapsed at t=" in message
-    assert "min angle 0.50 deg, edge ratio 2.0" in message
-    trace = exc.value.trace
-    assert len(trace) == 10
-    t_fail = float(message.split("t=")[1].split(":")[0])
-    assert t_fail > trace.column("time")[-1]
+    assert len(exc.value.trace) == 10
+    rest = _assert_tagged_at_row(exc.value, "", 9)
+    assert rest == "mesh quality collapsed: min angle 0.50 deg, edge ratio 2.0"
 
 
 def test_run_detects_starshape_loss(euclid, pair, pair_e3):
@@ -555,7 +577,7 @@ def test_implicit_graph_step_keeps_a_leaf(euclid, pair):
     sched = ckv.Schedule(t0=1.0)
     state = flow.graph_state_from_mesh(surface.sphere_seed(1.2, 3), euclid)
     fields = _chart_fields(euclid, pair, state, sched.xi_at(0.0))
-    new = flow.step_graph(state, 0.1, fields, 0)
+    new = flow.step_graph(state, 0.1, fields, 0, flow.LaggedFactor())
     assert new.t == 0.1
     assert np.max(np.abs(new.lam - state.lam)) <= 1e-12 * np.max(state.lam)
 
@@ -568,7 +590,7 @@ def test_graph_step_is_consistent_with_graph_rate(request, geom_name):
     fields = _chart_fields(geom, pair, state, xi_now)
 
     def rate_at(dt):
-        new = flow.step_graph(state, dt, fields, 0)
+        new = flow.step_graph(state, dt, fields, 0, flow.LaggedFactor())
         return (new.lam - state.lam) / dt
 
     _assert_first_order(rate_at, flow._graph_rate(state, fields))
@@ -576,12 +598,26 @@ def test_graph_step_is_consistent_with_graph_rate(request, geom_name):
 
 @pytest.mark.parametrize("target, what", [
     ("cotan_stiffness", "non-finite implicit system entry"),
-    ("label_evolution_source", "non-finite label"),
+    ("label_evolution_source", "non-finite right-hand side"),
 ])
 def test_non_finite_implicit_graph_step_fails_with_step_and_time(
         euclid, pair, monkeypatch, target, what):
     # a NaN stiffness entry would make the factorization raise RuntimeError,
-    # a NaN source a NaN label; the step names either first
+    # a NaN source a NaN label; the step names either before any solve
+    factors = []
+
+    class Recording(flow.LaggedFactor):
+        def __init__(self):
+            super().__init__()
+            self.solved = []  # (step, counts after the solve)
+            factors.append(self)
+
+        def solve(self, lhs, rhs, x0, at):
+            x = super().solve(lhs, rhs, x0, at)
+            self.solved.append((at, dataclasses.replace(self.counts)))
+            return x
+
+    monkeypatch.setattr(flow, "LaggedFactor", Recording)
     module = surface if target == "cotan_stiffness" else diagnostics
     step, original, calls = 2, getattr(module, target), []
 
@@ -602,9 +638,13 @@ def test_non_finite_implicit_graph_step_fails_with_step_and_time(
     with pytest.raises(MeshDegenerate) as exc:
         _run_backend("leaf_graph", euclid, pair, seed,
                      flow.StepControl(t_end=0.6))
-    assert f"graph step {step} from t=" in str(exc.value)
-    assert what in str(exc.value)
     assert len(exc.value.trace) == step + 1
+    assert _assert_tagged_at_row(exc.value, "graph ", step) == what
+    # the poisoned step solved nothing: no CG iteration, no fallback
+    [factor] = factors
+    assert max(at for at, _ in factor.solved) == step - 1
+    assert factor.counts == factor.solved[-1][1]
+    assert factor.counts.fallbacks == 0
 
 
 def test_run_graph_starshape_guard(euclid, pair, pair_e3):

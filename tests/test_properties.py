@@ -10,6 +10,7 @@ keep no example database, so the suite stays deterministic.
 import contextlib
 import io
 import pathlib
+import re
 import tempfile
 
 import numpy as np
@@ -140,7 +141,9 @@ def run_files(draw):
     keys = draw(st.lists(st.sampled_from(sorted(RUN_FILE_VALUES)),
                          unique=True, max_size=8))
     values = {key: draw(RUN_FILE_VALUES[key]) for key in keys}
-    for key in ("seed.level", "flow.t_end"):  # bound the cost of a run
+    # bound the cost of a run; the default sphere seed converges at once,
+    # so the seed kind is always drawn
+    for key in ("seed.kind", "seed.level", "flow.t_end"):
         values.setdefault(key, draw(RUN_FILE_VALUES[key]))
     if draw(st.booleans()):
         values[draw(st.sampled_from(sorted(RUN_FILE_VALUES)))] = draw(JUNK)
@@ -153,9 +156,9 @@ def test_run_file_values_cover_the_registry():
 
 TINY_TWISTED = ("seed.kind = twisted\nseed.twist = 1\n"
                 "seed.semiaxes = [1e-300, 1e-300, 1e-300]\nseed.level = 0\n")
-# drawn run files mostly stop at step 0 (a sphere seed converges at once),
-# so these take a few steps each, through the lagged-factor CG of both
-# backends
+# a sphere seed converges at once and drawn ellipsoids or twisted seeds
+# often fail early, so these take a few steps each, through the
+# lagged-factor CG of both backends
 STEPPING = "seed.level = 1\nflow.cfl = 0.05\nflow.t_end = 0.05\n"
 STEPPING_ELLIPSOID = ("seed.kind = ellipsoid\nseed.semiaxes = [1.3, 1, 1]\n"
                       + STEPPING)
@@ -179,7 +182,8 @@ STEPPING_TWISTED = ("seed.kind = twisted\nseed.semiaxes = [1.6, 0.7, 0.7]\n"
 @example(STEPPING_TWISTED, "run", False)
 def test_every_run_file_ends_in_a_documented_exit(text, cmd, force):
     # a run that writes trace.csv runs again into a fresh directory: the
-    # same config gives the same bytes
+    # same config gives the same bytes; a flow error that left a trace
+    # names the step and time it came from
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/run.cfg"
         with open(path, "w") as fh:
@@ -191,18 +195,21 @@ def test_every_run_file_ends_in_a_documented_exit(text, cmd, force):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):
                 code = cli.main(args + (["--force"] if force else []))
-            return code, err.getvalue().strip().splitlines()[-1]
+            return code, err.getvalue().strip().splitlines()[-2:]
 
-        code, status = main("out")
+        code, (*error, status) = main("out")
         assert status.startswith("STATUS="), status
         assert cli.STATUS_CODE[status[len("STATUS="):]] == code
         trace = pathlib.Path(tmp, "out", "trace.csv")
         if cmd == "run" and trace.exists():
-            assert main("again") == (code, status)
+            assert main("again") == (code, [*error, status])
             again = pathlib.Path(tmp, "again", "trace.csv").read_bytes()
             assert again == trace.read_bytes()
         if cmd == "run" and status in ("STATUS=ok", "STATUS=nonconv"):
             _assert_volume_kept_and_area_not_increased(trace)
+        if cmd == "run" and status == "STATUS=flow" and trace.exists():
+            assert re.match(r"flow error: (graph )?step \d+ from t=\S+: ",
+                            error[0]), error
 
 
 # two roundings to the 9 significant digits of trace.csv
