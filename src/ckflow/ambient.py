@@ -2,8 +2,10 @@
 
 The metric is g = exp(2 f) * delta on an open star-shaped chart domain.
 Each geometry supplies f with analytic first and second derivatives, a
-domain distance, and the radial profiles of the leaf label lambda (leaves
-of the built-in geometries are coordinate spheres about the origin).
+domain distance, and the radial profiles of its leaves (in the built-in
+geometries, coordinate spheres about the origin): the leaf label lambda,
+the leaf area A(r) and the volume V(r) of the coordinate ball the leaf
+bounds, all in closed form.
 
 Points are any (..., 3) array, a single (3,) point included; every method
 returns its per-point values over the leading axes.  Finite differences go
@@ -106,7 +108,7 @@ class AmbientGeometry:
         ric -= (lap + gf2)[..., None, None] * np.eye(3)
         return ric
 
-    # --- leaf profiles (lambda on coordinate spheres) -----------------------
+    # --- leaf profiles (label, area, ball volume of coordinate spheres) ------
 
     def lambda_of_r(self, r):
         raise NotImplementedError
@@ -120,6 +122,14 @@ class AmbientGeometry:
     def d_lam_phi2_dr(self, r):
         """Radial derivative of the invariant Lambda * phi^2 (constant on
         leaves)."""
+        raise NotImplementedError
+
+    def leaf_area(self, r):
+        """Curved area of the coordinate sphere of radius r."""
+        raise NotImplementedError
+
+    def ball_volume(self, r):
+        """Curved volume of the coordinate ball of radius r."""
         raise NotImplementedError
 
 
@@ -155,6 +165,14 @@ class Euclidean(AmbientGeometry):
     def d_lam_phi2_dr(self, r):
         r = np.asarray(r, dtype=float)
         return np.zeros_like(r)
+
+    def leaf_area(self, r):
+        r = np.asarray(r, dtype=float)
+        return 4.0 * np.pi * r * r
+
+    def ball_volume(self, r):
+        r = np.asarray(r, dtype=float)
+        return 4.0 * np.pi * r**3 / 3.0
 
 
 class PaperExample(AmbientGeometry):
@@ -205,6 +223,16 @@ class PaperExample(AmbientGeometry):
     def d_lam_phi2_dr(self, r):
         r = np.asarray(r, dtype=float)
         return 16.0 * r / (4.0 - r * r) ** 2
+
+    def leaf_area(self, r):
+        # exp(2f) = 1/q^2 with q = r^2 + 4 - 4 r cos(theta) about the pole
+        # axis; its sphere integral is 4 pi / ((r^2 + 4)^2 - 16 r^2)
+        r = np.asarray(r, dtype=float)
+        return 4.0 * np.pi * r * r / (4.0 - r * r) ** 2
+
+    def ball_volume(self, r):
+        r = np.asarray(r, dtype=float)
+        return 4.0 * np.pi * r**3 / (3.0 * (4.0 - r * r) ** 3)
 
 
 class PoincareBall(AmbientGeometry):
@@ -265,6 +293,18 @@ class PoincareBall(AmbientGeometry):
         r = np.asarray(r, dtype=float)
         s = r * r / self.radius**2
         return -4.0 * r / (self.radius**2 * (1.0 + s) ** 2)
+
+    def leaf_area(self, r):
+        r = np.asarray(r, dtype=float)
+        s = r * r / self.radius**2
+        return 16.0 * np.pi * r * r / (1.0 - s) ** 2
+
+    def ball_volume(self, r):
+        # 32 pi R^3 times the integral of t^2/(1 - t^2)^3 over [0, r/R];
+        # the two terms cancel to O(x^3), so small balls lose digits
+        x = np.asarray(r, dtype=float) / self.radius
+        return 4.0 * np.pi * self.radius**3 * (
+            x * (1.0 + x * x) / (1.0 - x * x) ** 2 - np.arctanh(x))
 
 
 _BUILTIN = {

@@ -141,104 +141,7 @@ def label_evolution_residual(mesh, geom, vg):
 # leaf profile and the isoperimetric comparison
 # --------------------------------------------------------------------------
 
-_GL_NODES = 48
-_AZ_NODES = 96
-_BALL_PANELS = 64          # radial panels of a ball-volume sweep
 ISOPERIMETRIC_TOL = 5e-3   # relative slack of A(leaf) <= A(seed)
-
-
-def _sphere_grid():
-    """Unit directions of the Gauss-Legendre (in cos theta) x uniform
-    azimuth grid, (_GL_NODES, _AZ_NODES, 3), and the Gauss-Legendre
-    weights."""
-    x, wx = np.polynomial.legendre.leggauss(_GL_NODES)
-    az = 2.0 * np.pi * np.arange(_AZ_NODES) / _AZ_NODES
-    st = np.sqrt(1.0 - x**2)
-    dirs = np.empty((_GL_NODES, _AZ_NODES, 3))
-    dirs[..., 0] = st[:, None] * np.cos(az)[None, :]
-    dirs[..., 1] = st[:, None] * np.sin(az)[None, :]
-    dirs[..., 2] = x[:, None]
-    dirs.flags.writeable = False
-    wx.flags.writeable = False
-    return dirs, wx
-
-
-# built once: every isoperimetric comparison and leaf-radius solve reads it
-_SPHERE_DIRS, _SPHERE_WX = _sphere_grid()
-_SPHERE_WAZ = 2.0 * np.pi / _AZ_NODES
-
-
-def _sphere_quad(geom, r, power):
-    """integral over the coordinate sphere of radius r of exp(power * f),
-    against the flat sphere measure r^2 dOmega.  Gauss-Legendre x trapezoid."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    pts = r[:, None, None, None] * _SPHERE_DIRS[None]
-    vals = np.exp(power * geom.f(pts))
-    return r * r * np.einsum("rga,g->r", vals, _SPHERE_WX) * _SPHERE_WAZ
-
-
-def leaf_area(geom, r):
-    """Curved area of the coordinate sphere of radius r."""
-    out = _sphere_quad(geom, r, 2.0)
-    return float(out[0]) if np.isscalar(r) else out
-
-
-_GL_RADIAL_X, _GL_RADIAL_W = np.polynomial.legendre.leggauss(16)
-
-
-def _shell_volume(geom, a, b):
-    """Curved volume of the shell a <= |x| <= b: a 16-node Gauss-Legendre
-    rule on the radial density rho(s) = s^2 * integral exp(3 f(s w)) dw."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = _sphere_quad(geom, mid + half * _GL_RADIAL_X, 3.0)
-    return float(np.sum(vals * _GL_RADIAL_W) * half)
-
-
-class _BallVolumeTable:
-    """Curved ball volume V(r) for 0 <= r <= r_hi from one radial sweep.
-
-    The radial density is integrated panel by panel, in order, over
-    `_BALL_PANELS` equal panels of [0, r_hi]; the running sums give V at
-    the built panel edges, and V(r) between edges adds one partial-panel
-    rule.  The sweep stops once the running volume exceeds `until` and the
-    panel that holds `r_min` is built; by default it covers every panel.
-    The running sum adds in the order `np.cumsum` does, so a stopped sweep
-    is a bit-identical prefix of the full one.
-    """
-
-    def __init__(self, geom, r_hi, until=np.inf, r_min=0.0):
-        self.geom = geom
-        self.edges = np.linspace(0.0, r_hi, _BALL_PANELS + 1)
-        k_min = self.panel(r_min)
-        total, cumulative = 0.0, [0.0]
-        for k in range(_BALL_PANELS):
-            total = total + _shell_volume(geom, self.edges[k],
-                                          self.edges[k + 1])
-            cumulative.append(total)
-            if total > until and k >= k_min:
-                break
-        self.cumulative = np.array(cumulative)
-
-    def panel(self, r):
-        """Index k of the panel [edges[k], edges[k+1]] that holds r."""
-        k = int(np.searchsorted(self.edges, r, side="right")) - 1
-        return min(max(k, 0), self.edges.size - 2)
-
-    def volume(self, r, k=None):
-        """V(r), integrating from the lower edge of panel k (default: r's)."""
-        if k is None:
-            k = self.panel(r)
-        return float(self.cumulative[k]
-                     + _shell_volume(self.geom, self.edges[k], r))
-
-
-def ball_volume(geom, r):
-    """Curved volume of the coordinate ball of radius r (origin included)."""
-    scalar = np.isscalar(r)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    table = _BallVolumeTable(geom, float(r.max()))
-    out = np.array([table.volume(rk) for rk in r])
-    return float(out[0]) if scalar else out
 
 
 @dataclass
@@ -255,50 +158,34 @@ class LeafProfile:
 
 
 def leaf_profile(geom, r_lo, r_hi, n=128):
-    """Tabulate leaf area and enclosed ball volume against the radius."""
+    """Tabulate the geometry's leaf area and ball volume against the radius."""
     if not (0.0 < r_lo < r_hi):
         raise ValueError("need 0 < r_lo < r_hi")
     geom.require_in_domain(
         np.array([[r_hi, 0.0, 0.0]]), what="leaf profile radius"
     )
     r = np.linspace(r_lo, r_hi, n)
-    area = _sphere_quad(geom, r, 2.0)
-    vol = ball_volume(geom, r)
+    vol = geom.ball_volume(r)
     if np.any(np.diff(vol) <= 0.0):
         raise ProfileNotMonotone("ball volume is not strictly increasing")
-    return LeafProfile(r=r, area=area, volume=vol)
+    return LeafProfile(r=r, area=geom.leaf_area(r), volume=vol)
 
 
 def leaf_radius_for_volume(geom, target, r_lo, r_hi):
-    """Radius of the coordinate ball enclosing the given curved volume.
+    """Radius in [r_lo, r_hi] of the coordinate ball enclosing the given
+    curved volume: a root of `geom.ball_volume(r) - target`.  A target
+    outside [V(r_lo), V(r_hi)] raises ValueError."""
 
-    One radial sweep (`_BallVolumeTable`) tabulates the ball volume at the
-    panel edges of [0, r_hi], panel by panel, and stops at the first panel
-    whose outer edge encloses more than the target (and not before r_lo's
-    panel); the running sums bracket the root in that panel, and brentq
-    refines it there with a partial-panel rule per iteration.  A target
-    outside [V(r_lo), V(r_hi)] raises ValueError.
-    """
-    table = _BallVolumeTable(geom, r_hi, until=target, r_min=r_lo)
-    flo = table.volume(r_lo) - target
-    # V at the last built edge: r_hi after a full sweep, else an edge whose
-    # volume already exceeds the target, so of V(r_hi)'s sign
-    r_top = float(table.edges[table.cumulative.size - 1])
-    fhi = float(table.cumulative[-1]) - target
+    def fn(r):
+        return float(geom.ball_volume(r)) - target
+
+    flo, fhi = fn(r_lo), fn(r_hi)
     if flo * fhi > 0.0:
         raise ValueError(
             f"volume {target:.6g} not bracketed on [{r_lo}, {r_hi}] "
-            f"(V - target = {flo:.3g} at r_lo, {fhi:.3g} at r = {r_top:.6g})"
+            f"(V - target = {flo:.3g} at r_lo, {fhi:.3g} at r_hi)"
         )
-    # first panel whose outer edge encloses the target volume
-    k = max(table.panel(r_lo),
-            int(np.searchsorted(table.cumulative, target)) - 1)
-
-    def fn(r):
-        return table.volume(float(r), k) - target
-
-    a, b = max(float(table.edges[k]), r_lo), float(table.edges[k + 1])
-    return float(brentq(fn, a, b, xtol=1e-12, rtol=1e-13))
+    return float(brentq(fn, r_lo, r_hi, xtol=1e-12, rtol=1e-13))
 
 
 @dataclass
@@ -329,9 +216,7 @@ def isoperimetric_check(geom, mesh_initial, mesh_final, converged):
     The flow preserves volume and shrinks area toward the leaf enclosing the
     same volume, so A(leaf) <= A(seed) up to the discretization tolerance
     `ISOPERIMETRIC_TOL`.  The leaf radius comes from
-    `leaf_radius_for_volume`: a sweep of the radial volume density that
-    stops at the panel holding the seed's volume, then a root search inside
-    that panel.
+    `leaf_radius_for_volume`, and its area from `geom.leaf_area`.
     """
     a0 = surface_area(mesh_initial, geom)
     v0 = enclosed_volume(mesh_initial, geom)
@@ -342,7 +227,7 @@ def isoperimetric_check(geom, mesh_initial, mesh_final, converged):
     r_out = float(geom.outer_distance(np.zeros(3)))  # outer chart radius
     r_hi = 2.0 * rmax if not np.isfinite(r_out) else min(2.0 * rmax, 0.995 * r_out)
     r_leaf = leaf_radius_for_volume(geom, v0, 0.2 * rmin, r_hi)
-    a_leaf = leaf_area(geom, r_leaf)
+    a_leaf = float(geom.leaf_area(r_leaf))
     return IsoperimetricVerdict(
         area_initial=a0,
         area_final=a1,

@@ -270,6 +270,29 @@ def test_profile_flat_closed_form(tmp_path):
     assert np.all(np.diff(volume) > 0.0)
 
 
+def test_profile_near_the_pole_matches_the_closed_forms(tmp_path):
+    # a paper-example sphere of radius 1.9 profiles leaves out to r = 1.91,
+    # 0.09 from the pole, where exp(f) peaks
+    text = ("geometry = paper_example\nseed.kind = sphere\n"
+            "seed.radius = 1.9\nseed.level = 2\n")
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert run_cli(["profile", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 0
+    rows = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
+    parsed = parse_config(text)
+    geom = cli.make_geometry(parsed)
+    lam_lo, lam_hi = cli.shell_bounds(parsed, geom)
+    r = np.linspace(geom.r_of_lambda(lam_lo), geom.r_of_lambda(lam_hi),
+                    rows.shape[0])
+    assert r[-1] > 1.9
+    area = 4.0 * np.pi * r**2 / (4.0 - r**2) ** 2
+    volume = 4.0 * np.pi * r**3 / (3.0 * (4.0 - r**2) ** 3)
+    # the file keeps 9 significant digits: a relative rounding of <= 5e-9
+    for column, exact in enumerate((r, area, volume)):
+        np.testing.assert_allclose(rows[:, column], exact, rtol=5e-9, atol=0.0)
+
+
 # --------------------------------------------------------------------------
 # seed
 # --------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy import integrate
 
-from ckflow import ckv, diagnostics, surface
+from ckflow import ambient, diagnostics, surface
 from ckflow.errors import DomainExit
 
 
@@ -57,20 +57,46 @@ def test_label_evolution_residual_small(euclid, pair):
 # --------------------------------------------------------------------------
 
 
-def test_leaf_area_and_volume_flat_closed_forms(euclid):
-    for r in (0.5, 1.0, 1.7):
-        assert abs(diagnostics.leaf_area(euclid, r) - 4.0 * np.pi * r * r) < 1e-10
-        assert abs(
-            diagnostics.ball_volume(euclid, r) - 4.0 * np.pi * r**3 / 3.0
-        ) < 1e-9
+def _sphere_integral(geom, r, power):
+    """Integral of exp(power * f) over the coordinate sphere of radius r,
+    from geom.f alone by adaptive quadrature in the angle from the x axis
+    (the paper example's pole axis; the other geometries are radial)."""
+
+    def density(theta):
+        p = r * np.array([np.cos(theta), np.sin(theta), 0.0])
+        return np.exp(power * geom.f(p)) * np.sin(theta)
+
+    val, _ = integrate.quad(density, 0.0, np.pi, epsabs=0.0, epsrel=1e-13,
+                            limit=200)
+    return 2.0 * np.pi * r * r * val
 
 
-def test_leaf_area_curved_closed_form(paper):
-    # conformal factor 1/q^2 with the pole at distance 2 integrates to
-    # A(r) = 4 pi r^2 / (4 - r^2)^2 over the coordinate sphere
-    for r in (0.5, 1.0, 1.5):
-        exact = 4.0 * np.pi * r * r / (4.0 - r * r) ** 2
-        assert abs(diagnostics.leaf_area(paper, r) / exact - 1.0) < 1e-10
+def _ball_volume_by_quad(geom, r):
+    val, _ = integrate.quad(lambda s: _sphere_integral(geom, s, 3.0), 0.0, r,
+                            epsabs=0.0, epsrel=1e-13, limit=200)
+    return val
+
+
+@pytest.mark.parametrize("geom, radii", [
+    (ambient.Euclidean(), (0.3, 1.0, 2.5)),
+    # up to 0.05 from the pole, where exp(f) peaks
+    (ambient.PaperExample(), (0.5, 1.0, 1.5, 1.85, 1.9, 1.95)),
+    # r/R >= 0.05: the ball-volume form cancels to O((r/R)^3)
+    (ambient.PoincareBall(1.0), (0.05, 0.3, 0.6, 0.9)),
+    (ambient.PoincareBall(0.8), (0.04, 0.4, 0.7)),
+], ids=["euclid", "paper", "poincare_r1", "poincare_r0.8"])
+def test_leaf_area_and_ball_volume_match_quadrature_of_f(geom, radii):
+    for r in radii:
+        assert geom.leaf_area(r) == pytest.approx(
+            _sphere_integral(geom, r, 2.0), rel=1e-12, abs=0.0)
+        assert geom.ball_volume(r) == pytest.approx(
+            _ball_volume_by_quad(geom, r), rel=1e-12, abs=0.0)
+    # an array of radii gives the same values as the scalars
+    r = np.array(radii)
+    np.testing.assert_array_equal(geom.leaf_area(r),
+                                  [geom.leaf_area(x) for x in radii])
+    np.testing.assert_array_equal(geom.ball_volume(r),
+                                  [geom.ball_volume(x) for x in radii])
 
 
 def test_leaf_profile_flat(euclid):
@@ -101,94 +127,20 @@ def test_leaf_radius_for_volume_flat(euclid):
 
 
 def test_ball_volume_and_leaf_radius_curved_closed_form(paper):
-    # with exp(f) = 1/|x - c|^2, |c| = 2, the shell density integrates in
-    # closed form: the integral of exp(3f) over |x| = s is
-    # 4 pi s^2 (4 + s^2) / (4 - s^2)^4, the s-derivative of V below
+    # with exp(f) = 1/|x - c|^2, |c| = 2, the coordinate ball of radius r
+    # holds V(r) = 4 pi r^3 / (3 (4 - r^2)^3); the root search inverts it,
+    # near the pole too
     def exact(r):
         return 4.0 * np.pi * r**3 / (3.0 * (4.0 - r * r) ** 3)
 
-    for r, tol in ((0.5, 1e-14), (1.0, 1e-14), (1.5, 1e-11)):
-        assert abs(diagnostics.ball_volume(paper, r) / exact(r) - 1.0) < tol
-    r1 = diagnostics.leaf_radius_for_volume(paper, exact(1.1), 0.3, 1.8)
-    assert abs(r1 - 1.1) < 1e-10
-
-
-def _full_sweep_leaf_radius(geom, target, r_lo, r_hi):
-    """Reference root search: every panel of [0, r_hi] swept first, the
-    prefix sums from np.cumsum.  Returns (r_leaf, bracket panel k)."""
-    edges = np.linspace(0.0, r_hi, diagnostics._BALL_PANELS + 1)
-    shells = [diagnostics._shell_volume(geom, a, b)
-              for a, b in zip(edges[:-1], edges[1:])]
-    cumulative = np.concatenate([[0.0], np.cumsum(shells)])
-
-    def panel(r):
-        k = int(np.searchsorted(edges, r, side="right")) - 1
-        return min(max(k, 0), edges.size - 2)
-
-    def volume(r, k):
-        return float(cumulative[k]
-                     + diagnostics._shell_volume(geom, edges[k], r))
-
-    flo = volume(r_lo, panel(r_lo)) - target
-    assert flo * (float(cumulative[-1]) - target) <= 0.0
-    k = max(panel(r_lo), int(np.searchsorted(cumulative, target)) - 1)
-    a, b = max(float(edges[k]), r_lo), float(edges[k + 1])
-    r = brentq(lambda r: volume(float(r), k) - target, a, b,
-               xtol=1e-12, rtol=1e-13)
-    return float(r), k
-
-
-def _count_sweep(monkeypatch, geom, r_hi):
-    """Record _shell_volume calls; returns a function giving the length of
-    the leading run of whole-panel calls, i.e. the panels swept."""
-    edges = np.linspace(0.0, r_hi, diagnostics._BALL_PANELS + 1)
-    original, calls = diagnostics._shell_volume, []
-
-    def counted(g, a, b):
-        calls.append((a, b))
-        return original(g, a, b)
-
-    monkeypatch.setattr(diagnostics, "_shell_volume", counted)
-
-    def swept():
-        n = 0
-        while (n < min(len(calls), diagnostics._BALL_PANELS)
-               and calls[n] == (edges[n], edges[n + 1])):
-            n += 1
-        return n
-
-    return swept
-
-
-@pytest.mark.parametrize("name, r_lo, r_hi, radii", [
-    # targets: V at a radius in r_lo's own panel, mid-range, last panel
-    ("euclid", 0.51, 2.0, (0.52, 1.2, 1.99)),
-    ("paper", 0.3, 1.8, (0.305, 1.0, 1.79)),
-])
-def test_leaf_radius_sweep_stops_at_the_bracket_panel(
-        request, monkeypatch, name, r_lo, r_hi, radii):
-    geom = request.getfixturevalue(name)
-    ks = []
-    for r in radii:
-        target = diagnostics.ball_volume(geom, r)
-        r_ref, k = _full_sweep_leaf_radius(geom, target, r_lo, r_hi)
-        ks.append(k)
-        with monkeypatch.context() as m:
-            swept = _count_sweep(m, geom, r_hi)
-            r_leaf = diagnostics.leaf_radius_for_volume(geom, target, r_lo,
-                                                        r_hi)
-            assert swept() == k + 1
-        assert r_leaf == r_ref  # bit for bit
-        assert abs(r_leaf - r) < 1e-10
-    # the three targets bracket in r_lo's panel, mid-range and the last
-    edges = np.linspace(0.0, r_hi, diagnostics._BALL_PANELS + 1)
-    assert ks[0] == int(np.searchsorted(edges, r_lo, side="right")) - 1
-    assert 0 < ks[0] < ks[1] < ks[2] == diagnostics._BALL_PANELS - 1
+    for r in (0.31, 1.1, 1.9, 1.97):
+        r1 = diagnostics.leaf_radius_for_volume(paper, exact(r), 0.3, 1.98)
+        assert abs(r1 - r) < 1e-10
 
 
 def test_leaf_radius_rejects_targets_outside_the_range(paper):
-    v_lo = diagnostics.ball_volume(paper, 0.3)
-    v_hi = diagnostics.ball_volume(paper, 1.8)
+    v_lo = paper.ball_volume(0.3)
+    v_hi = paper.ball_volume(1.8)
     for target in (0.5 * v_lo, 1.01 * v_hi):
         with pytest.raises(ValueError, match="not bracketed"):
             diagnostics.leaf_radius_for_volume(paper, target, 0.3, 1.8)

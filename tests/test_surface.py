@@ -695,9 +695,7 @@ def test_quadrature_refinement_second_order(euclid):
 def test_curved_area_spot_value(paper):
     # r=1 coordinate sphere: area = int e^{2f} dA_flat with f = -ln q
     mesh = surface.sphere_seed(1.0, 4)
-    from ckflow.diagnostics import leaf_area
-
-    assert abs(surface.surface_area(mesh, paper) / leaf_area(paper, 1.0) - 1.0) < 5e-3
+    assert abs(surface.surface_area(mesh, paper) / paper.leaf_area(1.0) - 1.0) < 5e-3
 
 
 # --------------------------------------------------------------------------
