@@ -300,11 +300,18 @@ class PoincareBall(AmbientGeometry):
         return 16.0 * np.pi * r * r / (1.0 - s) ** 2
 
     def ball_volume(self, r):
-        # 32 pi R^3 times the integral of t^2/(1 - t^2)^3 over [0, r/R];
-        # the two terms cancel to O(x^3), so small balls lose digits
+        # 32 pi R^3 times the integral of t^2/(1 - t^2)^3 over [0, x = r/R].
+        # The closed form's two terms cancel to O(x^3), so below x = 0.05 its
+        # series sum_k 4k(k+1)/(2k+1) x^(2k+1) takes over, whose first eleven
+        # terms are exact to about 1e-16 there
         x = np.asarray(r, dtype=float) / self.radius
-        return 4.0 * np.pi * self.radius**3 * (
-            x * (1.0 + x * x) / (1.0 - x * x) ** 2 - np.arctanh(x))
+        x2 = x * x
+        series = 0.0
+        for k in range(11, 0, -1):
+            series = series * x2 + 4.0 * k * (k + 1) / (2 * k + 1)
+        closed = x * (1.0 + x2) / (1.0 - x2) ** 2 - np.arctanh(x)
+        return 4.0 * np.pi * self.radius**3 * np.where(
+            x < 0.05, series * x2 * x, closed)[()]
 
 
 _BUILTIN = {

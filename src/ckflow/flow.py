@@ -37,8 +37,19 @@ guard and the volume projection left them, and the graph's fixed leaf keeps
 its gradient basis, dual areas and shortest edge for the whole run.  The
 graph stepper's loop-top chart fields are the frozen coefficients of its
 step.
+
+The trace columns that no step reads (volume, the two Minkowski residuals
+and the umbilicity deficit, whose principal curvatures need a two-ring
+quadric fit) are computed on one worker thread per run while the step runs
+(`_trace_columns`).  The worker computes only on the loop-top snapshot and
+its bundle, which the step never writes, and numpy releases the interpreter
+lock in much of that work, so on a second core the two overlap.  The same
+functions do the same arithmetic on the same inputs, so every output is
+byte-identical to computing the columns in line; an error from the columns
+wins over one from the step beside them (see `_drive`).
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -251,6 +262,14 @@ def _require_finite(values, what):
         raise MeshDegenerate(f"non-finite {what}")
 
 
+def _trace_columns(mesh, geom, vg):
+    """The trace columns that no step reads, at a loop-top snapshot."""
+    return dict(volume=mesh.volume(geom),
+                mink1=diagnostics.minkowski1_residual(vg),
+                mink2=diagnostics.minkowski2_residual(mesh, geom, vg),
+                umbilicity=diagnostics.umbilicity_deficit(mesh, vg))
+
+
 def _drive(stepper, schedule, ctrl, frame_cb):
     """The time loop of both backends; returns a RunResult.
 
@@ -263,15 +282,37 @@ def _drive(stepper, schedule, ctrl, frame_cb):
     max |speed| <= speed_tol * max H; t_end or max_steps return
     converged=False.  The result's `mesh_initial` is the step-0 loop-top
     mesh.  frame_cb(step, t, mesh), when given, gets every loop-top
-    snapshot, the last one included.  A package error raised in the loop
-    carries the partial trace as `err.trace`, and its message starts with
-    "<label>step N from t=T: ", N and T the loop top's step and time: the
-    one place a failed run's step and time are named.
+    snapshot, the last one included, once its trace row is added.  A
+    package error raised in the loop carries the partial trace as
+    `err.trace`, and its message starts with "<label>step N from t=T: ", N
+    and T the loop top's step and time: the one place a failed run's step
+    and time are named.
+
+    The run's one worker thread computes each loop top's `_trace_columns`
+    while this thread runs the convergence test and the step; the row, then
+    the frame, follow once the step accepts, breaks or raises.  An error
+    from the columns wins over one from the step, as it came first in
+    program order, and its loop top gets no row and no frame; a step error
+    after clean columns keeps its row.  The worker is made on entry and
+    shut down on every exit.  Why the two threads may overlap:
+      - the worker reads the loop-top snapshot, `geom` and `vg`, and adds
+        to the snapshot's memo only its `flat_curvatures` and, on the graph
+        backend, its curved volume (the front's is already there).
+        Meanwhile this thread adds at most the snapshot's `min_edge`
+        (`cfl_dt`), another entry, and otherwise computes on new snapshots;
+      - `vg`'s arrays are never written, and snapshot vertices are
+        read-only;
+      - `Topology.ring(2)`, built on first use, can be built on both
+        threads at once only when a smoothing pass runs at step 0
+        (`smooth_every = 1`); both build the same table, and either is
+        kept;
+      - numpy's error state is per thread, and the package sets none.
     """
     geom, pair = stepper.geom, stepper.pair
     trace = diagnostics.FlowTrace()
     step, dt_arrived, mesh_initial = 0, 0.0, stepper.mesh
 
+    worker = ThreadPoolExecutor(max_workers=1)
     try:
         while True:
             t, mesh = stepper.t, stepper.mesh
@@ -281,50 +322,52 @@ def _drive(stepper, schedule, ctrl, frame_cb):
             if not np.min(vg.u) > 0.0:
                 raise StarshapeLost(
                     f"support function reached {float(np.min(vg.u)):.3e}")
-            area, volume = mesh.area(geom), mesh.volume(geom)
+            area = mesh.area(geom)
             lam = stepper.labels(vg)
             speed = flow_speed(vg)
             ld = diagnostics.leaf_distance(lam)
-            trace.add(
-                step=step, time=t, xi=xi_now, area=area, volume=volume,
+            row = dict(
+                step=step, time=t, xi=xi_now, area=area,
                 lambda_min=float(lam.min()), lambda_max=float(lam.max()),
                 u_min=float(vg.u.min()), uperp_min=float(vg.u_perp.min()),
                 H_min=float(vg.H.min()), H_max=float(vg.H.max()),
-                mink1=diagnostics.minkowski1_residual(vg),
-                mink2=diagnostics.minkowski2_residual(mesh, geom, vg),
-                umbilicity=diagnostics.umbilicity_deficit(mesh, vg),
                 leaf_distance=ld, dt=dt_arrived,
             )
-            if frame_cb is not None:
-                frame_cb(step, t, mesh)
-
-            converged = (
-                ld <= ctrl.leaf_tol
-                and float(np.max(np.abs(speed))) <= ctrl.speed_tol * float(np.max(vg.H))
-            )
-            if converged:
-                reason = "converged"
-                break
-            if t >= ctrl.t_end or step >= ctrl.max_steps:
-                reason = "t_end" if t >= ctrl.t_end else "max_steps"
-                break
-
-            dt = min(stepper.max_dt(vg, xi_now), ctrl.t_end - t)
-            for _ in range(MAX_RETRIES):
-                cand = stepper.propose(vg, dt, step)
-                if cand.area(geom) <= area * (1.0 + ctrl.area_slack):
+            columns = worker.submit(_trace_columns, mesh, geom, vg)
+            try:
+                converged = (
+                    ld <= ctrl.leaf_tol
+                    and float(np.max(np.abs(speed))) <= ctrl.speed_tol * float(np.max(vg.H))
+                )
+                if converged:
+                    reason = "converged"
                     break
-                dt *= 0.5
-            else:
-                raise MeshDegenerate(
-                    f"area kept increasing even at dt={dt:.3e}")
-            stepper.accept(dt, step + 1, area)
+                if t >= ctrl.t_end or step >= ctrl.max_steps:
+                    reason = "t_end" if t >= ctrl.t_end else "max_steps"
+                    break
+
+                dt = min(stepper.max_dt(vg, xi_now), ctrl.t_end - t)
+                for _ in range(MAX_RETRIES):
+                    cand = stepper.propose(vg, dt, step)
+                    if cand.area(geom) <= area * (1.0 + ctrl.area_slack):
+                        break
+                    dt *= 0.5
+                else:
+                    raise MeshDegenerate(
+                        f"area kept increasing even at dt={dt:.3e}")
+                stepper.accept(dt, step + 1, area)
+            finally:
+                trace.add(**row, **columns.result())
+                if frame_cb is not None:
+                    frame_cb(step, t, mesh)
             step += 1
             dt_arrived = dt
     except CkflowError as err:
         err.trace = trace
         err.args = (f"{stepper.label}step {step} from t={t:.6g}: {err}",)
         raise
+    finally:
+        worker.shutdown()
 
     return RunResult(
         mesh=stepper.mesh, mesh_initial=mesh_initial, trace=trace,

@@ -81,9 +81,10 @@ def _ball_volume_by_quad(geom, r):
     (ambient.Euclidean(), (0.3, 1.0, 2.5)),
     # up to 0.05 from the pole, where exp(f) peaks
     (ambient.PaperExample(), (0.5, 1.0, 1.5, 1.85, 1.9, 1.95)),
-    # r/R >= 0.05: the ball-volume form cancels to O((r/R)^3)
-    (ambient.PoincareBall(1.0), (0.05, 0.3, 0.6, 0.9)),
-    (ambient.PoincareBall(0.8), (0.04, 0.4, 0.7)),
+    # r/R of 1e-4 and 1e-3 too, where the closed-form ball volume cancels
+    # to O((r/R)^3)
+    (ambient.PoincareBall(1.0), (1e-4, 1e-3, 0.05, 0.3, 0.6, 0.9)),
+    (ambient.PoincareBall(0.8), (8e-5, 8e-4, 0.04, 0.4, 0.7)),
 ], ids=["euclid", "paper", "poincare_r1", "poincare_r0.8"])
 def test_leaf_area_and_ball_volume_match_quadrature_of_f(geom, radii):
     for r in radii:
