@@ -331,9 +331,9 @@ def make_geometry(name, **kwargs):
 
 
 # --------------------------------------------------------------------------
-# Finite differences.  These are the reference path of the verifier, the
-# tests and the phi Hessian; the flow itself only touches the analytic
-# methods.
+# Finite differences.  The verifier's Lie derivatives and gradients, and the
+# FD references in `oracles`, go through `fd_jacobian`; the flow itself only
+# touches the analytic methods.
 # --------------------------------------------------------------------------
 
 
@@ -361,45 +361,6 @@ def fd_jacobian(geom, func, p):
                        (lead, lead + 1), (0, -1))
     two_h = np.reshape(2.0 * h, np.shape(h) + (1,) * (vals.ndim - 1 - lead))
     return (vals[0] - vals[1]) / two_h
-
-
-def christoffels_fd(geom, p):
-    """Gamma^k_ij from finite differences of the metric (reference path).
-
-    Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij), where the
-    conformal inverse metric is g^{kl} = exp(-2 f) delta^{kl}.
-    """
-    dg = fd_jacobian(geom, geom.metric_at, p)  # [..., i, j, k] = d_k g_ij
-    ginv = np.exp(-2.0 * geom.f(p))[..., None, None, None]
-    # [..., k, i, j]: d_i g_kj + d_j g_ki - d_k g_ij
-    return 0.5 * (ginv * (np.swapaxes(dg, -1, -2) + dg
-                          - np.moveaxis(dg, -1, -3)))
-
-
-def ricci_fd(geom, p):
-    """Ricci by contracting the FD Riemann tensor of the analytic Christoffels.
-
-    R^k_{i k j} with R^r_{s m n} = d_m Gamma^r_ns - d_n Gamma^r_ms
-                                   + Gamma^r_ml Gamma^l_ns - Gamma^r_nl Gamma^l_ms
-    """
-    dgam = fd_jacobian(geom, geom.christoffels_at, p)  # [..., k, i, j, m]
-    gam = geom.christoffels_at(p)
-    return (np.einsum("...mnsm->...sn", dgam)
-            - np.einsum("...mmsn->...sn", dgam)
-            + np.einsum("...mml,...lns->...sn", gam, gam)
-            - np.einsum("...mnl,...lms->...sn", gam, gam))
-
-
-def covariant_hessian(geom, grad, p):
-    """Covariant Hessian d_i d_j u - Gamma^k_ij d_k u of a scalar u.
-
-    `grad` is u's flat gradient; its Jacobian is taken by central
-    differences and symmetrised, the Christoffels are analytic.
-    """
-    p = np.asarray(p, dtype=float)
-    jac = fd_jacobian(geom, grad, p)
-    jac = 0.5 * (jac + np.swapaxes(jac, -1, -2))
-    return jac - np.einsum("...kij,...k->...ij", geom.christoffels_at(p), grad(p))
 
 
 def lie_derivative_metric(geom, field, jac, p):

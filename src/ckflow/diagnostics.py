@@ -51,7 +51,7 @@ def minkowski2_parts(mesh, geom, vg):
     scale = integral H^2 u        (the curvature energy of the surface)
     """
     w = vg.area_g
-    lhs = float(np.sum(vg.H * (N_SURF * vg.phi - vg.H * vg.u) * w))
+    lhs = float(np.sum(vg.H * vg.speed * w))
 
     verts = mesh.vertices
     ric = geom.ricci_at(verts)
@@ -121,8 +121,7 @@ def label_evolution_residual(mesh, geom, vg):
     (d/dt) lam = speed * 2 Lam u_perp, so the residual probes the
     consistency of the discrete Laplacian with the discrete curvature.
     """
-    speed = N_SURF * vg.phi - vg.u * vg.H
-    lhs = speed * 2.0 * vg.Lam * vg.u_perp
+    lhs = vg.speed * 2.0 * vg.Lam * vg.u_perp
     lam_vals = vg.lam
     lap = cotan_laplacian_apply(mesh, lam_vals) * np.exp(-2.0 * vg.f)
     diffusion = vg.u * lap
@@ -238,32 +237,6 @@ def isoperimetric_check(geom, mesh_initial, mesh_final, converged):
         isoperimetric_pass=bool(a_leaf <= a0 * (1.0 + ISOPERIMETRIC_TOL)),
         converged=bool(converged),
     )
-
-
-# --------------------------------------------------------------------------
-# curvature growth envelope
-# --------------------------------------------------------------------------
-
-
-def h_growth_fit(times, h_max):
-    """Affine envelope fitted on the first half, checked on the whole trace.
-
-    Least squares fit a + b t on the first half, slope clamped to b >= 0,
-    intercept shifted up so the first half lies below the line; returns
-    (a, b, ok) where ok means max H never exceeds the extrapolated envelope.
-    """
-    t = np.asarray(times, dtype=float)
-    h = np.asarray(h_max, dtype=float)
-    if t.size < 4:
-        raise ValueError("need at least 4 samples for the envelope fit")
-    half = t.size // 2
-    th, hh = t[:half], h[:half]
-    A = np.stack([np.ones_like(th), th], axis=1)
-    (a, b), *_ = np.linalg.lstsq(A, hh, rcond=None)
-    b = max(0.0, float(b))
-    a = float(a + np.max(hh - (a + b * th)))
-    ok = bool(np.all(h <= a + b * t + 1e-6 * max(1.0, np.max(np.abs(h)))))
-    return a, b, ok
 
 
 # --------------------------------------------------------------------------

@@ -57,10 +57,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from . import ambient, ckv, diagnostics, surface
+from . import ckv, diagnostics, surface
 from .ckv import N_SURF
-from .errors import (CkflowError, EllipticityLost, GradientBoundExceeded,
-                     MeshDegenerate, StarshapeLost)
+from .errors import (CkflowError, GradientBoundExceeded, MeshDegenerate,
+                     StarshapeLost)
 
 MAX_RETRIES = 8         # step halvings before the area guard gives up
 VOLUME_TOL = 1e-12      # relative volume error the projection stops at
@@ -111,14 +111,9 @@ class RunResult:
     solves: SolveCounts
 
 
-def flow_speed(vg):
-    """Normal speed n phi - u H of the current snapshot."""
-    return N_SURF * vg.phi - vg.u * vg.H
-
-
 def chart_velocity(vg):
     """Chart displacement rate: speed * exp(-f) along the flat normal."""
-    v = flow_speed(vg) * np.exp(-vg.f)
+    v = vg.speed * np.exp(-vg.f)
     return v[:, None] * vg.nu_flat
 
 
@@ -324,7 +319,6 @@ def _drive(stepper, schedule, ctrl, frame_cb):
                     f"support function reached {float(np.min(vg.u)):.3e}")
             area = mesh.area(geom)
             lam = stepper.labels(vg)
-            speed = flow_speed(vg)
             ld = diagnostics.leaf_distance(lam)
             row = dict(
                 step=step, time=t, xi=xi_now, area=area,
@@ -337,7 +331,8 @@ def _drive(stepper, schedule, ctrl, frame_cb):
             try:
                 converged = (
                     ld <= ctrl.leaf_tol
-                    and float(np.max(np.abs(speed))) <= ctrl.speed_tol * float(np.max(vg.H))
+                    and float(np.max(np.abs(vg.speed)))
+                    <= ctrl.speed_tol * float(np.max(vg.H))
                 )
                 if converged:
                     reason = "converged"
@@ -457,47 +452,6 @@ def graph_flux(p, g_coef=1.0, h_coef=1.0):
     w = np.sqrt(1.0 + (np.asarray(h_coef, dtype=float) / g) * p2)
     amp = 1.0 / w
     return amp[..., None] * p
-
-
-def graph_flux_jacobian(p, g_coef=1.0, h_coef=1.0):
-    """dA_i/dp_j; symmetric with eigenvalues 1/W^3 along p, 1/W across."""
-    p = np.asarray(p, dtype=float)
-    g = np.asarray(g_coef, dtype=float)
-    ratio = np.asarray(h_coef, dtype=float) / g
-    p2 = np.sum(p * p, axis=-1)
-    w2 = 1.0 + ratio * p2
-    amp = 1.0 / np.sqrt(w2)
-    d = p.shape[-1]
-    eye = np.eye(d)
-    outer = p[..., :, None] * p[..., None, :]
-    return amp[..., None, None] * (eye - (ratio / w2)[..., None, None] * outer)
-
-
-def ellipticity_bounds(geom, shell, c1):
-    """Extremes (c2, c3) of the flux Jacobian eigenvalues over the shell.
-
-    Sweeps 16 x 200 shell samples and 65 gradient magnitudes |p| <= c1;
-    geom=None evaluates the constant-coefficient case G = H_coef = 1.
-    """
-    if c1 <= 0.0:
-        raise ValueError("gradient bound c1 must be positive")
-    if geom is None:
-        ratio = np.array([1.0])
-    else:
-        _, pts = ckv.shell_spheres(geom, shell[0], shell[1],
-                                   n_spheres=16, n_per_sphere=200)
-        pts = pts.reshape(-1, 3)
-        dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        g, h = leaf_coefficients(geom, dirs, ckv.lam(geom, pts))
-        ratio = h / g
-    mags = np.linspace(0.0, c1, 65)
-    w2 = 1.0 + ratio[:, None] * mags[None, :] ** 2
-    lo = 1.0 / w2 ** 1.5
-    hi = 1.0 / np.sqrt(w2)
-    c2, c3 = float(np.min(lo)), float(np.max(hi))
-    if not c2 > 0.0:
-        raise EllipticityLost(f"flux Jacobian lower bound c2 = {c2:.3e}")
-    return c2, c3
 
 
 @dataclass
@@ -674,108 +628,3 @@ def run_graph(geom, pair, state0, schedule, ctrl=None, frame_cb=None):
     ctrl = ctrl or StepControl()
     stepper = _GraphStepper(geom, pair, state0, ctrl)
     return _drive(stepper, schedule, ctrl, frame_cb)
-
-
-# --------------------------------------------------------------------------
-# evolution-equation residuals on graph snapshots
-# --------------------------------------------------------------------------
-
-
-def _phi_hessian(geom, pts):
-    """Covariant Hessian of phi: FD of its analytic gradient minus the
-    Christoffel contraction."""
-    return ambient.covariant_hessian(geom, lambda q: ckv.grad_phi(geom, q), pts)
-
-
-def evolution_residuals(geom, pair, state, schedule):
-    """Discrete residuals of the u- and H-evolution identities at a state.
-
-    The chart time derivative is taken centrally along the flow's own
-    vertical rate d(lam)/dt = speed W / sqrt(H_coef); differencing raw
-    solver snapshots does not work here because the finite-volume rate
-    carries mesh-frequency noise that the curvature jet amplifies.  The
-    chart derivative is then corrected by the tangential drift of graph
-    points relative to flow particles.  Identities hold for a settled
-    field; use omega = 0 or t >= T0 states.
-    """
-    xim = schedule.xi_at(state.t)
-    emb = state.embedded(geom)
-    vg = surface.mesh_geometry(emb, geom, pair, xim)
-    jm = surface.jet_fields(emb, geom, pair, xim)
-    um, hm, a2 = jm.u, jm.h, jm.a2
-    grad_u, lap_u = jm.grad_u, jm.lap_u
-    grad_h, lap_h = jm.grad_h, jm.lap_h
-    pts = emb.vertices
-    areas_g = vg.area_g
-
-    _, h_coef, _, _, w = _graph_slope_fields(geom, state)
-    speed = N_SURF * vg.phi - um * hm
-    rate = speed * w / np.sqrt(h_coef)
-    delta = 1e-4 * np.max(np.abs(state.lam)) / max(np.max(np.abs(rate)),
-                                                   1e-300)
-    pair_at = []
-    for sgn in (-1.0, 1.0):
-        shifted = GraphState(leaf=state.leaf, lam=state.lam + sgn * delta
-                             * rate, t=state.t + sgn * delta)
-        js = surface.jet_fields(shifted.embedded(geom), geom, pair,
-                                schedule.xi_at(shifted.t))
-        pair_at.append(js)
-    j0, j1 = pair_at
-    u0, h0, u1, h1 = j0.u, j0.h, j1.u, j1.h
-    dt = 2.0 * delta
-
-    # tangential drift of chart-vertical motion against normal flow motion
-    drdlam = 1.0 / geom.dlambda_dr(np.linalg.norm(pts, axis=1))
-    chart_vel = (rate * drdlam)[:, None] * state.leaf.vertices
-    material_vel = (speed * np.exp(-vg.f))[:, None] * jm.nu_flat
-    t_drift = chart_vel - material_vel
-
-    x_full = pair.full(pts, xim)
-    gphi = ckv.grad_phi(geom, pts)
-    x_phi = np.einsum("ij,ij->i", x_full, gphi)
-    nu_chart = np.exp(-vg.f)[:, None] * jm.nu_flat
-    nu_phi = np.einsum("ij,ij->i", nu_chart, gphi)
-    ric = geom.ricci_at(pts)
-    ric_nn = np.einsum("ij,ijk,ik->i", nu_chart, ric, nu_chart)
-
-    def l2(v):
-        return float(np.sqrt(np.sum(v * v * areas_g) / np.sum(areas_g)))
-
-    def material_residual(f0, f1, grad_m, lap_m, rhs):
-        dchart = (f1 - f0) / dt
-        lhs = dchart - np.einsum("ij,ij->i", t_drift, grad_m)
-        diff = um * np.exp(-2.0 * vg.f) * lap_m
-        res = lhs - diff - rhs
-        scale = max(l2(lhs), l2(diff), l2(rhs), 1e-300)
-        return l2(res) / scale
-
-    # u equation
-    rhs_u = (
-        N_SURF * vg.phi**2
-        - N_SURF * x_phi
-        - 2.0 * vg.phi * hm * um
-        + a2 * um**2
-        + 2.0 * N_SURF * um * nu_phi
-        + um**2 * ric_nn
-        + hm * np.einsum("ij,ij->i", x_full, grad_u)
-    )
-    rel_u = material_residual(u0, u1, grad_u, lap_u, rhs_u)
-
-    # H equation
-    hess_phi = _phi_hessian(geom, pts)
-    hess_nn = np.einsum("ij,ijk,ik->i", nu_chart, hess_phi, nu_chart)
-    n_perp = pts / (np.exp(vg.f) * np.linalg.norm(pts, axis=1))[:, None]
-    hess_pp = np.einsum("ij,ijk,ik->i", n_perp, hess_phi, n_perp)
-    ric_pp = np.einsum("ij,ijk,ik->i", n_perp, ric, n_perp)
-    # sign note: substituting the support-Laplacian identity into the
-    # speed variation yields +phi (H^2 - n|A|^2) = -phi (k1 - k2)^2; the
-    # nonpositive sign is also what the linear-growth bound on H needs.
-    rhs_h = (
-        2.0 * np.exp(-2.0 * vg.f) * np.einsum("ij,ij->i", grad_h, grad_u)
-        + hm * np.einsum("ij,ij->i", x_full, grad_h)
-        + vg.phi * (hm**2 - N_SURF * a2)
-        + N_SURF * (hess_nn - hess_pp)
-        + N_SURF * vg.phi * (ric_pp - ric_nn)
-    )
-    rel_h = material_residual(h0, h1, grad_h, lap_h, rhs_h)
-    return rel_u, rel_h

@@ -8,10 +8,10 @@ from the flat ones through the conformal factor:
 
 Flat mean curvature comes from the cotangent Laplacian over mixed Voronoi
 cells; flat principal curvatures from per-vertex quadric fits over the
-two-ring.  One local-fit kernel, `_local_fit`, serves the quadric (the
-trace's principal curvatures and smoothing) and the degree-six jet over the
-four-ring: it gathers each padded neighbour table once, projects it onto the
-local frames and solves all the normal equations as stacked matrix products.
+two-ring (the trace's principal curvatures and smoothing).  The fit's
+kernel, `_local_fit`, gathers each padded neighbour table once, projects it
+onto the local frames and solves all the normal equations as stacked matrix
+products; `oracles.jet_fields` fits its degree-six jet through it too.
 Connectivity is fixed over a flow and lives on one `Topology`, shared
 between snapshots: its corner-to-vertex `scatter` matrix carries every
 face-to-vertex sum (vertex normals, mixed areas, gradient weights), the
@@ -38,6 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import ckv
+from .ckv import N_SURF
 from .errors import DomainExit, MeshDegenerate, SeedInfeasible
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -544,158 +545,6 @@ def quadric_fit(mesh):
     return frames, coeffs
 
 
-# bivariate monomial exponents through degree 6 (constant first), for the
-# jet fit; even top degree matches the stencil symmetry
-_JET_EXPS = np.array(
-    [(a, n - a) for n in range(7) for a in range(n, -1, -1)],
-    dtype=np.int64,
-)
-
-
-def _jet_eval(coeffs, x, y, dx=0, dy=0):
-    """Evaluate a d^dx d^dy derivative of the quartic jet at (x, y)."""
-    out = 0.0
-    for k, (a, b) in enumerate(_JET_EXPS):
-        if a < dx or b < dy:
-            continue
-        fac = 1.0
-        for i in range(dx):
-            fac *= a - i
-        for i in range(dy):
-            fac *= b - i
-        term = fac * coeffs[..., k]
-        ea, eb = a - dx, b - dy
-        if ea:
-            term = term * x**ea
-        if eb:
-            term = term * y**eb
-        out = out + term
-    return out
-
-
-@dataclass
-class JetFields:
-    """Support function, curvatures and their surface derivatives."""
-
-    u: np.ndarray        # support of the full field, curved metric
-    h: np.ndarray        # mean curvature, curved metric
-    a2: np.ndarray       # |A|^2, curved metric
-    nu_flat: np.ndarray  # patch unit normal (flat), outward
-    grad_u: np.ndarray   # flat surface gradients (ambient 3-vectors)
-    grad_h: np.ndarray
-    lap_u: np.ndarray    # flat Laplace-Beltrami values
-    lap_h: np.ndarray
-
-
-def jet_fields(mesh, geom, pair, xi_now):
-    """Per-vertex u/H fields and their surface operators from one local fit.
-
-    The mean curvature is second order in position and its Laplacian
-    fourth; chaining per-vertex fits through nodal fields stacks their
-    rough error and the second pass diverges under refinement.  Instead a
-    single degree-six height fit over the four-ring defines an analytic
-    patch; u and H are evaluated on the patch and differentiated there
-    (machine-accurate composition), so only the one smooth truncation
-    error survives.
-    """
-    verts, normals = mesh.vertices, mesh.normals
-    nbr, cnt = mesh.topology.ring(4)
-    real = (np.arange(nbr.shape[1])[None, :] < cnt[:, None])[..., None]
-
-    def jet_columns(x, y):
-        # the constant column is 1 at the padded slots too: zero those rows
-        cols = x[..., None] ** _JET_EXPS[:, 0] * y[..., None] ** _JET_EXPS[:, 1]
-        return cols * real
-
-    frames, scale, co = _local_fit(verts, normals, nbr, cnt, jet_columns)
-    e1, e2 = frames[:, 0], frames[:, 1]  # co is the scaled height jet
-
-    # 3x3 patch grid in scaled coordinates; physical derivative = /scale^k
-    delta = 1e-3
-    off = delta * np.array([-1.0, 0.0, 1.0])
-    gx = np.repeat(off, 3)[None, :]  # (1, 9)
-    gy = np.tile(off, 3)[None, :]
-    co9 = co[:, None, :]
-    hpatch = _jet_eval(co9, gx, gy)                   # scaled height
-    h1p = _jet_eval(co9, gx, gy, dx=1)
-    h2p = _jet_eval(co9, gx, gy, dy=1)
-    h11p = _jet_eval(co9, gx, gy, dx=2) / scale[:, None]
-    h12p = _jet_eval(co9, gx, gy, dx=1, dy=1) / scale[:, None]
-    h22p = _jet_eval(co9, gx, gy, dy=2) / scale[:, None]
-
-    pts = (
-        verts[:, None, :]
-        + (scale[:, None] * gx)[..., None] * e1[:, None, :]
-        + (scale[:, None] * gy)[..., None] * e2[:, None, :]
-        + (scale[:, None] * hpatch)[..., None] * normals[:, None, :]
-    )
-    wp = np.sqrt(1.0 + h1p**2 + h2p**2)
-    nu_p = (
-        normals[:, None, :] - h1p[..., None] * e1[:, None, :]
-        - h2p[..., None] * e2[:, None, :]
-    ) / wp[..., None]
-    # outward-positive sum convention: sphere patch h ~ -|xi|^2/(2r)
-    hbar = -(
-        (1.0 + h2p**2) * h11p
-        - 2.0 * h1p * h2p * h12p
-        + (1.0 + h1p**2) * h22p
-    ) / wp**3
-
-    fv = geom.f(pts)
-    nu_f = np.einsum("vkj,vkj->vk", nu_p, geom.grad_f(pts))
-    xfull = pair.full(pts, xi_now)
-    upatch = np.exp(fv) * np.einsum("vkj,vkj->vk", xfull, nu_p)
-    hpatch_g = (hbar + 2.0 * nu_f) / np.exp(fv)
-
-    # grid index (i, j) -> 3*(i+1) + (j+1); FD in scaled coords, then /scale^k
-    def fd(F):
-        f1 = (F[:, 7] - F[:, 1]) / (2.0 * delta) / scale
-        f2 = (F[:, 5] - F[:, 3]) / (2.0 * delta) / scale
-        f11 = (F[:, 7] - 2.0 * F[:, 4] + F[:, 1]) / delta**2 / scale**2
-        f22 = (F[:, 5] - 2.0 * F[:, 4] + F[:, 3]) / delta**2 / scale**2
-        f12 = (F[:, 8] - F[:, 6] - F[:, 2] + F[:, 0]) / (4.0 * delta**2) \
-            / scale**2
-        return F[:, 4], f1, f2, f11, f12, f22
-
-    # graph metric at the patch center
-    hx, hy = h1p[:, 4], h2p[:, 4]
-    hxx, hxy, hyy = h11p[:, 4], h12p[:, 4], h22p[:, 4]
-    wsq = 1.0 + hx * hx + hy * hy
-    g11 = 1.0 - hx * hx / wsq
-    g12 = -hx * hy / wsq
-    g22 = 1.0 - hy * hy / wsq
-    trace_h = g11 * hxx + 2.0 * g12 * hxy + g22 * hyy
-    tau1 = e1 + hx[:, None] * normals
-    tau2 = e2 + hy[:, None] * normals
-
-    def surface_ops(F):
-        f0, f1, f2, f11, f12, f22 = fd(F)
-        lap = g11 * f11 + 2.0 * g12 * f12 + g22 * f22
-        lap -= (trace_h / wsq) * (hx * f1 + hy * f2)
-        gu1 = g11 * f1 + g12 * f2
-        gu2 = g12 * f1 + g22 * f2
-        grad = gu1[:, None] * tau1 + gu2[:, None] * tau2
-        return f0, grad, lap
-
-    u0, grad_u, lap_u = surface_ops(upatch)
-    h0, grad_h, lap_h = surface_ops(hpatch_g)
-
-    # |A|^2 from the center shape operator: S = g^{-1} b, b_ij = -h_ij / W
-    wc = np.sqrt(wsq)
-    b11, b12, b22 = -hxx / wc, -hxy / wc, -hyy / wc
-    det_g = wsq  # det(I + hh^T) = 1 + |h|^2
-    tr_s = g11 * b11 + 2.0 * g12 * b12 + g22 * b22
-    det_s = (b11 * b22 - b12 * b12) / det_g
-    a2_flat = tr_s * tr_s - 2.0 * det_s
-    nu_fc = nu_f[:, 4]
-    efc = np.exp(fv[:, 4])
-    a2 = (a2_flat + 2.0 * tr_s * nu_fc + 2.0 * nu_fc**2) / efc**2
-    return JetFields(
-        u=u0, h=h0, a2=a2, nu_flat=nu_p[:, 4],
-        grad_u=grad_u, grad_h=grad_h, lap_u=lap_u, lap_h=lap_h,
-    )
-
-
 def principal_curvatures_flat(mesh):
     """Flat principal curvatures (k1 >= k2) from the quadric fit.
 
@@ -751,6 +600,11 @@ class VertexGeometry:
     area_flat: np.ndarray    # mixed Voronoi cell areas, flat
     area_g: np.ndarray       # curved cell areas exp(2f) * flat
     dilation_norm: np.ndarray  # |D|_g at vertices
+
+    @property
+    def speed(self):
+        """The flow's normal speed n phi - u H at the vertices."""
+        return N_SURF * self.phi - self.u * self.H
 
 
 def mesh_geometry(mesh, geom, pair, xi_now=1.0):
@@ -895,40 +749,6 @@ def tangential_smooth(mesh):
 # --------------------------------------------------------------------------
 # OBJ export
 # --------------------------------------------------------------------------
-
-
-def radial_intersections(mesh, dirs):
-    """Intersection points of origin rays with a starshaped mesh.
-
-    Moller-Trumbore per ray/face pair, 512 rays at a time; each ray must hit
-    the surface (starshapedness about the chart origin), else MeshDegenerate.
-    """
-    dirs = np.asarray(dirs, dtype=float)
-    v0 = mesh.vertices[mesh.faces[:, 0]]
-    e1 = mesh.vertices[mesh.faces[:, 1]] - v0
-    e2 = mesh.vertices[mesh.faces[:, 2]] - v0
-    out = np.empty(dirs.shape[0])
-    eps, chunk = 1e-12, 512
-    for start in range(0, dirs.shape[0], chunk):
-        d = dirs[start:start + chunk]
-        pvec = np.cross(d[:, None, :], e2[None, :, :])
-        det = np.einsum("fj,rfj->rf", e1, pvec)
-        inv = np.where(np.abs(det) > eps, 1.0 / np.where(det == 0, 1.0, det), 0.0)
-        uu = -np.einsum("fj,rfj->rf", v0, pvec) * inv
-        qvec = np.cross(-v0[None, :, :], e1[None, :, :])
-        vv = np.einsum("rj,rfj->rf", d, qvec) * inv
-        tt = np.einsum("fj,rfj->rf", e2, qvec) * inv
-        hit = (
-            (np.abs(det) > eps)
-            & (uu >= -1e-9) & (vv >= -1e-9) & (uu + vv <= 1.0 + 1e-9)
-            & (tt > eps)
-        )
-        tt = np.where(hit, tt, np.inf)
-        best = np.min(tt, axis=1)
-        if np.any(~np.isfinite(best)):
-            raise MeshDegenerate("a radial ray missed the mesh")
-        out[start:start + chunk] = best
-    return out[:, None] * dirs
 
 
 def save_obj(mesh, path, t=0.0, frame=0):

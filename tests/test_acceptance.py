@@ -8,7 +8,7 @@ level-4 runs are shared session fixtures (see conftest).
 import numpy as np
 import pytest
 
-from ckflow import ambient, ckv, diagnostics, flow, surface
+from ckflow import ambient, ckv, diagnostics, flow, oracles, surface
 from ckflow.errors import StarshapeLost
 from conftest import seed_label_band
 
@@ -25,7 +25,7 @@ def test_c01_leaf_stationarity(euclid, pair):
     worst = 0.0
     for r in (0.5, 1.0, 2.0):
         vg = surface.mesh_geometry(surface.sphere_seed(r, 4), euclid, pair)
-        speed = flow.flow_speed(vg)
+        speed = vg.speed
         worst = max(worst, float(np.max(np.abs(speed)) / np.max(vg.H)))
     report(f"criterion 1: flat spheres stationary (max speed/H = {worst:.2e},"
            " tol 1e-2)", worst <= 1e-2)
@@ -136,8 +136,8 @@ def test_c06_evolution_equation_residuals(euclid, paper, pair):
     for geom, mesh in ((euclid, surface.ellipsoid_seed((1.6, 1.0, 1.0), 4)),
                        (euclid, pert), (paper, pert9)):
         state = flow.graph_state_from_mesh(mesh, geom)
-        rel_u, rel_h = flow.evolution_residuals(geom, pair, state,
-                                                ckv.Schedule(t0=1.0))
+        rel_u, rel_h = oracles.evolution_residuals(geom, pair, state,
+                                                   ckv.Schedule(t0=1.0))
         worst_u, worst_h = max(worst_u, rel_u), max(worst_h, rel_h)
     report(f"criterion 6: label residual {worst_lam:.2e} <= 5e-2, "
            f"u residual {worst_u:.2e} <= 1e-1, H residual "
@@ -205,11 +205,11 @@ def test_c08_curved_example(paper, pair, paper_run):
 
 
 def test_c09_graph_flux_ellipticity(paper, pair):
-    c2, c3 = flow.ellipticity_bounds(None, None, 1.0)
+    c2, c3 = oracles.ellipticity_bounds(None, None, 1.0)
     unit_ok = abs(c2 - 2.0 ** -1.5) <= 1e-6 and abs(c3 - 1.0) <= 1e-6
     shell = (float(ckv.lam(paper, np.array([[0.3, 0.0, 0.0]]))[0]),
              float(ckv.lam(paper, np.array([[1.8, 0.0, 0.0]]))[0]))
-    c2c, c3c = flow.ellipticity_bounds(paper, shell, 1.0)
+    c2c, c3c = oracles.ellipticity_bounds(paper, shell, 1.0)
     report(
         f"criterion 9: unit-coefficient bounds ({c2:.6f}, {c3:.6f}) match "
         f"(2^-3/2, 1); curved shell keeps c2 = {c2c:.3e} > 0",
@@ -222,7 +222,7 @@ def test_c10_cross_backend_agreement(euclid, cross_backend):
     lag, gra = cross_backend["lag"], cross_backend["gra"]
     t_match = abs(lag.t - gra.t) <= 1e-12
     dirs = cross_backend["state0"].leaf.vertices
-    pts = surface.radial_intersections(lag.mesh, dirs)
+    pts = oracles.radial_intersections(lag.mesh, dirs)
     lam_lag = ckv.lam(euclid, pts)
     lam_gra = ckv.lam(euclid, gra.mesh.vertices)
     rel = float(np.max(np.abs(lam_lag - lam_gra)) / np.max(np.abs(lam_gra)))

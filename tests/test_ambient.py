@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ckflow import ambient
+from ckflow import ambient, oracles
 from ckflow.errors import DomainExit
 
 
@@ -143,7 +143,7 @@ def test_hessian_linear_function_euclidean(euclid):
         return 0.3 * p[..., 0] - 1.1 * p[..., 1] + 0.25 * p[..., 2]
 
     # roundoff floor of the central second difference is ~eps/h^2 ~ 1e-8
-    h = ambient.covariant_hessian(
+    h = oracles.covariant_hessian(
         euclid, lambda q: ambient.fd_jacobian(euclid, lin, q),
         np.array([0.4, -0.2, 0.9]))
     assert np.max(np.abs(h)) < 1e-7
@@ -156,7 +156,7 @@ def test_christoffel_symmetry_and_fd(euclid, paper, poincare):
         gam = geom.christoffels_at(pts)
         assert np.allclose(gam, np.swapaxes(gam, 2, 3))
         for p in pts[:12]:
-            fd = ambient.christoffels_fd(geom, p)
+            fd = oracles.christoffels_fd(geom, p)
             ana = geom.christoffels_at(p[None])[0]
             assert np.max(np.abs(ana - fd)) <= 1e-6 * (1.0 + np.max(np.abs(ana)))
 
@@ -180,7 +180,7 @@ def test_ricci_poincare_einstein(poincare):
         # Einstein: Ric = -2 g in ambient dimension 3
         target = -2.0 * poincare.metric_at(p[None])[0]
         assert np.allclose(ana[k], target, atol=1e-12)
-        fd = ambient.ricci_fd(poincare, p)
+        fd = oracles.ricci_fd(poincare, p)
         assert np.max(np.abs(fd - target)) <= 1e-4 * (1.0 + np.max(np.abs(target)))
 
 
@@ -188,7 +188,7 @@ def test_ricci_fd_matches_closed_form_everywhere(euclid, paper, poincare):
     rng = np.random.default_rng(13)
     for geom in (euclid, paper, poincare):
         for p in _interior_points(geom, rng, n=6):
-            fd = ambient.ricci_fd(geom, p)
+            fd = oracles.ricci_fd(geom, p)
             ana = geom.ricci_at(p[None])[0]
             assert np.max(np.abs(fd - ana)) <= 1e-4 * (1.0 + np.max(np.abs(ana)))
 

@@ -1,8 +1,13 @@
 """End-to-end command line behavior: exit codes, artifacts, determinism."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ckflow
 from ckflow import ambient, cli, errors, flow, surface
 from ckflow.config import parse_config
 from ckflow.diagnostics import TRACE_COLUMNS
@@ -407,3 +412,34 @@ def test_every_package_error_ends_in_its_documented_exit(tmp_path, capsys,
     assert captured.err.strip().splitlines()[-1] == next(
         f"STATUS={name}" for name, c in cli.STATUS_CODE.items() if c == code)
     assert f"{prefix}: injected" in captured.err
+
+
+# --------------------------------------------------------------------------
+# the run path and the oracles
+# --------------------------------------------------------------------------
+
+
+def _python(tmp_path, code):
+    """Run `code` in a fresh interpreter that imports this ckflow."""
+    src = os.path.dirname(os.path.dirname(ckflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def test_no_command_loads_the_oracles(tmp_path):
+    # the oracles check the paper's claims for the tests; every command runs
+    # without them, and they import on their own
+    cfg = write_cfg(tmp_path, "seed.kind = ellipsoid\n"
+                    "seed.semiaxes = [1.3, 1, 1]\nseed.level = 1\n")
+    out = _python(tmp_path, (
+        "import sys\nfrom ckflow import cli\n"
+        "codes = [cli.main([cmd, '--config', 'run.cfg', '--quiet'])\n"
+        "         for cmd in ('run', 'verify', 'profile', 'seed')]\n"
+        "print(codes, 'ckflow.oracles' in sys.modules)\n"))
+    assert out.splitlines()[-1] == "[0, 0, 0, 0] False"
+    assert (tmp_path / "trace.csv").read_text().count("\n") > 2  # it stepped
+    _python(tmp_path, "import ckflow.oracles\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ckflow import ambient, diagnostics, surface
+from ckflow import ambient, diagnostics, oracles, surface
 from ckflow.errors import DomainExit
 
 
@@ -192,7 +192,7 @@ def test_isoperimetric_verdict_file(euclid, pair, tmp_path):
 def test_h_growth_fit_constant_history():
     t = np.linspace(0.0, 5.0, 40)
     h = np.full_like(t, 2.0 / 1.3)
-    a, b, ok = diagnostics.h_growth_fit(t, h)
+    a, b, ok = oracles.h_growth_fit(t, h)
     assert ok and b <= 1e-12
     assert abs(a - 2.0 / 1.3) < 0.02 * (2.0 / 1.3)
 
@@ -201,16 +201,16 @@ def test_h_growth_fit_flags_late_blowup():
     t = np.linspace(0.0, 5.0, 40)
     h = 1.0 + 0.1 * t
     h[-5:] += 3.0
-    _, _, ok = diagnostics.h_growth_fit(t, h)
+    _, _, ok = oracles.h_growth_fit(t, h)
     assert not ok
     with pytest.raises(ValueError):
-        diagnostics.h_growth_fit(t[:3], h[:3])
+        oracles.h_growth_fit(t[:3], h[:3])
 
 
 def test_h_growth_envelope_on_run(euclid_l2_run):
     trace = euclid_l2_run.trace
-    a, b, ok = diagnostics.h_growth_fit(trace.column("time"),
-                                        trace.column("H_max"))
+    a, b, ok = oracles.h_growth_fit(trace.column("time"),
+                                    trace.column("H_max"))
     assert ok
 
 

@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ckflow import ckv, diagnostics, flow, surface
+from ckflow import ckv, diagnostics, flow, oracles, surface
 from ckflow.errors import MeshDegenerate, StarshapeLost
 from conftest import assert_traces_close, seed_label_band, twisted_run_at
 
@@ -39,7 +39,18 @@ def test_flow_speed_vanishes_on_flat_spheres(euclid, pair):
     # every centered sphere is a leaf of the flat foliation
     for r in (0.5, 1.0, 2.0):
         vg = surface.mesh_geometry(surface.sphere_seed(r, 3), euclid, pair)
-        assert np.max(np.abs(flow.flow_speed(vg))) <= 0.01 * np.max(vg.H)
+        assert np.max(np.abs(vg.speed)) <= 0.01 * np.max(vg.H)
+
+
+@pytest.mark.xfail(strict=True, raises=MeshDegenerate, reason=(
+    "known defect: the cotan H of this leaf spreads by 5% at L3, so the "
+    "speed test does not stop the run and the step raises the area"))
+def test_curved_coordinate_sphere_converges_at_step_0(paper, pair):
+    # every coordinate sphere is a leaf of the paper example; radius 1.0
+    # converges at step 0, but 1.3 fails the area guard at step 0
+    res = flow.run(paper, pair, surface.sphere_seed(1.3, 3),
+                   ckv.Schedule(t0=1.0))
+    assert res.converged
 
 
 def test_chart_velocity_is_normal(euclid, pair):
@@ -623,7 +634,7 @@ def test_graph_flux_jacobian_matches_fd():
     p = rng.normal(size=(5, 3)) * 0.4
     g = 1.0 + rng.random(5)
     h = 0.5 + rng.random(5)
-    jac = flow.graph_flux_jacobian(p, g, h)
+    jac = oracles.graph_flux_jacobian(p, g, h)
     eps = 1e-6
     for j in range(3):
         dp = np.zeros(3)
@@ -634,17 +645,17 @@ def test_graph_flux_jacobian_matches_fd():
 
 
 def test_ellipticity_bounds_unit_case():
-    c2, c3 = flow.ellipticity_bounds(None, None, 1.0)
+    c2, c3 = oracles.ellipticity_bounds(None, None, 1.0)
     assert abs(c2 - 2.0 ** -1.5) < 1e-9
     assert abs(c3 - 1.0) < 1e-9
     with pytest.raises(ValueError):
-        flow.ellipticity_bounds(None, None, 0.0)
+        oracles.ellipticity_bounds(None, None, 0.0)
 
 
 def test_ellipticity_bounds_on_curved_shell(paper, pair):
     shell = (float(ckv.lam(paper, np.array([[0.3, 0.0, 0.0]]))[0]),
              float(ckv.lam(paper, np.array([[1.8, 0.0, 0.0]]))[0]))
-    c2, c3 = flow.ellipticity_bounds(paper, shell, 1.0)
+    c2, c3 = oracles.ellipticity_bounds(paper, shell, 1.0)
     assert 0.0 < c2 <= c3
 
 
@@ -656,8 +667,9 @@ def test_flux_jacobian_spectrum_is_the_ellipticity_bounds():
     dirs = rng.normal(size=(400, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     mags = np.concatenate([[0.0, c1], rng.uniform(0.0, c1, 398)])
-    eig = np.linalg.eigvalsh(flow.graph_flux_jacobian(mags[:, None] * dirs))
-    c2, c3 = flow.ellipticity_bounds(None, None, c1)
+    eig = np.linalg.eigvalsh(
+        oracles.graph_flux_jacobian(mags[:, None] * dirs))
+    c2, c3 = oracles.ellipticity_bounds(None, None, c1)
     assert abs(eig.min() - c2) <= 1e-12 * c2
     assert abs(eig.max() - c3) <= 1e-12 * c3
 
@@ -786,8 +798,8 @@ def test_evolution_residuals_smoke(euclid, pair, monkeypatch):
     original = diagnostics.label_evolution_source
     monkeypatch.setattr(diagnostics, "label_evolution_source",
                         lambda *a: sources.append(1) or original(*a))
-    rel_u, rel_h = flow.evolution_residuals(euclid, pair, state,
-                                            ckv.Schedule(t0=1.0))
+    rel_u, rel_h = oracles.evolution_residuals(euclid, pair, state,
+                                               ckv.Schedule(t0=1.0))
     assert not sources  # the oracle needs no label evolution source
     # level-3 smoke values; the H identity needs 4th-derivative jets and
     # only reaches its working accuracy at level 4 (see the acceptance run)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ckflow import ambient, ckv, diagnostics, flow, surface
+from ckflow import ambient, ckv, diagnostics, flow, oracles, surface
 from ckflow.errors import MeshDegenerate, SeedInfeasible
 
 
@@ -650,12 +650,12 @@ def test_jet_fit_ignores_padded_ring_slots(euclid, pair, monkeypatch):
 
     monkeypatch.setattr(surface, "_local_fit", spy)
     mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 3)
-    surface.jet_fields(mesh, euclid, pair, 1.0)
+    oracles.jet_fields(mesh, euclid, pair, 1.0)
     (frames, scale, co), = fits
     nbr, cnt = mesh.topology.ring(4)
     for i in np.flatnonzero(cnt < nbr.shape[1])[::20]:
         ref = lstsq_over_real_neighbours(mesh, nbr, cnt, i, frames[i],
-                                         surface._JET_EXPS, scale[i])
+                                         oracles._JET_EXPS, scale[i])
         assert np.max(np.abs(co[i] - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
@@ -767,7 +767,7 @@ def test_quality_flags_degenerate():
 
 def test_jet_fields_sphere_exact_values(euclid, pair):
     mesh = surface.sphere_seed(1.0, 4)
-    jf = surface.jet_fields(mesh, euclid, pair, 1.0)
+    jf = oracles.jet_fields(mesh, euclid, pair, 1.0)
     assert np.max(np.abs(jf.u - 1.0)) < 2e-4
     assert np.max(np.abs(jf.h - 2.0)) < 2e-3
     assert np.max(np.abs(jf.a2 - 2.0)) < 4e-3
@@ -780,7 +780,7 @@ def test_jet_fields_ellipsoid_converges(euclid, pair):
     errs_h, errs_a2 = [], []
     for level in (3, 4):
         mesh = surface.ellipsoid_seed((1.6, 1.0, 1.0), level)
-        jf = surface.jet_fields(mesh, euclid, pair, 1.0)
+        jf = oracles.jet_fields(mesh, euclid, pair, 1.0)
         _, u_ref, h_ref, a2_ref = ellipsoid_reference(mesh.vertices, (1.6, 1.0, 1.0))
         assert np.max(np.abs(jf.u - u_ref)) < 2e-3
         errs_h.append(np.max(np.abs(jf.h - h_ref)) / np.max(h_ref))
@@ -792,6 +792,6 @@ def test_jet_fields_ellipsoid_converges(euclid, pair):
 def test_jet_fields_match_vertex_geometry(paper, pair):
     mesh = surface.ellipsoid_seed((1.05, 1.0, 0.95), 3)
     vg = surface.mesh_geometry(mesh, paper, pair)
-    jf = surface.jet_fields(mesh, paper, pair, 1.0)
+    jf = oracles.jet_fields(mesh, paper, pair, 1.0)
     assert np.max(np.abs(jf.u - vg.u)) <= 0.02 * np.max(np.abs(vg.u))
     assert np.max(np.abs(jf.h - vg.H)) <= 0.05 * np.max(np.abs(vg.H))
