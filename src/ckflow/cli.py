@@ -3,12 +3,12 @@
 Exit codes: 0 ok, 1 assumption failure, 2 flow error (a seed that is not
 strictly starshaped for the scheduled field, starshape lost, mesh
 degenerate, domain exit, graph gradient bound exceeded, any other package
-error), 3 non-convergence, 64 bad config.  Every exit path prints
-`STATUS=<ok|assumptions|flow|nonconv|config>` to stderr.  A package error
-ends in `main`'s one handler: it writes the partial trace the error
-carries, if any, as `trace.csv`, then takes the status and the message
-prefix from the first `EXITS` entry the error is an instance of.  A flow
-error from the time loop names the step and time it came from
+error), 3 non-convergence, 64 bad config or unusable --out.  Every exit
+path prints `STATUS=<ok|assumptions|flow|nonconv|config>` to stderr.  A
+package error ends in `main`'s one handler: it writes the partial trace
+the error carries, if any, as `trace.csv`, then takes the status and the
+message prefix from the first `EXITS` entry the error is an instance of.
+A flow error from the time loop names the step and time it came from
 ("flow error: graph step 0 from t=0: ..."), whatever raised it.  `run`
 saves every `output.frame_every`-th loop-top snapshot, and the last one,
 as `frame_<step>.obj`.
@@ -99,7 +99,6 @@ def make_ctrl(cfg):
     return flow.StepControl(
         cfl=cfg["flow.cfl"],
         t_end=cfg["flow.t_end"],
-        speed_tol=cfg["flow.speed_tol"],
         leaf_tol=cfg["flow.leaf_tol"],
         smooth_every=cfg["flow.smooth_every"],
         max_steps=cfg["flow.max_steps"],
@@ -230,7 +229,11 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(
+                f"cannot create output directory {args.out}: {err}") from err
         return COMMANDS[args.cmd](cfg, args.out, args.force, args.quiet)
     except CkflowError as err:
         trace = getattr(err, "trace", None)

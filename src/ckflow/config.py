@@ -49,8 +49,8 @@ REGISTRY = {
     "flow.cfl": ("float", 0.25, None,
                  (lambda v: 0.0 < v <= 0.5, "in (0, 0.5]")),
     "flow.t_end": ("float", 20.0, None, _POSITIVE),
-    "flow.speed_tol": ("float", 1e-2, None, None),
-    "flow.leaf_tol": ("float", 1e-2, None, None),
+    # an exact leaf reads ~1e-15: a tolerance of 0 could never be met
+    "flow.leaf_tol": ("float", 1e-2, None, _POSITIVE),
     "flow.smooth_every": ("int", 10, None, None),
     "flow.max_steps": ("int", 500000, None, None),
     "output.frame_every": ("int", 0, None, None),

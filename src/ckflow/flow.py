@@ -8,11 +8,12 @@ driver owns the loop-top geometry and star-shape check, the initial mesh, the
 trace row, frames, convergence and error tagging: a package error that
 leaves the loop carries the partial trace, and its message starts with the
 loop top's step and time ("graph step 3 from t=0.0125: ..."), which no raise
-site names itself.  A stepper (`_FrontStepper`, `_GraphStepper`) holds one
-backend's state, bounds dt, proposes a finite candidate and commits it.  The
-front projects each candidate back onto the initial curved volume and
-smooths tangentially on a fixed cadence, skipping a pass that would break
-area monotonicity.
+site names itself.  The flow is stationary exactly on the leaves, so a run
+converges at its first loop top with leaf distance <= `leaf_tol`.  A stepper
+(`_FrontStepper`, `_GraphStepper`) holds one backend's state, bounds dt,
+proposes a finite candidate and commits it.  The front projects each
+candidate back onto the initial curved volume and smooths tangentially on a
+fixed cadence, skipping a pass that would break area monotonicity.
 
 Each backend has one step, linearly implicit.  The front's
 (`step_lagrangian`) takes the stiff part u exp(-2f) Lap x of the chart
@@ -75,7 +76,6 @@ class StepControl:
 
     cfl: float = 0.25
     t_end: float = 20.0
-    speed_tol: float = 1e-2
     leaf_tol: float = 1e-2
     smooth_every: int = 10
     max_steps: int = 500000
@@ -273,8 +273,8 @@ def _drive(stepper, schedule, ctrl, frame_cb):
     counts the result reports), `labels(vg)` -> the leaf labels,
     `max_dt(vg, xi_now)`, `propose(vg, dt, step)` -> the candidate's mesh
     and `accept(dt, step + 1, area_prev)`.
-    Convergence: leaf spread (max-min)/mean of the label <= leaf_tol and
-    max |speed| <= speed_tol * max H; t_end or max_steps return
+    Convergence: the first loop top, step 0 included, whose leaf spread
+    (max-min)/mean of the label is <= leaf_tol; t_end or max_steps return
     converged=False.  The result's `mesh_initial` is the step-0 loop-top
     mesh.  frame_cb(step, t, mesh), when given, gets every loop-top
     snapshot, the last one included, once its trace row is added.  A
@@ -329,12 +329,7 @@ def _drive(stepper, schedule, ctrl, frame_cb):
             )
             columns = worker.submit(_trace_columns, mesh, geom, vg)
             try:
-                converged = (
-                    ld <= ctrl.leaf_tol
-                    and float(np.max(np.abs(vg.speed)))
-                    <= ctrl.speed_tol * float(np.max(vg.H))
-                )
-                if converged:
+                if ld <= ctrl.leaf_tol:
                     reason = "converged"
                     break
                 if t >= ctrl.t_end or step >= ctrl.max_steps:

@@ -334,6 +334,18 @@ def test_unknown_key_exits_config(tmp_path, capsys):
     assert "STATUS=config" in capsys.readouterr().err
 
 
+def test_unusable_out_exits_config(tmp_path, capsys):
+    # an output path that names a file cannot become a directory
+    cfg = write_cfg(tmp_path, "seed.level = 0\n")
+    out = tmp_path / "taken"
+    out.write_text("")
+    code = run_cli(["seed", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert f"config error: cannot create output directory {out}" in err
+    assert err.strip().splitlines()[-1] == "STATUS=config"
+
+
 @pytest.mark.parametrize("line", [
     "flow.cfl = 0.9",
     "seed.level = -1",

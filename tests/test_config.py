@@ -55,6 +55,11 @@ def test_values_comments_and_lists():
     ("schedule.t0 = 0", "must be > 0"),
     ("sampling.seed = -1", "must be >= 0"),
     ("seed.level = 8", r"must be in \[0, 7\]"),
+    # an exact leaf reads ~1e-15, so a run could never meet these
+    ("flow.leaf_tol = 0", "must be > 0"),
+    ("flow.leaf_tol = -1e-3", "must be > 0"),
+    # runs converge on the leaf test alone: the speed test's key is gone
+    ("flow.speed_tol = 0.01", "unknown key 'flow.speed_tol'"),
 ])
 def test_rejects_malformed_lines(line, fragment):
     with pytest.raises(ConfigError, match=fragment):

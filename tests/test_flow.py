@@ -29,6 +29,9 @@ def test_step_control_rejects_bad_knobs():
     # each backend has one step: there is no scheme to choose
     with pytest.raises(TypeError):
         flow.StepControl(scheme="imex")
+    # a run converges on the leaf test alone: there is no speed tolerance
+    with pytest.raises(TypeError):
+        flow.StepControl(speed_tol=1e-2)
     # the area guard's slack is fixed, not a field
     assert flow.StepControl().area_slack == 1e-8
     with pytest.raises(TypeError):
@@ -42,15 +45,19 @@ def test_flow_speed_vanishes_on_flat_spheres(euclid, pair):
         assert np.max(np.abs(vg.speed)) <= 0.01 * np.max(vg.H)
 
 
-@pytest.mark.xfail(strict=True, raises=MeshDegenerate, reason=(
-    "known defect: the cotan H of this leaf spreads by 5% at L3, so the "
-    "speed test does not stop the run and the step raises the area"))
-def test_curved_coordinate_sphere_converges_at_step_0(paper, pair):
-    # every coordinate sphere is a leaf of the paper example; radius 1.0
-    # converges at step 0, but 1.3 fails the area guard at step 0
-    res = flow.run(paper, pair, surface.sphere_seed(1.3, 3),
-                   ckv.Schedule(t0=1.0))
-    assert res.converged
+@pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
+@pytest.mark.parametrize("geom_name, radius", [
+    ("euclid", 1.3), ("paper", 1.3), ("paper", 1.5), ("poincare", 0.6),
+])
+def test_coordinate_sphere_leaf_converges_at_step_0(request, pair, backend,
+                                                    geom_name, radius):
+    # every coordinate sphere is a leaf of these geometries; the curved
+    # ones' cotan H spreads by 5-9% at L3, which must not keep the run going
+    geom = request.getfixturevalue(geom_name)
+    res = _run_backend(backend, geom, pair, surface.sphere_seed(radius, 3),
+                       flow.StepControl())
+    assert res.converged and res.steps == 0
+    assert len(res.trace) == 1
 
 
 def test_chart_velocity_is_normal(euclid, pair):
@@ -521,6 +528,16 @@ def test_run_reaches_leaf_and_records_trace(euclid_l2_run):
     lo, hi = seed_label_band(res.trace)
     assert np.all(res.trace.column("lambda_min") >= lo)
     assert np.all(res.trace.column("lambda_max") <= hi)
+
+
+@pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
+def test_run_stops_at_the_first_leaf_row(euclid, pair, backend):
+    ctrl = flow.StepControl(t_end=8.0)
+    res = _run_backend(backend, euclid, pair,
+                       surface.ellipsoid_seed((1.3, 1.0, 1.0), 2), ctrl)
+    assert res.converged and res.steps >= 1
+    on_leaf = res.trace.column("leaf_distance") <= ctrl.leaf_tol
+    assert int(np.argmax(on_leaf)) == len(res.trace) - 1 == res.steps
 
 
 def test_run_stops_at_t_end_without_convergence(euclid, pair):

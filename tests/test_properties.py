@@ -122,7 +122,6 @@ RUN_FILE_VALUES = {
     "flow.backend": _choice("flow.backend"),
     "flow.cfl": _number(0.05, 0.5),
     "flow.t_end": _number(1e-3, 0.05),
-    "flow.speed_tol": _number(1e-3, 0.1),
     "flow.leaf_tol": _number(1e-3, 0.1),
     "flow.smooth_every": _integer(0, 3),
     "flow.max_steps": _integer(0, 30),
