@@ -100,7 +100,6 @@ def make_ctrl(cfg):
         cfl=cfg["flow.cfl"],
         t_end=cfg["flow.t_end"],
         leaf_tol=cfg["flow.leaf_tol"],
-        smooth_every=cfg["flow.smooth_every"],
         max_steps=cfg["flow.max_steps"],
     )
 
@@ -132,10 +131,12 @@ def cmd_run(cfg, out, force, quiet):
               f"T0 = {schedule.t0:.6g}")
     every = cfg["output.frame_every"]
 
-    def frame_cb(k, t, m, last=False):
-        if every > 0 and (last or k % every == 0):
-            surface.save_obj(m, os.path.join(out, f"frame_{k}.obj"), t=t,
-                             frame=k)
+    def save_frame(k, t, m):
+        surface.save_obj(m, os.path.join(out, f"frame_{k}.obj"), t=t, frame=k)
+
+    def frame_cb(k, t, m):
+        if every > 0 and k % every == 0:
+            save_frame(k, t, m)
 
     if cfg["flow.backend"] == "lagrangian":
         res = flow.run(geom, pair, mesh, schedule, make_ctrl(cfg), frame_cb)
@@ -143,7 +144,8 @@ def cmd_run(cfg, out, force, quiet):
         state0 = flow.graph_state_from_mesh(mesh, geom)
         res = flow.run_graph(geom, pair, state0, schedule, make_ctrl(cfg),
                              frame_cb)
-    frame_cb(res.steps, res.t, res.mesh, last=True)
+    if every > 0 and res.steps % every:  # the last loop top, off cadence
+        save_frame(res.steps, res.t, res.mesh)
     res.trace.write_csv(os.path.join(out, "trace.csv"))
     verdict = diagnostics.isoperimetric_check(
         geom, res.mesh_initial, res.mesh, res.converged

@@ -51,9 +51,8 @@ REGISTRY = {
     "flow.t_end": ("float", 20.0, None, _POSITIVE),
     # an exact leaf reads ~1e-15: a tolerance of 0 could never be met
     "flow.leaf_tol": ("float", 1e-2, None, _POSITIVE),
-    "flow.smooth_every": ("int", 10, None, None),
-    "flow.max_steps": ("int", 500000, None, None),
-    "output.frame_every": ("int", 0, None, None),
+    "flow.max_steps": ("int", 500000, None, _NON_NEGATIVE),
+    "output.frame_every": ("int", 0, None, _NON_NEGATIVE),
     "sampling.seed": ("int", 0, None, _NON_NEGATIVE),
 }
 

@@ -12,8 +12,9 @@ site names itself.  The flow is stationary exactly on the leaves, so a run
 converges at its first loop top with leaf distance <= `leaf_tol`.  A stepper
 (`_FrontStepper`, `_GraphStepper`) holds one backend's state, bounds dt,
 proposes a finite candidate and commits it.  The front projects each
-candidate back onto the initial curved volume and smooths tangentially on a
-fixed cadence, skipping a pass that would break area monotonicity.
+candidate back onto the initial curved volume and, every SMOOTH_EVERY
+steps, smooths tangentially and projects the smoothed mesh back too,
+skipping a pass that would break area monotonicity.
 
 Each backend has one step, linearly implicit.  The front's
 (`step_lagrangian`) takes the stiff part u exp(-2f) Lap x of the chart
@@ -64,6 +65,7 @@ from .errors import (CkflowError, GradientBoundExceeded, MeshDegenerate,
                      StarshapeLost)
 
 MAX_RETRIES = 8         # step halvings before the area guard gives up
+SMOOTH_EVERY = 10       # front steps between two smoothing passes
 VOLUME_TOL = 1e-12      # relative volume error the projection stops at
 REFACTOR_EVERY = 10     # steps one factor of the implicit system serves
 CG_RTOL = 1e-12         # relative residual a lagged-factor CG solve stops at
@@ -77,7 +79,6 @@ class StepControl:
     cfl: float = 0.25
     t_end: float = 20.0
     leaf_tol: float = 1e-2
-    smooth_every: int = 10
     max_steps: int = 500000
     area_slack: ClassVar[float] = 1e-8  # area growth the guard forgives
 
@@ -86,6 +87,9 @@ class StepControl:
             raise ValueError("cfl must lie in (0, 0.5]")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
+        # an exact leaf reads ~1e-15: a tolerance of 0 could never be met
+        if not self.leaf_tol > 0.0:
+            raise ValueError("leaf_tol must be positive")
 
 
 @dataclass
@@ -297,10 +301,7 @@ def _drive(stepper, schedule, ctrl, frame_cb):
         (`cfl_dt`), another entry, and otherwise computes on new snapshots;
       - `vg`'s arrays are never written, and snapshot vertices are
         read-only;
-      - `Topology.ring(2)`, built on first use, can be built on both
-        threads at once only when a smoothing pass runs at step 0
-        (`smooth_every = 1`); both build the same table, and either is
-        kept;
+      - only the worker builds or reads the topology's `ring` tables;
       - numpy's error state is per thread, and the package sets none.
     """
     geom, pair = stepper.geom, stepper.pair
@@ -396,14 +397,16 @@ class _FrontStepper:
         return self._cand
 
     def accept(self, dt, step, area_prev):
-        """Commit the candidate, then smooth on the cadence; guard quality."""
+        """Commit the candidate; every SMOOTH_EVERY steps, smooth it
+        tangentially, project it back onto the seed's curved volume (the
+        pass's one volume correction) and keep the pass unless the area
+        grows past the guard's slack; then guard the mesh quality."""
         self.mesh = self._cand
         self.t += dt
-        ctrl = self.ctrl
-        if ctrl.smooth_every > 0 and step % ctrl.smooth_every == 0:
+        if step % SMOOTH_EVERY == 0:
             sm = surface.tangential_smooth(self.mesh)
             sm = _rescale_to_volume(sm, self.geom, self.vol0)
-            if sm.area(self.geom) <= area_prev * (1.0 + ctrl.area_slack):
+            if sm.area(self.geom) <= area_prev * (1.0 + self.ctrl.area_slack):
                 self.mesh = sm
             q = surface.quality(self.mesh)
             if q.degenerate():

@@ -8,7 +8,7 @@ from the flat ones through the conformal factor:
 
 Flat mean curvature comes from the cotangent Laplacian over mixed Voronoi
 cells; flat principal curvatures from per-vertex quadric fits over the
-two-ring (the trace's principal curvatures and smoothing).  The fit's
+two-ring (read only by the trace's curvature columns).  The fit's
 kernel, `_local_fit`, gathers each padded neighbour table once, projects it
 onto the local frames and solves all the normal equations as stacked matrix
 products; `oracles.jet_fields` fits its degree-six jet through it too.
@@ -16,9 +16,11 @@ Connectivity is fixed over a flow and lives on one `Topology`, shared
 between snapshots: its corner-to-vertex `scatter` matrix carries every
 face-to-vertex sum (vertex normals, mixed areas, gradient weights), the
 cotan Laplacian is one weighted half-edge difference through that same
-matrix, the sparse cotan stiffness of both implicit steps holds the
-same half-edge weights (scaled per face for the leaf graph), and the
-topology's padded neighbour tables (`ring`) are built on first use.
+matrix and the smoothing centroid one weighted half-edge sum, the sparse
+cotan stiffness of both implicit steps holds the same half-edge weights
+(scaled per face for the leaf graph), and the topology's padded
+neighbour tables (`ring`), which only the fits read, are built on first
+use.
 A snapshot's vertices are read-only, so what they determine is memoized on
 the `TriSurface` at its first use: the face pass, the vertex normals, the
 mixed Voronoi areas, the P1 gradient basis, the shortest edge, the flat
@@ -719,31 +721,21 @@ def quality(mesh):
 
 
 def tangential_smooth(mesh):
-    """Move vertices tangentially halfway to the area-weighted one-ring
-    centroid, then re-project onto the local quadric (shape kept to 2nd order).
-    """
-    verts = mesh.vertices
-    nbr, cnt = mesh.topology.ring(1)
-    mask = (np.arange(nbr.shape[1])[None, :] < cnt[:, None]).astype(float)
-    w = mesh.mixed_areas[nbr] * mask
-    centroid = np.einsum("vk,vkj->vj", w, verts[nbr]) / np.sum(w, axis=1)[:, None]
+    """Move each vertex tangentially halfway to its one-ring centroid.
 
-    normals = mesh.normals
-    frames, co = quadric_fit(mesh)
-    delta = centroid - verts
-    delta_t = delta - normals * np.einsum("ij,ij->i", delta, normals)[:, None]
-    lx = 0.5 * np.einsum("ij,ij->i", delta_t, frames[:, 0])
-    ly = 0.5 * np.einsum("ij,ij->i", delta_t, frames[:, 1])
-    lz = co[:, 0] * lx * lx + co[:, 1] * lx * ly + co[:, 2] * ly * ly \
-        + co[:, 3] * lx + co[:, 4] * ly
-    new = verts + lx[:, None] * frames[:, 0] + ly[:, None] * frames[:, 1] \
-        + lz[:, None] * frames[:, 2]
-    # restore the flat enclosed volume exactly (homogeneous of degree 3 in
-    # the vertex positions), so smoothing is a pure re-parameterization
-    vol0 = enclosed_volume_flat(mesh)
-    vol1 = enclosed_volume_flat(mesh.with_vertices(new))
-    new = new * (vol0 / vol1) ** (1.0 / 3.0)
-    return mesh.with_vertices(new)
+    The centroid weights each neighbour by its mixed Voronoi area, summed
+    over the half-edges (each runs once from a vertex to one of its
+    neighbours).  The move drops the offset's part along the flat vertex
+    normal and keeps no volume; the front projects the smoothed mesh back
+    onto the seed's curved volume.
+    """
+    topo, verts = mesh.topology, mesh.vertices
+    w = mesh.mixed_areas[topo.he_head]
+    delta = (topo.scatter @ (w[:, None] * verts[topo.he_head])) \
+        / (topo.scatter @ w)[:, None] - verts
+    nu = mesh.normals
+    delta -= nu * np.einsum("ij,ij->i", delta, nu)[:, None]
+    return mesh.with_vertices(verts + 0.5 * delta)
 
 
 # --------------------------------------------------------------------------

@@ -92,6 +92,24 @@ def test_run_writes_frames(tmp_path):
     assert saved == list(range(0, steps, 2)) + [steps]
 
 
+def test_run_writes_each_frame_once(tmp_path, monkeypatch):
+    # every step is on the cadence, the last one included
+    written, save = [], surface.save_obj
+
+    def spy(mesh, path, **kwargs):
+        written.append(os.path.basename(path))
+        save(mesh, path, **kwargs)
+
+    monkeypatch.setattr(surface, "save_obj", spy)
+    text = ("seed.kind = ellipsoid\nseed.semiaxes = [1.3, 1, 1]\n"
+            "seed.level = 2\nflow.t_end = 0.3\noutput.frame_every = 1\n")
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    steps = len((out / "trace.csv").read_text().strip().split("\n")) - 2
+    assert written == [f"frame_{k}.obj" for k in range(steps + 1)]
+
+
 def test_run_graph_backend(tmp_path, capsys):
     text = "seed.level = 2\nflow.backend = leaf_graph\n"
     cfg = write_cfg(tmp_path, text)

@@ -23,7 +23,7 @@ def test_values_comments_and_lists():
     seed.kind = ellipsoid           # inline comment
     seed.semiaxes = [1.08, 1, 0.93]
     flow.t_end = 12.5
-    flow.smooth_every = 5
+    flow.max_steps = 5
     schedule.t0 = 2.0
     rotation.omega = 1e-1
     """
@@ -31,7 +31,7 @@ def test_values_comments_and_lists():
     assert cfg["geometry"] == "paper_example"
     assert cfg["seed.semiaxes"] == (1.08, 1.0, 0.93)
     assert cfg["flow.t_end"] == 12.5
-    assert cfg["flow.smooth_every"] == 5
+    assert cfg["flow.max_steps"] == 5
     assert cfg["schedule.t0"] == 2.0
     assert cfg["rotation.omega"] == 0.1
     # untouched keys keep their defaults
@@ -60,6 +60,10 @@ def test_values_comments_and_lists():
     ("flow.leaf_tol = -1e-3", "must be > 0"),
     # runs converge on the leaf test alone: the speed test's key is gone
     ("flow.speed_tol = 0.01", "unknown key 'flow.speed_tol'"),
+    # the front smooths on a fixed cadence: the knob's key is gone
+    ("flow.smooth_every = 10", "unknown key 'flow.smooth_every'"),
+    ("flow.max_steps = -1", "must be >= 0"),
+    ("output.frame_every = -2", "must be >= 0"),
 ])
 def test_rejects_malformed_lines(line, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ckflow import ambient, diagnostics, oracles, surface
+from ckflow import ambient, ckv, diagnostics, flow, oracles, surface
 from ckflow.errors import DomainExit
 
 
@@ -182,6 +182,32 @@ def test_isoperimetric_verdict_file(euclid, pair, tmp_path):
         "area_leaf_equal_volume", "isoperimetric_pass", "converged",
     ]
     assert "converged = false" in lines[-1]
+
+
+@pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
+def test_isoperimetric_verdict_reads_the_run_memo(euclid, pair, monkeypatch,
+                                                  backend):
+    # a run leaves the curved area and volume of its first and last
+    # snapshots in their memos, so the verdict calls neither kernel
+    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
+    schedule, ctrl = ckv.Schedule(t0=1.0), flow.StepControl(t_end=0.05)
+    if backend == "lagrangian":
+        res = flow.run(euclid, pair, seed, schedule, ctrl)
+    else:
+        res = flow.run_graph(euclid, pair,
+                             flow.graph_state_from_mesh(seed, euclid),
+                             schedule, ctrl)
+    args = (euclid, res.mesh_initial, res.mesh, res.converged)
+    expected = diagnostics.isoperimetric_check(*args)
+
+    def forbidden(*_):
+        raise AssertionError("the verdict recomputed a memoized value")
+
+    for module in (surface, diagnostics):
+        monkeypatch.setattr(module, "surface_area", forbidden)
+        monkeypatch.setattr(module, "enclosed_volume", forbidden)
+    assert res.steps > 0
+    assert diagnostics.isoperimetric_check(*args) == expected
 
 
 # --------------------------------------------------------------------------

@@ -26,12 +26,20 @@ def test_step_control_rejects_bad_knobs():
         flow.StepControl(cfl=0.7)
     with pytest.raises(ValueError):
         flow.StepControl(t_end=0.0)
+    # an exact leaf reads ~1e-15: a run could never meet these
+    with pytest.raises(ValueError):
+        flow.StepControl(leaf_tol=0.0)
+    with pytest.raises(ValueError):
+        flow.StepControl(leaf_tol=-1e-3)
     # each backend has one step: there is no scheme to choose
     with pytest.raises(TypeError):
         flow.StepControl(scheme="imex")
     # a run converges on the leaf test alone: there is no speed tolerance
     with pytest.raises(TypeError):
         flow.StepControl(speed_tol=1e-2)
+    # the front smooths on the fixed cadence flow.SMOOTH_EVERY
+    with pytest.raises(TypeError):
+        flow.StepControl(smooth_every=10)
     # the area guard's slack is fixed, not a field
     assert flow.StepControl().area_slack == 1e-8
     with pytest.raises(TypeError):
@@ -351,13 +359,15 @@ def test_run_keeps_one_worker_thread_and_none_after(euclid, pair, monkeypatch,
 
 @pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
 def test_runs_on_many_threads_under_fine_switching_match_a_serial_run(
-        euclid, pair, backend):
+        euclid, pair, monkeypatch, backend):
     # four runs at once, each beside its worker, on a host of few cores; a
     # 1 us switch interval interleaves the threads finely, so a memo entry
     # or ring table lost between a run's two threads would show in the rows.
-    # The front smooths at every step, so at step 0 both its threads build
-    # the two-ring table
-    ctrl = flow.StepControl(t_end=0.3, smooth_every=1)
+    # The front smooths at every step, so its main thread makes new
+    # snapshots from each loop top while the worker fits the loop top's
+    # two-ring quadrics, the only ring table a run builds
+    monkeypatch.setattr(flow, "SMOOTH_EVERY", 1)
+    ctrl = flow.StepControl(t_end=0.3)
 
     def rows():
         seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)

@@ -74,13 +74,39 @@ def test_normals_and_mean_curvature_are_rotation_covariant(axes, level, q):
     assert np.max(np.abs(h_flat(turned) / h - 1.0)) <= 1e-12
 
 
+# each geometry with the largest semiaxis that keeps a seed in its chart
+SMOOTHING_GEOMETRIES = st.sampled_from([
+    (EUCLID, 2.0), (ambient.PaperExample(), 1.5), (ambient.PoincareBall(), 0.7),
+])
+
+
 @CHEAP
-@given(semiaxes, levels)
-def test_tangential_smooth_keeps_flat_volume(axes, level):
+@given(semiaxes, levels, SMOOTHING_GEOMETRIES)
+def test_smoothing_pass_keeps_the_curved_volume(axes, level, geom_size):
+    # the pass as the front runs it: the tangential move, then the
+    # projection onto the seed's curved volume, its one volume correction
+    geom, size = geom_size
+    mesh = surface.ellipsoid_seed(np.multiply(axes, size / max(axes)), level)
+    vol = surface.enclosed_volume(mesh, geom)
+    smoothed = flow._rescale_to_volume(surface.tangential_smooth(mesh), geom,
+                                       vol)
+    assert abs(surface.enclosed_volume(smoothed, geom) / vol - 1.0) \
+        <= flow.VOLUME_TOL
+
+
+@CHEAP
+@given(semiaxes, levels, st.integers(0, 2**16))
+def test_smoothing_moves_each_vertex_orthogonally_to_its_normal(axes, level,
+                                                                 seed):
     mesh = surface.ellipsoid_seed(axes, level)
-    smoothed = surface.tangential_smooth(mesh)
-    vol = surface.enclosed_volume_flat(mesh)
-    assert abs(surface.enclosed_volume_flat(smoothed) / vol - 1.0) <= 1e-12
+    # jittered, so that no vertex sits at its one-ring centroid by symmetry
+    jitter = np.random.default_rng(seed).normal(size=mesh.vertices.shape)
+    mesh = mesh.with_vertices(mesh.vertices + 0.05 * mesh.min_edge * jitter)
+    move = surface.tangential_smooth(mesh).vertices - mesh.vertices
+    assert np.min(np.linalg.norm(move, axis=1)) > 1e-6 * mesh.min_edge
+    along = np.einsum("ij,ij->i", move, mesh.normals)
+    # the rounding of v + move is all that is left along the normal
+    assert np.max(np.abs(along)) <= 1e-14 * np.max(np.abs(mesh.vertices))
 
 
 # --------------------------------------------------------------------------
@@ -123,7 +149,6 @@ RUN_FILE_VALUES = {
     "flow.cfl": _number(0.05, 0.5),
     "flow.t_end": _number(1e-3, 0.05),
     "flow.leaf_tol": _number(1e-3, 0.1),
-    "flow.smooth_every": _integer(0, 3),
     "flow.max_steps": _integer(0, 30),
     "output.frame_every": _integer(0, 2),
     "sampling.seed": _integer(0, 5),

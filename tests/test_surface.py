@@ -705,8 +705,8 @@ def test_curved_area_spot_value(paper):
 
 def test_smooth_icosphere_preserves_shape(euclid):
     # smoothing may slide vertices within the sphere (the icosphere's
-    # pentagon neighborhoods are not centroidal), but the quadric
-    # re-projection keeps the shape: radii stay put to fit accuracy
+    # pentagon neighborhoods are not centroidal), but a tangential move of
+    # a small fraction of an edge changes a radius only to second order
     mesh = surface.sphere_seed(1.0, 3)
     sm = surface.tangential_smooth(mesh)
     radial = np.abs(np.linalg.norm(sm.vertices, axis=1) - 1.0)
@@ -727,6 +727,42 @@ def test_smooth_improves_min_angle(euclid):
     v0 = surface.enclosed_volume_flat(noisy)
     v1 = surface.enclosed_volume_flat(surface.tangential_smooth(noisy))
     assert abs(v1 / v0 - 1.0) <= 1e-4
+
+
+def test_smoothing_matches_a_per_vertex_loop():
+    rng = np.random.default_rng(3)
+    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 2)
+    mesh = mesh.with_vertices(
+        mesh.vertices
+        + 0.05 * mesh.min_edge * rng.normal(size=mesh.vertices.shape))
+    verts, areas, normals = mesh.vertices, mesh.mixed_areas, mesh.normals
+    neighbours = [set() for _ in range(mesh.n_vertices)]
+    for face in mesh.faces:
+        for a in face:
+            neighbours[a].update(b for b in face if b != a)
+    expected = np.empty_like(verts)
+    for i, ring in enumerate(neighbours):
+        ring = sorted(ring)
+        centroid = areas[ring] @ verts[ring] / np.sum(areas[ring])
+        delta = centroid - verts[i]
+        delta -= normals[i] * (delta @ normals[i])
+        expected[i] = verts[i] + 0.5 * delta
+    got = surface.tangential_smooth(mesh).vertices
+    assert np.max(np.abs(got - expected)) <= 1e-14
+
+
+def test_smoothing_needs_no_fit_ring_table_or_volume(monkeypatch):
+    # the tangential move alone: the front's curved projection is the
+    # pass's one volume correction
+    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("tangential_smooth must not call this")
+
+    monkeypatch.setattr(surface, "quadric_fit", forbidden)
+    monkeypatch.setattr(surface.Topology, "ring", forbidden)
+    monkeypatch.setattr(surface, "enclosed_volume_flat", forbidden)
+    surface.tangential_smooth(mesh)
 
 
 @pytest.mark.parametrize("min_angle, ratio, degenerate", [
