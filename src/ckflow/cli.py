@@ -66,25 +66,33 @@ def _base_seed(cfg, level):
     return surface.ellipsoid_seed(cfg["seed.semiaxes"], level)
 
 
-def make_seed(cfg, geom, pair):
+def make_seed(cfg, geom, pair, base=None):
     """The run file's seed through `surface.checked_seed`; returns (mesh,
-    min_u, min_uperp) or raises DomainExit or SeedInfeasible."""
+    min_u, min_uperp) or raises DomainExit or SeedInfeasible.  `base` is the
+    run file's `_base_seed` at its level, built here if None."""
     tau = cfg["seed.twist"] if cfg["seed.kind"] == "twisted" else 0.0
-    return surface.checked_seed(_base_seed(cfg, cfg["seed.level"]), geom,
-                                pair, tau)
+    if base is None:
+        base = _base_seed(cfg, cfg["seed.level"])
+    return surface.checked_seed(base, geom, pair, tau)
 
 
-def shell_bounds(cfg, geom):
+def shell_bounds(cfg, geom, base=None):
     """Leaf-label band covering the seed with padding for flow excursions.
 
     The twist preserves radii, so the untwisted base surface gives the
-    correct band for every seed kind.  A base vertex outside the chart
-    domain, or a band left empty by the clip below the outer boundary,
-    raises DomainExit.
+    correct band for every seed kind.  The band is taken over the base's
+    vertices at level min(seed.level, 3): subdivision only appends
+    vertices, so they are the first 10 * 4**level + 2 of `base`, the run
+    file's `_base_seed` (None builds it at that level).  A base vertex
+    outside the chart domain, or a band left empty by the clip below the
+    outer boundary, raises DomainExit.
     """
-    base = _base_seed(cfg, min(cfg["seed.level"], 3))
-    geom.require_in_domain(base.vertices, what="seed vertex")
-    lam_v = ckv.lam(geom, base.vertices)
+    level = min(cfg["seed.level"], 3)
+    if base is None:
+        base = _base_seed(cfg, level)
+    verts = base.vertices[:10 * 4**level + 2]
+    geom.require_in_domain(verts, what="seed vertex")
+    lam_v = ckv.lam(geom, verts)
     lo, hi = 0.75 * float(np.min(lam_v)), 1.3 * float(np.max(lam_v))
     r_out = float(geom.outer_distance(np.zeros(3)))
     if np.isfinite(r_out):
@@ -115,7 +123,8 @@ def make_schedule(cfg, geom, pair, lam_lo, lam_hi):
 
 def cmd_run(cfg, out, force, quiet):
     geom, pair = make_geometry(cfg), make_pair(cfg)
-    lam_lo, lam_hi = shell_bounds(cfg, geom)
+    base = _base_seed(cfg, cfg["seed.level"])
+    lam_lo, lam_hi = shell_bounds(cfg, geom, base)
     report = ckv.verify_assumptions(geom, pair, lam_lo, lam_hi,
                                     seed=cfg["sampling.seed"])
     if not quiet:
@@ -125,7 +134,7 @@ def cmd_run(cfg, out, force, quiet):
               file=sys.stderr)
         return _status("assumptions")
     schedule = make_schedule(cfg, geom, pair, lam_lo, lam_hi)
-    mesh, min_u, min_uperp = make_seed(cfg, geom, pair)
+    mesh, min_u, min_uperp = make_seed(cfg, geom, pair, base)
     if not quiet:
         print(f"seed: min u(0) = {min_u:.6g}, min uperp = {min_uperp:.6g}, "
               f"T0 = {schedule.t0:.6g}")

@@ -22,11 +22,14 @@ velocity at the new time through one sparse solve with the cotan stiffness,
 the rest at the old, so its bound (`cfl_dt`) is dt = cfl h_min.  The leaf
 graph's (`step_graph`) does the same for its divergence term, with the
 leaf's cotan stiffness weighting each face by 1/W, under dt = cfl h_min of
-the fixed leaf (`graph_cfl_dt`).  Both steps build their mass and right-hand
+the fixed unit leaf (`graph_cfl_dt`).  Both steps build their mass and right-hand
 side and hand them to `_implicit_solve`, the one place a system
-diag(mass) - dt K is assembled, checked and solved.  It solves through the
-run's `LaggedFactor`: a sparse LU factor made every REFACTOR_EVERY steps
-preconditions CG in between, and a CG that does not converge refactors.
+diag(mass) - dt K is assembled, checked and solved.  It scales K's
+values by -dt in place and adds the mass in the diagonal slots of the
+fixed CSC pattern the mesh's topology owns (`surface.StiffnessPattern`).
+It solves through the run's `LaggedFactor`: a sparse LU factor made every
+REFACTOR_EVERY steps preconditions CG in between, and a CG that does not
+converge refactors.
 `chart_velocity` and `_graph_rate` are the explicit rates the two steps are
 consistent with.
 
@@ -56,7 +59,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from . import ckv, diagnostics, surface
@@ -193,9 +195,16 @@ def _implicit_solve(factor, mesh, mass, rhs, x0, dt, step, what,
     `surface.cotan_stiffness`'s.  A system entry or right-hand side that is
     not finite raises MeshDegenerate before any solve would run on it, and
     so does a result that is not finite (called a non-finite `what`).
+
+    The system is assembled in place on K, in the topology's fixed CSC
+    pattern (`surface.StiffnessPattern`): its values are scaled by -dt and
+    the mass is added in the diagonal slots.  That is the sparse difference
+    diag(mass) - dt K bit for bit, except that an entry that is exactly 0
+    stays in the pattern where the difference would drop it.
     """
-    lhs = sp.diags_array(mass, format="csc") \
-        - dt * surface.cotan_stiffness(mesh, face_weight=face_weight)
+    lhs = surface.cotan_stiffness(mesh, face_weight=face_weight)
+    lhs.data *= -dt
+    lhs.data[mesh.topology.stiffness_pattern.diag_slot] += mass
     _require_finite(lhs.data, "implicit system entry")
     _require_finite(rhs, "right-hand side")
     x = factor.solve(lhs, rhs, x0, step)

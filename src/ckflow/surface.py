@@ -16,9 +16,11 @@ Connectivity is fixed over a flow and lives on one `Topology`, shared
 between snapshots: its corner-to-vertex `scatter` matrix carries every
 face-to-vertex sum (vertex normals, mixed areas, gradient weights), the
 cotan Laplacian is one weighted half-edge difference through that same
-matrix and the smoothing centroid one weighted half-edge sum, the sparse
+matrix and the smoothing centroid one weighted half-edge sum.  The sparse
 cotan stiffness of both implicit steps holds the same half-edge weights
-(scaled per face for the leaf graph), and the topology's padded
+(scaled per face for the leaf graph), written into the slots of the
+topology's fixed CSC pattern (`stiffness_pattern`), so every snapshot's
+stiffness shares one pair of index arrays.  The pattern and the padded
 neighbour tables (`ring`), which only the fits read, are built on first
 use.
 A snapshot's vertices are read-only, so what they determine is memoized on
@@ -65,8 +67,8 @@ class Topology:
     (V, 3F) CSR matrix of that corner-to-vertex map, with its columns in
     corner order: `scatter @ x` sums per-corner (or per-half-edge) values onto
     vertices in ascending corner order, and every face-to-vertex accumulation
-    goes through it.  The padded neighbour tables of `ring` are built on
-    first use, once per depth.
+    goes through it.  The padded neighbour tables of `ring` and the cotan
+    stiffness's `stiffness_pattern` are built on first use, once each.
     """
 
     def __init__(self, faces):
@@ -88,12 +90,13 @@ class Topology:
         # reverse exactly once (closed, consistently oriented)
         key = c0 * V + c1
         rkey = c1 * V + c0
-        if np.unique(key).size != key.size:
-            raise MeshDegenerate("duplicate directed edge; orientation broken")
         order = np.argsort(key, kind="stable")
-        pos = np.searchsorted(key[order], rkey)
+        sorted_key = key[order]
+        if np.any(sorted_key[1:] == sorted_key[:-1]):
+            raise MeshDegenerate("duplicate directed edge; orientation broken")
+        pos = np.searchsorted(sorted_key, rkey)
         pos = np.minimum(pos, key.size - 1)
-        if not np.all(key[order[pos]] == rkey):
+        if not np.all(sorted_key[pos] == rkey):
             raise MeshDegenerate("mesh is not a closed oriented surface")
         self.he_twin = order[pos]
         if np.any(self.he_twin[self.he_twin] != np.arange(3 * F)):
@@ -135,6 +138,43 @@ class Topology:
             table[rows, np.arange(rows.size) - reach.indptr[rows]] = reach.indices
             self._rings[depth] = table, counts
         return self._rings[depth]
+
+    @cached_property
+    def stiffness_pattern(self):
+        """The `StiffnessPattern` of the V x V cotan stiffness."""
+        V = self.n_vertices
+        # sorting col * V + row of the half-edges' entries, then of the
+        # diagonal's, gives the canonical CSC order.  The indices are int32,
+        # as scipy.sparse picks for this size, so no matrix copies them
+        key = np.concatenate([self.he_head * V + self.he_tail,
+                              np.arange(V) * (V + 1)])
+        order = np.argsort(key)
+        slot = np.empty(order.size, dtype=np.int32)
+        slot[order] = np.arange(order.size)
+        indptr = np.zeros(V + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.he_head, minlength=V) + 1, out=indptr[1:])
+        indices = (key[order] % V).astype(np.int32)
+        for shared in (indptr, indices):
+            shared.flags.writeable = False
+        he = self.he_tail.size
+        return StiffnessPattern(indptr, indices, slot[:he], slot[he:])
+
+
+@dataclass(frozen=True)
+class StiffnessPattern:
+    """Fixed CSC sparsity pattern of a topology's cotan stiffness.
+
+    Every directed edge's (tail, head) entry and every diagonal entry, in
+    canonical order (columns in turn, rows ascending within each).
+    `he_slot[k]` is the data slot of half-edge k's entry and `diag_slot[i]`
+    that of (i, i).  `indptr` and `indices` are read-only: every matrix
+    assembled on the pattern shares them.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    he_slot: np.ndarray
+    diag_slot: np.ndarray
 
 
 @dataclass
@@ -434,20 +474,23 @@ def cotan_stiffness(mesh, face_weight=None):
     edge is one half-edge.  `face_weight` (F,) scales each face's corner
     cotangents by a_f, giving the weighted P1 stiffness
     (K_a x)_i = -sum_f area_f a_f grad chi_i . grad x; None is a_f = 1.
+
+    The weights fill the slots of the topology's `stiffness_pattern`, so
+    every snapshot of a topology gives a CSC matrix with the same, shared
+    `indices` and `indptr`.  An entry whose weight is exactly 0 stays as an
+    explicit zero.
     """
     topo = mesh.topology
     cot = mesh.face_geometry.cot
     if face_weight is not None:
         cot = cot * np.asarray(face_weight, dtype=float)[:, None]
     half = 0.5 * _half_edge_weights(topo, cot)
+    pattern = topo.stiffness_pattern
+    data = np.empty(pattern.indices.size)
+    data[pattern.he_slot] = half
+    data[pattern.diag_slot] = -(topo.scatter @ half)
     V = topo.n_vertices
-    diag = np.arange(V)
-    return sp.csc_array(
-        (np.concatenate([half, -(topo.scatter @ half)]),
-         (np.concatenate([topo.he_tail, diag]),
-          np.concatenate([topo.he_head, diag]))),
-        shape=(V, V),
-    )
+    return sp.csc_array((data, pattern.indices, pattern.indptr), shape=(V, V))
 
 
 @dataclass

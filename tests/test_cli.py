@@ -293,6 +293,32 @@ def test_profile_flat_closed_form(tmp_path):
     assert np.all(np.diff(volume) > 0.0)
 
 
+@pytest.mark.parametrize("level", range(2, 6))
+def test_shell_bounds_reads_the_passed_base(level):
+    text = ("geometry = paper_example\nseed.kind = ellipsoid\n"
+            f"seed.semiaxes = [1.08, 1.0, 0.93]\nseed.level = {level}\n")
+    parsed = parse_config(text)
+    geom = cli.make_geometry(parsed)
+    base = cli._base_seed(parsed, level)
+    assert cli.shell_bounds(parsed, geom, base) == \
+        cli.shell_bounds(parsed, geom)
+
+
+def test_run_builds_one_icosphere(tmp_path, monkeypatch):
+    calls = []
+    original = surface.icosphere
+
+    def counted(level):
+        calls.append(level)
+        return original(level)
+
+    monkeypatch.setattr(surface, "icosphere", counted)
+    cfg = write_cfg(tmp_path, "seed.level = 2\n")
+    assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                    "--quiet"]) == 0
+    assert calls == [2]
+
+
 def test_profile_near_the_pole_matches_the_closed_forms(tmp_path):
     # a paper-example sphere of radius 1.9 profiles leaves out to r = 1.91,
     # 0.09 from the pole, where exp(f) peaks

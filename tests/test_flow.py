@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ckflow import ckv, diagnostics, flow, oracles, surface
 from ckflow.errors import MeshDegenerate, StarshapeLost
@@ -496,6 +497,47 @@ def test_non_finite_implicit_system_fails_with_step_and_time(euclid, pair,
     assert len(exc.value.trace) == step + 1
     rest = _assert_tagged_at_row(exc.value, "", step)
     assert rest == "non-finite implicit system entry"
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_implicit_system_is_the_sparse_difference_bit_for_bit(weighted):
+    # the system filled on the topology's pattern against the one assembled
+    # from coordinates: COO -> CSC, then diag(mass) - dt K
+    rng = np.random.default_rng(7)
+    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 3)
+    mesh = mesh.with_vertices(mesh.vertices * (
+        1.0 + 0.02 * rng.standard_normal((mesh.n_vertices, 1))))
+    face_weight = rng.uniform(0.2, 2.0, mesh.n_faces) if weighted else None
+
+    class Recording(flow.LaggedFactor):
+        def solve(self, lhs, rhs, x0, step):
+            self.lhs = lhs
+            return super().solve(lhs, rhs, x0, step)
+
+    topo, V = mesh.topology, mesh.n_vertices
+    cot = mesh.face_geometry.cot
+    if weighted:
+        cot = cot * face_weight[:, None]
+    he_cot = cot[:, [2, 0, 1]].reshape(-1)
+    half = 0.5 * (he_cot + he_cot[topo.he_twin])
+    diag = np.arange(V)
+    stiff = sp.csc_array(
+        (np.concatenate([half, -(topo.scatter @ half)]),
+         (np.concatenate([topo.he_tail, diag]),
+          np.concatenate([topo.he_head, diag]))), shape=(V, V))
+    mass, dt = mesh.mixed_areas, 0.3 * mesh.min_edge
+    expected = sp.diags_array(mass, format="csc") - dt * stiff
+
+    factor = Recording()
+    flow._implicit_solve(factor, mesh, mass, mass[:, None] * mesh.vertices,
+                         mesh.vertices, dt, 0, "position",
+                         face_weight=face_weight)
+    lhs = factor.lhs
+    assert lhs.format == "csc" and lhs.shape == (V, V)
+    assert np.array_equal(lhs.indptr, expected.indptr)
+    assert np.array_equal(lhs.indices, expected.indices)
+    assert np.array_equal(lhs.data.view(np.int64),
+                          expected.data.view(np.int64))
 
 
 # --------------------------------------------------------------------------

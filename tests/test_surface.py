@@ -78,6 +78,13 @@ def test_icosphere_matches_the_face_loop_bit_for_bit(level):
     assert mesh.faces.dtype == ref.faces.dtype
 
 
+@pytest.mark.parametrize("level", range(1, 6))
+def test_subdivision_only_appends_vertices(level):
+    coarse = surface.icosphere(level - 1).vertices
+    assert np.array_equal(surface.icosphere(level).vertices[:len(coarse)],
+                          coarse)
+
+
 def test_icosphere_rejects_negative_level():
     with pytest.raises(ValueError):
         surface.icosphere(-1)
@@ -87,6 +94,13 @@ def test_topology_rejects_open_mesh():
     # single triangle: not closed
     with pytest.raises(MeshDegenerate):
         surface.Topology(np.array([[0, 1, 2]]))
+
+
+def test_topology_rejects_a_repeated_directed_edge():
+    # two copies of one face: every directed edge twice
+    faces = surface.icosphere(0).faces
+    with pytest.raises(MeshDegenerate, match="duplicate directed edge"):
+        surface.Topology(np.concatenate([faces, faces[:1]]))
 
 
 def test_ring_tables_match_breadth_first_search():
@@ -341,6 +355,30 @@ def test_cotan_stiffness_is_areas_times_the_laplacian():
     assert np.array_equal(moved.indices, stiff.indices)
     assert np.array_equal(moved.indptr, stiff.indptr)
     assert np.count_nonzero(dense) == stiff.nnz
+
+
+def test_stiffness_pattern_is_shared_by_a_topology_s_snapshots():
+    mesh = surface.ellipsoid_seed((1.3, 1.0, 0.8), 2)
+    moved = mesh.with_vertices(1.1 * mesh.vertices)
+    pattern = mesh.topology.stiffness_pattern
+    assert moved.topology.stiffness_pattern is pattern
+    for shared in (pattern.indptr, pattern.indices):
+        assert not shared.flags.writeable
+    weights = np.random.default_rng(4).uniform(0.2, 2.0, mesh.n_faces)
+    for stiff in (surface.cotan_stiffness(mesh),
+                  surface.cotan_stiffness(moved),
+                  surface.cotan_stiffness(moved, face_weight=weights)):
+        assert np.shares_memory(stiff.indptr, pattern.indptr)
+        assert np.shares_memory(stiff.indices, pattern.indices)
+    # each half-edge's slot holds its (tail, head) entry, and the diagonal
+    # slots the diagonal
+    topo = mesh.topology
+    cols = np.repeat(np.arange(mesh.n_vertices), np.diff(pattern.indptr))
+    assert np.array_equal(pattern.indices[pattern.he_slot], topo.he_tail)
+    assert np.array_equal(cols[pattern.he_slot], topo.he_head)
+    assert np.array_equal(pattern.indices[pattern.diag_slot],
+                          np.arange(mesh.n_vertices))
+    assert np.array_equal(cols[pattern.diag_slot], np.arange(mesh.n_vertices))
 
 
 def test_weighted_cotan_stiffness():
