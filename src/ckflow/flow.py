@@ -4,26 +4,28 @@ The Lagrangian front (`run`) moves mesh vertices along the chart velocities
 (n phi - u H) exp(-f) nu_flat; the leaf graph (`run_graph`) evolves the leaf
 label lam over a fixed leaf as a scalar PDE.  Both run in `_drive`, with
 steps retried at half the size while the curved area would increase.  The
-driver owns the loop-top geometry and star-shape check, the initial mesh, the
-trace row, frames, convergence and error tagging: a package error that
-leaves the loop carries the partial trace, and its message starts with the
-loop top's step and time ("graph step 3 from t=0.0125: ..."), which no raise
-site names itself.  The flow is stationary exactly on the leaves, so a run
+driver owns the clock, the step bound, the run's `LaggedFactor`, the
+loop-top geometry and star-shape check, the initial mesh, the trace row,
+frames, convergence and error tagging: a package error that leaves the
+loop carries the partial trace, and its message starts with the loop top's
+step and time ("graph step 3 from t=0.0125: ..."), which no raise site
+names itself.  The flow is stationary exactly on the leaves, so a run
 converges at its first loop top with leaf distance <= `leaf_tol`.  A stepper
-(`_FrontStepper`, `_GraphStepper`) holds one backend's state, bounds dt,
-proposes a finite candidate and commits it.  The front projects each
-candidate back onto the initial curved volume and, every SMOOTH_EVERY
-steps, smooths tangentially and projects the smoothed mesh back too,
-skipping a pass that would break area monotonicity.
+(`_FrontStepper`, `_GraphStepper`) holds one backend's state, proposes a
+finite candidate and commits it.  The front projects each candidate back
+onto the initial curved volume and, every SMOOTH_EVERY steps, smooths
+tangentially and projects the smoothed mesh back too, skipping a pass that
+would break area monotonicity.
 
 Each backend has one step, linearly implicit.  The front's
 (`step_lagrangian`) takes the stiff part u exp(-2f) Lap x of the chart
 velocity at the new time through one sparse solve with the cotan stiffness,
-the rest at the old, so its bound (`cfl_dt`) is dt = cfl h_min.  The leaf
-graph's (`step_graph`) does the same for its divergence term, with the
-leaf's cotan stiffness weighting each face by 1/W, under dt = cfl h_min of
-the fixed unit leaf (`graph_cfl_dt`).  Both steps build their mass and right-hand
-side and hand them to `_implicit_solve`, the one place a system
+the rest at the old.  The leaf graph's (`step_graph`) does the same for its
+divergence term, with the leaf's cotan stiffness weighting each face by 1/W.
+Both step under one bound (`cfl_dt`), dt = cfl h_min of the loop-top
+mesh, the graph's embedded one, so in flat space a seed scaled by s takes
+the same steps, each s times as long.  Both steps build their mass and
+right-hand side and hand them to `_implicit_solve`, the one place a system
 diag(mass) - dt K is assembled, checked and solved.  It scales K's
 values by -dt in place and adds the mass in the diagonal slots of the
 fixed CSC pattern the mesh's topology owns (`surface.StiffnessPattern`).
@@ -39,9 +41,9 @@ size nor the retry), and a step needs nothing else.  Every snapshot
 memoizes its own face kernels, area and volume (see `surface.TriSurface`),
 so the loop top reads the accepted mesh's area and volume where the area
 guard and the volume projection left them, and the graph's fixed leaf keeps
-its gradient basis, dual areas and shortest edge for the whole run.  The
-graph stepper's loop-top chart fields are the frozen coefficients of its
-step.
+its gradient basis and dual areas for the whole run.  The graph stepper
+computes and guards its frozen chart fields in each proposal, as the front
+does its c, b and mass.
 
 The trace columns that no step reads (volume, the two Minkowski residuals
 and the umbilicity deficit, whose principal curvatures need a two-ring
@@ -124,7 +126,7 @@ def chart_velocity(vg):
 
 
 def cfl_dt(mesh, cfl):
-    """Front step bound cfl * h_min; a collapsed edge raises MeshDegenerate."""
+    """Step bound cfl * h_min; a collapsed edge raises MeshDegenerate."""
     h_min = mesh.min_edge
     if h_min < 1e-9:
         raise MeshDegenerate(f"minimum edge collapsed to {h_min:.3e}")
@@ -278,14 +280,16 @@ def _trace_columns(mesh, geom, vg):
                 umbilicity=diagnostics.umbilicity_deficit(mesh, vg))
 
 
-def _drive(stepper, schedule, ctrl, frame_cb):
-    """The time loop of both backends; returns a RunResult.
+def _drive(stepper, schedule, ctrl, frame_cb, t=0.0):
+    """The time loop of both backends from time t; returns a RunResult.
 
-    The stepper has `geom`, `pair`, `label` (its name in messages), `t`,
-    `mesh` (embedded, at t), `factor` (the run's `LaggedFactor`, whose
-    counts the result reports), `labels(vg)` -> the leaf labels,
-    `max_dt(vg, xi_now)`, `propose(vg, dt, step)` -> the candidate's mesh
-    and `accept(dt, step + 1, area_prev)`.
+    The stepper has `geom`, `pair`, `label` (its name in messages), `mesh`
+    (embedded, at the loop top), `labels(vg)` -> the leaf labels,
+    `propose(vg, xi_now, dt, step, factor)` -> the candidate's mesh and
+    `accept(step + 1, area_prev)`.  The loop owns the rest: the clock, the
+    run's one `LaggedFactor` (handed to every proposal; its counts are the
+    result's `solves`) and the step bound, dt = cfl h_min of the loop-top
+    mesh (`cfl_dt`) cut to reach t_end, the same for both backends.
     Convergence: the first loop top, step 0 included, whose leaf spread
     (max-min)/mean of the label is <= leaf_tol; t_end or max_steps return
     converged=False.  The result's `mesh_initial` is the step-0 loop-top
@@ -307,7 +311,8 @@ def _drive(stepper, schedule, ctrl, frame_cb):
         to the snapshot's memo only its `flat_curvatures` and, on the graph
         backend, its curved volume (the front's is already there).
         Meanwhile this thread adds at most the snapshot's `min_edge`
-        (`cfl_dt`), another entry, and otherwise computes on new snapshots;
+        (`cfl_dt`, on either backend), another entry, and otherwise
+        computes on new snapshots;
       - `vg`'s arrays are never written, and snapshot vertices are
         read-only;
       - only the worker builds or reads the topology's `ring` tables;
@@ -315,12 +320,13 @@ def _drive(stepper, schedule, ctrl, frame_cb):
     """
     geom, pair = stepper.geom, stepper.pair
     trace = diagnostics.FlowTrace()
+    factor = LaggedFactor()
     step, dt_arrived, mesh_initial = 0, 0.0, stepper.mesh
 
     worker = ThreadPoolExecutor(max_workers=1)
     try:
         while True:
-            t, mesh = stepper.t, stepper.mesh
+            mesh = stepper.mesh
             xi_now = schedule.xi_at(t)
             vg = surface.mesh_geometry(mesh, geom, pair, xi_now)
             # a NaN fails this comparison too
@@ -346,21 +352,22 @@ def _drive(stepper, schedule, ctrl, frame_cb):
                     reason = "t_end" if t >= ctrl.t_end else "max_steps"
                     break
 
-                dt = min(stepper.max_dt(vg, xi_now), ctrl.t_end - t)
+                dt = min(cfl_dt(mesh, ctrl.cfl), ctrl.t_end - t)
                 for _ in range(MAX_RETRIES):
-                    cand = stepper.propose(vg, dt, step)
+                    cand = stepper.propose(vg, xi_now, dt, step, factor)
                     if cand.area(geom) <= area * (1.0 + ctrl.area_slack):
                         break
                     dt *= 0.5
                 else:
                     raise MeshDegenerate(
                         f"area kept increasing even at dt={dt:.3e}")
-                stepper.accept(dt, step + 1, area)
+                stepper.accept(step + 1, area)
             finally:
                 trace.add(**row, **columns.result())
                 if frame_cb is not None:
                     frame_cb(step, t, mesh)
             step += 1
+            t += dt
             dt_arrived = dt
     except CkflowError as err:
         err.trace = trace
@@ -371,8 +378,8 @@ def _drive(stepper, schedule, ctrl, frame_cb):
 
     return RunResult(
         mesh=stepper.mesh, mesh_initial=mesh_initial, trace=trace,
-        converged=(reason == "converged"), reason=reason, t=stepper.t,
-        steps=step, solves=stepper.factor.counts,
+        converged=(reason == "converged"), reason=reason, t=t, steps=step,
+        solves=factor.counts,
     )
 
 
@@ -381,23 +388,17 @@ class _FrontStepper:
 
     label = ""
 
-    def __init__(self, geom, pair, mesh0, ctrl):
-        self.geom, self.pair, self.ctrl = geom, pair, ctrl
+    def __init__(self, geom, pair, mesh0):
+        self.geom, self.pair = geom, pair
         self.mesh = mesh0
-        self.t = 0.0
         self.vol0 = mesh0.volume(geom)
-        self.factor = LaggedFactor()
         self._cand = None  # the last proposal
 
     def labels(self, vg):
         return vg.lam
 
-    def max_dt(self, vg, xi_now):
-        return cfl_dt(self.mesh, self.ctrl.cfl)
-
-    def propose(self, vg, dt, step):
-        cand = step_lagrangian(self.mesh, self.geom, dt, vg, step,
-                               self.factor)
+    def propose(self, vg, xi_now, dt, step, factor):
+        cand = step_lagrangian(self.mesh, self.geom, dt, vg, step, factor)
         # the continuum flow conserves enclosed volume (first Minkowski
         # identity), but the discrete identity only holds to quadrature
         # order; project back before judging the area trend, else the
@@ -405,17 +406,17 @@ class _FrontStepper:
         self._cand = _rescale_to_volume(cand, self.geom, self.vol0)
         return self._cand
 
-    def accept(self, dt, step, area_prev):
+    def accept(self, step, area_prev):
         """Commit the candidate; every SMOOTH_EVERY steps, smooth it
         tangentially, project it back onto the seed's curved volume (the
         pass's one volume correction) and keep the pass unless the area
         grows past the guard's slack; then guard the mesh quality."""
         self.mesh = self._cand
-        self.t += dt
         if step % SMOOTH_EVERY == 0:
             sm = surface.tangential_smooth(self.mesh)
             sm = _rescale_to_volume(sm, self.geom, self.vol0)
-            if sm.area(self.geom) <= area_prev * (1.0 + self.ctrl.area_slack):
+            slack = StepControl.area_slack
+            if sm.area(self.geom) <= area_prev * (1.0 + slack):
                 self.mesh = sm
             q = surface.quality(self.mesh)
             if q.degenerate():
@@ -427,9 +428,8 @@ class _FrontStepper:
 
 def run(geom, pair, mesh0, schedule, ctrl=None, frame_cb=None):
     """Integrate the Lagrangian front from the seed; see `_drive`."""
-    ctrl = ctrl or StepControl()
-    stepper = _FrontStepper(geom, pair, mesh0, ctrl)
-    return _drive(stepper, schedule, ctrl, frame_cb)
+    return _drive(_FrontStepper(geom, pair, mesh0), schedule,
+                  ctrl or StepControl(), frame_cb)
 
 
 # --------------------------------------------------------------------------
@@ -517,7 +517,7 @@ def _graph_chart_fields(geom, pair, state, xi_now, emb, vg):
 def _graph_guards(fields, c1):
     """Raise unless a graph state's chart fields keep the gradient bound c1
     and a positive support function; the graph stepper calls it on the
-    fields each step freezes."""
+    fields each proposal freezes."""
     _, _, _, pv, _, _, u = fields
     grad_mag = np.linalg.norm(pv, axis=1)
     if np.max(grad_mag) > c1:
@@ -553,8 +553,10 @@ def _graph_rate(state, fields):
     return w * u * div / g + w * w * b
 
 
+# No run calls this: the graph steps under `cfl_dt` of its embedded mesh.
+# It stays only because the benchmark's tracer binds it by name.
 def graph_cfl_dt(leaf, cfl):
-    """Graph step bound: cfl h_min of the fixed leaf."""
+    """cfl h_min of the fixed unit leaf."""
     return cfl * leaf.min_edge
 
 
@@ -594,44 +596,34 @@ class _GraphStepper:
 
     label = "graph "
 
-    def __init__(self, geom, pair, state0, ctrl):
-        self.geom, self.pair, self.ctrl = geom, pair, ctrl
+    def __init__(self, geom, pair, state0):
+        self.geom, self.pair = geom, pair
         state = GraphState(leaf=state0.leaf,
                            lam=np.array(state0.lam, dtype=float), t=state0.t)
         pv = _graph_slope_fields(geom, state)[3]
         self.c1 = max(1.0, 2.0 * float(np.linalg.norm(pv, axis=1).max()))
         self.state, self.mesh = state, state.embedded(geom)
-        self.fields = None  # the loop-top `_graph_chart_fields` tuple
-        self.factor = LaggedFactor()
         self._cand = None  # the last proposal: (state, embedded mesh)
-
-    @property
-    def t(self):
-        return self.state.t
 
     def labels(self, vg):
         return self.state.lam
 
-    def max_dt(self, vg, xi_now):
-        # the loop-top chart fields are the start of every retry of the step
-        self.fields = _graph_chart_fields(self.geom, self.pair, self.state,
-                                          xi_now, self.mesh, vg)
-        _graph_guards(self.fields, self.c1)
-        return graph_cfl_dt(self.state.leaf, self.ctrl.cfl)
-
-    def propose(self, vg, dt, step):
-        cand = step_graph(self.state, dt, self.fields, step, self.factor)
+    def propose(self, vg, xi_now, dt, step, factor):
+        # the chart fields at the step's start, frozen over the step
+        fields = _graph_chart_fields(self.geom, self.pair, self.state, xi_now,
+                                     self.mesh, vg)
+        _graph_guards(fields, self.c1)
+        cand = step_graph(self.state, dt, fields, step, factor)
         emb = cand.embedded(self.geom)
         _require_finite(emb.vertices, "vertex")
         self._cand = (cand, emb)
         return emb
 
-    def accept(self, dt, step, area_prev):
+    def accept(self, step, area_prev):
         self.state, self.mesh = self._cand
 
 
 def run_graph(geom, pair, state0, schedule, ctrl=None, frame_cb=None):
-    """Integrate the leaf-graph backend; see `_drive`."""
-    ctrl = ctrl or StepControl()
-    stepper = _GraphStepper(geom, pair, state0, ctrl)
-    return _drive(stepper, schedule, ctrl, frame_cb)
+    """Integrate the leaf-graph backend from state0.t; see `_drive`."""
+    return _drive(_GraphStepper(geom, pair, state0), schedule,
+                  ctrl or StepControl(), frame_cb, t=state0.t)

@@ -33,6 +33,16 @@ def assert_traces_close(a, b, rtol):
                                    err_msg=name)
 
 
+def run_backend(backend, geom, pair, seed, ctrl, **kwargs):
+    """Run `backend` ("lagrangian" or "leaf_graph") from the mesh `seed`
+    under the schedule t0 = 1."""
+    sched = ckv.Schedule(t0=1.0)
+    if backend == "lagrangian":
+        return flow.run(geom, pair, seed, sched, ctrl, **kwargs)
+    state0 = flow.graph_state_from_mesh(seed, geom)
+    return flow.run_graph(geom, pair, state0, sched, ctrl, **kwargs)
+
+
 @pytest.fixture(scope="session")
 def euclid():
     return ambient.Euclidean()
@@ -108,12 +118,17 @@ def twisted_run(euclid, pair_e3):
     return twisted_run_at(euclid, pair_e3, 4)
 
 
-@pytest.fixture(scope="session")
-def cross_backend(euclid, pair):
-    """Both backends integrated to the same time from the same graphical seed."""
-    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), level=4)
+def cross_backend_at(euclid, pair, level):
+    """Both backends integrated to the same time from the same graphical
+    seed at `level`."""
+    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), level=level)
     ctrl = flow.StepControl(t_end=0.25)
     lag = flow.run(euclid, pair, seed, ckv.Schedule(t0=1.0), ctrl)
     state0 = flow.graph_state_from_mesh(seed, euclid)
     gra = flow.run_graph(euclid, pair, state0, ckv.Schedule(t0=1.0), ctrl)
     return {"seed": seed, "lag": lag, "gra": gra, "state0": state0}
+
+
+@pytest.fixture(scope="session")
+def cross_backend(euclid, pair):
+    return cross_backend_at(euclid, pair, 4)

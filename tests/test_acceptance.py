@@ -10,7 +10,7 @@ import pytest
 
 from ckflow import ambient, ckv, diagnostics, flow, oracles, surface
 from ckflow.errors import StarshapeLost
-from conftest import seed_label_band
+from conftest import cross_backend_at, seed_label_band
 
 
 def report(label, ok):
@@ -217,18 +217,31 @@ def test_c09_graph_flux_ellipticity(paper, pair):
     )
 
 
-@pytest.mark.slow
-def test_c10_cross_backend_agreement(euclid, cross_backend):
-    lag, gra = cross_backend["lag"], cross_backend["gra"]
-    t_match = abs(lag.t - gra.t) <= 1e-12
-    dirs = cross_backend["state0"].leaf.vertices
-    pts = oracles.radial_intersections(lag.mesh, dirs)
+def cross_backend_gap(euclid, runs):
+    """(front steps, graph steps, lambda max-norm gap) of a cross-backend
+    pair of runs, which must end at the same time."""
+    lag, gra = runs["lag"], runs["gra"]
+    assert abs(lag.t - gra.t) <= 1e-12
+    pts = oracles.radial_intersections(lag.mesh, runs["state0"].leaf.vertices)
     lam_lag = ckv.lam(euclid, pts)
     lam_gra = ckv.lam(euclid, gra.mesh.vertices)
     rel = float(np.max(np.abs(lam_lag - lam_gra)) / np.max(np.abs(lam_gra)))
-    report(f"criterion 10: backends agree at t = {gra.t:.2f} "
-           f"(lambda max-norm gap {rel:.2e} <= 2e-2)",
-           t_match and rel <= 2e-2)
+    return lag.steps, gra.steps, rel
+
+
+@pytest.mark.slow
+def test_c10_cross_backend_agreement(euclid, pair, cross_backend):
+    # under one step bound both backends take the same steps, and their
+    # independent discretisations of one PDE close in on each other
+    runs = [cross_backend_at(euclid, pair, level) for level in (2, 3)]
+    gaps = [cross_backend_gap(euclid, r) for r in runs + [cross_backend]]
+    rels = [rel for _, _, rel in gaps]
+    steps = "/".join(f"{a}:{b}" for a, b, _ in gaps)
+    report(f"criterion 10: backends agree at t = 0.25 over L2-L4 (steps "
+           f"{steps} front:graph, lambda max-norm gap "
+           + " > ".join(f"{rel:.2e}" for rel in rels) + ", L4 <= 2e-2)",
+           all(a == b for a, b, _ in gaps)
+           and all(x > y for x, y in zip(rels, rels[1:])) and rels[-1] <= 2e-2)
 
 
 def test_c11_isoperimetric_equality_case(euclid, pair):

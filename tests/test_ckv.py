@@ -6,8 +6,9 @@ import pytest
 from ckflow import ambient, ckv
 from ckflow.errors import ScheduleInfeasible
 
-# locked once from xi_sup_derivative(); guards the schedule normalization
-XI_SUP_PRIME = 2.170357085690552
+# 2 s/(1 - s^2)^2 exp(-s^2/(1 - s^2)) at s = 3^(-1/4); guards the schedule
+# normalization
+XI_SUP_PRIME = 2.170357085710339
 
 
 def test_phi_spot_values(euclid, paper):
@@ -89,6 +90,11 @@ def test_xi_schedule_shape():
 
 def test_xi_sup_derivative_regression():
     assert abs(ckv.xi_sup_derivative() - XI_SUP_PRIME) < 1e-12
+
+
+def test_xi_sup_derivative_bounds_a_dense_sample():
+    s = np.linspace(0.0, 1.0, 1000001)
+    assert np.max(np.abs(ckv.xi_prime(s))) <= ckv.xi_sup_derivative()
 
 
 def test_estimate_T0_euclid_closed_form(euclid):

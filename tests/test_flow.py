@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from ckflow import ckv, diagnostics, flow, oracles, surface
 from ckflow.errors import MeshDegenerate, StarshapeLost
 from conftest import assert_traces_close, seed_label_band, twisted_run_at
+from conftest import run_backend as _run_backend
 
 
 # --------------------------------------------------------------------------
@@ -218,16 +219,28 @@ def test_implicit_run_graph_builds_leaf_geometry_once(euclid, pair,
     assert len(calls) == res.steps + 2
 
 
-def _run_backend(backend, geom, pair, seed, ctrl, **kwargs):
-    sched = ckv.Schedule(t0=1.0)
-    if backend == "lagrangian":
-        return flow.run(geom, pair, seed, sched, ctrl, **kwargs)
-    state0 = flow.graph_state_from_mesh(seed, geom)
-    return flow.run_graph(geom, pair, state0, sched, ctrl, **kwargs)
-
-
 def _label(backend):
     return "graph " if backend == "leaf_graph" else ""
+
+
+@pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
+def test_every_step_is_bounded_by_its_loop_top_mesh(euclid, pair, backend):
+    # one bound for both backends: cfl h_min of the mesh the loop top hands
+    # to frame_cb (the graph's embedded mesh, not its unit leaf), cut to
+    # reach t_end, and halved only by the area guard
+    seed = surface.ellipsoid_seed((2.6, 2.0, 2.0), 2)
+    ctrl = flow.StepControl(t_end=1.2)
+    frames = []
+    res = _run_backend(backend, euclid, pair, seed, ctrl,
+                       frame_cb=lambda step, t, mesh: frames.append((t, mesh)))
+    assert len(frames) == res.steps + 1 and res.steps >= 10
+    full = 0
+    for (t, mesh), dt in zip(frames, res.trace.column("dt")[1:]):
+        bound = ctrl.cfl * mesh.min_edge
+        step = min(bound, ctrl.t_end - t)
+        assert dt in [step * 0.5**k for k in range(flow.MAX_RETRIES)]
+        full += dt == bound
+    assert full >= res.steps - 1
 
 
 def _assert_tagged_at_row(err, label, row):

@@ -1,13 +1,16 @@
-"""Property tests: flat mesh geometry under scaling and rotation, and the
-command line's exit contract over drawn run files.
+"""Property tests: flat mesh geometry under scaling and rotation, the flow's
+symmetries on both backends, and the command line's exit contract over
+drawn run files.
 
 Each geometry example is a level 1-2 euclidean ellipsoid with drawn
-semiaxes, so the properties cost milliseconds; each run file has
-`seed.level <= 1` and a small `flow.t_end`.  The runs are derandomized and
-keep no example database, so the suite stays deterministic.
+semiaxes, so the properties cost milliseconds; each symmetry example runs
+a level 2-3 seed for tens of steps; each run file has `seed.level <= 1`
+and a small `flow.t_end`.  The runs are derandomized and keep no example
+database, so the suite stays deterministic.
 """
 
 import contextlib
+import functools
 import io
 import pathlib
 import re
@@ -19,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckflow import ambient, ckv, cli, config, diagnostics, flow, surface
+from conftest import assert_traces_close, run_backend
 
 EUCLID = ambient.Euclidean()
 PAIR = ckv.KillingPair()
@@ -107,6 +111,109 @@ def test_smoothing_moves_each_vertex_orthogonally_to_its_normal(axes, level,
     along = np.einsum("ij,ij->i", move, mesh.normals)
     # the rounding of v + move is all that is left along the normal
     assert np.max(np.abs(along)) <= 1e-14 * np.max(np.abs(mesh.vertices))
+
+
+# --------------------------------------------------------------------------
+# the flow's symmetries: an isometry that keeps the conformal Killing pair
+# maps a run to a run, and in flat space with omega = 0 so does x -> s x,
+# with F(t) -> s F(t / s)
+# --------------------------------------------------------------------------
+
+SYMMETRY = settings(max_examples=3, deadline=None, derandomize=True,
+                    database=None)
+BACKENDS = ["lagrangian", "leaf_graph"]
+PAIR_E3 = ckv.KillingPair(omega=1.0, axis=(0.0, 0.0, 1.0))
+
+
+def assert_max_close(actual, desired, rtol):
+    """Max-norm agreement relative to the largest magnitude of `desired`."""
+    assert np.max(np.abs(actual - desired)) <= rtol * np.max(np.abs(desired))
+
+
+def flat_seed(level):
+    return surface.ellipsoid_seed((1.3, 1.0, 0.9), level)
+
+
+@functools.lru_cache(maxsize=None)
+def unscaled_run(backend, level):
+    return run_backend(backend, EUCLID, PAIR, flat_seed(level),
+                       flow.StepControl(t_end=8.0))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("level", [2, 3])
+@SYMMETRY
+@given(st.floats(0.3, 3.0))
+def test_flat_flow_is_scale_covariant(backend, level, s):
+    base = unscaled_run(backend, level)
+    seed = flat_seed(level)
+    res = run_backend(backend, EUCLID, PAIR,
+                      seed.with_vertices(s * seed.vertices),
+                      flow.StepControl(t_end=8.0 * s))
+    assert (res.steps, res.reason) == (base.steps, base.reason)
+    assert abs(res.t / (s * base.t) - 1.0) <= 1e-12
+    for name, power in (("time", 1), ("dt", 1), ("area", 2), ("volume", 3)):
+        np.testing.assert_allclose(res.trace.column(name),
+                                   s**power * base.trace.column(name),
+                                   rtol=1e-12, atol=0.0, err_msg=name)
+    assert_max_close(res.mesh.vertices, s * base.mesh.vertices, 1e-12)
+
+
+def twisted_seed(level):
+    return surface.checked_seed(surface.ellipsoid_seed((1.6, 0.7, 0.7), level),
+                                EUCLID, PAIR_E3, 1.5)[0]
+
+
+# (geometry, pair, seed, backend, t_end, the axis rotations keep or None
+# for any); the curved graph breaks down after some 20 steps at L3 and at
+# step 0 at L2, so it stops early, and the twisted seed is not a radial
+# graph, so only the front runs it
+ROTATION_CASES = {
+    "flat front": (EUCLID, PAIR, lambda: flat_seed(2), "lagrangian", 8.0,
+                   None),
+    "flat graph": (EUCLID, PAIR, lambda: flat_seed(2), "leaf_graph", 8.0,
+                   None),
+    "poincare front": (ambient.PoincareBall(), PAIR,
+                       lambda: surface.ellipsoid_seed((0.65, 0.5, 0.45), 2),
+                       "lagrangian", 8.0, None),
+    "poincare graph": (ambient.PoincareBall(), PAIR,
+                       lambda: surface.ellipsoid_seed((0.65, 0.5, 0.45), 2),
+                       "leaf_graph", 0.1, None),
+    "paper front": (ambient.PaperExample(), PAIR,
+                    lambda: surface.ellipsoid_seed((1.08, 1.0, 0.93), 3),
+                    "lagrangian", 0.2, (1.0, 0.0, 0.0)),
+    "paper graph": (ambient.PaperExample(), PAIR,
+                    lambda: surface.ellipsoid_seed((1.08, 1.0, 0.93), 3),
+                    "leaf_graph", 0.01, (1.0, 0.0, 0.0)),
+    "twisted front": (EUCLID, PAIR_E3, lambda: twisted_seed(2), "lagrangian",
+                      8.0, PAIR_E3.axis),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def unrotated_run(case):
+    geom, pair, seed, backend, t_end, _ = ROTATION_CASES[case]
+    return run_backend(backend, geom, pair, seed(),
+                       flow.StepControl(t_end=t_end))
+
+
+@pytest.mark.parametrize("case", sorted(ROTATION_CASES))
+@SYMMETRY
+@given(quaternions, st.floats(-np.pi, np.pi))
+def test_flow_is_covariant_under_the_isometries_that_keep_the_pair(case, q,
+                                                                   angle):
+    geom, pair, seed, backend, t_end, axis = ROTATION_CASES[case]
+    if axis is not None:
+        q = (np.cos(angle / 2), *(np.sin(angle / 2) * np.asarray(axis)))
+    rot = rotation(q)
+    base, seed = unrotated_run(case), seed()
+    res = run_backend(backend, geom, pair,
+                      seed.with_vertices(seed.vertices @ rot.T),
+                      flow.StepControl(t_end=t_end))
+    # the residual columns are small differences of O(1) sums, so they are
+    # compared on their column's scale (see `assert_traces_close`)
+    assert_traces_close(res.trace, base.trace, rtol=1e-10)
+    assert_max_close(res.mesh.vertices, base.mesh.vertices @ rot.T, 1e-12)
 
 
 # --------------------------------------------------------------------------
