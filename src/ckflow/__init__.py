@@ -4,7 +4,7 @@ from .ambient import Euclidean, PaperExample, PoincareBall, make_geometry
 from .ckv import KillingPair, Schedule, estimate_T0, verify_assumptions
 from .config import load_config, parse_config
 from .diagnostics import FlowTrace, isoperimetric_check, leaf_profile
-from .flow import StepControl, graph_state_from_mesh, run, run_graph
+from .flow import StepControl, run, run_graph
 from .surface import (
     TriSurface,
     checked_seed,
@@ -29,7 +29,6 @@ __all__ = [
     "isoperimetric_check",
     "leaf_profile",
     "StepControl",
-    "graph_state_from_mesh",
     "run",
     "run_graph",
     "TriSurface",

@@ -147,12 +147,9 @@ def cmd_run(cfg, out, force, quiet):
         if every > 0 and k % every == 0:
             save_frame(k, t, m)
 
-    if cfg["flow.backend"] == "lagrangian":
-        res = flow.run(geom, pair, mesh, schedule, make_ctrl(cfg), frame_cb)
-    else:
-        state0 = flow.graph_state_from_mesh(mesh, geom)
-        res = flow.run_graph(geom, pair, state0, schedule, make_ctrl(cfg),
-                             frame_cb)
+    # looked up per run, not tabled at import: perfbench patches both on flow
+    run = flow.run if cfg["flow.backend"] == "lagrangian" else flow.run_graph
+    res = run(geom, pair, mesh, schedule, make_ctrl(cfg), frame_cb)
     if every > 0 and res.steps % every:  # the last loop top, off cadence
         save_frame(res.steps, res.t, res.mesh)
     res.trace.write_csv(os.path.join(out, "trace.csv"))

@@ -13,8 +13,8 @@ from scipy.optimize import brentq
 from . import ckv
 from .ckv import N_SURF
 from .errors import ProfileNotMonotone
-# surface_area and enclosed_volume are not called here: perfbench's tracer
-# wraps both names in this module as well as in surface
+# perfbench's tracer wraps cotan_laplacian_apply, enclosed_volume and
+# surface_area here as well as in surface; this module calls none of them
 from .surface import (cotan_laplacian_apply, enclosed_volume,  # noqa: F401
                       principal_curvatures, surface_area)
 
@@ -84,7 +84,7 @@ def umbilicity_deficit(mesh, vg):
 
 
 # --------------------------------------------------------------------------
-# evolution-identity residual for the leaf label (Lagrangian backend)
+# source of the leaf-label evolution (the leaf graph's B)
 # --------------------------------------------------------------------------
 
 
@@ -106,36 +106,6 @@ def label_evolution_source(geom, mesh, vg):
     b -= vg.u * (2.0 / (vg.phi**2 * dn2)) * d_lamphi2 * (dn2 - vg.u_perp**2)
     b += 4.0 * vg.u * (vg.Lam / vg.phi) * (d_phi - nu_phi * vg.u_perp)
     return b
-
-
-@dataclass
-class ResidualCheck:
-    rel: float
-    lhs_norm: float
-    diffusion_norm: float
-    source_norm: float
-
-
-def label_evolution_residual(mesh, geom, vg):
-    """Surface-L2 residual of (d/dt) lam = u Lap_g lam + B along the flow.
-
-    The material derivative is exact by the chain rule,
-    (d/dt) lam = speed * 2 Lam u_perp, so the residual probes the
-    consistency of the discrete Laplacian with the discrete curvature.
-    """
-    lhs = vg.speed * 2.0 * vg.Lam * vg.u_perp
-    lam_vals = vg.lam
-    lap = cotan_laplacian_apply(mesh, lam_vals) * np.exp(-2.0 * vg.f)
-    diffusion = vg.u * lap
-    source = label_evolution_source(geom, mesh, vg)
-    w = vg.area_g / np.sum(vg.area_g)
-
-    def l2(x):
-        return float(np.sqrt(np.sum(x * x * w)))
-
-    res = l2(lhs - diffusion - source)
-    denom = max(l2(lhs), l2(diffusion), l2(source), 1e-300)
-    return ResidualCheck(res / denom, l2(lhs), l2(diffusion), l2(source))
 
 
 # --------------------------------------------------------------------------

@@ -2,20 +2,21 @@
 
 The Lagrangian front (`run`) moves mesh vertices along the chart velocities
 (n phi - u H) exp(-f) nu_flat; the leaf graph (`run_graph`) evolves the leaf
-label lam over a fixed leaf as a scalar PDE.  Both run in `_drive`, with
-steps retried at half the size while the curved area would increase.  The
-driver owns the clock, the step bound, the run's `LaggedFactor`, the
-loop-top geometry and star-shape check, the initial mesh, the trace row,
-frames, convergence and error tagging: a package error that leaves the
-loop carries the partial trace, and its message starts with the loop top's
-step and time ("graph step 3 from t=0.0125: ..."), which no raise site
-names itself.  The flow is stationary exactly on the leaves, so a run
-converges at its first loop top with leaf distance <= `leaf_tol`.  A stepper
-(`_FrontStepper`, `_GraphStepper`) holds one backend's state, proposes a
-finite candidate and commits it.  The front projects each candidate back
-onto the initial curved volume and, every SMOOTH_EVERY steps, smooths
-tangentially and projects the smoothed mesh back too, skipping a pass that
-would break area monotonicity.
+label lam over a fixed leaf, the seed mesh's radial projection
+(`graph_state_from_mesh`), as a scalar PDE.  Both take the same arguments
+and run in `_drive`, with steps retried at half the size while the curved
+area would increase.  The driver owns the one clock, from t = 0, the step
+bound, the run's `LaggedFactor`, the loop-top geometry and star-shape
+check, the initial mesh, the trace row, frames, convergence and error
+tagging: a package error that leaves the loop carries the partial trace,
+and its message starts with the loop top's step and time ("graph step 3
+from t=0.0125: ..."), which no raise site names itself.  The flow is
+stationary exactly on the leaves, so a run converges at its first loop top
+with leaf distance <= `leaf_tol`.  A stepper (`_FrontStepper`,
+`_GraphStepper`) holds one backend's state, proposes a finite candidate and
+commits it.  The front projects each candidate back onto the initial curved
+volume and, every SMOOTH_EVERY steps, smooths tangentially and projects the
+smoothed mesh back too, skipping a pass that would break area monotonicity.
 
 Each backend has one step, linearly implicit.  The front's
 (`step_lagrangian`) takes the stiff part u exp(-2f) Lap x of the chart
@@ -32,8 +33,8 @@ fixed CSC pattern the mesh's topology owns (`surface.StiffnessPattern`).
 It solves through the run's `LaggedFactor`: a sparse LU factor made every
 REFACTOR_EVERY steps preconditions CG in between, and a CG that does not
 converge refactors.
-`chart_velocity` and `_graph_rate` are the explicit rates the two steps are
-consistent with.
+`_graph_rate` is the explicit rate the graph step is consistent with; the
+front's, `oracles.chart_velocity`, lives with the checks no command runs.
 
 Each snapshot's geometry is computed once per step: the loop-top
 `mesh_geometry` bundle is the step's start (it depends on neither the step
@@ -89,7 +90,7 @@ class StepControl:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError("cfl must lie in (0, 0.5]")
-        if self.t_end <= 0.0:
+        if not self.t_end > 0.0:  # a NaN fails this comparison too
             raise ValueError("t_end must be positive")
         # an exact leaf reads ~1e-15: a tolerance of 0 could never be met
         if not self.leaf_tol > 0.0:
@@ -117,12 +118,6 @@ class RunResult:
     t: float
     steps: int
     solves: SolveCounts
-
-
-def chart_velocity(vg):
-    """Chart displacement rate: speed * exp(-f) along the flat normal."""
-    v = vg.speed * np.exp(-vg.f)
-    return v[:, None] * vg.nu_flat
 
 
 def cfl_dt(mesh, cfl):
@@ -280,8 +275,8 @@ def _trace_columns(mesh, geom, vg):
                 umbilicity=diagnostics.umbilicity_deficit(mesh, vg))
 
 
-def _drive(stepper, schedule, ctrl, frame_cb, t=0.0):
-    """The time loop of both backends from time t; returns a RunResult.
+def _drive(stepper, schedule, ctrl, frame_cb):
+    """The time loop of both backends from t = 0; returns a RunResult.
 
     The stepper has `geom`, `pair`, `label` (its name in messages), `mesh`
     (embedded, at the loop top), `labels(vg)` -> the leaf labels,
@@ -321,7 +316,7 @@ def _drive(stepper, schedule, ctrl, frame_cb, t=0.0):
     geom, pair = stepper.geom, stepper.pair
     trace = diagnostics.FlowTrace()
     factor = LaggedFactor()
-    step, dt_arrived, mesh_initial = 0, 0.0, stepper.mesh
+    step, t, dt_arrived, mesh_initial = 0, 0.0, 0.0, stepper.mesh
 
     worker = ThreadPoolExecutor(max_workers=1)
     try:
@@ -467,20 +462,19 @@ class GraphState:
 
     leaf: surface.TriSurface
     lam: np.ndarray
-    t: float = 0.0
 
     def embedded(self, geom):
         r = geom.r_of_lambda(np.asarray(self.lam, dtype=float))
         return self.leaf.with_vertices(r[:, None] * self.leaf.vertices)
 
 
-def graph_state_from_mesh(mesh, geom, t=0.0):
+def graph_state_from_mesh(mesh, geom):
     """Project a radially graphical mesh onto the leaf chart."""
     rad = np.linalg.norm(mesh.vertices, axis=1)
     if np.any(rad <= 0.0):
         raise MeshDegenerate("vertex at the chart origin cannot be a graph")
     leaf = mesh.with_vertices(mesh.vertices / rad[:, None])
-    return GraphState(leaf=leaf, lam=ckv.lam(geom, mesh.vertices), t=t)
+    return GraphState(leaf=leaf, lam=ckv.lam(geom, mesh.vertices))
 
 
 def _graph_slope_fields(geom, state):
@@ -561,7 +555,7 @@ def graph_cfl_dt(leaf, cfl):
 
 
 def step_graph(state, dt, fields, step, factor):
-    """One linearly implicit step of the leaf-graph evolution from state.t.
+    """One linearly implicit step of the leaf graph; returns the new state.
 
     For n = 2 the flux is A_f = p_f / W_f, so the divergence in the rate
     W^2 (u div(A)/(G W) + B) is (K_{1/W} lam) / Omega, with K_a the leaf's
@@ -588,18 +582,18 @@ def step_graph(state, dt, fields, step, factor):
     lam = _implicit_solve(factor, leaf, mass,
                           mass * (state.lam + dt * w * w * b), state.lam, dt,
                           step, "label", face_weight=1.0 / wf)
-    return GraphState(leaf=leaf, lam=lam, t=state.t + dt)
+    return GraphState(leaf=leaf, lam=lam)
 
 
 class _GraphStepper:
-    """The leaf graph: the label lam evolves over the fixed leaf."""
+    """The leaf graph: the label lam evolves over the fixed leaf, both
+    projected radially from the seed mesh."""
 
     label = "graph "
 
-    def __init__(self, geom, pair, state0):
+    def __init__(self, geom, pair, mesh0):
         self.geom, self.pair = geom, pair
-        state = GraphState(leaf=state0.leaf,
-                           lam=np.array(state0.lam, dtype=float), t=state0.t)
+        state = graph_state_from_mesh(mesh0, geom)
         pv = _graph_slope_fields(geom, state)[3]
         self.c1 = max(1.0, 2.0 * float(np.linalg.norm(pv, axis=1).max()))
         self.state, self.mesh = state, state.embedded(geom)
@@ -623,7 +617,8 @@ class _GraphStepper:
         self.state, self.mesh = self._cand
 
 
-def run_graph(geom, pair, state0, schedule, ctrl=None, frame_cb=None):
-    """Integrate the leaf-graph backend from state0.t; see `_drive`."""
-    return _drive(_GraphStepper(geom, pair, state0), schedule,
-                  ctrl or StepControl(), frame_cb, t=state0.t)
+def run_graph(geom, pair, mesh0, schedule, ctrl=None, frame_cb=None):
+    """Integrate the leaf graph from the seed's radial projection onto the
+    leaf chart; see `_drive`."""
+    return _drive(_GraphStepper(geom, pair, mesh0), schedule,
+                  ctrl or StepControl(), frame_cb)

@@ -4,16 +4,17 @@ The run modules hold what `ckflow run`, `verify`, `profile` and `seed`
 execute.  The tests check them, and the paper's claims, against what lives
 here: finite-difference Christoffels, Ricci tensor and covariant Hessian
 against the geometries' analytic data, single-patch jets of u and H, rays
-against a starshaped mesh, the ellipticity of the graph flux, the residuals
-of the u- and H-evolution identities, and the linear growth envelope of
-max H.  This module depends on the run modules, and none of them imports it.
+against a starshaped mesh, the ellipticity of the graph flux, the front's
+explicit chart velocity, the residuals of the leaf-label, u- and
+H-evolution identities, and the linear growth envelope of max H.  This
+module depends on the run modules, and none of them imports it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import ckv, surface
+from . import ckv, diagnostics, surface
 from .ambient import fd_jacobian
 from .ckv import N_SURF
 from .errors import EllipticityLost, MeshDegenerate
@@ -302,8 +303,43 @@ def ellipticity_bounds(geom, shell, c1):
 
 
 # --------------------------------------------------------------------------
-# evolution-equation residuals on graph snapshots
+# the front's explicit rate and the evolution-identity residuals
 # --------------------------------------------------------------------------
+
+
+def chart_velocity(vg):
+    """The front's explicit rate: speed * exp(-f) along the flat normal."""
+    v = vg.speed * np.exp(-vg.f)
+    return v[:, None] * vg.nu_flat
+
+
+@dataclass
+class ResidualCheck:
+    rel: float
+    lhs_norm: float
+    diffusion_norm: float
+    source_norm: float
+
+
+def label_evolution_residual(mesh, geom, vg):
+    """Surface-L2 residual of (d/dt) lam = u Lap_g lam + B along the flow.
+
+    The material derivative is exact by the chain rule,
+    (d/dt) lam = speed * 2 Lam u_perp, so the residual probes the
+    consistency of the discrete Laplacian with the discrete curvature.
+    """
+    lhs = vg.speed * 2.0 * vg.Lam * vg.u_perp
+    lap = surface.cotan_laplacian_apply(mesh, vg.lam) * np.exp(-2.0 * vg.f)
+    diffusion = vg.u * lap
+    source = diagnostics.label_evolution_source(geom, mesh, vg)
+    w = vg.area_g / np.sum(vg.area_g)
+
+    def l2(x):
+        return float(np.sqrt(np.sum(x * x * w)))
+
+    res = l2(lhs - diffusion - source)
+    denom = max(l2(lhs), l2(diffusion), l2(source), 1e-300)
+    return ResidualCheck(res / denom, l2(lhs), l2(diffusion), l2(source))
 
 
 def evolution_residuals(geom, pair, state, schedule):
@@ -314,10 +350,10 @@ def evolution_residuals(geom, pair, state, schedule):
     solver snapshots does not work here because the finite-volume rate
     carries mesh-frequency noise that the curvature jet amplifies.  The
     chart derivative is then corrected by the tangential drift of graph
-    points relative to flow particles.  Identities hold for a settled
-    field; use omega = 0 or t >= T0 states.
+    points relative to flow particles.  The schedule is read at t = 0, and
+    the identities hold for a settled field, so use omega = 0.
     """
-    xim = schedule.xi_at(state.t)
+    xim = schedule.xi_at(0.0)
     emb = state.embedded(geom)
     vg = surface.mesh_geometry(emb, geom, pair, xim)
     jm = jet_fields(emb, geom, pair, xim)
@@ -334,10 +370,10 @@ def evolution_residuals(geom, pair, state, schedule):
                                                    1e-300)
     pair_at = []
     for sgn in (-1.0, 1.0):
-        shifted = GraphState(leaf=state.leaf, lam=state.lam + sgn * delta
-                             * rate, t=state.t + sgn * delta)
+        shifted = GraphState(leaf=state.leaf,
+                             lam=state.lam + sgn * delta * rate)
         js = jet_fields(shifted.embedded(geom), geom, pair,
-                        schedule.xi_at(shifted.t))
+                        schedule.xi_at(sgn * delta))
         pair_at.append(js)
     j0, j1 = pair_at
     u0, h0, u1, h1 = j0.u, j0.h, j1.u, j1.h

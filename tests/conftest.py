@@ -36,11 +36,15 @@ def assert_traces_close(a, b, rtol):
 def run_backend(backend, geom, pair, seed, ctrl, **kwargs):
     """Run `backend` ("lagrangian" or "leaf_graph") from the mesh `seed`
     under the schedule t0 = 1."""
-    sched = ckv.Schedule(t0=1.0)
-    if backend == "lagrangian":
-        return flow.run(geom, pair, seed, sched, ctrl, **kwargs)
-    state0 = flow.graph_state_from_mesh(seed, geom)
-    return flow.run_graph(geom, pair, state0, sched, ctrl, **kwargs)
+    run = flow.run if backend == "lagrangian" else flow.run_graph
+    return run(geom, pair, seed, ckv.Schedule(t0=1.0), ctrl, **kwargs)
+
+
+def chart_fields(geom, pair, state, xi_now):
+    """A graph state's `_graph_chart_fields` tuple from its own bundle."""
+    emb = state.embedded(geom)
+    vg = surface.mesh_geometry(emb, geom, pair, xi_now)
+    return flow._graph_chart_fields(geom, pair, state, xi_now, emb, vg)
 
 
 @pytest.fixture(scope="session")
@@ -123,10 +127,9 @@ def cross_backend_at(euclid, pair, level):
     seed at `level`."""
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), level=level)
     ctrl = flow.StepControl(t_end=0.25)
-    lag = flow.run(euclid, pair, seed, ckv.Schedule(t0=1.0), ctrl)
-    state0 = flow.graph_state_from_mesh(seed, euclid)
-    gra = flow.run_graph(euclid, pair, state0, ckv.Schedule(t0=1.0), ctrl)
-    return {"seed": seed, "lag": lag, "gra": gra, "state0": state0}
+    lag = run_backend("lagrangian", euclid, pair, seed, ctrl)
+    gra = run_backend("leaf_graph", euclid, pair, seed, ctrl)
+    return {"seed": seed, "lag": lag, "gra": gra}
 
 
 @pytest.fixture(scope="session")

@@ -122,7 +122,7 @@ def test_c06_evolution_equation_residuals(euclid, paper, pair):
         mesh = surface.ellipsoid_seed(ax, 4)
         vg = surface.mesh_geometry(mesh, geom, pair)
         worst_lam = max(
-            worst_lam, diagnostics.label_evolution_residual(
+            worst_lam, oracles.label_evolution_residual(
                 mesh, geom, vg).rel
         )
     # u/H identities probed on graph snapshots
@@ -222,7 +222,9 @@ def cross_backend_gap(euclid, runs):
     pair of runs, which must end at the same time."""
     lag, gra = runs["lag"], runs["gra"]
     assert abs(lag.t - gra.t) <= 1e-12
-    pts = oracles.radial_intersections(lag.mesh, runs["state0"].leaf.vertices)
+    seed = runs["seed"].vertices
+    dirs = seed / np.linalg.norm(seed, axis=1, keepdims=True)
+    pts = oracles.radial_intersections(lag.mesh, dirs)
     lam_lag = ckv.lam(euclid, pts)
     lam_gra = ckv.lam(euclid, gra.mesh.vertices)
     rel = float(np.max(np.abs(lam_lag - lam_gra)) / np.max(np.abs(lam_gra)))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ckflow import ambient, ckv, diagnostics, flow, oracles, surface
+from ckflow import ambient, diagnostics, flow, oracles, surface
 from ckflow.errors import DomainExit
+from conftest import run_backend
 
 
 # --------------------------------------------------------------------------
@@ -47,7 +48,7 @@ def test_umbilicity_separates_spheres_from_ellipsoids(euclid, pair):
 def test_label_evolution_residual_small(euclid, pair):
     mesh = surface.ellipsoid_seed((1.3, 1.0, 1.0), 3)
     vg = surface.mesh_geometry(mesh, euclid, pair)
-    check = diagnostics.label_evolution_residual(mesh, euclid, vg)
+    check = oracles.label_evolution_residual(mesh, euclid, vg)
     assert check.rel <= 0.15
     assert check.lhs_norm > 0.0
 
@@ -189,14 +190,9 @@ def test_isoperimetric_verdict_reads_the_run_memo(euclid, pair, monkeypatch,
                                                   backend):
     # a run leaves the curved area and volume of its first and last
     # snapshots in their memos, so the verdict calls neither kernel
-    seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
-    schedule, ctrl = ckv.Schedule(t0=1.0), flow.StepControl(t_end=0.05)
-    if backend == "lagrangian":
-        res = flow.run(euclid, pair, seed, schedule, ctrl)
-    else:
-        res = flow.run_graph(euclid, pair,
-                             flow.graph_state_from_mesh(seed, euclid),
-                             schedule, ctrl)
+    res = run_backend(backend, euclid, pair,
+                      surface.ellipsoid_seed((1.3, 1.0, 1.0), 2),
+                      flow.StepControl(t_end=0.05))
     args = (euclid, res.mesh_initial, res.mesh, res.converged)
     expected = diagnostics.isoperimetric_check(*args)
 

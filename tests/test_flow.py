@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from ckflow import ckv, diagnostics, flow, oracles, surface
 from ckflow.errors import MeshDegenerate, StarshapeLost
 from conftest import assert_traces_close, seed_label_band, twisted_run_at
-from conftest import run_backend as _run_backend
+from conftest import chart_fields, run_backend as _run_backend
 
 
 # --------------------------------------------------------------------------
@@ -28,6 +28,9 @@ def test_step_control_rejects_bad_knobs():
         flow.StepControl(cfl=0.7)
     with pytest.raises(ValueError):
         flow.StepControl(t_end=0.0)
+    # no time reaches a NaN t_end, and min(dt, nan) would drop it unseen
+    with pytest.raises(ValueError):
+        flow.StepControl(t_end=float("nan"))
     # an exact leaf reads ~1e-15: a run could never meet these
     with pytest.raises(ValueError):
         flow.StepControl(leaf_tol=0.0)
@@ -73,7 +76,7 @@ def test_coordinate_sphere_leaf_converges_at_step_0(request, pair, backend,
 def test_chart_velocity_is_normal(euclid, pair):
     mesh = surface.ellipsoid_seed((1.4, 1.0, 0.9), 2)
     vg = surface.mesh_geometry(mesh, euclid, pair)
-    vel = flow.chart_velocity(vg)
+    vel = oracles.chart_velocity(vg)
     # velocity is parallel to the flat normal by construction
     cross = np.cross(vel, vg.nu_flat)
     assert np.max(np.linalg.norm(cross, axis=1)) < 1e-12
@@ -141,8 +144,7 @@ CONSISTENCY_SEED = (1.08, 1.0, 0.93)
 def _consistency_setup(request, geom_name):
     geom = request.getfixturevalue(geom_name)
     pair = ckv.KillingPair(omega=0.5, axis=(0.0, 0.0, 1.0))
-    t = 0.1
-    return geom, pair, t, ckv.Schedule(t0=0.5).xi_at(t)
+    return geom, pair, ckv.Schedule(t0=0.5).xi_at(0.1)
 
 
 def _assert_first_order(rate_at, ref):
@@ -158,7 +160,7 @@ def _assert_first_order(rate_at, ref):
 @pytest.mark.parametrize("geom_name", ["euclid", "paper"])
 def test_front_step_is_consistent_with_chart_velocity(request, geom_name):
     # only the normal part: the discrete Lap x has a tangential component
-    geom, pair, t, xi_now = _consistency_setup(request, geom_name)
+    geom, pair, xi_now = _consistency_setup(request, geom_name)
     mesh = surface.ellipsoid_seed(CONSISTENCY_SEED, 3)
     vg = surface.mesh_geometry(mesh, geom, pair, xi_now)
 
@@ -169,7 +171,7 @@ def test_front_step_is_consistent_with_chart_velocity(request, geom_name):
         new = flow.step_lagrangian(mesh, geom, dt, vg, 0, flow.LaggedFactor())
         return normal((new.vertices - mesh.vertices) / dt)
 
-    _assert_first_order(rate_at, normal(flow.chart_velocity(vg)))
+    _assert_first_order(rate_at, normal(oracles.chart_velocity(vg)))
 
 
 def _count_surface_calls(monkeypatch, name):
@@ -756,13 +758,6 @@ def test_flux_jacobian_spectrum_is_the_ellipticity_bounds():
     assert abs(eig.max() - c3) <= 1e-12 * c3
 
 
-def _chart_fields(geom, pair, state, xi_now):
-    """A graph state's `_graph_chart_fields` tuple from its own bundle."""
-    emb = state.embedded(geom)
-    vg = surface.mesh_geometry(emb, geom, pair, xi_now)
-    return flow._graph_chart_fields(geom, pair, state, xi_now, emb, vg)
-
-
 def test_graph_state_roundtrip(euclid):
     mesh = surface.sphere_seed(1.3, 2)
     state = flow.graph_state_from_mesh(mesh, euclid)
@@ -774,11 +769,9 @@ def test_graph_state_roundtrip(euclid):
 def test_run_graph_settles_perturbed_sphere(euclid, pair):
     mesh = surface.sphere_seed(1.0, 2)
     r = 1.0 + 0.05 * mesh.vertices[:, 2] ** 2
-    state0 = flow.graph_state_from_mesh(
-        mesh.with_vertices(r[:, None] * mesh.vertices), euclid
-    )
-    res = flow.run_graph(euclid, pair, state0, ckv.Schedule(t0=1.0),
-                         flow.StepControl(t_end=4.0))
+    res = flow.run_graph(euclid, pair,
+                         mesh.with_vertices(r[:, None] * mesh.vertices),
+                         ckv.Schedule(t0=1.0), flow.StepControl(t_end=4.0))
     assert res.converged
     assert res.trace.column("leaf_distance")[-1] <= 1e-2
     area = res.trace.column("area")
@@ -789,18 +782,17 @@ def test_implicit_graph_step_keeps_a_leaf(euclid, pair):
     # a constant label has zero flux, and the flat source vanishes on it
     sched = ckv.Schedule(t0=1.0)
     state = flow.graph_state_from_mesh(surface.sphere_seed(1.2, 3), euclid)
-    fields = _chart_fields(euclid, pair, state, sched.xi_at(0.0))
+    fields = chart_fields(euclid, pair, state, sched.xi_at(0.0))
     new = flow.step_graph(state, 0.1, fields, 0, flow.LaggedFactor())
-    assert new.t == 0.1
     assert np.max(np.abs(new.lam - state.lam)) <= 1e-12 * np.max(state.lam)
 
 
 @pytest.mark.parametrize("geom_name", ["euclid", "paper"])
 def test_graph_step_is_consistent_with_graph_rate(request, geom_name):
-    geom, pair, t, xi_now = _consistency_setup(request, geom_name)
+    geom, pair, xi_now = _consistency_setup(request, geom_name)
     state = flow.graph_state_from_mesh(
-        surface.ellipsoid_seed(CONSISTENCY_SEED, 3), geom, t=t)
-    fields = _chart_fields(geom, pair, state, xi_now)
+        surface.ellipsoid_seed(CONSISTENCY_SEED, 3), geom)
+    fields = chart_fields(geom, pair, state, xi_now)
 
     def rate_at(dt):
         new = flow.step_graph(state, dt, fields, 0, flow.LaggedFactor())
@@ -863,9 +855,8 @@ def test_non_finite_implicit_graph_step_fails_with_step_and_time(
 def test_run_graph_starshape_guard(euclid, pair, pair_e3):
     mesh, _, _ = surface.checked_seed(
         surface.ellipsoid_seed((1.6, 0.7, 0.7), 2), euclid, pair_e3, 1.5)
-    state0 = flow.graph_state_from_mesh(mesh, euclid)
     with pytest.raises(StarshapeLost):
-        flow.run_graph(euclid, pair, state0, ckv.Schedule(t0=1.0))
+        flow.run_graph(euclid, pair, mesh, ckv.Schedule(t0=1.0))
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from ckflow import ambient, ckv, diagnostics, flow, oracles, surface
 from ckflow.errors import MeshDegenerate, SeedInfeasible
+from conftest import chart_fields
 
 
 def ellipsoid_reference(p, semiaxes):
@@ -475,13 +476,6 @@ def _reference_rate(geom, pair, state, xi_now):
     return w * u * div / g + w * w * b
 
 
-def _chart_fields(geom, pair, state, xi_now):
-    """A graph state's `_graph_chart_fields` tuple from its own bundle."""
-    emb = state.embedded(geom)
-    vg = surface.mesh_geometry(emb, geom, pair, xi_now)
-    return flow._graph_chart_fields(geom, pair, state, xi_now, emb, vg)
-
-
 def _memo(mesh, geom):
     """Everything a snapshot memoizes, read through the memo."""
     return {"face_geometry": mesh.face_geometry, "normals": mesh.normals,
@@ -575,11 +569,10 @@ def test_snapshot_memo_matches_fresh_kernels(request, monkeypatch, geom_name,
     # cold, warm and the written-out reference agree bit for bit
     sched = ckv.Schedule(t0=0.5)
     state = _jittered_graph_state(geom)
-    state.t = 0.1
-    xi_now = sched.xi_at(state.t)
-    k1 = flow._graph_rate(state, _chart_fields(geom, pair, state, xi_now))
+    xi_now = sched.xi_at(0.1)
+    k1 = flow._graph_rate(state, chart_fields(geom, pair, state, xi_now))
     assert np.array_equal(k1, flow._graph_rate(
-        state, _chart_fields(geom, pair, state, xi_now)))
+        state, chart_fields(geom, pair, state, xi_now)))
     assert np.array_equal(k1, _reference_rate(geom, pair, state, xi_now))
 
 
