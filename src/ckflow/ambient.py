@@ -110,9 +110,6 @@ class AmbientGeometry:
 
     # --- leaf profiles (label, area, ball volume of coordinate spheres) ------
 
-    def lambda_of_r(self, r):
-        raise NotImplementedError
-
     def dlambda_dr(self, r):
         raise NotImplementedError
 
@@ -149,10 +146,6 @@ class Euclidean(AmbientGeometry):
 
     def outer_distance(self, p):
         return np.full(np.shape(p)[:-1], np.inf)
-
-    def lambda_of_r(self, r):
-        r = np.asarray(r, dtype=float)
-        return r * r
 
     def dlambda_dr(self, r):
         r = np.asarray(r, dtype=float)
@@ -206,10 +199,6 @@ class PaperExample(AmbientGeometry):
     def outer_distance(self, p):
         return 2.0 - np.linalg.norm(np.asarray(p, dtype=float), axis=-1)
 
-    def lambda_of_r(self, r):
-        r = np.asarray(r, dtype=float)
-        return r * r / (4.0 - r * r) ** 2
-
     def dlambda_dr(self, r):
         r = np.asarray(r, dtype=float)
         return 2.0 * r * (4.0 + r * r) / (4.0 - r * r) ** 3
@@ -244,8 +233,8 @@ class PoincareBall(AmbientGeometry):
     name = "poincare_ball"
 
     def __init__(self, radius=1.0):
-        if radius <= 0.0:
-            raise ValueError("poincare_ball radius must be positive")
+        if not 0.0 < radius < np.inf:  # a NaN fails this comparison too
+            raise ValueError("poincare_ball radius must be positive and finite")
         self.radius = float(radius)
 
     def _ps(self, p):
@@ -272,11 +261,6 @@ class PoincareBall(AmbientGeometry):
 
     def outer_distance(self, p):
         return self.radius - np.linalg.norm(np.asarray(p, dtype=float), axis=-1)
-
-    def lambda_of_r(self, r):
-        r = np.asarray(r, dtype=float)
-        s = r * r / self.radius**2
-        return 4.0 * r * r / (1.0 + s) ** 2
 
     def dlambda_dr(self, r):
         r = np.asarray(r, dtype=float)

@@ -32,10 +32,12 @@ class KillingPair:
     axis: tuple = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
+        if not np.isfinite(self.omega):
+            raise ValueError("rotation rate must be finite")
         a = np.asarray(self.axis, dtype=float)
         norm = np.linalg.norm(a)
-        if norm == 0.0:
-            raise ValueError("rotation axis must be nonzero")
+        if not (np.all(np.isfinite(a)) and norm > 0.0):
+            raise ValueError("rotation axis must be finite and nonzero")
         object.__setattr__(self, "axis", tuple(a / norm))
 
     @property
@@ -156,8 +158,9 @@ class Schedule:
     t0: float = 1.0
 
     def __post_init__(self):
-        if self.t0 <= 0.0:
-            raise ScheduleInfeasible(f"schedule horizon must be positive, got {self.t0}")
+        if not 0.0 < self.t0 < np.inf:  # a NaN fails this comparison too
+            raise ScheduleInfeasible(
+                f"schedule horizon must be positive and finite, got {self.t0}")
 
     def xi_at(self, t):
         return xi(t / self.t0)
@@ -202,7 +205,7 @@ def estimate_T0(geom, pair, lam_lo, lam_hi, margin=0.1,
     With c = min over the shell of (Lam phi^3 - R(phi)) and M = max |R|_g,
     returns T0 = sup|xi'| * M / (n c (1 - margin)), so that for all t
     |xi'(t/T0)| |R|_g / T0 <= n c (1 - margin).  Returns 1.0 when there is
-    no rotation.  Raises ScheduleInfeasible when c <= 0.
+    no rotation.  Raises ScheduleInfeasible unless c > 0.
     """
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must be in (0, 1)")
@@ -212,7 +215,7 @@ def estimate_T0(geom, pair, lam_lo, lam_hi, margin=0.1,
     flat = pts.reshape(-1, 3)
     gap = schedule_gap(geom, pair, flat)
     c = float(np.min(gap))
-    if c <= 0.0:
+    if not c > 0.0:  # a NaN gap fails this comparison too
         raise ScheduleInfeasible(
             f"no positive schedule gap on the shell (min {c:.3e}); "
             "the scheduled rotation cannot be made subcritical"

@@ -96,15 +96,16 @@ def label_evolution_source(geom, mesh, vg):
         + 4 u (Lam/phi) (D(phi) - nu(phi) u_perp)
     """
     verts = mesh.vertices
-    dn2 = vg.dilation_norm**2
+    dn2 = ckv.dilation_norm_g(geom, verts)**2
+    lam_coef = ckv.Lam(geom, verts)
     gp = ckv.grad_phi(geom, verts)
     d_phi = np.einsum("ij,ij->i", verts, gp)
     nu_phi = np.exp(-vg.f) * np.einsum("ij,ij->i", vg.nu_flat, gp)
     r = np.linalg.norm(verts, axis=-1)
     d_lamphi2 = r * geom.d_lam_phi2_dr(r)  # D(Lam phi^2), radial profile
-    b = -2.0 * vg.Lam * N_SURF * vg.phi * (vg.u - vg.u_perp)
+    b = -2.0 * lam_coef * N_SURF * vg.phi * (vg.u - vg.u_perp)
     b -= vg.u * (2.0 / (vg.phi**2 * dn2)) * d_lamphi2 * (dn2 - vg.u_perp**2)
-    b += 4.0 * vg.u * (vg.Lam / vg.phi) * (d_phi - nu_phi * vg.u_perp)
+    b += 4.0 * vg.u * (lam_coef / vg.phi) * (d_phi - nu_phi * vg.u_perp)
     return b
 
 

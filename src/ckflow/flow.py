@@ -6,17 +6,18 @@ label lam over a fixed leaf, the seed mesh's radial projection
 (`graph_state_from_mesh`), as a scalar PDE.  Both take the same arguments
 and run in `_drive`, with steps retried at half the size while the curved
 area would increase.  The driver owns the one clock, from t = 0, the step
-bound, the run's `LaggedFactor`, the loop-top geometry and star-shape
-check, the initial mesh, the trace row, frames, convergence and error
-tagging: a package error that leaves the loop carries the partial trace,
-and its message starts with the loop top's step and time ("graph step 3
-from t=0.0125: ..."), which no raise site names itself.  The flow is
+index, the step bound, the run's `LaggedFactor`, the loop-top geometry and
+star-shape check, the initial mesh, the trace row, frames, convergence and
+error tagging: a package error that leaves the loop carries the partial
+trace, and its message starts with the loop top's step and time ("graph
+step 3 from t=0.0125: ..."), which no raise site names itself.  The flow is
 stationary exactly on the leaves, so a run converges at its first loop top
 with leaf distance <= `leaf_tol`.  A stepper (`_FrontStepper`,
 `_GraphStepper`) holds one backend's state, proposes a finite candidate and
 commits it.  The front projects each candidate back onto the initial curved
-volume and, every SMOOTH_EVERY steps, smooths tangentially and projects the
-smoothed mesh back too, skipping a pass that would break area monotonicity.
+volume and, every SMOOTH_EVERY steps it commits, smooths tangentially and
+projects the smoothed mesh back too, skipping a pass that would break area
+monotonicity.
 
 Each backend has one step, linearly implicit.  The front's
 (`step_lagrangian`) takes the stiff part u exp(-2f) Lap x of the chart
@@ -31,8 +32,8 @@ diag(mass) - dt K is assembled, checked and solved.  It scales K's
 values by -dt in place and adds the mass in the diagonal slots of the
 fixed CSC pattern the mesh's topology owns (`surface.StiffnessPattern`).
 It solves through the run's `LaggedFactor`: a sparse LU factor made every
-REFACTOR_EVERY steps preconditions CG in between, and a CG that does not
-converge refactors.
+REFACTOR_EVERY solves preconditions CG in between, and a CG that does not
+converge refactors.  A run without retries makes one solve per step.
 `_graph_rate` is the explicit rate the graph step is consistent with; the
 front's, `oracles.chart_velocity`, lives with the checks no command runs.
 
@@ -72,7 +73,7 @@ from .errors import (CkflowError, GradientBoundExceeded, MeshDegenerate,
 MAX_RETRIES = 8         # step halvings before the area guard gives up
 SMOOTH_EVERY = 10       # front steps between two smoothing passes
 VOLUME_TOL = 1e-12      # relative volume error the projection stops at
-REFACTOR_EVERY = 10     # steps one factor of the implicit system serves
+REFACTOR_EVERY = 10     # solves one factor of the implicit system serves
 CG_RTOL = 1e-12         # relative residual a lagged-factor CG solve stops at
 CG_MAXITER = 40         # CG iterations before a solve refactors afresh
 
@@ -131,31 +132,32 @@ def cfl_dt(mesh, cfl):
 class LaggedFactor:
     """A run's last sparse LU factor of its implicit system, reused.
 
-    The system diag(mass) - dt K changes slowly from step to step, so an
-    earlier step's factor is a near-exact preconditioner.  A step at least
-    REFACTOR_EVERY steps after the held factor's factors afresh (COLAMD
-    `splu`); any other solves by CG from the given start, preconditioned by
-    the held factor, down to the relative residual CG_RTOL.  A CG solve that
-    has not converged in CG_MAXITER iterations falls back to a fresh factor.
-    One factor is alive at a time.  Each run holds its own, so nothing
-    carries over between runs.
+    The system diag(mass) - dt K changes slowly from solve to solve, so an
+    earlier solve's factor is a near-exact preconditioner.  Once the held
+    factor has served REFACTOR_EVERY solves, its own included, the next
+    solve factors afresh (COLAMD `splu`); any other solves by CG from the
+    given start, preconditioned by the held factor, down to the relative
+    residual CG_RTOL.  A CG solve that has not converged in CG_MAXITER
+    iterations falls back to a fresh factor.  One factor is alive at a
+    time.  Each run holds its own, so nothing carries over between runs.
     """
 
     def __init__(self):
         self.lu = None
-        self.made_at = 0  # the step the held factor was made at
+        self.served = 0  # solves the held factor has served
         self.counts = SolveCounts()
 
-    def solve(self, lhs, rhs, x0, step):
+    def solve(self, lhs, rhs, x0):
         """x with lhs x = rhs; x0 (shaped like rhs) starts the CG."""
-        if self.lu is not None and step - self.made_at < REFACTOR_EVERY:
+        if self.lu is not None and self.served < REFACTOR_EVERY:
             x = self._cg(lhs, rhs, x0)
             if x is not None:
+                self.served += 1
                 return x
             self.counts.fallbacks += 1
         self.lu = None  # drop the old factor before making the new one
         self.lu = splu(lhs)
-        self.made_at = step
+        self.served = 1
         self.counts.factors += 1
         return self.lu.solve(rhs)
 
@@ -183,8 +185,7 @@ class LaggedFactor:
         return x.reshape(shape) if info == 0 else None
 
 
-def _implicit_solve(factor, mesh, mass, rhs, x0, dt, step, what,
-                    face_weight=None):
+def _implicit_solve(factor, mesh, mass, rhs, x0, dt, what, face_weight=None):
     """Solve (diag(mass) - dt K) x = rhs, K the mesh's cotan stiffness.
 
     `factor` is the run's `LaggedFactor`, and x0 (the state at the step's
@@ -204,12 +205,12 @@ def _implicit_solve(factor, mesh, mass, rhs, x0, dt, step, what,
     lhs.data[mesh.topology.stiffness_pattern.diag_slot] += mass
     _require_finite(lhs.data, "implicit system entry")
     _require_finite(rhs, "right-hand side")
-    x = factor.solve(lhs, rhs, x0, step)
+    x = factor.solve(lhs, rhs, x0)
     _require_finite(x, what)
     return x
 
 
-def step_lagrangian(mesh, geom, dt, vg, step, factor):
+def step_lagrangian(mesh, geom, dt, vg, factor):
     """One linearly implicit step (Dziuk 1991); returns the new mesh.
 
     The chart velocity is c Lap x + b nu_flat, with c = u exp(-2f) and
@@ -232,8 +233,7 @@ def step_lagrangian(mesh, geom, dt, vg, step, factor):
     mass = vg.area_flat / c
     rhs = mass[:, None] * (mesh.vertices + dt * b[:, None] * vg.nu_flat)
     new = mesh.with_vertices(
-        _implicit_solve(factor, mesh, mass, rhs, mesh.vertices, dt, step,
-                        "vertex"))
+        _implicit_solve(factor, mesh, mass, rhs, mesh.vertices, dt, "vertex"))
     geom.require_in_domain(new.vertices, what="vertex")
     return new
 
@@ -280,11 +280,12 @@ def _drive(stepper, schedule, ctrl, frame_cb):
 
     The stepper has `geom`, `pair`, `label` (its name in messages), `mesh`
     (embedded, at the loop top), `labels(vg)` -> the leaf labels,
-    `propose(vg, xi_now, dt, step, factor)` -> the candidate's mesh and
-    `accept(step + 1, area_prev)`.  The loop owns the rest: the clock, the
-    run's one `LaggedFactor` (handed to every proposal; its counts are the
-    result's `solves`) and the step bound, dt = cfl h_min of the loop-top
-    mesh (`cfl_dt`) cut to reach t_end, the same for both backends.
+    `propose(vg, xi_now, dt, factor)` -> the candidate's mesh and
+    `accept()`, which commits the last proposal.  The loop owns the rest:
+    the step index, the clock, the run's one `LaggedFactor` (handed to
+    every proposal; its counts are the result's `solves`) and the step
+    bound, dt = cfl h_min of the loop-top mesh (`cfl_dt`) cut to reach
+    t_end, the same for both backends.
     Convergence: the first loop top, step 0 included, whose leaf spread
     (max-min)/mean of the label is <= leaf_tol; t_end or max_steps return
     converged=False.  The result's `mesh_initial` is the step-0 loop-top
@@ -349,14 +350,14 @@ def _drive(stepper, schedule, ctrl, frame_cb):
 
                 dt = min(cfl_dt(mesh, ctrl.cfl), ctrl.t_end - t)
                 for _ in range(MAX_RETRIES):
-                    cand = stepper.propose(vg, xi_now, dt, step, factor)
+                    cand = stepper.propose(vg, xi_now, dt, factor)
                     if cand.area(geom) <= area * (1.0 + ctrl.area_slack):
                         break
                     dt *= 0.5
                 else:
                     raise MeshDegenerate(
                         f"area kept increasing even at dt={dt:.3e}")
-                stepper.accept(step + 1, area)
+                stepper.accept()
             finally:
                 trace.add(**row, **columns.result())
                 if frame_cb is not None:
@@ -387,13 +388,14 @@ class _FrontStepper:
         self.geom, self.pair = geom, pair
         self.mesh = mesh0
         self.vol0 = mesh0.volume(geom)
+        self.accepted = 0  # steps committed, for the smoothing cadence
         self._cand = None  # the last proposal
 
     def labels(self, vg):
         return vg.lam
 
-    def propose(self, vg, xi_now, dt, step, factor):
-        cand = step_lagrangian(self.mesh, self.geom, dt, vg, step, factor)
+    def propose(self, vg, xi_now, dt, factor):
+        cand = step_lagrangian(self.mesh, self.geom, dt, vg, factor)
         # the continuum flow conserves enclosed volume (first Minkowski
         # identity), but the discrete identity only holds to quadrature
         # order; project back before judging the area trend, else the
@@ -401,13 +403,16 @@ class _FrontStepper:
         self._cand = _rescale_to_volume(cand, self.geom, self.vol0)
         return self._cand
 
-    def accept(self, step, area_prev):
+    def accept(self):
         """Commit the candidate; every SMOOTH_EVERY steps, smooth it
         tangentially, project it back onto the seed's curved volume (the
         pass's one volume correction) and keep the pass unless the area
-        grows past the guard's slack; then guard the mesh quality."""
+        grows past the loop top's by more than the guard's slack; then
+        guard the mesh quality."""
+        area_prev = self.mesh.area(self.geom)  # the loop top's, memoized
         self.mesh = self._cand
-        if step % SMOOTH_EVERY == 0:
+        self.accepted += 1
+        if self.accepted % SMOOTH_EVERY == 0:
             sm = surface.tangential_smooth(self.mesh)
             sm = _rescale_to_volume(sm, self.geom, self.vol0)
             slack = StepControl.area_slack
@@ -500,7 +505,7 @@ def _graph_chart_fields(geom, pair, state, xi_now, emb, vg):
     """
     leaf = state.leaf
     g, h, pf, pv, w = _graph_slope_fields(geom, state)
-    u_perp = vg.dilation_norm / w
+    u_perp = ckv.dilation_norm_g(geom, emb.vertices) / w
     u_top = -np.sqrt(h) * np.einsum("ij,ij->i", pair.rotation(leaf.vertices),
                                     pv) / w
     u = u_perp + xi_now * u_top
@@ -554,7 +559,7 @@ def graph_cfl_dt(leaf, cfl):
     return cfl * leaf.min_edge
 
 
-def step_graph(state, dt, fields, step, factor):
+def step_graph(state, dt, fields, factor):
     """One linearly implicit step of the leaf graph; returns the new state.
 
     For n = 2 the flux is A_f = p_f / W_f, so the divergence in the rate
@@ -581,7 +586,7 @@ def step_graph(state, dt, fields, step, factor):
     mass = leaf.basis.dual_area * g / (w * u)
     lam = _implicit_solve(factor, leaf, mass,
                           mass * (state.lam + dt * w * w * b), state.lam, dt,
-                          step, "label", face_weight=1.0 / wf)
+                          "label", face_weight=1.0 / wf)
     return GraphState(leaf=leaf, lam=lam)
 
 
@@ -602,18 +607,18 @@ class _GraphStepper:
     def labels(self, vg):
         return self.state.lam
 
-    def propose(self, vg, xi_now, dt, step, factor):
+    def propose(self, vg, xi_now, dt, factor):
         # the chart fields at the step's start, frozen over the step
         fields = _graph_chart_fields(self.geom, self.pair, self.state, xi_now,
                                      self.mesh, vg)
         _graph_guards(fields, self.c1)
-        cand = step_graph(self.state, dt, fields, step, factor)
+        cand = step_graph(self.state, dt, fields, factor)
         emb = cand.embedded(self.geom)
         _require_finite(emb.vertices, "vertex")
         self._cand = (cand, emb)
         return emb
 
-    def accept(self, step, area_prev):
+    def accept(self):
         self.state, self.mesh = self._cand
 
 

@@ -328,7 +328,7 @@ def label_evolution_residual(mesh, geom, vg):
     (d/dt) lam = speed * 2 Lam u_perp, so the residual probes the
     consistency of the discrete Laplacian with the discrete curvature.
     """
-    lhs = vg.speed * 2.0 * vg.Lam * vg.u_perp
+    lhs = vg.speed * 2.0 * ckv.Lam(geom, mesh.vertices) * vg.u_perp
     lap = surface.cotan_laplacian_apply(mesh, vg.lam) * np.exp(-2.0 * vg.f)
     diffusion = vg.u * lap
     source = diagnostics.label_evolution_source(geom, mesh, vg)

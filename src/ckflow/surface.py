@@ -33,6 +33,8 @@ squared lengths, and takes the unit normal, the area and the three corner
 cotangents from one cross product.  Every other face kernel reads its
 `FaceGeometry`, so a snapshot computes each of these at most once, whoever
 asks first, and no caller passes one along.
+The bundle `mesh_geometry` holds the vertex fields a step or the trace
+reads; `checked_seed` computes only its two supports (`_supports`).
 """
 
 from dataclasses import dataclass
@@ -322,14 +324,16 @@ def icosphere(level):
 
 
 def sphere_seed(radius, level):
+    if not 0.0 < radius < np.inf:  # a NaN fails this comparison too
+        raise ValueError("radius must be positive and finite")
     m = icosphere(level)
     return m.with_vertices(radius * m.vertices)
 
 
 def ellipsoid_seed(semiaxes, level):
     a = np.asarray(semiaxes, dtype=float)
-    if a.shape != (3,) or np.any(a <= 0.0):
-        raise ValueError("semiaxes must be three positive numbers")
+    if a.shape != (3,) or not np.all((0.0 < a) & (a < np.inf)):
+        raise ValueError("semiaxes must be three positive finite numbers")
     m = icosphere(level)
     return m.with_vertices(m.vertices * a)
 
@@ -362,9 +366,9 @@ def checked_seed(mesh, geom, pair, tau=0.0):
         r = np.linalg.norm(mesh.vertices, axis=1)
         mesh = mesh.with_vertices(
             _rodrigues(mesh.vertices, pair.axis_vec, tau * np.log(r)))
-    vg = mesh_geometry(mesh, geom, pair, xi_now=1.0)
-    min_u = float(np.min(vg.u))
-    min_uperp = float(np.min(vg.u_perp))
+    u_perp, u = _supports(mesh, pair, np.exp(geom.f(mesh.vertices)), 1.0)
+    min_u = float(np.min(u))
+    min_uperp = float(np.min(u_perp))
     if min_u <= 0.0:
         raise SeedInfeasible(
             f"seed not starshaped for the scheduled field "
@@ -641,15 +645,21 @@ class VertexGeometry:
     u: np.ndarray            # scheduled support u_perp + xi * u_top
     phi: np.ndarray
     lam: np.ndarray
-    Lam: np.ndarray
     area_flat: np.ndarray    # mixed Voronoi cell areas, flat
     area_g: np.ndarray       # curved cell areas exp(2f) * flat
-    dilation_norm: np.ndarray  # |D|_g at vertices
 
     @property
     def speed(self):
         """The flow's normal speed n phi - u H at the vertices."""
         return N_SURF * self.phi - self.u * self.H
+
+
+def _supports(mesh, pair, ef, xi_now):
+    """(u_perp, u) at the vertices, ef = exp(f) there."""
+    verts, nu = mesh.vertices, mesh.normals
+    u_perp = ef * np.einsum("ij,ij->i", verts, nu)
+    u_top = ef * np.einsum("ij,ij->i", pair.rotation(verts), nu)
+    return u_perp, u_perp + xi_now * u_top
 
 
 def mesh_geometry(mesh, geom, pair, xi_now=1.0):
@@ -663,10 +673,7 @@ def mesh_geometry(mesh, geom, pair, xi_now=1.0):
     H_flat = -np.einsum("ij,ij->i", lap_x, nu)
     nu_f = np.einsum("ij,ij->i", nu, geom.grad_f(verts))
     H = (H_flat + 2.0 * nu_f) / ef
-
-    u_perp = ef * np.einsum("ij,ij->i", verts, nu)
-    u_top = ef * np.einsum("ij,ij->i", pair.rotation(verts), nu)
-    u = u_perp + xi_now * u_top
+    u_perp, u = _supports(mesh, pair, ef, xi_now)
 
     return VertexGeometry(
         f=f_v,
@@ -677,10 +684,8 @@ def mesh_geometry(mesh, geom, pair, xi_now=1.0):
         u=u,
         phi=ckv.phi(geom, verts),
         lam=ckv.lam(geom, verts),
-        Lam=ckv.Lam(geom, verts),
         area_flat=areas,
         area_g=np.exp(2.0 * f_v) * areas,
-        dilation_norm=ckv.dilation_norm_g(geom, verts),
     )
 
 

@@ -210,3 +210,9 @@ def test_make_geometry_names():
     assert isinstance(ball, ambient.PoincareBall)
     with pytest.raises(ValueError):
         ambient.make_geometry("torus")
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
+def test_poincare_ball_rejects_bad_radius(radius):
+    with pytest.raises(ValueError):
+        ambient.PoincareBall(radius=radius)

@@ -97,6 +97,49 @@ def test_xi_sup_derivative_bounds_a_dense_sample():
     assert np.max(np.abs(ckv.xi_prime(s))) <= ckv.xi_sup_derivative()
 
 
+def shell_label(geom, r):
+    """The leaf label of the coordinate sphere of radius r."""
+    return float(ckv.lam(geom, (r, 0.0, 0.0)))
+
+
+RADIAL_GEOMETRIES = {"euclid": ambient.Euclidean(),
+                     "paper": ambient.PaperExample(),
+                     "poincare": ambient.PoincareBall(1.0),
+                     "poincare_2.5": ambient.PoincareBall(2.5)}
+
+
+def _random_rays(geom, rng, n=200):
+    """n radii inside the chart domain (below 3) and unit directions."""
+    dirs = rng.standard_normal((n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    r_max = min(3.0, float(geom.outer_distance(np.zeros(3))))
+    return rng.uniform(0.05, 0.95, n) * r_max, dirs
+
+
+def _radial_derivative(func, r, dirs):
+    """Central difference of func along each ray at r, step 1e-6 r."""
+    h = 1e-6 * r
+    return (func((r + h)[:, None] * dirs) - func((r - h)[:, None] * dirs)) \
+        / (2.0 * h)
+
+
+@pytest.mark.parametrize("name", RADIAL_GEOMETRIES)
+def test_radial_closed_forms_match_the_pointwise_scalars(name):
+    # the graph reads r_of_lambda for its embedding, dlambda_dr for its H
+    # coefficient and d_lam_phi2_dr for its source B
+    geom = RADIAL_GEOMETRIES[name]
+    r, dirs = _random_rays(geom, np.random.default_rng(11))
+    label = ckv.lam(geom, r[:, None] * dirs)
+    assert np.max(np.abs(geom.r_of_lambda(label) / r - 1.0)) <= 1e-13
+    fd = _radial_derivative(lambda p: ckv.lam(geom, p), r, dirs)
+    assert np.max(np.abs(fd / geom.dlambda_dr(r) - 1.0)) <= 1e-7
+    # flat space: Lam phi^2 = 1 exactly, so both sides are exactly zero
+    fd = _radial_derivative(
+        lambda p: ckv.Lam(geom, p) * ckv.phi(geom, p) ** 2, r, dirs)
+    exact = geom.d_lam_phi2_dr(r)
+    assert np.all(np.abs(fd - exact) <= 1e-6 * np.abs(exact))
+
+
 def test_estimate_T0_euclid_closed_form(euclid):
     # c = 1 (Lam phi^3 = 1, X_top(phi) = 0), M = 2 on the lam <= 4 shell
     pair = ckv.KillingPair(omega=1.0, axis=(1.0, 0.0, 0.0))
@@ -110,8 +153,8 @@ def test_estimate_T0_no_rotation(euclid):
 
 def test_estimate_T0_paper_sampling_converged(paper):
     pair = ckv.KillingPair(omega=1.0, axis=(1.0, 0.0, 0.0))
-    lo = float(paper.lambda_of_r(0.5))
-    hi = float(paper.lambda_of_r(1.8))
+    lo = shell_label(paper, 0.5)
+    hi = shell_label(paper, 1.8)
     t0 = ckv.estimate_T0(paper, pair, lo, hi)
     t0_dense = ckv.estimate_T0(paper, pair, lo, hi,
                                n_spheres=64, n_per_sphere=2000)
@@ -124,8 +167,8 @@ def test_schedule_infeasible_for_wrong_axis(paper):
     # schedule gap negative somewhere on the shell
     pair = ckv.KillingPair(omega=50.0, axis=(0.0, 0.0, 1.0))
     with pytest.raises(ScheduleInfeasible):
-        ckv.estimate_T0(paper, pair, float(paper.lambda_of_r(0.5)),
-                        float(paper.lambda_of_r(1.8)))
+        ckv.estimate_T0(paper, pair, shell_label(paper, 0.5),
+                        shell_label(paper, 1.8))
 
 
 def test_schedule_t0_inequality(euclid):
@@ -140,6 +183,27 @@ def test_schedule_t0_inequality(euclid):
 def test_schedule_rejects_bad_horizon():
     with pytest.raises(ScheduleInfeasible):
         ckv.Schedule(t0=-1.0)
+    # xi(t / nan) reads 0: the rotation would be off from t = 0; under an
+    # infinite horizon it would never decay
+    for t0 in (float("nan"), float("inf")):
+        with pytest.raises(ScheduleInfeasible):
+            ckv.Schedule(t0=t0)
+
+
+def test_estimate_T0_rejects_a_nan_gap(euclid, monkeypatch):
+    monkeypatch.setattr(ckv, "schedule_gap",
+                        lambda geom, pair, p: np.full(len(p), np.nan))
+    with pytest.raises(ScheduleInfeasible):
+        ckv.estimate_T0(euclid, ckv.KillingPair(omega=1.0), 0.25, 4.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(axis=(0.0, 0.0, 0.0)), dict(axis=(np.nan, 0.0, 1.0)),
+    dict(axis=(np.inf, 0.0, 1.0)), dict(omega=np.nan), dict(omega=np.inf),
+], ids=["zero_axis", "nan_axis", "inf_axis", "nan_omega", "inf_omega"])
+def test_killing_pair_rejects_bad_fields(kwargs):
+    with pytest.raises(ValueError):
+        ckv.KillingPair(**kwargs)
 
 
 def test_verify_assumptions_euclid_exact(euclid):
@@ -154,8 +218,8 @@ def test_verify_assumptions_euclid_exact(euclid):
 def test_verify_assumptions_tiny_omega_keeps_the_rotation_items(paper):
     # items (ix)/(x) read only the rotation's direction; a tiny omega once
     # left no sample above the field-length cut-off and raised ValueError
-    lo = float(paper.lambda_of_r(0.5))
-    hi = float(paper.lambda_of_r(1.5))
+    lo = shell_label(paper, 0.5)
+    hi = shell_label(paper, 1.5)
     reports = [ckv.verify_assumptions(paper, ckv.KillingPair(omega=omega), lo,
                                       hi) for omega in (1.0, 1e-300)]
     for name in ("rotation_least_ricci", "ricci_values_equal"):
@@ -166,8 +230,8 @@ def test_verify_assumptions_tiny_omega_keeps_the_rotation_items(paper):
 
 def test_verify_assumptions_wrong_axis_fails_killing(paper):
     pair = ckv.KillingPair(omega=1.0, axis=(0.0, 0.0, 1.0))
-    lo = float(paper.lambda_of_r(0.5))
-    hi = float(paper.lambda_of_r(1.5))
+    lo = shell_label(paper, 0.5)
+    hi = shell_label(paper, 1.5)
     report = ckv.verify_assumptions(paper, pair, lo, hi)
     assert not report.ok
     assert not report["vii"].passed
@@ -175,8 +239,8 @@ def test_verify_assumptions_wrong_axis_fails_killing(paper):
 
 def test_verify_assumptions_poincare(poincare):
     pair = ckv.KillingPair(omega=1.0, axis=(0.0, 1.0, 0.0))
-    lo = float(poincare.lambda_of_r(0.2))
-    hi = float(poincare.lambda_of_r(0.7))
+    lo = shell_label(poincare, 0.2)
+    hi = shell_label(poincare, 0.7)
     report = ckv.verify_assumptions(poincare, pair, lo, hi)
     assert report.ok
 
@@ -221,8 +285,8 @@ def loop_conformal_and_killing(geom, pair, sub):
 ])
 def test_verify_assumptions_matches_per_point_reference(paper, axis, failing):
     pair = ckv.KillingPair(omega=1.0, axis=axis)
-    lo = float(paper.lambda_of_r(0.5))
-    hi = float(paper.lambda_of_r(1.5))
+    lo = shell_label(paper, 0.5)
+    hi = shell_label(paper, 1.5)
     report = ckv.verify_assumptions(paper, pair, lo, hi)
     _, pts = ckv.shell_spheres(paper, lo, hi, 16, 200, 0)
     flat = pts.reshape(-1, 3)

@@ -117,10 +117,9 @@ def test_step_reuses_loop_top_geometry_bit_identically(paper, pair_e3):
     cold = mesh.with_vertices(mesh.vertices)
     assert "flat_curvatures" not in vars(cold)
     start = surface.mesh_geometry(cold, paper, pair_e3, sched.xi_at(t))
-    reused = flow.step_lagrangian(mesh, paper, dt, loop_top, 0,
+    reused = flow.step_lagrangian(mesh, paper, dt, loop_top,
                                   flow.LaggedFactor())
-    fresh = flow.step_lagrangian(cold, paper, dt, start, 0,
-                                 flow.LaggedFactor())
+    fresh = flow.step_lagrangian(cold, paper, dt, start, flow.LaggedFactor())
     assert np.array_equal(reused.vertices, fresh.vertices)
 
 
@@ -130,7 +129,7 @@ def test_imex_step_keeps_a_sphere_on_its_leaf(euclid, pair, radius):
     # cfl h_min^2 at level 3
     mesh = surface.sphere_seed(radius, 3)
     vg = surface.mesh_geometry(mesh, euclid, pair)
-    new = flow.step_lagrangian(mesh, euclid, 0.5, vg, 0, flow.LaggedFactor())
+    new = flow.step_lagrangian(mesh, euclid, 0.5, vg, flow.LaggedFactor())
     drift = np.linalg.norm(new.vertices, axis=1) / radius - 1.0
     assert np.max(np.abs(drift)) <= 1e-3
 
@@ -168,7 +167,7 @@ def test_front_step_is_consistent_with_chart_velocity(request, geom_name):
         return np.einsum("ij,ij->i", vel, vg.nu_flat)
 
     def rate_at(dt):
-        new = flow.step_lagrangian(mesh, geom, dt, vg, 0, flow.LaggedFactor())
+        new = flow.step_lagrangian(mesh, geom, dt, vg, flow.LaggedFactor())
         return normal((new.vertices - mesh.vertices) / dt)
 
     _assert_first_order(rate_at, normal(oracles.chart_velocity(vg)))
@@ -301,12 +300,15 @@ def test_trace_volume_is_the_frame_volume(request, pair, backend, geom_name,
 
 
 def _fail_solve_at(monkeypatch, step):
-    original = flow.LaggedFactor.solve
+    # a run without retries makes one solve per step, so the solve at
+    # `step` is the run's (step + 1)-th
+    original, calls = flow.LaggedFactor.solve, []
 
-    def poisoned(self, lhs, rhs, x0, at):
-        if at == step:
+    def poisoned(self, lhs, rhs, x0):
+        calls.append(1)
+        if len(calls) == step + 1:
             raise MeshDegenerate("poisoned solve")
-        return original(self, lhs, rhs, x0, at)
+        return original(self, lhs, rhs, x0)
 
     monkeypatch.setattr(flow.LaggedFactor, "solve", poisoned)
 
@@ -407,14 +409,15 @@ def test_runs_on_many_threads_under_fine_switching_match_a_serial_run(
 ])
 def test_non_finite_candidate_fails_with_step_and_time(euclid, pair,
                                                        monkeypatch, backend):
-    # the step-2 solve returns a NaN, whichever path made it: under the
-    # default cadence it is CG on the step-0 factor
-    step, original, lagged = 2, flow.LaggedFactor.solve, []
+    # the step-2 solve, the run's third, returns a NaN, whichever path made
+    # it: under the default cadence it is CG on the step-0 factor
+    step, original, lagged, calls = 2, flow.LaggedFactor.solve, [], []
 
-    def poisoned(self, lhs, rhs, x0, at):
+    def poisoned(self, lhs, rhs, x0):
         factors = self.counts.factors
-        out = original(self, lhs, rhs, x0, at)
-        if at != step:
+        out = original(self, lhs, rhs, x0)
+        calls.append(1)
+        if len(calls) != step + 1:
             return out
         lagged.append(self.counts.factors == factors)
         out[0] = np.nan
@@ -432,35 +435,56 @@ def test_non_finite_candidate_fails_with_step_and_time(euclid, pair,
     assert lagged == [True]
 
 
-@pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
-def test_cg_that_does_not_converge_falls_back_to_a_fresh_factor(
-        euclid, pair, monkeypatch, backend):
-    # one CG iteration on the step-0 factor cannot solve the system at half
-    # the step: the solve refactors, and its result is the fresh factor's
+def _backend_step(backend, euclid, pair):
+    """step(dt, factor) -> one step's result from the flat L2 ellipsoid,
+    its bundle frozen at the seed."""
     mesh = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     vg = surface.mesh_geometry(mesh, euclid, pair)
-    dt = flow.cfl_dt(mesh, 0.25)
     if backend == "lagrangian":
-        def step(dt, at, factor):
-            return flow.step_lagrangian(mesh, euclid, dt, vg, at,
-                                        factor).vertices
+        def step(dt, factor):
+            return flow.step_lagrangian(mesh, euclid, dt, vg, factor).vertices
     else:
         state = flow.graph_state_from_mesh(mesh, euclid)
         fields = flow._graph_chart_fields(euclid, pair, state, 1.0,
                                           state.embedded(euclid), vg)
 
-        def step(dt, at, factor):
-            return flow.step_graph(state, dt, fields, at, factor).lam
+        def step(dt, factor):
+            return flow.step_graph(state, dt, fields, factor).lam
+    return step
 
+
+@pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
+def test_cg_that_does_not_converge_falls_back_to_a_fresh_factor(
+        euclid, pair, monkeypatch, backend):
+    # one CG iteration on the first solve's factor cannot solve the system
+    # at half the step: the solve refactors, and its result is the fresh
+    # factor's
+    step = _backend_step(backend, euclid, pair)
+    dt = flow.cfl_dt(surface.ellipsoid_seed((1.3, 1.0, 1.0), 2), 0.25)
     factor = flow.LaggedFactor()
-    step(dt, 0, factor)
+    step(dt, factor)
     assert factor.counts == flow.SolveCounts(factors=1)
     monkeypatch.setattr(flow, "CG_MAXITER", 1)
-    lagged = step(0.5 * dt, 1, factor)
+    lagged = step(0.5 * dt, factor)
     assert factor.counts == flow.SolveCounts(factors=2, cg_iterations=1,
                                              fallbacks=1)
-    assert factor.made_at == 1
-    assert np.array_equal(lagged, step(0.5 * dt, 1, flow.LaggedFactor()))
+    assert factor.served == 1
+    assert np.array_equal(lagged, step(0.5 * dt, flow.LaggedFactor()))
+
+
+@pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
+def test_lagged_factor_refreshes_by_solve_count(euclid, pair, backend):
+    # REFACTOR_EVERY + 1 solves of one step, as retries would make them:
+    # the factor serves REFACTOR_EVERY of them and the last one refactors
+    step = _backend_step(backend, euclid, pair)
+    dt = flow.cfl_dt(surface.ellipsoid_seed((1.3, 1.0, 1.0), 2), 0.25)
+    factor, served = flow.LaggedFactor(), []
+    for _ in range(flow.REFACTOR_EVERY + 1):
+        step(dt, factor)
+        served.append(factor.served)
+    assert served == list(range(1, flow.REFACTOR_EVERY + 1)) + [1]
+    assert factor.counts.factors == 2
+    assert factor.counts.fallbacks == 0
 
 
 @pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
@@ -525,9 +549,9 @@ def test_implicit_system_is_the_sparse_difference_bit_for_bit(weighted):
     face_weight = rng.uniform(0.2, 2.0, mesh.n_faces) if weighted else None
 
     class Recording(flow.LaggedFactor):
-        def solve(self, lhs, rhs, x0, step):
+        def solve(self, lhs, rhs, x0):
             self.lhs = lhs
-            return super().solve(lhs, rhs, x0, step)
+            return super().solve(lhs, rhs, x0)
 
     topo, V = mesh.topology, mesh.n_vertices
     cot = mesh.face_geometry.cot
@@ -545,7 +569,7 @@ def test_implicit_system_is_the_sparse_difference_bit_for_bit(weighted):
 
     factor = Recording()
     flow._implicit_solve(factor, mesh, mass, mass[:, None] * mesh.vertices,
-                         mesh.vertices, dt, 0, "position",
+                         mesh.vertices, dt, "position",
                          face_weight=face_weight)
     lhs = factor.lhs
     assert lhs.format == "csc" and lhs.shape == (V, V)
@@ -783,7 +807,7 @@ def test_implicit_graph_step_keeps_a_leaf(euclid, pair):
     sched = ckv.Schedule(t0=1.0)
     state = flow.graph_state_from_mesh(surface.sphere_seed(1.2, 3), euclid)
     fields = chart_fields(euclid, pair, state, sched.xi_at(0.0))
-    new = flow.step_graph(state, 0.1, fields, 0, flow.LaggedFactor())
+    new = flow.step_graph(state, 0.1, fields, flow.LaggedFactor())
     assert np.max(np.abs(new.lam - state.lam)) <= 1e-12 * np.max(state.lam)
 
 
@@ -795,7 +819,7 @@ def test_graph_step_is_consistent_with_graph_rate(request, geom_name):
     fields = chart_fields(geom, pair, state, xi_now)
 
     def rate_at(dt):
-        new = flow.step_graph(state, dt, fields, 0, flow.LaggedFactor())
+        new = flow.step_graph(state, dt, fields, flow.LaggedFactor())
         return (new.lam - state.lam) / dt
 
     _assert_first_order(rate_at, flow._graph_rate(state, fields))
@@ -814,12 +838,12 @@ def test_non_finite_implicit_graph_step_fails_with_step_and_time(
     class Recording(flow.LaggedFactor):
         def __init__(self):
             super().__init__()
-            self.solved = []  # (step, counts after the solve)
+            self.solved = []  # the counts after each solve
             factors.append(self)
 
-        def solve(self, lhs, rhs, x0, at):
-            x = super().solve(lhs, rhs, x0, at)
-            self.solved.append((at, dataclasses.replace(self.counts)))
+        def solve(self, lhs, rhs, x0):
+            x = super().solve(lhs, rhs, x0)
+            self.solved.append(dataclasses.replace(self.counts))
             return x
 
     monkeypatch.setattr(flow, "LaggedFactor", Recording)
@@ -845,10 +869,11 @@ def test_non_finite_implicit_graph_step_fails_with_step_and_time(
                      flow.StepControl(t_end=0.6))
     assert len(exc.value.trace) == step + 1
     assert _assert_tagged_at_row(exc.value, "graph ", step) == what
-    # the poisoned step solved nothing: no CG iteration, no fallback
+    # one solve per earlier step, and the poisoned step solved nothing: no
+    # CG iteration, no fallback
     [factor] = factors
-    assert max(at for at, _ in factor.solved) == step - 1
-    assert factor.counts == factor.solved[-1][1]
+    assert len(factor.solved) == step
+    assert factor.counts == factor.solved[-1]
     assert factor.counts.fallbacks == 0
 
 

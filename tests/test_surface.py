@@ -91,6 +91,14 @@ def test_icosphere_rejects_negative_level():
         surface.icosphere(-1)
 
 
+@pytest.mark.parametrize("size", [0.0, -1.0, float("nan"), float("inf")])
+def test_seeds_reject_bad_sizes(size):
+    with pytest.raises(ValueError):
+        surface.sphere_seed(size, 1)
+    with pytest.raises(ValueError):
+        surface.ellipsoid_seed((1.0, size, 1.0), 1)
+
+
 def test_topology_rejects_open_mesh():
     # single triangle: not closed
     with pytest.raises(MeshDegenerate):
@@ -152,6 +160,32 @@ def test_twisted_seed_regression_signs(euclid, pair_e3):
     r_mesh = np.linalg.norm(mesh.vertices, axis=1)
     r_base = np.linalg.norm(base.vertices, axis=1)
     assert np.max(np.abs(r_mesh - r_base)) < 1e-12
+
+
+@pytest.mark.parametrize("geom_name, semiaxes, axis, tau", [
+    ("euclid", (1.6, 0.7, 0.7), (0.0, 0.0, 1.0), 1.5),  # twisted
+    ("paper", (1.08, 1.0, 0.93), (1.0, 0.0, 0.0), 0.0),
+])
+def test_seed_support_minima_are_the_bundles(request, geom_name, semiaxes,
+                                             axis, tau):
+    geom = request.getfixturevalue(geom_name)
+    pair = ckv.KillingPair(omega=1.0, axis=axis)
+    mesh, min_u, min_uperp = surface.checked_seed(
+        surface.ellipsoid_seed(semiaxes, 3), geom, pair, tau)
+    vg = surface.mesh_geometry(mesh.with_vertices(mesh.vertices), geom, pair,
+                               xi_now=1.0)
+    assert min_u == float(np.min(vg.u))
+    assert min_uperp == float(np.min(vg.u_perp))
+    assert not np.array_equal(vg.u, vg.u_perp)  # the rotation counts
+
+
+def test_seed_check_rejects_a_zero_area_face(euclid, pair):
+    base = surface.icosphere(1)
+    verts = np.array(base.vertices)
+    a, b, _ = base.faces[0]
+    verts[b] = verts[a]
+    with pytest.raises(MeshDegenerate, match="zero-area face"):
+        surface.checked_seed(base.with_vertices(verts), euclid, pair)
 
 
 def test_twisted_seed_infeasible_without_rotation(euclid):
@@ -470,7 +504,7 @@ def _reference_rate(geom, pair, state, xi_now):
     w = np.sqrt(1.0 + (h / g) * np.einsum("ij,ij->i", pv, pv))
     u_top = -np.sqrt(h) * np.einsum("ij,ij->i", pair.rotation(leaf.vertices),
                                     pv) / w
-    u = vg.dilation_norm / w + xi_now * u_top
+    u = ckv.dilation_norm_g(geom, emb.vertices) / w + xi_now * u_top
     div = _reference_divergence(geom, state)
     b = diagnostics.label_evolution_source(geom, emb, vg)
     return w * u * div / g + w * w * b
