@@ -24,9 +24,11 @@ Each backend has one step, linearly implicit.  The front's
 velocity at the new time through one sparse solve with the cotan stiffness,
 the rest at the old.  The leaf graph's (`step_graph`) does the same for its
 divergence term, with the leaf's cotan stiffness weighting each face by 1/W.
-Both step under one bound (`cfl_dt`), dt = cfl h_min of the loop-top
-mesh, the graph's embedded one, so in flat space a seed scaled by s takes
-the same steps, each s times as long.  Both steps build their mass and
+Both step under one bound (`cfl_dt`), dt = cfl h_mean of the loop-top
+mesh, the graph's embedded one, h_mean its mean edge, so in flat space a
+seed scaled by s takes the same steps, each s times as long.  The stiff
+term puts no stability limit on an implicit step, so one short edge does
+not set dt.  Both steps build their mass and
 right-hand side and hand them to `_implicit_solve`, the one place a system
 diag(mass) - dt K is assembled, checked and solved.  It scales K's
 values by -dt in place and adds the mass in the diagonal slots of the
@@ -122,11 +124,12 @@ class RunResult:
 
 
 def cfl_dt(mesh, cfl):
-    """Step bound cfl * h_min; a collapsed edge raises MeshDegenerate."""
+    """Step bound cfl * h_mean, the mesh's mean edge; a collapsed edge
+    raises MeshDegenerate."""
     h_min = mesh.min_edge
     if h_min < 1e-9:
         raise MeshDegenerate(f"minimum edge collapsed to {h_min:.3e}")
-    return cfl * h_min
+    return cfl * mesh.mean_edge
 
 
 class LaggedFactor:
@@ -284,7 +287,7 @@ def _drive(stepper, schedule, ctrl, frame_cb):
     `accept()`, which commits the last proposal.  The loop owns the rest:
     the step index, the clock, the run's one `LaggedFactor` (handed to
     every proposal; its counts are the result's `solves`) and the step
-    bound, dt = cfl h_min of the loop-top mesh (`cfl_dt`) cut to reach
+    bound, dt = cfl h_mean of the loop-top mesh (`cfl_dt`) cut to reach
     t_end, the same for both backends.
     Convergence: the first loop top, step 0 included, whose leaf spread
     (max-min)/mean of the label is <= leaf_tol; t_end or max_steps return
@@ -306,9 +309,9 @@ def _drive(stepper, schedule, ctrl, frame_cb):
       - the worker reads the loop-top snapshot, `geom` and `vg`, and adds
         to the snapshot's memo only its `flat_curvatures` and, on the graph
         backend, its curved volume (the front's is already there).
-        Meanwhile this thread adds at most the snapshot's `min_edge`
-        (`cfl_dt`, on either backend), another entry, and otherwise
-        computes on new snapshots;
+        Meanwhile this thread adds at most the snapshot's `min_edge` and
+        `mean_edge` (`cfl_dt`, on either backend), other entries, and
+        otherwise computes on new snapshots;
       - `vg`'s arrays are never written, and snapshot vertices are
         read-only;
       - only the worker builds or reads the topology's `ring` tables;

@@ -25,8 +25,8 @@ neighbour tables (`ring`), which only the fits read, are built on first
 use.
 A snapshot's vertices are read-only, so what they determine is memoized on
 the `TriSurface` at its first use: the face pass, the vertex normals, the
-mixed Voronoi areas, the P1 gradient basis, the shortest edge, the flat
-principal curvatures, and the curved area and volume under a given
+mixed Voronoi areas, the P1 gradient basis, the shortest and the mean edge,
+the flat principal curvatures, and the curved area and volume under a given
 geometry.  The face pass (`face_normals_areas`) is the one kernel that
 gathers the face corners: it forms each face's edge vectors and their
 squared lengths, and takes the unit normal, the area and the three corner
@@ -234,6 +234,12 @@ class TriSurface:
     def min_edge(self):
         """Length of the shortest edge."""
         return float(np.sqrt(np.min(self.face_geometry.sq)))
+
+    @cached_property
+    def mean_edge(self):
+        """Mean edge length; each edge borders two faces, so the mean over
+        the faces' three edges is the mean over the edges."""
+        return float(np.mean(np.sqrt(self.face_geometry.sq)))
 
     @cached_property
     def flat_curvatures(self):

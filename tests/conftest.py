@@ -88,12 +88,16 @@ def euclid_headline(euclid, pair):
                     flow.StepControl(t_end=8.0))
 
 
+def paper_run_at(paper, pair, level, cfl=flow.StepControl.cfl):
+    """Near-spherical seed at r ~ 1 in the curved example geometry."""
+    seed = surface.ellipsoid_seed((1.08, 1.0, 0.93), level=level)
+    return flow.run(paper, pair, seed, ckv.Schedule(t0=1.0),
+                    flow.StepControl(cfl=cfl, t_end=8.0))
+
+
 @pytest.fixture(scope="session")
 def paper_run(paper, pair):
-    """Near-spherical seed at r ~ 1 in the curved example geometry."""
-    seed = surface.ellipsoid_seed((1.08, 1.0, 0.93), level=4)
-    return flow.run(paper, pair, seed, ckv.Schedule(t0=1.0),
-                    flow.StepControl(t_end=8.0))
+    return paper_run_at(paper, pair, 4)
 
 
 # twist rate found once by sweeping upward until min u_perp < 0 < min u;
@@ -102,9 +106,9 @@ TWIST_TAU = 1.5
 TWIST_SEMIAXES = (1.6, 0.7, 0.7)
 
 
-def twisted_run_at(euclid, pair_e3, level):
-    """Scheduled run of the twisted seed at `level`; returns run plus seed
-    data."""
+def twisted_run_at(euclid, pair_e3, level, cfl=flow.StepControl.cfl):
+    """Scheduled run of the twisted seed at `level` under `cfl`; returns run
+    plus seed data."""
     mesh, min_u, min_uperp = surface.checked_seed(
         surface.ellipsoid_seed(TWIST_SEMIAXES, level), euclid, pair_e3,
         TWIST_TAU
@@ -112,7 +116,7 @@ def twisted_run_at(euclid, pair_e3, level):
     lam_v = ckv.lam(euclid, mesh.vertices)
     t0 = ckv.estimate_T0(euclid, pair_e3, 0.75 * lam_v.min(), 1.3 * lam_v.max())
     res = flow.run(euclid, pair_e3, mesh, ckv.Schedule(t0=t0),
-                   flow.StepControl(t_end=4.0 * t0))
+                   flow.StepControl(cfl=cfl, t_end=4.0 * t0))
     return {"mesh": mesh, "min_u": min_u, "min_uperp": min_uperp,
             "t0": t0, "res": res}
 

@@ -80,7 +80,7 @@ def test_run_nonconvergence_exit(tmp_path, capsys):
 
 def test_run_writes_frames(tmp_path):
     text = ("seed.kind = ellipsoid\nseed.semiaxes = [1.3, 1, 1]\n"
-            "seed.level = 2\nflow.t_end = 0.3\noutput.frame_every = 2\n")
+            "seed.level = 2\nflow.t_end = 0.4\noutput.frame_every = 2\n")
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert run_cli(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 3

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from ckflow import ckv, diagnostics, flow, oracles, surface
 from ckflow.errors import MeshDegenerate, StarshapeLost
 from conftest import assert_traces_close, seed_label_band, twisted_run_at
-from conftest import chart_fields, run_backend as _run_backend
+from conftest import chart_fields, paper_run_at, run_backend as _run_backend
 
 
 # --------------------------------------------------------------------------
@@ -86,6 +86,22 @@ def test_cfl_dt_linear_in_resolution_under_imex():
     dts = [flow.cfl_dt(surface.sphere_seed(1.0, level), 0.25)
            for level in (2, 3)]
     assert 1.5 < dts[0] / dts[1] < 2.5
+
+
+def test_cfl_dt_is_not_set_by_one_sliver_edge():
+    # pull one end of the shortest edge along it until the edge is 10x
+    # shorter: the shortest edge follows, the step bound does not
+    mesh = surface.sphere_seed(1.0, 2)
+    fg = mesh.face_geometry
+    face, corner = np.unravel_index(np.argmin(fg.sq), fg.sq.shape)
+    # edge c of a face is the one opposite corner c
+    a, b = mesh.faces[face][[(corner + 1) % 3, (corner + 2) % 3]]
+    verts = mesh.vertices.copy()
+    verts[a] = verts[b] + 0.1 * (verts[a] - verts[b])
+    sliver = mesh.with_vertices(verts)
+    assert sliver.min_edge == pytest.approx(0.1 * mesh.min_edge, rel=1e-12)
+    before, after = flow.cfl_dt(mesh, 0.25), flow.cfl_dt(sliver, 0.25)
+    assert abs(after / before - 1.0) < 1e-2
 
 
 def test_cfl_dt_rejects_collapsed_edge():
@@ -191,7 +207,7 @@ def test_imex_run_computes_geometry_once_per_step(euclid, pair, monkeypatch):
     calls = _count_surface_calls(monkeypatch, "mesh_geometry")
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     res = flow.run(euclid, pair, seed, ckv.Schedule(t0=1.0),
-                   flow.StepControl(t_end=0.6))
+                   flow.StepControl(t_end=0.9))
     assert res.steps >= 10
     assert len(calls) == res.steps + 1
 
@@ -226,18 +242,18 @@ def _label(backend):
 
 @pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
 def test_every_step_is_bounded_by_its_loop_top_mesh(euclid, pair, backend):
-    # one bound for both backends: cfl h_min of the mesh the loop top hands
+    # one bound for both backends: cfl h_mean of the mesh the loop top hands
     # to frame_cb (the graph's embedded mesh, not its unit leaf), cut to
     # reach t_end, and halved only by the area guard
     seed = surface.ellipsoid_seed((2.6, 2.0, 2.0), 2)
-    ctrl = flow.StepControl(t_end=1.2)
+    ctrl = flow.StepControl(t_end=1.8)
     frames = []
     res = _run_backend(backend, euclid, pair, seed, ctrl,
                        frame_cb=lambda step, t, mesh: frames.append((t, mesh)))
     assert len(frames) == res.steps + 1 and res.steps >= 10
     full = 0
     for (t, mesh), dt in zip(frames, res.trace.column("dt")[1:]):
-        bound = ctrl.cfl * mesh.min_edge
+        bound = ctrl.cfl * mesh.mean_edge
         step = min(bound, ctrl.t_end - t)
         assert dt in [step * 0.5**k for k in range(flow.MAX_RETRIES)]
         full += dt == bound
@@ -260,9 +276,9 @@ def _assert_tagged_at_row(err, label, row):
 # along x (a known defect), so in the paper example it runs one flattened
 # along x; the front smooths every 10 steps, and implicit steps are long
 @pytest.mark.parametrize("backend, geom_name, semiaxes, t_end, min_steps", [
-    pytest.param("lagrangian", "paper", (1.08, 1.0, 0.93), 0.6, 10,
+    pytest.param("lagrangian", "paper", (1.08, 1.0, 0.93), 0.8, 10,
                  id="lagrangian-paper"),
-    pytest.param("lagrangian", "euclid", (1.3, 1.0, 1.0), 0.3, 5,
+    pytest.param("lagrangian", "euclid", (1.3, 1.0, 1.0), 0.5, 5,
                  id="lagrangian-euclid"),
     pytest.param("leaf_graph", "euclid", (1.08, 1.0, 0.93), 0.6, 5,
                  id="leaf_graph-euclid-imex"),
@@ -385,7 +401,7 @@ def test_runs_on_many_threads_under_fine_switching_match_a_serial_run(
     # snapshots from each loop top while the worker fits the loop top's
     # two-ring quadrics, the only ring table a run builds
     monkeypatch.setattr(flow, "SMOOTH_EVERY", 1)
-    ctrl = flow.StepControl(t_end=0.3)
+    ctrl = flow.StepControl(t_end=0.5)
 
     def rows():
         seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
@@ -606,6 +622,32 @@ def test_mesh_initial_is_the_step_zero_frame(euclid, pair, backend):
     start = seed if backend == "lagrangian" \
         else flow.graph_state_from_mesh(seed, euclid).embedded(euclid)
     assert first.vertices.tobytes() == start.vertices.tobytes()
+
+
+def _final_area(res):
+    assert res.converged
+    return float(res.trace.column("area")[-1])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed_name", ["twisted", "paper"])
+def test_time_error_is_below_the_space_error(request, euclid, paper, pair,
+                                             pair_e3, seed_name):
+    # the final area's time error at L3, against a run at cfl/4, is at most
+    # a quarter of what one refinement level, L3 -> L4, moves it by
+    cfl = flow.StepControl.cfl
+    if seed_name == "twisted":
+        def at_l3(c):
+            return twisted_run_at(euclid, pair_e3, 3, c)["res"]
+        l4 = request.getfixturevalue("twisted_run")["res"]
+    else:
+        def at_l3(c):
+            return paper_run_at(paper, pair, 3, c)
+        l4 = request.getfixturevalue("paper_run")
+    coarse = _final_area(at_l3(cfl))
+    time_err = abs(coarse / _final_area(at_l3(0.25 * cfl)) - 1.0)
+    space_err = abs(coarse / _final_area(l4) - 1.0)
+    assert time_err <= 0.25 * space_err, (time_err, space_err)
 
 
 def test_run_reaches_leaf_and_records_trace(euclid_l2_run):

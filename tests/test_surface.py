@@ -514,7 +514,8 @@ def _memo(mesh, geom):
     """Everything a snapshot memoizes, read through the memo."""
     return {"face_geometry": mesh.face_geometry, "normals": mesh.normals,
             "mixed_areas": mesh.mixed_areas, "basis": mesh.basis,
-            "min_edge": mesh.min_edge, "flat_curvatures": mesh.flat_curvatures,
+            "min_edge": mesh.min_edge, "mean_edge": mesh.mean_edge,
+            "flat_curvatures": mesh.flat_curvatures,
             "area": mesh.area(geom), "volume": mesh.volume(geom)}
 
 
@@ -526,6 +527,7 @@ def _kernels(mesh, geom):
             "mixed_areas": surface.mixed_voronoi_areas(mesh),
             "basis": surface.gradient_basis(mesh),
             "min_edge": float(np.sqrt(np.min(fg.sq))),
+            "mean_edge": float(np.mean(np.sqrt(fg.sq))),
             "flat_curvatures": surface.principal_curvatures_flat(mesh),
             "area": surface.surface_area(mesh, geom),
             "volume": surface.enclosed_volume(mesh, geom)}
@@ -585,7 +587,7 @@ def test_snapshot_memo_matches_fresh_kernels(request, monkeypatch, geom_name,
     # every face kernel of a cold snapshot reads the one face pass
     cold = mesh.with_vertices(mesh.vertices)
     surface.mesh_geometry(cold, geom, pair, 0.7)
-    cold.basis, cold.min_edge, surface.quality(cold)
+    cold.basis, cold.min_edge, cold.mean_edge, surface.quality(cold)
     assert len(calls) == 3
     monkeypatch.undo()
 
@@ -852,7 +854,7 @@ def test_quality_flags_degenerate():
     with np.errstate(all="raise"):
         with pytest.raises(MeshDegenerate, match="zero-area face"):
             surface.face_normals_areas(verts, faces)
-        for read in ("min_edge", "mixed_areas", "basis"):
+        for read in ("min_edge", "mean_edge", "mixed_areas", "basis"):
             with pytest.raises(MeshDegenerate, match="zero-area face"):
                 getattr(mesh, read)
         with pytest.raises(MeshDegenerate, match="zero-area face"):
