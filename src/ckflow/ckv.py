@@ -7,10 +7,10 @@ scalars: the leaf label lam = |D|_g^2 / phi^2 and the coefficient Lam with
 d(lam) = 2 * Lam * D^flat.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import ambient
 from .errors import ScheduleInfeasible
@@ -68,17 +68,51 @@ class KillingPair:
 # --------------------------------------------------------------------------
 
 
+# Each public scalar below evaluates the f derivatives it needs itself.
+# The underscore forms hold the formulas and take those derivatives (or
+# phi, grad phi and |D|_g) already evaluated, so a caller that needs
+# several scalars on one point set evaluates grad f and Hess f once
+# (`_phi_jet`).
+
+
+def _phi(p, gf):
+    return 1.0 + np.sum(p * gf, axis=-1)
+
+
+def _grad_phi(p, gf, hf):
+    return gf + np.einsum("...ij,...j->...i", hf, p)
+
+
+def _phi_jet(geom, p):
+    """(phi, grad phi) from one evaluation each of grad f and Hess f."""
+    gf = geom.grad_f(p)
+    return _phi(p, gf), _grad_phi(p, gf, geom.hess_f(p))
+
+
+def _lam(dn, ph):
+    return dn ** 2 / ph ** 2
+
+
+def _Lam(p, ph, gp):
+    dphi = np.sum(p * gp, axis=-1)
+    return (ph * ph - dphi) / ph**3
+
+
+def _schedule_gap(pair, p, ph, gp):
+    # R(phi), the rotation derivative of phi, is R . grad phi
+    return _Lam(p, ph, gp) * ph**3 - np.sum(pair.rotation(p) * gp, axis=-1)
+
+
 def phi(geom, p):
     """Conformal factor of the dilation: 1 + D(f)."""
     p = np.asarray(p, dtype=float)
-    return 1.0 + np.sum(p * geom.grad_f(p), axis=-1)
+    return _phi(p, geom.grad_f(p))
 
 
 def grad_phi(geom, p):
     """Flat gradient of phi: grad f + (Hess f) p."""
     p = np.asarray(p, dtype=float)
-    hf = geom.hess_f(p)
-    return geom.grad_f(p) + np.einsum("...ij,...j->...i", hf, p)
+    return _grad_phi(p, geom.grad_f(p), geom.hess_f(p))
 
 
 def dilation_norm_g(geom, p):
@@ -90,21 +124,13 @@ def dilation_norm_g(geom, p):
 def lam(geom, p):
     """Leaf label |D|_g^2 / phi^2 (constant on the built-in leaves)."""
     p = np.asarray(p, dtype=float)
-    return dilation_norm_g(geom, p) ** 2 / phi(geom, p) ** 2
+    return _lam(dilation_norm_g(geom, p), phi(geom, p))
 
 
 def Lam(geom, p):
     """Coefficient with d(lam) = 2 Lam D^flat: (phi^2 - D(phi)) / phi^3."""
     p = np.asarray(p, dtype=float)
-    ph = phi(geom, p)
-    dphi = np.sum(p * grad_phi(geom, p), axis=-1)
-    return (ph * ph - dphi) / ph**3
-
-
-def rotation_phi(geom, pair, p):
-    """R(phi), the rotation derivative of the conformal factor."""
-    p = np.asarray(p, dtype=float)
-    return np.sum(pair.rotation(p) * grad_phi(geom, p), axis=-1)
+    return _Lam(p, *_phi_jet(geom, p))
 
 
 def rotation_norm_g(geom, pair, p):
@@ -171,19 +197,53 @@ class Schedule:
 # --------------------------------------------------------------------------
 
 
+def _scrambled_halton(n, seed):
+    """The first n points of Owen's scrambled Halton sequence in [0, 1)^2.
+
+    Bases 2 and 3.  Each digit place of a base has its own random
+    permutation of the digits (A. B. Owen, "A randomized Halton algorithm
+    in R", arXiv:1706.02808, 2017), one row per place that can still move
+    a double, drawn with one `shuffle` per row from
+    `np.random.default_rng(seed)`, base 2 first.  The permuted radical
+    inverse sums the digits from the lowest, dividing the weight by the
+    base at each place.  This is bit for bit
+    `scipy.stats.qmc.Halton(d=2, seed=seed, scramble=True).random(n)`.
+    """
+    rng = np.random.default_rng(seed)
+    cols = []
+    for base in (2, 3):
+        perms = np.repeat(np.arange(base)[None],
+                          math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for row in perms:
+            rng.shuffle(row)
+        x = np.zeros(n)
+        rest = np.arange(n)  # each index's digits not yet summed
+        weight = 1.0 / base
+        for place, row in enumerate(perms):
+            if base**place < n:
+                x += row[rest % base] * weight
+                rest //= base
+            else:  # no index below n has this digit: the row adds a constant
+                x += row[0] * weight
+            weight /= base
+        cols.append(x)
+    return np.array(cols).T
+
+
 def shell_spheres(geom, lam_lo, lam_hi, n_spheres=32, n_per_sphere=1000, seed=0):
     """Quasi-random samples on coordinate spheres spanning a leaf-label band.
 
     Returns (radii, points) with points of shape (n_spheres, n_per_sphere, 3).
-    Low-discrepancy (Halton) sampling, area-uniform per sphere, deterministic
-    for a fixed seed.
+    Every sphere carries the same directions: the first `n_per_sphere`
+    points of a scrambled Halton sequence (`_scrambled_halton`, seeded by
+    `seed`), mapped area-uniformly onto the sphere.  Deterministic for a
+    fixed seed.
     """
     if not (0.0 < lam_lo <= lam_hi):
         raise ValueError("need 0 < lam_lo <= lam_hi")
     lams = np.linspace(lam_lo, lam_hi, n_spheres)
     radii = np.asarray(geom.r_of_lambda(lams), dtype=float)
-    eng = qmc.Halton(d=2, seed=seed, scramble=True)
-    uv = eng.random(n_per_sphere)
+    uv = _scrambled_halton(n_per_sphere, seed)
     cost = 1.0 - 2.0 * uv[:, 0]
     sint = np.sqrt(np.maximum(0.0, 1.0 - cost**2))
     az = 2.0 * np.pi * uv[:, 1]
@@ -194,8 +254,8 @@ def shell_spheres(geom, lam_lo, lam_hi, n_spheres=32, n_per_sphere=1000, seed=0)
 
 def schedule_gap(geom, pair, p):
     """Lam*phi^3 - R(phi), the quantity that must stay positive on the shell."""
-    ph = phi(geom, p)
-    return Lam(geom, p) * ph**3 - rotation_phi(geom, pair, p)
+    p = np.asarray(p, dtype=float)
+    return _schedule_gap(pair, p, *_phi_jet(geom, p))
 
 
 def estimate_T0(geom, pair, lam_lo, lam_hi, margin=0.1,
@@ -307,19 +367,20 @@ def verify_assumptions(geom, pair, lam_lo, lam_hi, seed=0):
     flat = pts.reshape(-1, 3)
     sub = flat[:: max(1, flat.shape[0] // 160)]
     items = []
+    ph, gp = _phi_jet(geom, flat)
+    ph_sub, gp_sub = _phi_jet(geom, sub)
 
     # (i) conformality of the full field at Xi = 1
     lie = ambient.lie_derivative_metric(geom, pair.full, pair.full_jac(1.0), sub)
-    target = 2.0 * phi(geom, sub)[:, None, None] * geom.metric_at(sub)
+    target = 2.0 * ph_sub[:, None, None] * geom.metric_at(sub)
     scale = np.maximum(1.0, np.max(np.abs(target), axis=(1, 2)))
     res = np.max(np.abs(lie - target), axis=(1, 2)) / scale
     items.append(_residual_item("i", "full_field_conformal", sub, res))
 
     # (ii) positivity of phi and |D|_g
-    items.append(_positive_item("ii", "conformal_factor_positive", flat,
-                                phi(geom, flat)))
-    items.append(_positive_item("ii", "dilation_nonvanishing", flat,
-                                dilation_norm_g(geom, flat)))
+    items.append(_positive_item("ii", "conformal_factor_positive", flat, ph))
+    dn = dilation_norm_g(geom, flat)
+    items.append(_positive_item("ii", "dilation_nonvanishing", flat, dn))
 
     # (iii) leaf support: u = g(X, outward g-unit sphere normal) > 0
     rr = np.linalg.norm(flat, axis=-1)
@@ -328,7 +389,7 @@ def verify_assumptions(geom, pair, lam_lo, lam_hi, seed=0):
     items.append(_positive_item("iii", "leaf_support_positive", flat, u_leaf))
 
     # (iv) leaf-constancy of lam, sphere by sphere
-    lam_vals = lam(geom, flat).reshape(pts.shape[0], pts.shape[1])
+    lam_vals = _lam(dn, ph).reshape(pts.shape[0], pts.shape[1])
     spread = (lam_vals.max(axis=1) - lam_vals.min(axis=1)) / lam_vals.mean(axis=1)
     k = int(np.argmax(spread))
     items.append(AssumptionItem("iv", "leaf_label_constant",
@@ -338,16 +399,17 @@ def verify_assumptions(geom, pair, lam_lo, lam_hi, seed=0):
 
     # (v) Lam > 0 and the label gradient is 2 Lam D^flat
     items.append(_positive_item("v", "label_coefficient_positive", flat,
-                                Lam(geom, flat)))
+                                _Lam(flat, ph, gp)))
     fd = ambient.fd_jacobian(geom, lambda q: lam(geom, q), sub)
-    target = (2.0 * Lam(geom, sub) * np.exp(2.0 * geom.f(sub)))[:, None] * sub
+    target = (2.0 * _Lam(sub, ph_sub, gp_sub)
+              * np.exp(2.0 * geom.f(sub)))[:, None] * sub
     scale = np.maximum(np.linalg.norm(target, axis=-1), 1e-12)
     res = np.linalg.norm(fd - target, axis=-1) / scale
     items.append(_residual_item("v", "label_gradient_radial", sub, res))
 
     # (vi) schedule gap positivity
     items.append(_positive_item("vi", "schedule_gap_positive", flat,
-                                schedule_gap(geom, pair, flat)))
+                                _schedule_gap(pair, flat, ph, gp)))
 
     # (vii) rotation is Killing (exactly zero without a rotation)
     lie = ambient.lie_derivative_metric(geom, pair.rotation, pair.rotation_jac(),

@@ -5,10 +5,10 @@ Voronoi cell areas scaled into the curved metric.
 """
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import ckv
 from .ckv import N_SURF
@@ -143,10 +143,73 @@ def leaf_profile(geom, r_lo, r_hi, n=128):
     return LeafProfile(r=r, area=geom.leaf_area(r), volume=vol)
 
 
+def _nan_check(x, fx):
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; "
+                         "solver cannot continue.")
+    return fx
+
+
+def _brentq(fn, xpre, xcur, fpre, fcur, xtol, rtol, maxiter=100):
+    """Root of `fn` in [xpre, xcur], where it takes the values fpre, fcur.
+
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4), step for step as scipy's `brentq`: inverse
+    quadratic or secant steps inside the bracket, bisection when a step is
+    too long or the bracket shrinks too slowly, and a step of at least the
+    tolerance `(xtol + rtol |x|) / 2`.  Equal signs at the ends and a NaN
+    value raise ValueError; no convergence in `maxiter` steps raises
+    RuntimeError.
+    """
+    _nan_check(xpre, fpre)
+    _nan_check(xcur, fcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better end as xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _nan_check(xcur, fn(xcur))
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def leaf_radius_for_volume(geom, target, r_lo, r_hi):
     """Radius in [r_lo, r_hi] of the coordinate ball enclosing the given
-    curved volume: a root of `geom.ball_volume(r) - target`.  A target
-    outside [V(r_lo), V(r_hi)] raises ValueError."""
+    curved volume: a root of `geom.ball_volume(r) - target`, found by
+    Brent's method (`_brentq`) to xtol = 1e-12, rtol = 1e-13, 100 steps
+    at most.  A target outside [V(r_lo), V(r_hi)] raises ValueError."""
 
     def fn(r):
         return float(geom.ball_volume(r)) - target
@@ -157,7 +220,7 @@ def leaf_radius_for_volume(geom, target, r_lo, r_hi):
             f"volume {target:.6g} not bracketed on [{r_lo}, {r_hi}] "
             f"(V - target = {flo:.3g} at r_lo, {fhi:.3g} at r_hi)"
         )
-    return float(brentq(fn, r_lo, r_hi, xtol=1e-12, rtol=1e-13))
+    return float(_brentq(fn, r_lo, r_hi, flo, fhi, xtol=1e-12, rtol=1e-13))
 
 
 @dataclass

@@ -295,3 +295,44 @@ def test_verify_assumptions_matches_per_point_reference(paper, axis, failing):
         assert abs(report[index].value - value) <= 1e-12
         assert report[index].worst_point == point
     assert {it.index for it in report.items if not it.passed} == failing
+
+
+# --------------------------------------------------------------------------
+# the shell sampler and the fused assumption scalars
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31])
+@pytest.mark.parametrize("n", [1, 7, 200, 1000])
+def test_scrambled_halton_is_scipys(n, seed):
+    from scipy.stats import qmc
+    ref = qmc.Halton(d=2, seed=seed, scramble=True).random(n)
+    got = ckv._scrambled_halton(n, seed)
+    assert got.shape == ref.shape == (n, 2)
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.0])
+@pytest.mark.parametrize("name", sorted(RADIAL_GEOMETRIES))
+def test_verify_assumptions_reads_the_public_scalars(name, omega):
+    # the verifier evaluates grad f and Hess f once per point set; its items
+    # are still the public phi, lam, Lam and schedule_gap, bit for bit
+    geom = RADIAL_GEOMETRIES[name]
+    pair = ckv.KillingPair(omega=omega)
+    r_out = float(geom.outer_distance(np.zeros(3)))
+    r_hi = 0.75 * r_out if np.isfinite(r_out) else 1.5
+    lo, hi = shell_label(geom, 0.4 * r_hi), shell_label(geom, r_hi)
+    report = ckv.verify_assumptions(geom, pair, lo, hi)
+    _, pts = ckv.shell_spheres(geom, lo, hi, 16, 200, 0)
+    flat = pts.reshape(-1, 3)
+    by_name = {it.name: it for it in report.items}
+    for item, values in (
+            ("conformal_factor_positive", ckv.phi(geom, flat)),
+            ("label_coefficient_positive", ckv.Lam(geom, flat)),
+            ("schedule_gap_positive", ckv.schedule_gap(geom, pair, flat))):
+        k = int(np.argmin(values))
+        assert by_name[item].value == values[k]
+        assert by_name[item].worst_point == tuple(flat[k])
+    lam_vals = ckv.lam(geom, flat).reshape(16, 200)
+    spread = np.ptp(lam_vals, axis=1) / lam_vals.mean(axis=1)
+    assert report["iv"].value == np.max(spread)

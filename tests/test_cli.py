@@ -488,14 +488,17 @@ def _python(tmp_path, code):
 
 def test_no_command_loads_the_oracles(tmp_path):
     # the oracles check the paper's claims for the tests; every command runs
-    # without them, and they import on their own
+    # without them, and they import on their own.  No command loads
+    # scipy.stats or scipy.optimize either: the shell sampler and the leaf
+    # radius's root are ckflow's own
     cfg = write_cfg(tmp_path, "seed.kind = ellipsoid\n"
                     "seed.semiaxes = [1.3, 1, 1]\nseed.level = 1\n")
     out = _python(tmp_path, (
         "import sys\nfrom ckflow import cli\n"
         "codes = [cli.main([cmd, '--config', 'run.cfg', '--quiet'])\n"
         "         for cmd in ('run', 'verify', 'profile', 'seed')]\n"
-        "print(codes, 'ckflow.oracles' in sys.modules)\n"))
-    assert out.splitlines()[-1] == "[0, 0, 0, 0] False"
+        "names = ('ckflow.oracles', 'scipy.stats', 'scipy.optimize')\n"
+        "print(codes, [name in sys.modules for name in names])\n"))
+    assert out.splitlines()[-1] == "[0, 0, 0, 0] [False, False, False]"
     assert (tmp_path / "trace.csv").read_text().count("\n") > 2  # it stepped
     _python(tmp_path, "import ckflow.oracles\n")

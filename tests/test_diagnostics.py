@@ -262,3 +262,65 @@ def test_trace_csv_format(tmp_path):
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     assert path.read_text() == text
+
+
+def _brackets(geom, rng, count):
+    """Random brackets [lo, hi] in the chart with a root r inside each."""
+    r_out = float(geom.outer_distance(np.zeros(3)))
+    top = 0.995 * r_out if np.isfinite(r_out) else 3.0
+    for _ in range(count):
+        lo, r, hi = np.sort(rng.uniform(1e-3 * top, top, 3))
+        yield float(lo), float(r), float(hi)
+
+
+def _volume_gap(geom, target):
+    return lambda r: float(geom.ball_volume(r)) - target
+
+
+@pytest.mark.parametrize("name", ["euclid", "paper", "poincare"])
+def test_leaf_radius_is_scipys_brentq(name, request):
+    from scipy.optimize import brentq
+    geom = request.getfixturevalue(name)
+    cases = list(_brackets(geom, np.random.default_rng(5), 60))
+    if name == "paper":
+        cases.append((0.3, 1.97, 1.98))            # the pole at |x| = 2
+    if name == "poincare":
+        cases += [(1e-3, 0.02, 0.3), (0.01, 0.049, 0.06)]  # the series branch
+    cases += [(lo, lo, hi) for lo, _, hi in cases[:3]]     # a root at an end
+    cases += [(lo, hi, hi) for lo, _, hi in cases[:3]]
+    for lo, r, hi in cases:
+        target = float(geom.ball_volume(r))
+        got = diagnostics.leaf_radius_for_volume(geom, target, lo, hi)
+        assert got == brentq(_volume_gap(geom, target), lo, hi,
+                             xtol=1e-12, rtol=1e-13)
+        assert abs(got - r) <= 1e-10 * max(1.0, r)
+    # outside the bracket both refuse with a ValueError
+    lo, r, hi = cases[0]
+    target = float(geom.ball_volume(0.5 * lo))
+    fn = _volume_gap(geom, target)
+    with pytest.raises(ValueError, match="not bracketed"):
+        diagnostics.leaf_radius_for_volume(geom, target, lo, hi)
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(fn, lo, hi, xtol=1e-12, rtol=1e-13)
+    with pytest.raises(ValueError, match="different signs"):
+        diagnostics._brentq(fn, lo, hi, fn(lo), fn(hi), 1e-12, 1e-13)
+
+
+def test_brentq_fails_like_scipys():
+    from scipy.optimize import brentq
+
+    def fn(x):
+        return x**3 - 2.0 * x - 5.0
+
+    for maxiter in (1, 2, 5):
+        with pytest.raises(RuntimeError) as ref:
+            brentq(fn, 0.0, 4.0, xtol=1e-12, rtol=1e-13, maxiter=maxiter)
+        with pytest.raises(RuntimeError) as got:
+            diagnostics._brentq(fn, 0.0, 4.0, fn(0.0), fn(4.0), 1e-12, 1e-13,
+                                maxiter=maxiter)
+        assert str(got.value) == str(ref.value)
+    assert (diagnostics._brentq(fn, 0.0, 4.0, fn(0.0), fn(4.0), 1e-12, 1e-13)
+            == brentq(fn, 0.0, 4.0, xtol=1e-12, rtol=1e-13))
+    with pytest.raises(ValueError, match="NaN"):
+        diagnostics._brentq(lambda x: np.nan, 0.0, 1.0, -1.0, 1.0,
+                            1e-12, 1e-13)
