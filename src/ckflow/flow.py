@@ -51,16 +51,10 @@ does its c, b and mass.
 
 The trace columns that no step reads (volume, the two Minkowski residuals
 and the umbilicity deficit, whose principal curvatures need a two-ring
-quadric fit) are computed on one worker thread per run while the step runs
-(`_trace_columns`).  The worker computes only on the loop-top snapshot and
-its bundle, which the step never writes, and numpy releases the interpreter
-lock in much of that work, so on a second core the two overlap.  The same
-functions do the same arithmetic on the same inputs, so every output is
-byte-identical to computing the columns in line; an error from the columns
-wins over one from the step beside them (see `_drive`).
+quadric fit) are computed in line at each loop top, before the step
+(`_trace_columns`).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -293,36 +287,20 @@ def _drive(stepper, schedule, ctrl, frame_cb):
     (max-min)/mean of the label is <= leaf_tol; t_end or max_steps return
     converged=False.  The result's `mesh_initial` is the step-0 loop-top
     mesh.  frame_cb(step, t, mesh), when given, gets every loop-top
-    snapshot, the last one included, once its trace row is added.  A
+    snapshot, the last one included, once its trace row is added.  The
+    row and the frame come before the convergence test and the step, so a
+    step error keeps its loop top's row and frame, and an error from the
+    trace columns leaves its loop top without either and its step unrun.  A
     package error raised in the loop carries the partial trace as
     `err.trace`, and its message starts with "<label>step N from t=T: ", N
     and T the loop top's step and time: the one place a failed run's step
     and time are named.
-
-    The run's one worker thread computes each loop top's `_trace_columns`
-    while this thread runs the convergence test and the step; the row, then
-    the frame, follow once the step accepts, breaks or raises.  An error
-    from the columns wins over one from the step, as it came first in
-    program order, and its loop top gets no row and no frame; a step error
-    after clean columns keeps its row.  The worker is made on entry and
-    shut down on every exit.  Why the two threads may overlap:
-      - the worker reads the loop-top snapshot, `geom` and `vg`, and adds
-        to the snapshot's memo only its `flat_curvatures` and, on the graph
-        backend, its curved volume (the front's is already there).
-        Meanwhile this thread adds at most the snapshot's `min_edge` and
-        `mean_edge` (`cfl_dt`, on either backend), other entries, and
-        otherwise computes on new snapshots;
-      - `vg`'s arrays are never written, and snapshot vertices are
-        read-only;
-      - only the worker builds or reads the topology's `ring` tables;
-      - numpy's error state is per thread, and the package sets none.
     """
     geom, pair = stepper.geom, stepper.pair
     trace = diagnostics.FlowTrace()
     factor = LaggedFactor()
     step, t, dt_arrived, mesh_initial = 0, 0.0, 0.0, stepper.mesh
 
-    worker = ThreadPoolExecutor(max_workers=1)
     try:
         while True:
             mesh = stepper.mesh
@@ -335,36 +313,33 @@ def _drive(stepper, schedule, ctrl, frame_cb):
             area = mesh.area(geom)
             lam = stepper.labels(vg)
             ld = diagnostics.leaf_distance(lam)
-            row = dict(
+            trace.add(
                 step=step, time=t, xi=xi_now, area=area,
                 lambda_min=float(lam.min()), lambda_max=float(lam.max()),
                 u_min=float(vg.u.min()), uperp_min=float(vg.u_perp.min()),
                 H_min=float(vg.H.min()), H_max=float(vg.H.max()),
                 leaf_distance=ld, dt=dt_arrived,
+                **_trace_columns(mesh, geom, vg),
             )
-            columns = worker.submit(_trace_columns, mesh, geom, vg)
-            try:
-                if ld <= ctrl.leaf_tol:
-                    reason = "converged"
-                    break
-                if t >= ctrl.t_end or step >= ctrl.max_steps:
-                    reason = "t_end" if t >= ctrl.t_end else "max_steps"
-                    break
+            if frame_cb is not None:
+                frame_cb(step, t, mesh)
+            if ld <= ctrl.leaf_tol:
+                reason = "converged"
+                break
+            if t >= ctrl.t_end or step >= ctrl.max_steps:
+                reason = "t_end" if t >= ctrl.t_end else "max_steps"
+                break
 
-                dt = min(cfl_dt(mesh, ctrl.cfl), ctrl.t_end - t)
-                for _ in range(MAX_RETRIES):
-                    cand = stepper.propose(vg, xi_now, dt, factor)
-                    if cand.area(geom) <= area * (1.0 + ctrl.area_slack):
-                        break
-                    dt *= 0.5
-                else:
-                    raise MeshDegenerate(
-                        f"area kept increasing even at dt={dt:.3e}")
-                stepper.accept()
-            finally:
-                trace.add(**row, **columns.result())
-                if frame_cb is not None:
-                    frame_cb(step, t, mesh)
+            dt = min(cfl_dt(mesh, ctrl.cfl), ctrl.t_end - t)
+            for _ in range(MAX_RETRIES):
+                cand = stepper.propose(vg, xi_now, dt, factor)
+                if cand.area(geom) <= area * (1.0 + ctrl.area_slack):
+                    break
+                dt *= 0.5
+            else:
+                raise MeshDegenerate(
+                    f"area kept increasing even at dt={dt:.3e}")
+            stepper.accept()
             step += 1
             t += dt
             dt_arrived = dt
@@ -372,8 +347,6 @@ def _drive(stepper, schedule, ctrl, frame_cb):
         err.trace = trace
         err.args = (f"{stepper.label}step {step} from t={t:.6g}: {err}",)
         raise
-    finally:
-        worker.shutdown()
 
     return RunResult(
         mesh=stepper.mesh, mesh_initial=mesh_initial, trace=trace,

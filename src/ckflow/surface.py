@@ -731,16 +731,13 @@ def enclosed_volume(mesh, geom):
     outer chart boundary is checked.
     """
     v, faces = mesh.vertices, mesh.faces
-    p = np.stack(
-        [np.zeros_like(v[faces[:, 0]]), v[faces[:, 0]], v[faces[:, 1]], v[faces[:, 2]]],
-        axis=1,
-    )  # (F, 4, 3)
-    signed = np.einsum(
-        "ij,ij->i", p[:, 1], np.cross(p[:, 2], p[:, 3])
-    ) / 6.0
+    p0, p1, p2 = v[faces[:, 0]], v[faces[:, 1]], v[faces[:, 2]]
+    signed = np.einsum("ij,ij->i", p0, np.cross(p1, p2)) / 6.0
     total = 0.0
     for q in range(4):
-        node = np.einsum("k,fkj->fj", _TET_BARY[q], p)
+        # the origin corner's weight multiplies a zero vertex
+        w1, w2, w3 = _TET_BARY[q, 1:]
+        node = w1 * p0 + w2 * p1 + w3 * p2
         outer = geom.outer_distance(node)
         if np.any(outer <= 0.0):
             raise DomainExit(

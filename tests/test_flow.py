@@ -289,8 +289,8 @@ def test_trace_volume_is_the_frame_volume(request, pair, backend, geom_name,
                                           semiaxes, t_end, min_steps):
     # the front's loop top reuses the volume projection's last evaluation;
     # the graph's evaluates its embedded mesh, which is the frame.  The
-    # columns the worker thread computes are exactly those of a main-thread
-    # recomputation on a cold copy of each frame
+    # columns the loop top computes on its warm snapshot are exactly those
+    # of a recomputation on a cold copy of each frame
     geom = request.getfixturevalue(geom_name)
     seed = surface.ellipsoid_seed(semiaxes, 2)
     frames = []
@@ -344,10 +344,17 @@ def _fail_umbilicity_at(monkeypatch, row):
 @pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
 def test_trace_column_error_fails_its_loop_top_with_step_and_time(
         euclid, pair, monkeypatch, backend):
-    # the worker's error wins over the step that ran beside it, and its loop
-    # top gets no row and no frame
-    step, frames = 2, []
+    # the columns come before the step, so their error leaves its loop top
+    # without a row or a frame, and its step never runs
+    step, frames, solves = 2, [], []
     _fail_umbilicity_at(monkeypatch, step)
+    original = flow.LaggedFactor.solve
+
+    def counted(self, lhs, rhs, x0):
+        solves.append(1)
+        return original(self, lhs, rhs, x0)
+
+    monkeypatch.setattr(flow.LaggedFactor, "solve", counted)
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     with pytest.raises(MeshDegenerate) as exc:
         _run_backend(backend, euclid, pair, seed, flow.StepControl(t_end=0.3),
@@ -355,6 +362,8 @@ def test_trace_column_error_fails_its_loop_top_with_step_and_time(
     message, trace = str(exc.value), exc.value.trace
     assert len(trace) == step
     assert frames == list(range(step))
+    # one solve for each step before, as no step retried (see _fail_solve_at)
+    assert len(solves) == step
     tag = f"{_label(backend)}step {step} from t="
     assert message.startswith(tag), message
     assert message.count(" from t=") == 1, message
@@ -366,8 +375,7 @@ def test_trace_column_error_fails_its_loop_top_with_step_and_time(
 @pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
 @pytest.mark.parametrize("outcome", ["converged", "t_end", "step_error",
                                      "column_error"])
-def test_run_keeps_one_worker_thread_and_none_after(euclid, pair, monkeypatch,
-                                                    backend, outcome):
+def test_run_starts_no_thread(euclid, pair, monkeypatch, backend, outcome):
     # a step error after clean columns keeps its loop top's row and frame
     seed = surface.ellipsoid_seed((1.3, 1.0, 1.0), 2)
     t_end = 0.05 if outcome == "t_end" else 8.0
@@ -387,19 +395,19 @@ def test_run_keeps_one_worker_thread_and_none_after(euclid, pair, monkeypatch,
         assert str(err).startswith(f"{_label(backend)}step 2 from t=")
     else:
         assert res.reason == outcome
-    assert during == {before + 1}
+    assert during == {before}
     assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("backend", ["lagrangian", "leaf_graph"])
 def test_runs_on_many_threads_under_fine_switching_match_a_serial_run(
         euclid, pair, monkeypatch, backend):
-    # four runs at once, each beside its worker, on a host of few cores; a
-    # 1 us switch interval interleaves the threads finely, so a memo entry
-    # or ring table lost between a run's two threads would show in the rows.
-    # The front smooths at every step, so its main thread makes new
-    # snapshots from each loop top while the worker fits the loop top's
-    # two-ring quadrics, the only ring table a run builds
+    # four runs at once on a host of few cores; a 1 us switch interval
+    # interleaves their threads finely, so a memo entry, ring table or
+    # other state one run shared with another would show in the rows.  The
+    # front smooths at every step, so each run makes new snapshots from
+    # each loop top and fits its two-ring quadrics, the only ring table a
+    # run builds
     monkeypatch.setattr(flow, "SMOOTH_EVERY", 1)
     ctrl = flow.StepControl(t_end=0.5)
 

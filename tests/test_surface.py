@@ -751,6 +751,38 @@ def test_ellipsoid_volume(euclid):
     assert abs(surface.enclosed_volume(mesh, euclid) / (8.0 * np.pi / 3.0) - 1.0) < 5e-3
 
 
+def four_corner_volume(mesh, geom):
+    """The curved volume with the origin stacked as a zero corner of each
+    tetrahedron and all four corners weighted per node."""
+    v, faces = mesh.vertices, mesh.faces
+    p = np.stack([np.zeros_like(v[faces[:, 0]]), v[faces[:, 0]],
+                  v[faces[:, 1]], v[faces[:, 2]]], axis=1)  # (F, 4, 3)
+    signed = np.einsum("ij,ij->i", p[:, 1], np.cross(p[:, 2], p[:, 3])) / 6.0
+    total = 0.0
+    for q in range(4):
+        node = np.einsum("k,fkj->fj", surface._TET_BARY[q], p)
+        total += np.sum(signed * np.exp(3.0 * geom.f(node))) / 4.0
+    return float(total)
+
+
+@pytest.mark.parametrize("geom_name, semiaxes", [
+    ("euclid", (1.3, 1.0, 0.8)),
+    ("paper", (1.08, 1.0, 0.93)),
+    ("poincare", (0.6, 0.5, 0.4)),
+])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_volume_matches_the_four_corner_formula_bit_for_bit(
+        request, geom_name, semiaxes, level):
+    geom = request.getfixturevalue(geom_name)
+    rng = np.random.default_rng(level)
+    base = surface.ellipsoid_seed(semiaxes, level)
+    for jitter in (0.0, 0.01, 0.03):
+        mesh = base.with_vertices(base.vertices * (
+            1.0 + jitter * rng.standard_normal((base.n_vertices, 1))))
+        assert (surface.enclosed_volume(mesh, geom)
+                == four_corner_volume(mesh, geom))
+
+
 def test_quadrature_refinement_second_order(euclid):
     errs = []
     for level in (3, 4):
